@@ -3,10 +3,12 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "src/experiments/sweep_cache.h"
+#include "src/base/check.h"
+#include "src/experiments/sweep.h"
 #include "src/experiments/trial.h"
 #include "src/metrics/table.h"
 
@@ -23,14 +25,18 @@ inline const std::vector<std::string>& RepresentativeNames() {
   return names;
 }
 
-// The full paper grid (7 workloads x {copy, IOU x PF, RS x PF}), served
-// from the cross-binary disk cache: the first binary (or bench/run_all)
-// simulates the grid in parallel and persists it; every later binary
-// deserialises instead of re-simulating. See src/experiments/sweep_cache.h.
-class SweepCache {
+// The full paper grid (7 workloads x {copy, IOU x PF, RS x PF}), simulated
+// once per process per workload, its trials fanned out across
+// SweepThreadCount() threads.
+class PaperGrid {
  public:
   static const std::vector<TrialResult>& For(const std::string& workload) {
-    return DiskSweepCache::Global().For(workload);
+    static std::map<std::string, std::vector<TrialResult>> grids;
+    std::vector<TrialResult>& grid = grids[workload];
+    if (grid.empty()) {
+      grid = RunTrials(StrategySweepConfigs(workload), SweepThreadCount());
+    }
+    return grid;
   }
 
   static const TrialResult& Find(const std::string& workload, TransferStrategy strategy,

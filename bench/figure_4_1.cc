@@ -21,11 +21,11 @@ void Run() {
   for (const std::string& name : RepresentativeNames()) {
     std::vector<std::string> row{name};
     row.push_back(
-        FormatSeconds(SweepCache::Find(name, TransferStrategy::kPureCopy, 0).remote_exec));
+        FormatSeconds(PaperGrid::Find(name, TransferStrategy::kPureCopy, 0).remote_exec));
     for (TransferStrategy strategy :
          {TransferStrategy::kPureIou, TransferStrategy::kResidentSet}) {
       for (std::uint32_t prefetch : kPaperPrefetchValues) {
-        row.push_back(FormatSeconds(SweepCache::Find(name, strategy, prefetch).remote_exec));
+        row.push_back(FormatSeconds(PaperGrid::Find(name, strategy, prefetch).remote_exec));
       }
     }
     table.AddRow(row);
@@ -33,17 +33,17 @@ void Run() {
   std::printf("%s\n", table.ToString().c_str());
 
   const double minprog_copy =
-      ToSeconds(SweepCache::Find("Minprog", TransferStrategy::kPureCopy, 0).remote_exec);
+      ToSeconds(PaperGrid::Find("Minprog", TransferStrategy::kPureCopy, 0).remote_exec);
   const double minprog_iou =
-      ToSeconds(SweepCache::Find("Minprog", TransferStrategy::kPureIou, 0).remote_exec);
+      ToSeconds(PaperGrid::Find("Minprog", TransferStrategy::kPureIou, 0).remote_exec);
   const double chess_copy =
-      ToSeconds(SweepCache::Find("Chess", TransferStrategy::kPureCopy, 0).remote_exec);
+      ToSeconds(PaperGrid::Find("Chess", TransferStrategy::kPureCopy, 0).remote_exec);
   const double chess_iou =
-      ToSeconds(SweepCache::Find("Chess", TransferStrategy::kPureIou, 0).remote_exec);
+      ToSeconds(PaperGrid::Find("Chess", TransferStrategy::kPureIou, 0).remote_exec);
   const double pm_iou0 =
-      ToSeconds(SweepCache::Find("PM-Start", TransferStrategy::kPureIou, 0).remote_exec);
+      ToSeconds(PaperGrid::Find("PM-Start", TransferStrategy::kPureIou, 0).remote_exec);
   const double pm_iou15 =
-      ToSeconds(SweepCache::Find("PM-Start", TransferStrategy::kPureIou, 15).remote_exec);
+      ToSeconds(PaperGrid::Find("PM-Start", TransferStrategy::kPureIou, 15).remote_exec);
   std::printf("Minprog pure-IOU slowdown: %.0fx (paper: 44x)\n", minprog_iou / minprog_copy);
   std::printf("Chess pure-IOU penalty: %.1f%% (paper: ~3%%)\n",
               100.0 * (chess_iou - chess_copy) / chess_copy);
@@ -55,7 +55,7 @@ void Run() {
   for (const char* name : {"Lisp-Del", "PM-Start"}) {
     std::printf("  %-8s:", name);
     for (std::uint32_t prefetch : {1u, 3u, 7u, 15u}) {
-      const TrialResult& trial = SweepCache::Find(name, TransferStrategy::kPureIou, prefetch);
+      const TrialResult& trial = PaperGrid::Find(name, TransferStrategy::kPureIou, prefetch);
       const double ratio =
           trial.dest_pager.prefetched_pages == 0
               ? 0.0

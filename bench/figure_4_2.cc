@@ -21,12 +21,12 @@ void Run() {
   TextTable table({"Process", "IOU PF0", "PF1", "PF3", "PF7", "PF15", "RS PF0", "PF1", "PF3",
                    "PF7", "PF15"});
   for (const std::string& name : RepresentativeNames()) {
-    const double copy_total = Total(SweepCache::Find(name, TransferStrategy::kPureCopy, 0));
+    const double copy_total = Total(PaperGrid::Find(name, TransferStrategy::kPureCopy, 0));
     std::vector<std::string> row{name};
     for (TransferStrategy strategy :
          {TransferStrategy::kPureIou, TransferStrategy::kResidentSet}) {
       for (std::uint32_t prefetch : kPaperPrefetchValues) {
-        const double total = Total(SweepCache::Find(name, strategy, prefetch));
+        const double total = Total(PaperGrid::Find(name, strategy, prefetch));
         const double speedup = 100.0 * (copy_total - total) / copy_total;
         row.push_back(FormatDouble(speedup, 1));
       }
@@ -38,8 +38,8 @@ void Run() {
   // The crossover claim: breakeven near one quarter of RealMem touched.
   std::printf("Touched fraction of RealMem vs. pure-IOU PF0 outcome:\n");
   for (const std::string& name : RepresentativeNames()) {
-    const TrialResult& iou = SweepCache::Find(name, TransferStrategy::kPureIou, 0);
-    const double copy_total = Total(SweepCache::Find(name, TransferStrategy::kPureCopy, 0));
+    const TrialResult& iou = PaperGrid::Find(name, TransferStrategy::kPureIou, 0);
+    const double copy_total = Total(PaperGrid::Find(name, TransferStrategy::kPureCopy, 0));
     const double speedup = 100.0 * (copy_total - Total(iou)) / copy_total;
     std::printf("  %-8s touched %5.1f%%  -> %+7.1f%%\n", name.c_str(),
                 100.0 * iou.FractionOfRealTransferred(), speedup);

@@ -18,20 +18,20 @@ void Run() {
   double savings_sum = 0;
   for (const std::string& name : RepresentativeNames()) {
     const ByteCount copy_bytes =
-        SweepCache::Find(name, TransferStrategy::kPureCopy, 0).bytes_total;
+        PaperGrid::Find(name, TransferStrategy::kPureCopy, 0).bytes_total;
     std::vector<std::string> row{name, FormatWithCommas(copy_bytes)};
     for (std::uint32_t prefetch : kPaperPrefetchValues) {
       row.push_back(FormatWithCommas(
-          SweepCache::Find(name, TransferStrategy::kPureIou, prefetch).bytes_total));
+          PaperGrid::Find(name, TransferStrategy::kPureIou, prefetch).bytes_total));
     }
     row.push_back(FormatWithCommas(
-        SweepCache::Find(name, TransferStrategy::kResidentSet, 0).bytes_total));
+        PaperGrid::Find(name, TransferStrategy::kResidentSet, 0).bytes_total));
     row.push_back(FormatWithCommas(
-        SweepCache::Find(name, TransferStrategy::kResidentSet, 15).bytes_total));
+        PaperGrid::Find(name, TransferStrategy::kResidentSet, 15).bytes_total));
     table.AddRow(row);
 
     const ByteCount iou_bytes =
-        SweepCache::Find(name, TransferStrategy::kPureIou, 0).bytes_total;
+        PaperGrid::Find(name, TransferStrategy::kPureIou, 0).bytes_total;
     savings_sum += 1.0 - static_cast<double>(iou_bytes) / static_cast<double>(copy_bytes);
   }
   std::printf("%s\n", table.ToString().c_str());

@@ -20,20 +20,20 @@ void Run() {
   double savings_sum = 0;
   for (const std::string& name : RepresentativeNames()) {
     const double copy_cost =
-        ToSeconds(SweepCache::Find(name, TransferStrategy::kPureCopy, 0).netmsg_busy);
+        ToSeconds(PaperGrid::Find(name, TransferStrategy::kPureCopy, 0).netmsg_busy);
     std::vector<std::string> row{name, FormatSeconds(copy_cost)};
     for (std::uint32_t prefetch : kPaperPrefetchValues) {
       row.push_back(FormatSeconds(
-          SweepCache::Find(name, TransferStrategy::kPureIou, prefetch).netmsg_busy));
+          PaperGrid::Find(name, TransferStrategy::kPureIou, prefetch).netmsg_busy));
     }
     row.push_back(FormatSeconds(
-        SweepCache::Find(name, TransferStrategy::kResidentSet, 0).netmsg_busy));
+        PaperGrid::Find(name, TransferStrategy::kResidentSet, 0).netmsg_busy));
     row.push_back(FormatSeconds(
-        SweepCache::Find(name, TransferStrategy::kResidentSet, 15).netmsg_busy));
+        PaperGrid::Find(name, TransferStrategy::kResidentSet, 15).netmsg_busy));
     table.AddRow(row);
 
     const double iou_cost =
-        ToSeconds(SweepCache::Find(name, TransferStrategy::kPureIou, 0).netmsg_busy);
+        ToSeconds(PaperGrid::Find(name, TransferStrategy::kPureIou, 0).netmsg_busy);
     savings_sum += 1.0 - iou_cost / copy_cost;
   }
   std::printf("%s\n", table.ToString().c_str());

@@ -1,12 +1,9 @@
-// Warms the cross-binary sweep cache once, in parallel, so the ~20
-// table/figure/ablation binaries deserialise the paper grid from disk
-// instead of each re-simulating it — then folds the grid into
+// Simulates the 77-trial paper grid in parallel and folds it into
 // BENCH_sweep.json: per-trial summary rows plus the aggregated metrics
 // registry (validated by tools/check_bench.sh --sweep, consumed by
 // tools/render_results).
 //
-// Usage: run_all [--force] [--threads N] [--seed N] [--out FILE]
-//   --force     recompute and rewrite cache files even when present
+// Usage: run_all [--threads N] [--seed N] [--out FILE]
 //   --threads   worker threads (default: ACCENT_SWEEP_THREADS or hardware)
 //   --seed      trial seed (default 42, the grid every binary uses)
 //   --out       sweep summary JSON path (default BENCH_sweep.json)
@@ -20,29 +17,24 @@
 #include "bench/bench_util.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/sweep_cache.h"
 #include "src/metrics/registry.h"
 
 namespace accent {
 namespace {
 
 int Main(int argc, char** argv) {
-  bool force = false;
   int threads = 0;
   std::uint64_t seed = 42;
   std::string out = "BENCH_sweep.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--force") == 0) {
-      force = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--force] [--threads N] [--seed N] [--out FILE]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--threads N] [--seed N] [--out FILE]\n", argv[0]);
       return 2;
     }
   }
@@ -50,9 +42,8 @@ int Main(int argc, char** argv) {
     threads = SweepThreadCount();
   }
 
-  DiskSweepCache& cache = DiskSweepCache::Global();
-  std::printf("Warming sweep cache in %s (threads=%d, seed=%llu)\n", cache.dir().c_str(),
-              threads, static_cast<unsigned long long>(seed));
+  std::printf("Simulating the paper grid (threads=%d, seed=%llu)\n", threads,
+              static_cast<unsigned long long>(seed));
 
   const auto start = std::chrono::steady_clock::now();
   std::size_t trials = 0;
@@ -61,8 +52,7 @@ int Main(int argc, char** argv) {
   Json workloads{Json::Array{}};
   for (const std::string& name : RepresentativeNames()) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<TrialResult>& results =
-        force ? cache.Refresh(name, seed, threads) : cache.For(name, seed, threads);
+    const std::vector<TrialResult> results = RunTrials(StrategySweepConfigs(name, seed), threads);
     const auto t1 = std::chrono::steady_clock::now();
     trials += results.size();
     workloads.Append(Json(name));
@@ -79,9 +69,9 @@ int Main(int argc, char** argv) {
   // times include walking the whole validated map (Lisp validates its 4 GB
   // heap at birth), which the plain page walk misses. Re-run the prefetch-0
   // resident-set trials fresh with the rs_zero_scan_per_mb cost switched on
-  // (~3 ms/MB of zero-fill lands Lisp at the paper's 25.8 s). These bypass
-  // the disk cache on purpose: the headline grid and its digests must stay
-  // byte-identical.
+  // (~3 ms/MB of zero-fill lands Lisp at the paper's 25.8 s). They run
+  // apart from the grid on purpose: the headline grid and its digests must
+  // stay byte-identical.
   const SimDuration rs_zero_scan = Ms(3);
   std::vector<TrialConfig> rs_configs;
   for (const std::string& name : RepresentativeNames()) {
@@ -126,11 +116,9 @@ int Main(int argc, char** argv) {
     file << root.Dump(1) << "\n";
   }
 
-  std::printf("%zu trials ready in %.2f s (%d recomputed, %d loaded from disk)\n", trials,
-              std::chrono::duration<double>(stop - start).count(), cache.computes(),
-              cache.disk_hits());
+  std::printf("%zu trials simulated in %.2f s\n", trials,
+              std::chrono::duration<double>(stop - start).count());
   std::printf("Sweep summary + metrics registry written to %s.\n", out.c_str());
-  std::printf("Bench binaries will now load the grid from %s.\n", cache.dir().c_str());
   return 0;
 }
 

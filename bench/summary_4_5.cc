@@ -29,8 +29,8 @@ void Run() {
   double min_touch_real = 1e9, max_touch_real = 0, min_touch_tot = 1e9, max_touch_tot = 0;
   const auto& names = RepresentativeNames();
   for (const std::string& name : names) {
-    const TrialResult& copy = SweepCache::Find(name, TransferStrategy::kPureCopy, 0);
-    const TrialResult& iou = SweepCache::Find(name, TransferStrategy::kPureIou, 0);
+    const TrialResult& copy = PaperGrid::Find(name, TransferStrategy::kPureCopy, 0);
+    const TrialResult& iou = PaperGrid::Find(name, TransferStrategy::kPureIou, 0);
     min_exc = std::min(min_exc, ToSeconds(copy.migration.excise_overall));
     max_exc = std::max(max_exc, ToSeconds(copy.migration.excise_overall));
     min_ins = std::min(min_ins, ToSeconds(copy.migration.insert_time));
@@ -72,8 +72,8 @@ void Run() {
   table.AddRow({"Avg message-cost savings (IOU PF0)", "47.8%",
                 FormatDouble(100.0 * msg_savings / n, 1) + "%"});
 
-  const TrialResult& chess_copy = SweepCache::Find("Chess", TransferStrategy::kPureCopy, 0);
-  const TrialResult& chess_iou = SweepCache::Find("Chess", TransferStrategy::kPureIou, 0);
+  const TrialResult& chess_copy = PaperGrid::Find("Chess", TransferStrategy::kPureCopy, 0);
+  const TrialResult& chess_iou = PaperGrid::Find("Chess", TransferStrategy::kPureIou, 0);
   table.AddRow({"Chess end-to-end sensitivity", "insensitive",
                 FormatDouble(100.0 * (Total(chess_iou) - Total(chess_copy)) /
                                  Total(chess_copy), 1) + "%"});
@@ -81,8 +81,8 @@ void Run() {
   // Prefetch-1 rule: PF1 never slower than PF0 end-to-end.
   bool pf1_always_helps = true;
   for (const std::string& name : names) {
-    const double pf0 = Total(SweepCache::Find(name, TransferStrategy::kPureIou, 0));
-    const double pf1 = Total(SweepCache::Find(name, TransferStrategy::kPureIou, 1));
+    const double pf0 = Total(PaperGrid::Find(name, TransferStrategy::kPureIou, 0));
+    const double pf1 = Total(PaperGrid::Find(name, TransferStrategy::kPureIou, 1));
     if (pf1 > pf0 * 1.001) {
       pf1_always_helps = false;
     }

@@ -33,8 +33,8 @@
 namespace accent {
 
 // Process-global tallies of physical payload work (simulation-invisible;
-// surfaced in BENCH_sim.json and docs/OBSERVABILITY.md). All relaxed
-// atomics: exact per-thread attribution is not needed, totals are.
+// documented in docs/OBSERVABILITY.md). All relaxed atomics: exact
+// per-thread attribution is not needed, totals are.
 struct PageCounterSnapshot {
   std::uint64_t payload_allocs = 0;      // fresh kPageSize payload allocations
   std::uint64_t payload_frees = 0;       // payloads whose last holder released them
@@ -51,15 +51,6 @@ struct PageCounterSnapshot {
 // Snapshot of the counters accumulated since process start / last Reset.
 PageCounterSnapshot ReadPageCounters();
 void ResetPageCounters();
-
-// Measurement aid: when enabled, copying a PageRef deep-clones the payload
-// exactly where the pre-refactor data plane would have copied a PageData.
-// This gives bench/micro_sim an in-binary baseline (same pattern as the
-// LegacySim event loop): run a trial in legacy mode, reset counters, run it
-// again sharing, and the counter delta is the copy traffic the refactor
-// removed. Never enabled during normal runs or tests.
-void SetLegacyDeepCopyMode(bool enabled);
-bool LegacyDeepCopyMode();
 
 class PageRef {
  public:

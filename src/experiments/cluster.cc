@@ -656,8 +656,6 @@ std::uint64_t AutoEventBudget(const ClusterConfig& config) {
 
 int SimShardCount() { return EnvInt("ACCENT_SIM_SHARDS", 1, 1, 64); }
 
-int SimShardThreadCount() { return EnvInt("ACCENT_SIM_SHARD_THREADS", 1, 0, 64); }
-
 ClusterResult RunClusterTrial(const ClusterConfig& config) {
   ACCENT_EXPECTS(config.host_count >= 2);
   ACCENT_EXPECTS(config.duration > SimDuration::zero());

@@ -168,10 +168,6 @@ struct ClusterResult {
 // [1, 64]), else 1.
 int SimShardCount();
 
-// Worker threads for shard windows: ACCENT_SIM_SHARD_THREADS if set,
-// else 1 (single-core boxes win via smaller per-shard heaps, not threads).
-int SimShardThreadCount();
-
 // Runs one fleet trial to completion (or its watchdog budget).
 ClusterResult RunClusterTrial(const ClusterConfig& config);
 

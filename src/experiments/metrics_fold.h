@@ -33,7 +33,7 @@ void FoldDedupMetrics(const DedupResult& result, MetricsRegistry* registry);
 // Compact one-object-per-trial summary for BENCH_sweep.json: the fields the
 // paper tables are computed from (spec composition, excision/transfer/insert
 // timings, byte traffic, destination fault counts), WITHOUT the bulky
-// traffic series that the full sweep-cache serialisation carries.
+// traffic series that the full TrialResultToJson row carries.
 // tools/render_results consumes exactly this shape.
 Json TrialSummaryToJson(const TrialResult& result);
 

@@ -1,24 +1,13 @@
 #include "src/experiments/sweep_cache.h"
 
-#include <unistd.h>
-
-#include <cctype>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
-
-#include "src/base/check.h"
-#include "src/experiments/sweep.h"
+#include <vector>
 
 namespace accent {
 namespace {
 
 Json DurationToJson(SimDuration d) { return Json(static_cast<std::int64_t>(d.count())); }
-SimDuration DurationFromJson(const Json& j) { return SimDuration(j.AsInt64()); }
 
 Json PagerStatsToJson(const PagerStats& stats) {
   Json json;
@@ -51,31 +40,6 @@ Json PagerStatsToJson(const PagerStats& stats) {
   return json;
 }
 
-PagerStats PagerStatsFromJson(const Json& json) {
-  PagerStats stats;
-  stats.resident_hits = json.Get("resident_hits").AsUint64();
-  stats.fillzero_faults = json.Get("fillzero_faults").AsUint64();
-  stats.disk_faults = json.Get("disk_faults").AsUint64();
-  stats.cow_faults = json.Get("cow_faults").AsUint64();
-  stats.imag_faults = json.Get("imag_faults").AsUint64();
-  stats.imag_pages_fetched = json.Get("imag_pages_fetched").AsUint64();
-  stats.prefetched_pages = json.Get("prefetched_pages").AsUint64();
-  stats.prefetch_hits = json.Get("prefetch_hits").AsUint64();
-  stats.pageouts = json.Get("pageouts").AsUint64();
-  stats.address_errors = json.Get("address_errors").AsUint64();
-  stats.failed_fetches = json.Get("failed_fetches").AsUint64();
-  if (const Json* hits = json.Find("cache_local_hits"); hits != nullptr) {
-    stats.cache_local_hits = hits->AsUint64();
-    stats.cache_pages_confirmed = json.Get("cache_pages_confirmed").AsUint64();
-    stats.cache_pages_from_holders = json.Get("cache_pages_from_holders").AsUint64();
-    stats.cache_holder_misses = json.Get("cache_holder_misses").AsUint64();
-    stats.cache_holder_failovers = json.Get("cache_holder_failovers").AsUint64();
-    stats.cache_pull_pages_served = json.Get("cache_pull_pages_served").AsUint64();
-    stats.cache_hash_rejects = json.Get("cache_hash_rejects").AsUint64();
-  }
-  return stats;
-}
-
 Json SpecToJson(const WorkloadSpec& spec) {
   Json json;
   json["name"] = Json(spec.name);
@@ -91,23 +55,6 @@ Json SpecToJson(const WorkloadSpec& spec) {
   json["compute_us"] = DurationToJson(spec.compute);
   json["scan_density"] = Json(spec.scan_density);
   return json;
-}
-
-WorkloadSpec SpecFromJson(const Json& json) {
-  WorkloadSpec spec;
-  spec.name = json.Get("name").AsString();
-  spec.real_bytes = json.Get("real_bytes").AsUint64();
-  spec.zero_bytes = json.Get("zero_bytes").AsUint64();
-  spec.resident_bytes = json.Get("resident_bytes").AsUint64();
-  spec.real_regions = static_cast<std::uint32_t>(json.Get("real_regions").AsUint64());
-  spec.zero_regions = static_cast<std::uint32_t>(json.Get("zero_regions").AsUint64());
-  spec.pattern = static_cast<AccessPattern>(json.Get("pattern").AsInt64());
-  spec.touched_real_pages = json.Get("touched_real_pages").AsUint64();
-  spec.resident_touched_overlap = json.Get("resident_touched_overlap").AsUint64();
-  spec.zero_touches = json.Get("zero_touches").AsUint64();
-  spec.compute = DurationFromJson(json.Get("compute_us"));
-  spec.scan_density = json.Get("scan_density").AsDouble();
-  return spec;
 }
 
 Json MigrationToJson(const MigrationRecord& record) {
@@ -142,35 +89,6 @@ Json MigrationToJson(const MigrationRecord& record) {
   return json;
 }
 
-MigrationRecord MigrationFromJson(const Json& json) {
-  MigrationRecord record;
-  record.proc = ProcId(json.Get("proc").AsUint64());
-  record.name = json.Get("name").AsString();
-  record.strategy = static_cast<TransferStrategy>(json.Get("strategy").AsInt64());
-  record.requested = DurationFromJson(json.Get("requested_us"));
-  record.excise_done = DurationFromJson(json.Get("excise_done_us"));
-  record.core_sent = DurationFromJson(json.Get("core_sent_us"));
-  record.rimas_sent = DurationFromJson(json.Get("rimas_sent_us"));
-  record.excise_amap = DurationFromJson(json.Get("excise_amap_us"));
-  record.excise_rimas = DurationFromJson(json.Get("excise_rimas_us"));
-  record.excise_overall = DurationFromJson(json.Get("excise_overall_us"));
-  record.core_arrived = DurationFromJson(json.Get("core_arrived_us"));
-  record.rimas_arrived = DurationFromJson(json.Get("rimas_arrived_us"));
-  record.insert_time = DurationFromJson(json.Get("insert_time_us"));
-  record.resumed = DurationFromJson(json.Get("resumed_us"));
-  record.resident_bytes_shipped = json.Get("resident_bytes_shipped").AsUint64();
-  record.precopy_rounds = static_cast<int>(json.Get("precopy_rounds").AsInt64());
-  record.precopy_bytes = json.Get("precopy_bytes").AsUint64();
-  record.frozen = DurationFromJson(json.Get("frozen_us"));
-  if (const Json* wws = json.Find("precopy_wws_pages"); wws != nullptr) {
-    record.precopy_wws_pages = wws->AsDouble();
-    record.precopy_predicted_downtime = DurationFromJson(json.Get("precopy_predicted_downtime_us"));
-    record.precopy_flash_bytes = json.Get("precopy_flash_bytes").AsUint64();
-    record.precopy_slo_met = json.Get("precopy_slo_met").AsBool();
-  }
-  return record;
-}
-
 Json SeriesToJson(const std::vector<TrafficRecorder::Bucket>& series) {
   Json json = Json::Array{};
   for (const TrafficRecorder::Bucket& bucket : series) {
@@ -186,33 +104,6 @@ Json SeriesToJson(const std::vector<TrafficRecorder::Bucket>& series) {
   return json;
 }
 
-std::vector<TrafficRecorder::Bucket> SeriesFromJson(const Json& json) {
-  std::vector<TrafficRecorder::Bucket> series;
-  for (const Json& entry : json.AsArray()) {
-    TrafficRecorder::Bucket bucket;
-    bucket.start = DurationFromJson(entry.Get("start_us"));
-    const Json::Array& bytes = entry.Get("bytes").AsArray();
-    ACCENT_CHECK_EQ(bytes.size(), bucket.bytes.size());
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      bucket.bytes[i] = bytes[i].AsUint64();
-    }
-    series.push_back(bucket);
-  }
-  return series;
-}
-
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return {};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
-
 Json TrialConfigToJson(const TrialConfig& config) {
   Json json;
   json["workload"] = Json(config.workload);
@@ -223,51 +114,28 @@ Json TrialConfigToJson(const TrialConfig& config) {
   json["frames_per_host"] = Json(static_cast<std::uint64_t>(config.frames_per_host));
   json["traffic_bucket_us"] = DurationToJson(config.traffic_bucket);
   if (config.strategy == TransferStrategy::kPreCopy) {
-    // Round/SLO knobs change pre-copy results, so they must key the cache;
-    // emitting them only for pre-copy keeps legacy keys byte-identical.
+    // Round/SLO knobs change pre-copy results, so they belong in the row;
+    // emitting them only for pre-copy keeps legacy rows byte-identical.
     json["precopy_max_rounds"] = Json(config.precopy_max_rounds);
     json["precopy_stop_threshold"] = Json(static_cast<std::uint64_t>(config.precopy_stop_threshold));
     json["precopy_target_downtime_us"] = DurationToJson(config.precopy_target_downtime);
   }
   if (config.content_cache) {
-    // The dedup plane adds hash riders and probe traffic, so it must key
-    // the cache; emitting it only when enabled keeps legacy keys intact.
+    // The dedup plane adds hash riders and probe traffic, so it belongs in
+    // the row; emitting it only when enabled keeps legacy rows intact.
     json["content_cache"] = Json(true);
     json["content_cache_pages"] = Json(config.content_cache_pages);
   }
   if (config.checkpoint) {
     // The checkpoint put and the store's ack shift phase timings, so the
-    // store must key the cache; emitting it only when enabled keeps legacy
-    // keys intact.
+    // store belongs in the row; emitting it only when enabled keeps legacy
+    // rows intact.
     json["checkpoint"] = Json(true);
   }
   return json;
 }
 
-TrialConfig TrialConfigFromJson(const Json& json) {
-  TrialConfig config;
-  config.workload = json.Get("workload").AsString();
-  config.strategy = static_cast<TransferStrategy>(json.Get("strategy").AsInt64());
-  config.prefetch = static_cast<std::uint32_t>(json.Get("prefetch").AsUint64());
-  config.seed = json.Get("seed").AsUint64();
-  config.iou_caching = json.Get("iou_caching").AsBool();
-  config.frames_per_host = static_cast<std::size_t>(json.Get("frames_per_host").AsUint64());
-  config.traffic_bucket = DurationFromJson(json.Get("traffic_bucket_us"));
-  if (const Json* rounds = json.Find("precopy_max_rounds"); rounds != nullptr) {
-    config.precopy_max_rounds = static_cast<int>(rounds->AsInt64());
-    config.precopy_stop_threshold =
-        static_cast<PageIndex>(json.Get("precopy_stop_threshold").AsUint64());
-    config.precopy_target_downtime = DurationFromJson(json.Get("precopy_target_downtime_us"));
-  }
-  if (const Json* cache = json.Find("content_cache"); cache != nullptr) {
-    config.content_cache = cache->AsBool();
-    config.content_cache_pages = json.Get("content_cache_pages").AsInt64();
-  }
-  if (const Json* ckpt = json.Find("checkpoint"); ckpt != nullptr) {
-    config.checkpoint = ckpt->AsBool();
-  }
-  return config;
-}
+}  // namespace
 
 Json TrialResultToJson(const TrialResult& result) {
   Json json;
@@ -288,171 +156,6 @@ Json TrialResultToJson(const TrialResult& result) {
   json["dest_pager"] = PagerStatsToJson(result.dest_pager);
   json["real_bytes_transferred"] = Json(result.real_bytes_transferred);
   return json;
-}
-
-TrialResult TrialResultFromJson(const Json& json) {
-  TrialResult result;
-  result.config = TrialConfigFromJson(json.Get("config"));
-  result.spec = SpecFromJson(json.Get("spec"));
-  result.migration = MigrationFromJson(json.Get("migration"));
-  result.finished = DurationFromJson(json.Get("finished_us"));
-  result.remote_exec = DurationFromJson(json.Get("remote_exec_us"));
-  result.bytes_total = json.Get("bytes_total").AsUint64();
-  result.bytes_control = json.Get("bytes_control").AsUint64();
-  result.bytes_core = json.Get("bytes_core").AsUint64();
-  result.bytes_bulk = json.Get("bytes_bulk").AsUint64();
-  result.bytes_fault = json.Get("bytes_fault").AsUint64();
-  result.messages_total = json.Get("messages_total").AsUint64();
-  result.series = SeriesFromJson(json.Get("series"));
-  result.series_bucket = DurationFromJson(json.Get("series_bucket_us"));
-  result.netmsg_busy = DurationFromJson(json.Get("netmsg_busy_us"));
-  result.dest_pager = PagerStatsFromJson(json.Get("dest_pager"));
-  result.real_bytes_transferred = json.Get("real_bytes_transferred").AsUint64();
-  return result;
-}
-
-std::string SweepCacheKey(const std::vector<TrialConfig>& configs) {
-  Json list = Json::Array{};
-  list.Append(Json(kSweepCacheFormatVersion));
-  for (const TrialConfig& config : configs) {
-    list.Append(TrialConfigToJson(config));
-  }
-  const std::string canonical = list.Dump();
-
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64-bit
-  for (unsigned char c : canonical) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
-  return buf;
-}
-
-void WriteSweepFile(const std::string& path, const std::vector<TrialResult>& results) {
-  Json root;
-  root["format_version"] = Json(kSweepCacheFormatVersion);
-  Json trials = Json::Array{};
-  for (const TrialResult& result : results) {
-    trials.Append(TrialResultToJson(result));
-  }
-  root["trials"] = std::move(trials);
-
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path());
-  }
-  // Unique temp name per process so concurrent bench binaries warming the
-  // same key cannot interleave; rename is atomic within a filesystem.
-  std::filesystem::path temp = target;
-  temp += ".tmp." + std::to_string(static_cast<unsigned long>(::getpid()));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    ACCENT_CHECK(out.good()) << " cannot write sweep cache temp file " << temp.string();
-    out << root.Dump(2) << '\n';
-    ACCENT_CHECK(out.good()) << " short write to " << temp.string();
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, target, ec);
-  ACCENT_CHECK(!ec) << " rename " << temp.string() << " -> " << path << ": " << ec.message();
-}
-
-bool LoadSweepFile(const std::string& path, const std::vector<TrialConfig>& expected_configs,
-                   std::vector<TrialResult>* results) {
-  ACCENT_EXPECTS(results != nullptr);
-  const std::string text = ReadFileOrEmpty(path);
-  if (text.empty()) {
-    return false;
-  }
-  Json root;
-  if (!Json::TryParse(text, &root) || !root.is_object()) {
-    return false;
-  }
-  const Json* version = root.Find("format_version");
-  if (version == nullptr || !version->is_integer() ||
-      version->AsInt64() != kSweepCacheFormatVersion) {
-    return false;
-  }
-  const Json* trials = root.Find("trials");
-  if (trials == nullptr || !trials->is_array() ||
-      trials->AsArray().size() != expected_configs.size()) {
-    return false;
-  }
-
-  std::vector<TrialResult> loaded;
-  loaded.reserve(expected_configs.size());
-  for (std::size_t i = 0; i < expected_configs.size(); ++i) {
-    const Json& entry = trials->AsArray()[i];
-    // Canonical dumps make config equality a cheap string compare.
-    const Json* config = entry.Find("config");
-    if (config == nullptr ||
-        config->Dump() != TrialConfigToJson(expected_configs[i]).Dump()) {
-      return false;
-    }
-    loaded.push_back(TrialResultFromJson(entry));
-  }
-  *results = std::move(loaded);
-  return true;
-}
-
-DiskSweepCache::DiskSweepCache(std::string dir) : dir_(std::move(dir)) {
-  if (dir_.empty()) {
-    if (const char* env = std::getenv("ACCENT_SWEEP_CACHE_DIR"); env != nullptr && *env) {
-      dir_ = env;
-    } else {
-      dir_ = ".accent_sweep_cache";
-    }
-  }
-}
-
-const std::vector<TrialResult>& DiskSweepCache::For(const std::string& workload,
-                                                    std::uint64_t seed, int threads) {
-  return ForLocked(workload, seed, threads, /*force=*/false);
-}
-
-const std::vector<TrialResult>& DiskSweepCache::Refresh(const std::string& workload,
-                                                        std::uint64_t seed, int threads) {
-  return ForLocked(workload, seed, threads, /*force=*/true);
-}
-
-const std::vector<TrialResult>& DiskSweepCache::ForLocked(const std::string& workload,
-                                                          std::uint64_t seed, int threads,
-                                                          bool force) {
-  const std::string memo_key = workload + "|" + std::to_string(seed);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!force) {
-    auto it = memo_.find(memo_key);
-    if (it != memo_.end()) {
-      return it->second;
-    }
-  }
-
-  const std::vector<TrialConfig> configs = StrategySweepConfigs(workload, seed);
-  const std::string path = FilePath(workload, configs);
-
-  std::vector<TrialResult> results;
-  if (!force && LoadSweepFile(path, configs, &results)) {
-    ++disk_hits_;
-  } else {
-    results = RunTrials(configs, threads);
-    WriteSweepFile(path, results);
-    ++computes_;
-  }
-  return memo_[memo_key] = std::move(results);
-}
-
-std::string DiskSweepCache::FilePath(const std::string& workload,
-                                     const std::vector<TrialConfig>& configs) const {
-  std::string safe_name;
-  for (char c : workload) {
-    safe_name += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  }
-  return dir_ + "/sweep_" + safe_name + "_" + SweepCacheKey(configs) + ".json";
-}
-
-DiskSweepCache& DiskSweepCache::Global() {
-  static DiskSweepCache cache;
-  return cache;
 }
 
 }  // namespace accent

@@ -40,7 +40,7 @@ struct MigrationRecord {
   ByteCount resident_bytes_shipped = 0;
   // Extra RIMAS-handling charge from walking zero-fill maps during
   // resident-set packaging (costs.rs_zero_scan_per_mb; zero by default and
-  // deliberately NOT serialised into the sweep cache).
+  // deliberately NOT serialised into the trial row, sweep_cache.cc).
   SimDuration rs_packaging_extra{0};
 
   // Pre-copy bookkeeping (Theimer's V system, §5; docs/INTERNALS.md §13).
@@ -48,8 +48,8 @@ struct MigrationRecord {
   int precopy_rounds = 0;
   ByteCount precopy_bytes = 0;     // bytes shipped while still running
   SimTime frozen{0};               // process quiesced (downtime starts)
-  // SLO-loop diagnostics (serialised into the sweep cache only for
-  // pre-copy trials, so legacy rows stay byte-identical).
+  // SLO-loop diagnostics (serialised into the trial row only for pre-copy
+  // trials, so legacy rows stay byte-identical).
   double precopy_wws_pages = 0.0;            // writable-working-set estimate
   SimDuration precopy_predicted_downtime{0}; // flash prediction at freeze
   ByteCount precopy_flash_bytes = 0;         // final dirty pages in the RIMAS
@@ -57,7 +57,7 @@ struct MigrationRecord {
 
   // Durable checkpoint bookkeeping (docs/INTERNALS.md §16; only set when a
   // checkpoint store is configured and deliberately NOT serialised into the
-  // sweep cache — store-off rows stay byte-identical).
+  // trial row — store-off rows stay byte-identical).
   bool checkpointed = false;
   ByteCount checkpoint_bytes = 0;
 

@@ -3,7 +3,7 @@
 // and worker-thread count), census integrity under continuous churn,
 // balancer policy effects, the strategy-dependent downtime ordering the
 // paper predicts, steady-state detection, the event-budget watchdog and
-// the ACCENT_SIM_SHARDS / ACCENT_SIM_SHARD_THREADS knobs.
+// the ACCENT_SIM_SHARDS knob.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -190,12 +190,6 @@ TEST(Cluster, ShardEnvKnobParsesAndClamps) {
   ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "garbage", 1), 0);
   EXPECT_EQ(SimShardCount(), 1);
   ASSERT_EQ(unsetenv("ACCENT_SIM_SHARDS"), 0);
-
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARD_THREADS"), 0);
-  EXPECT_EQ(SimShardThreadCount(), 1);
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARD_THREADS", "2", 1), 0);
-  EXPECT_EQ(SimShardThreadCount(), 2);
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARD_THREADS"), 0);
 }
 
 TEST(Cluster, ConfigZeroShardsReadsEnvKnob) {

@@ -8,9 +8,8 @@
 // perturbs results fails loudly here rather than silently shifting tables
 // in docs/RESULTS.md.
 //
-// The digest is over TrialResultToJson(...).Dump(), the exact per-trial
-// encoding used by the on-disk sweep cache; matching here also implies the
-// .accent_sweep_cache trial rows stay byte-identical.
+// The digest is over TrialResultToJson(...).Dump(), the canonical per-trial
+// row (src/experiments/sweep_cache.h).
 #include <cstdint>
 #include <string>
 #include <vector>

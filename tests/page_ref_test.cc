@@ -1,4 +1,5 @@
-// PageRef + PageStore unit tests: the zero-copy data plane's foundations.
+// PageRef + PageStore unit tests: the zero-copy data plane's foundations,
+// plus its copy-traffic gate on a full pure-copy trial.
 #include <utility>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "src/base/page_data.h"
 #include "src/base/page_ref.h"
 #include "src/base/page_store.h"
+#include "src/experiments/trial.h"
 
 namespace accent {
 namespace {
@@ -96,18 +98,20 @@ TEST(PageRefTest, ExclusiveWriteDoesNotClone) {
   EXPECT_EQ(counters.page_bytes_copied, 0u);
 }
 
-TEST(PageRefTest, LegacyDeepCopyModeClonesOnCopy) {
+// Data-plane regression gate on the copy-heaviest cell of the paper grid,
+// the PM-Mid pure-copy trial. The only payload bytes the host copies are
+// copy-on-write breaks, and every refcount share stands for a kPageSize
+// copy the old PageData tables made: sharing must at least halve that.
+TEST(DataPlane, PureCopyTrialCopiesOnlyOnCowBreaks) {
+  TrialConfig config;
+  config.workload = "PM-Mid";
+  config.strategy = TransferStrategy::kPureCopy;
   ResetPageCounters();
-  PageRef a(MakePatternPage(6));
-  SetLegacyDeepCopyMode(true);
-  PageRef b = a;
-  SetLegacyDeepCopyMode(false);
-  EXPECT_EQ(a.use_count(), 1);
-  EXPECT_EQ(b.use_count(), 1);
-  EXPECT_EQ(a, b);
+  RunTrial(config);
   const PageCounterSnapshot counters = ReadPageCounters();
-  EXPECT_EQ(counters.page_bytes_copied, kPageSize);
-  EXPECT_EQ(counters.payload_shares, 0u);
+  ASSERT_GT(counters.payload_shares, 0u);
+  EXPECT_EQ(counters.page_bytes_copied, counters.cow_breaks * kPageSize);
+  EXPECT_LE(counters.page_bytes_copied * 2, counters.payload_shares * kPageSize);
 }
 
 TEST(PageStoreTest, StoreFindEraseRoundTrip) {

@@ -13,6 +13,13 @@ struct TrialCase {
   std::uint32_t prefetch;
 };
 
+// Prints the case by value. Without it gtest dumps the struct's bytes, so
+// the listed test name (and the ctest name built from it) would carry the
+// address of the `workload` literal and change from build to build.
+void PrintTo(const TrialCase& c, std::ostream* os) {
+  *os << c.workload << ' ' << StrategyName(c.strategy) << " PF" << c.prefetch;
+}
+
 std::string CaseName(const ::testing::TestParamInfo<TrialCase>& info) {
   std::string name = info.param.workload;
   for (char& c : name) {

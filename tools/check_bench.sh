@@ -3,73 +3,41 @@
 # emits, so tier-1 ctest runs keep the perf/failure trajectory
 # machine-readable (and loudly fail if a refactor breaks a bench).
 #
-# Usage:
-#   check_bench.sh <micro_sim-binary> [output.json]
-#   check_bench.sh --failure <failure_sweep-binary> [output.json]
-#   check_bench.sh --sweep <run_all-binary> [output.json]
-#   check_bench.sh --chain <chain_sweep-binary> [output.json]
-#   check_bench.sh --cluster <cluster_sweep-binary> [output.json]
-#   check_bench.sh --fuzz <fuzz_corpus-binary> [output.json]
-#   check_bench.sh --dedup <dedup_sweep-binary> [output.json]
-#   check_bench.sh --precopy <precopy_sweep-binary> [output.json]
-#   check_bench.sh --checkpoint <checkpoint_sweep-binary> [output.json]
+# Usage: check_bench.sh --MODE <bench binary> [output.json]
+#   --failure     failure_sweep    -> BENCH_failure.json
+#   --sweep       run_all          -> BENCH_sweep.json
+#   --chain       chain_sweep      -> BENCH_chain.json
+#   --cluster     cluster_sweep    -> BENCH_cluster.json
+#   --fuzz        fuzz_corpus      -> BENCH_fuzz.json
+#   --dedup       dedup_sweep      -> BENCH_dedup.json
+#   --precopy     precopy_sweep    -> BENCH_precopy.json
+#   --checkpoint  checkpoint_sweep -> BENCH_checkpoint.json
+# A missing or unknown mode flag exits 2 with the usage line.
 set -euo pipefail
 
-MODE=sim
-if [ "${1:-}" = "--failure" ]; then
-  MODE=failure
-  shift
-elif [ "${1:-}" = "--sweep" ]; then
-  MODE=sweep
-  shift
-elif [ "${1:-}" = "--chain" ]; then
-  MODE=chain
-  shift
-elif [ "${1:-}" = "--cluster" ]; then
-  MODE=cluster
-  shift
-elif [ "${1:-}" = "--fuzz" ]; then
-  MODE=fuzz
-  shift
-elif [ "${1:-}" = "--dedup" ]; then
-  MODE=dedup
-  shift
-elif [ "${1:-}" = "--precopy" ]; then
-  MODE=precopy
-  shift
-elif [ "${1:-}" = "--checkpoint" ]; then
-  MODE=checkpoint
-  shift
-fi
+MODES='--failure|--sweep|--chain|--cluster|--fuzz|--dedup|--precopy|--checkpoint'
 
-BIN=${1:?usage: check_bench.sh [--failure] <bench binary> [out.json]}
+usage() {
+  echo "usage: check_bench.sh $MODES <bench binary> [output.json]" >&2
+  exit 2
+}
+
+case "${1:-}" in
+  --failure|--sweep|--chain|--cluster|--fuzz|--dedup|--precopy|--checkpoint)
+    MODE=${1#--}
+    shift
+    ;;
+  *) usage ;;
+esac
+
+BIN=${1:-}
+[ -n "$BIN" ] || usage
 
 status=0
-if [ "$MODE" = "sim" ]; then
-  OUT=${2:-BENCH_sim.json}
-  # Modest event budget: this is a schema/regression tripwire in CI, not the
-  # full measurement run (invoke micro_sim directly for that).
-  "$BIN" --events 100000 --reps 2 --out "$OUT"
-  KEYS="bench schema_version events inline_events_per_sec legacy_events_per_sec \
-        inline_ns_per_event legacy_ns_per_event speedup \
-        copy_trial_legacy_bytes_copied copy_trial_zero_copy_bytes_copied \
-        copy_reduction sweep_trials sweep_legacy_seconds \
-        sweep_zero_copy_seconds sweep_speedup sweep_results_identical"
-
-  # The binary itself asserts result parity and copy_reduction >= 2; re-assert
-  # the headline invariants from the emitted JSON.
-  if ! grep -q '"sweep_results_identical": true' "$OUT"; then
-    echo "check_bench: data-plane modes disagree on simulated results" >&2
-    status=1
-  fi
-  if ! grep -q '"sweep_trials": 77' "$OUT"; then
-    echo "check_bench: data-plane sweep did not cover the 77-trial grid" >&2
-    status=1
-  fi
-elif [ "$MODE" = "sweep" ]; then
+if [ "$MODE" = "sweep" ]; then
   OUT=${2:-BENCH_sweep.json}
-  # Serves the 77-trial grid from the on-disk cache (simulating on a cold
-  # cache), folds it into the metrics registry and emits the summary.
+  # Simulates the 77-trial grid, folds it into the metrics registry and
+  # emits the summary.
   "$BIN" --out "$OUT"
   KEYS="bench schema_version seed trial_count workloads metrics trials \
         counters histograms downtime_seconds rimas_transfer_seconds \
@@ -277,7 +245,7 @@ elif [ "$MODE" = "checkpoint" ]; then
     echo "check_bench: a pure-IOU source-crash cell stayed terminal in $OUT" >&2
     status=1
   fi
-else
+elif [ "$MODE" = "failure" ]; then
   OUT=${2:-BENCH_failure.json}
   # The full matrix (7 workloads x 4 strategies x 4 scenarios). The binary
   # itself exits non-zero if any trial hung or completed with corrupted

@@ -2,10 +2,12 @@
 //
 //   render_results --sweep build/BENCH_sweep.json --out docs/RESULTS.md
 //
-// Reads the sweep summary emitted by `run_all` (and, when present, the
-// micro_sim and failure_sweep reports) and renders the paper-shaped result
-// tables — Tables 4-1 .. 4-5, the failure matrix, the event-loop micro
-// bench — as Markdown, with the paper's published values alongside ours.
+// Reads the sweep summary emitted by `run_all` (and, when given, the
+// failure, checkpoint, pre-copy, dedup and cluster reports) and renders the
+// paper-shaped result tables — Tables 4-1 .. 4-5, the failure matrix, the
+// fleet sweep — as Markdown, with the paper's published values alongside
+// ours. This is the only renderer of Tables 4-1 .. 4-5 and the only copy of
+// the paper's values for them.
 // The emitted file carries a template-version marker; the docs_check ctest
 // compares it against --print-template-version to catch a stale RESULTS.md.
 #include <algorithm>
@@ -25,12 +27,11 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 7;
+constexpr int kTemplateVersion = 8;
 
 // -------------------------------------------------------------------------
-// Paper constants (Zayas, SOSP 1987). Mirrors the kPaper arrays in
-// bench/table_4_*.cc; a value of -1 renders as "(n/a)" — the paper does not
-// report that cell.
+// Paper constants (Zayas, SOSP 1987); a value of -1 renders as "(n/a)" —
+// the paper does not report that cell.
 
 struct PaperSizes {  // Table 4-1
   const char* name;
@@ -299,6 +300,8 @@ void RenderTable45(const SweepIndex& index, std::ostream& out) {
 
   MdTable table({"Process", "Pure-IOU", "(paper)", "RS", "RS-cal", "(paper)", "Copy",
                  "(paper)"});
+  double worst_ratio = 0;
+  const char* worst_name = "";
   for (const PaperTransfer& row : kPaperTransfer) {
     const Json& iou = index.Find(row.name, "pure-IOU");
     const Json& rs = index.Find(row.name, "resident-set");
@@ -309,8 +312,15 @@ void RenderTable45(const SweepIndex& index, std::ostream& out) {
                   cal == rs_cal.end() ? "(n/a)" : FormatSeconds(cal->second, 1),
                   Paper(row.rs, 1), FormatSeconds(Seconds(copy, "rimas_transfer_us"), 1),
                   Paper(row.copy, 1)});
+    const double ratio = Seconds(copy, "rimas_transfer_us") / Seconds(iou, "rimas_transfer_us");
+    if (ratio > worst_ratio) {
+      worst_ratio = ratio;
+      worst_name = row.name;
+    }
   }
   out << table.ToString() << '\n';
+  out << "Largest copy/IOU ratio: " << worst_name << " at " << FormatDouble(worst_ratio, 0)
+      << "x (paper: Lisp-Del, ~1000x).\n\n";
 }
 
 void RenderMetrics(const Json& sweep, std::ostream& out) {
@@ -521,47 +531,6 @@ void RenderDedup(const Json& dedup, std::ostream& out) {
          "crossover.\n\n";
 }
 
-void RenderMicroSim(const Json& sim, std::ostream& out) {
-  out << "## Event-loop micro bench\n\n"
-      << "`micro_sim` drains the simulator queue through the inline-storage "
-         "fast path vs the legacy heap-allocating path.\n\n";
-  MdTable table({"Events", "Inline ns/event", "Legacy ns/event", "Speedup"});
-  table.AddRow({FormatWithCommas(sim.Get("events").AsUint64()),
-                FormatDouble(sim.Get("inline_ns_per_event").AsDouble(), 1),
-                FormatDouble(sim.Get("legacy_ns_per_event").AsDouble(), 1),
-                FormatDouble(sim.Get("speedup").AsDouble(), 2) + "x"});
-  out << table.ToString() << '\n';
-
-  // Data-plane section appears with schema_version >= 2; older reports
-  // simply omit it.
-  if (sim.Find("copy_reduction") == nullptr) {
-    return;
-  }
-  out << "## Page-payload data plane\n\n"
-      << "The same binary replays a pure-copy PASMAC trial and the full "
-         "77-trial sweep twice: once with every `PageRef` copy forced to a "
-         "deep clone (the old `PageData` data plane) and once sharing "
-         "payloads. Simulated results are asserted bit-identical; the only "
-         "difference is host-side copy traffic and wall clock.\n\n";
-  MdTable plane({"Measurement", "Deep-copy baseline", "Zero-copy", "Improvement"});
-  plane.AddRow({sim.Get("copy_trial_workload").AsString() + " bytes copied",
-                FormatWithCommas(sim.Get("copy_trial_legacy_bytes_copied").AsUint64()),
-                FormatWithCommas(sim.Get("copy_trial_zero_copy_bytes_copied").AsUint64()),
-                FormatDouble(sim.Get("copy_reduction").AsDouble(), 1) + "x fewer"});
-  plane.AddRow({"77-trial sweep bytes copied",
-                FormatWithCommas(sim.Get("sweep_legacy_bytes_copied").AsUint64()),
-                FormatWithCommas(sim.Get("sweep_zero_copy_bytes_copied").AsUint64()),
-                FormatDouble(sim.Get("sweep_legacy_bytes_copied").AsDouble() /
-                                 std::max(sim.Get("sweep_zero_copy_bytes_copied").AsDouble(), 1.0),
-                             1) +
-                    "x fewer"});
-  plane.AddRow({"77-trial sweep seconds (serial)",
-                FormatDouble(sim.Get("sweep_legacy_seconds").AsDouble(), 3),
-                FormatDouble(sim.Get("sweep_zero_copy_seconds").AsDouble(), 3),
-                FormatDouble(sim.Get("sweep_speedup").AsDouble(), 2) + "x faster"});
-  out << plane.ToString() << '\n';
-}
-
 void RenderCluster(const Json& cluster, std::ostream& out) {
   out << "## Fleet-scale cluster sweep\n\n"
       << "`cluster_sweep` runs a switched row of hosts under continuous "
@@ -619,7 +588,6 @@ bool LoadJson(const std::string& path, Json* out) {
 
 int Main(int argc, char** argv) {
   std::string sweep_path = "BENCH_sweep.json";
-  std::string sim_path;
   std::string failure_path;
   std::string cluster_path;
   std::string precopy_path;
@@ -639,8 +607,6 @@ int Main(int argc, char** argv) {
       return 0;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep_path = next("--sweep");
-    } else if (std::strcmp(argv[i], "--sim") == 0) {
-      sim_path = next("--sim");
     } else if (std::strcmp(argv[i], "--failure") == 0) {
       failure_path = next("--failure");
     } else if (std::strcmp(argv[i], "--cluster") == 0) {
@@ -655,7 +621,7 @@ int Main(int argc, char** argv) {
       out_path = next("--out");
     } else {
       std::fprintf(stderr,
-                   "usage: render_results [--sweep BENCH_sweep.json] [--sim BENCH_sim.json]\n"
+                   "usage: render_results [--sweep BENCH_sweep.json]\n"
                    "                      [--failure BENCH_failure.json]\n"
                    "                      [--cluster BENCH_cluster.json]\n"
                    "                      [--precopy BENCH_precopy.json]\n"
@@ -685,11 +651,10 @@ int Main(int argc, char** argv) {
       << "Regenerate with:\n\n"
       << "```sh\n"
       << "cmake --build build -j\n"
-      << "(cd build && ./bench/run_all && ./bench/micro_sim && ./bench/failure_sweep \\\n"
-      << "    && ./bench/cluster_sweep && ./bench/precopy_sweep && ./bench/dedup_sweep \\\n"
-      << "    && ./bench/checkpoint_sweep)\n"
+      << "(cd build && ./bench/run_all && ./bench/failure_sweep && ./bench/cluster_sweep \\\n"
+      << "    && ./bench/precopy_sweep && ./bench/dedup_sweep && ./bench/checkpoint_sweep)\n"
       << "./build/tools/render_results --sweep build/BENCH_sweep.json \\\n"
-      << "    --sim build/BENCH_sim.json --failure build/BENCH_failure.json \\\n"
+      << "    --failure build/BENCH_failure.json \\\n"
       << "    --cluster build/BENCH_cluster.json --precopy build/BENCH_precopy.json \\\n"
       << "    --dedup build/BENCH_dedup.json --checkpoint build/BENCH_checkpoint.json \\\n"
       << "    --out docs/RESULTS.md\n"
@@ -733,14 +698,6 @@ int Main(int argc, char** argv) {
   } else if (!dedup_path.empty()) {
     std::fprintf(stderr, "render_results: skipping dedup sweep (cannot read %s)\n",
                  dedup_path.c_str());
-  }
-
-  Json sim;
-  if (!sim_path.empty() && LoadJson(sim_path, &sim)) {
-    RenderMicroSim(sim, out);
-  } else if (!sim_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping micro bench (cannot read %s)\n",
-                 sim_path.c_str());
   }
 
   Json cluster;
