@@ -9,13 +9,13 @@
 //
 // Usage: chain_sweep [--seed N] [--threads N] [--out PATH]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "src/base/check.h"
 #include "src/experiments/chain.h"
+#include "src/metrics/gates.h"
 #include "src/workloads/workload.h"
 
 namespace accent {
@@ -60,34 +60,7 @@ int Main(int argc, char** argv) {
 
   Json report = ChainSweepToJson(trials, crashes);
   report["seed"] = Json(seed);
-
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  const std::uint64_t collapses = report.Get("collapses").AsUint64();
-  const std::uint64_t b_requests = report.Get("b_requests_after_collapse_total").AsUint64();
-  const std::uint64_t b_forwards = report.Get("b_forwards_after_collapse_total").AsUint64();
-  const std::uint64_t b_objects = report.Get("b_objects_after_collapse_total").AsUint64();
-  const std::uint64_t integrity = report.Get("integrity_failures").AsUint64();
-  const std::uint64_t hung = report.Get("hung").AsUint64();
-  const bool crash_ok = report.Get("b_crash_survived").AsBool();
-
-  std::printf("=== chain sweep: %zu trials, %zu crash trials ===\n", trials.size(),
-              crashes.size());
-  std::printf("collapses:                 %llu\n", static_cast<unsigned long long>(collapses));
-  std::printf("B requests post-collapse:  %llu\n", static_cast<unsigned long long>(b_requests));
-  std::printf("B forwards post-collapse:  %llu\n", static_cast<unsigned long long>(b_forwards));
-  std::printf("B objects post-collapse:   %llu\n", static_cast<unsigned long long>(b_objects));
-  std::printf("integrity fails:           %llu\n", static_cast<unsigned long long>(integrity));
-  std::printf("hung:                      %llu\n", static_cast<unsigned long long>(hung));
-  std::printf("B crash survived:          %s  -> %s\n", crash_ok ? "yes" : "no",
-              out_path.c_str());
-  return b_requests == 0 && b_forwards == 0 && b_objects == 0 && integrity == 0 && hung == 0 &&
-                 crash_ok
-             ? 0
-             : 1;
+  return WriteReport(report, out_path);
 }
 
 }  // namespace

@@ -7,12 +7,12 @@
 //
 // Usage: checkpoint_sweep [--seed N] [--threads N] [--out PATH]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
-#include "src/base/check.h"
 #include "src/experiments/failure_sweep.h"
+#include "src/metrics/gates.h"
 
 namespace accent {
 namespace {
@@ -51,22 +51,9 @@ int Main(int argc, char** argv) {
   report["bench"] = Json("checkpoint_matrix");
   report["seed"] = Json(seed);
   report["unsurvivable_pure_iou_source_crash"] = Json(unsurvivable);
-
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  std::printf("=== checkpoint matrix: %zu trials (store on) ===\n", matrix.trials.size());
-  std::printf("completed:        %llu\n", static_cast<unsigned long long>(matrix.completed));
-  std::printf("aborted:          %llu\n", static_cast<unsigned long long>(matrix.aborted));
-  std::printf("terminal faults:  %llu\n", static_cast<unsigned long long>(matrix.terminal_faults));
-  std::printf("restored:         %llu\n", static_cast<unsigned long long>(matrix.restored));
-  std::printf("hung:             %llu\n", static_cast<unsigned long long>(matrix.hung));
-  std::printf("integrity fails:  %llu\n", static_cast<unsigned long long>(matrix.integrity_failures));
-  std::printf("unsurvivable pure-IOU source crashes: %llu  -> %s\n",
-              static_cast<unsigned long long>(unsurvivable), out_path.c_str());
-  return matrix.hung == 0 && matrix.integrity_failures == 0 && unsurvivable == 0 ? 0 : 1;
+  AddGate(&report, "unsurvivable_pure_iou_source_crash", unsurvivable, "==", 0);
+  AddGate(&report, "terminal_faults", matrix.terminal_faults, "==", 0);
+  return WriteReport(report, out_path);
 }
 
 }  // namespace

@@ -8,17 +8,14 @@
 // under an identity its bytes do not hash to.
 //
 // Usage: dedup_sweep [--workload NAME] [--seed N] [--repeats N] [--out PATH]
-// Environment: ACCENT_CONTENT_CACHE_PAGES overrides the per-host cache
-// capacity (pages) of the cached half.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
-#include "src/base/check.h"
 #include "src/experiments/dedup.h"
 #include "src/experiments/metrics_fold.h"
+#include "src/metrics/gates.h"
 #include "src/metrics/registry.h"
 
 namespace accent {
@@ -43,11 +40,6 @@ int Main(int argc, char** argv) {
     }
   }
   config.calibrations = DedupFleetCalibrations(config.host_count);
-  if (const char* pages = std::getenv("ACCENT_CONTENT_CACHE_PAGES"); pages != nullptr) {
-    const std::int64_t parsed = std::strtoll(pages, nullptr, 10);
-    ACCENT_CHECK(parsed >= 1) << " ACCENT_CONTENT_CACHE_PAGES must be >= 1, got " << pages;
-    config.content_cache_pages = parsed;
-  }
 
   config.content_cache = true;
   const DedupResult cached = RunDedupExperiment(config);
@@ -60,12 +52,6 @@ int Main(int argc, char** argv) {
       cached.integrity_failures + baseline.integrity_failures;
   const bool drained = cached.drained && baseline.drained;
   const double offload = cached.OriginOffloadRatio();
-  const bool offload_ok = offload >= 0.5;
-  const bool bytes_ok = cached.wire_bytes < baseline.wire_bytes;
-  // The cache-off run must not even construct the dedup plane: its counters
-  // prove the classic protocol ran untouched.
-  const bool baseline_clean = baseline.offloaded_pages == 0 && baseline.cache_hits == 0 &&
-                              baseline.cache_insertions == 0;
 
   Json report = Json::Object{};
   report["bench"] = Json("dedup_sweep");
@@ -90,29 +76,15 @@ int Main(int argc, char** argv) {
   FoldDedupMetrics(cached, &metrics);
   report["metrics"] = metrics.ToJson();
 
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  std::printf("=== dedup sweep: %s x%d over %d hosts ===\n", config.workload.c_str(),
-              config.repeats, config.host_count);
-  std::printf("faulted pages:        %llu\n",
-              static_cast<unsigned long long>(cached.faulted_pages));
-  std::printf("origin payload pages: %llu\n",
-              static_cast<unsigned long long>(cached.origin_payload_pages));
-  std::printf("origin offload:       %.1f%%  (gate: >= 50%%)\n", offload * 100.0);
-  std::printf("wire bytes cached:    %llu\n",
-              static_cast<unsigned long long>(cached.wire_bytes));
-  std::printf("wire bytes baseline:  %llu  (gate: cached < baseline)\n",
-              static_cast<unsigned long long>(baseline.wire_bytes));
-  std::printf("cache hits / misses:  %llu / %llu\n",
-              static_cast<unsigned long long>(cached.cache_hits),
-              static_cast<unsigned long long>(cached.cache_misses));
-  std::printf("integrity failures:   %llu\n",
-              static_cast<unsigned long long>(integrity_failures));
-  std::printf("hung:                 %d  -> %s\n", drained ? 0 : 1, out_path.c_str());
-  return offload_ok && bytes_ok && baseline_clean && integrity_failures == 0 && drained ? 0 : 1;
+  AddGate(&report, "origin_offload_ratio", offload, ">=", 0.5);
+  AddGate(&report, "wire_bytes_cached", cached.wire_bytes, "<", baseline.wire_bytes);
+  // The cache-off run must not even construct the dedup plane: its counters
+  // prove the classic protocol ran untouched.
+  AddGate(&report, "baseline_dedup_activity",
+          baseline.offloaded_pages + baseline.cache_hits + baseline.cache_insertions, "==", 0);
+  AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
+  AddGate(&report, "hung", drained ? 0 : 1, "==", 0);
+  return WriteReport(report, out_path);
 }
 
 }  // namespace

@@ -7,12 +7,12 @@
 //
 // Usage: failure_sweep [--seed N] [--threads N] [--out PATH]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
-#include "src/base/check.h"
 #include "src/experiments/failure_sweep.h"
+#include "src/metrics/gates.h"
 
 namespace accent {
 namespace {
@@ -34,23 +34,9 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const FailureMatrix matrix = RunFailureMatrix(seed, threads);
-  Json report = FailureMatrixToJson(matrix);
+  Json report = FailureMatrixToJson(RunFailureMatrix(seed, threads));
   report["seed"] = Json(seed);
-
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  std::printf("=== failure matrix: %zu trials ===\n", matrix.trials.size());
-  std::printf("completed:       %llu\n", static_cast<unsigned long long>(matrix.completed));
-  std::printf("aborted:         %llu\n", static_cast<unsigned long long>(matrix.aborted));
-  std::printf("terminal faults: %llu\n", static_cast<unsigned long long>(matrix.terminal_faults));
-  std::printf("hung:            %llu\n", static_cast<unsigned long long>(matrix.hung));
-  std::printf("integrity fails: %llu  -> %s\n",
-              static_cast<unsigned long long>(matrix.integrity_failures), out_path.c_str());
-  return matrix.hung == 0 && matrix.integrity_failures == 0 ? 0 : 1;
+  return WriteReport(report, out_path);
 }
 
 }  // namespace

@@ -6,33 +6,24 @@
 // guarantees are tracked from PR to PR.
 //
 // Usage: fuzz_corpus [--first N] [--seeds N] [--threads N] [--out PATH]
-// Environment: ACCENT_FUZZ_SEEDS / ACCENT_FUZZ_THREADS override the
-// defaults (flags win over environment).
+//   --seeds     corpus size (default 64)
+//   --threads   workers (default 0: RunFuzzCorpus picks)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
-#include "src/base/check.h"
 #include "src/base/logging.h"
 #include "src/experiments/scenario_fuzz.h"
+#include "src/metrics/gates.h"
 
 namespace accent {
 namespace {
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  return std::strtoull(value, nullptr, 10);
-}
-
 int Main(int argc, char** argv) {
   std::uint64_t first = 1;
-  std::uint64_t seeds = EnvU64("ACCENT_FUZZ_SEEDS", 64);
-  int threads = static_cast<int>(EnvU64("ACCENT_FUZZ_THREADS", 0));
+  std::uint64_t seeds = 64;
+  int threads = 0;
   std::string out_path = "BENCH_fuzz.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--first") == 0 && i + 1 < argc) {
@@ -55,32 +46,7 @@ int Main(int argc, char** argv) {
     Logger::Get().set_level(LogLevel::kError);
   }
 
-  const FuzzCorpusResult corpus = RunFuzzCorpus(first, seeds, threads);
-  const Json report = FuzzCorpusToJson(corpus);
-
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  std::printf("=== fuzz corpus: seeds [%llu, %llu) ===\n",
-              static_cast<unsigned long long>(first),
-              static_cast<unsigned long long>(first + seeds));
-  std::printf("completed:          %llu\n", static_cast<unsigned long long>(corpus.completed));
-  std::printf("aborted:            %llu\n", static_cast<unsigned long long>(corpus.aborted));
-  std::printf("terminal faults:    %llu\n",
-              static_cast<unsigned long long>(corpus.terminal_faults));
-  std::printf("hung:               %llu\n", static_cast<unsigned long long>(corpus.hung));
-  std::printf("integrity fails:    %llu\n",
-              static_cast<unsigned long long>(corpus.integrity_failures));
-  std::printf("backer imbalances:  %llu\n",
-              static_cast<unsigned long long>(corpus.backer_imbalances));
-  std::printf("shard divergences:  %llu\n",
-              static_cast<unsigned long long>(corpus.shard_divergences));
-  std::printf("payload leak:       %lld\n", static_cast<long long>(corpus.payload_leak));
-  std::printf("failures:           %llu  -> %s\n",
-              static_cast<unsigned long long>(corpus.failures), out_path.c_str());
-  return corpus.failures == 0 ? 0 : 1;
+  return WriteReport(FuzzCorpusToJson(RunFuzzCorpus(first, seeds, threads)), out_path);
 }
 
 }  // namespace

@@ -7,12 +7,12 @@
 //
 // Usage: precopy_sweep [--seed N] [--threads N] [--out PATH]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
-#include "src/base/check.h"
 #include "src/experiments/precopy.h"
+#include "src/metrics/gates.h"
 
 namespace accent {
 namespace {
@@ -34,27 +34,9 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const PreCopySweepSummary summary = RunPreCopySweep(seed, threads);
-  Json report = PreCopySweepToJson(summary);
+  Json report = PreCopySweepToJson(RunPreCopySweep(seed, threads));
   report["seed"] = Json(seed);
-
-  std::ofstream out(out_path, std::ios::trunc);
-  ACCENT_CHECK(out.good()) << " cannot open " << out_path;
-  out << report.Dump(2) << '\n';
-  ACCENT_CHECK(out.good());
-
-  std::printf("=== pre-copy sweep: %zu cells ===\n", summary.cells.size());
-  std::printf("completed:          %llu\n", static_cast<unsigned long long>(summary.completed));
-  std::printf("hung:               %llu\n", static_cast<unsigned long long>(summary.hung));
-  std::printf("downtime wins:      %d (compute-bound, vs pure-copy)\n", summary.downtime_wins);
-  std::printf("bytes ordering ok:  %s (precopy >= pure-copy >= IOU)\n",
-              summary.bytes_ordering_ok ? "yes" : "NO");
-  std::printf("SLO predictor ok:   %s  -> %s\n", summary.slo_ok ? "yes" : "NO",
-              out_path.c_str());
-
-  const bool ok = summary.hung == 0 && summary.completed == summary.cells.size() &&
-                  summary.downtime_win_ok && summary.bytes_ordering_ok && summary.slo_ok;
-  return ok ? 0 : 1;
+  return WriteReport(report, out_path);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Simulates the 77-trial paper grid in parallel and folds it into
 // BENCH_sweep.json: per-trial summary rows plus the aggregated metrics
-// registry (validated by tools/check_bench.sh --sweep, consumed by
+// registry (checked by tools/check_bench, consumed by
 // tools/render_results).
 //
 // Usage: run_all [--threads N] [--seed N] [--out FILE]
@@ -11,12 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
+#include "src/metrics/gates.h"
 #include "src/metrics/registry.h"
 
 namespace accent {
@@ -45,7 +45,6 @@ int Main(int argc, char** argv) {
   std::printf("Simulating the paper grid (threads=%d, seed=%llu)\n", threads,
               static_cast<unsigned long long>(seed));
 
-  const auto start = std::chrono::steady_clock::now();
   std::size_t trials = 0;
   MetricsRegistry metrics;
   Json trial_rows{Json::Array{}};
@@ -63,7 +62,6 @@ int Main(int argc, char** argv) {
     std::printf("  %-10s %3zu trials  %8.1f ms\n", name.c_str(), results.size(),
                 std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  const auto stop = std::chrono::steady_clock::now();
 
   // Calibrated resident-set column for Table 4-5: the paper's measured RS
   // times include walking the whole validated map (Lisp validates its 4 GB
@@ -107,19 +105,8 @@ int Main(int argc, char** argv) {
   root["workloads"] = std::move(workloads);
   root["metrics"] = metrics.ToJson();
   root["trials"] = std::move(trial_rows);
-  {
-    std::ofstream file(out, std::ios::binary | std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "run_all: cannot write %s\n", out.c_str());
-      return 1;
-    }
-    file << root.Dump(1) << "\n";
-  }
-
-  std::printf("%zu trials simulated in %.2f s\n", trials,
-              std::chrono::duration<double>(stop - start).count());
-  std::printf("Sweep summary + metrics registry written to %s.\n", out.c_str());
-  return 0;
+  AddGate(&root, "trial_count", static_cast<std::uint64_t>(trials), ">", 0);
+  return WriteReport(root, out);
 }
 
 }  // namespace

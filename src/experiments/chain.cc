@@ -9,6 +9,7 @@
 #include "src/base/thread_pool.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
+#include "src/metrics/gates.h"
 #include "src/workloads/workload.h"
 
 namespace accent {
@@ -335,6 +336,12 @@ Json ChainSweepToJson(const std::vector<ChainTrialResult>& trials,
   report["b_crash_survived"] = Json(all_crashes_survived);
   report["trials"] = std::move(trial_array);
   report["crash_trials"] = std::move(crash_array);
+  AddGate(&report, "b_requests_after_collapse_total", b_requests_total, "==", 0);
+  AddGate(&report, "b_forwards_after_collapse_total", b_forwards_total, "==", 0);
+  AddGate(&report, "b_objects_after_collapse_total", b_objects_total, "==", 0);
+  AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
+  AddGate(&report, "hung", hung, "==", 0);
+  AddGate(&report, "b_crash_survived", all_crashes_survived, "==", true);
   return report;
 }
 

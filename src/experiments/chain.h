@@ -128,8 +128,9 @@ struct ChainCrashResult {
 
 ChainCrashResult RunChainCrashTrial(ChainTrialConfig config);
 
-// Canonical JSON (sorted keys, exact integers): totals the bench gates on
-// plus one record per trial. Equal sweeps dump byte-identically.
+// Canonical JSON (sorted keys, exact integers): totals, one record per
+// trial, and the gates on those totals (src/metrics/gates.h). Equal sweeps
+// dump byte-identically.
 Json ChainSweepToJson(const std::vector<ChainTrialResult>& trials,
                       const std::vector<ChainCrashResult>& crash_trials);
 

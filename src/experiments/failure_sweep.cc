@@ -9,6 +9,7 @@
 #include "src/base/thread_pool.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
+#include "src/metrics/gates.h"
 #include "src/workloads/workload.h"
 
 namespace accent {
@@ -421,6 +422,8 @@ Json FailureMatrixToJson(const FailureMatrix& matrix) {
   report["integrity_failures"] = Json(matrix.integrity_failures);
   report["restored"] = Json(matrix.restored);
   report["trials"] = std::move(trials);
+  AddGate(&report, "hung", matrix.hung, "==", 0);
+  AddGate(&report, "integrity_failures", matrix.integrity_failures, "==", 0);
   return report;
 }
 

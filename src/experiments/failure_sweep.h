@@ -130,8 +130,9 @@ struct FailureMatrix {
 FailureMatrix RunFailureMatrix(std::uint64_t seed = 42, int threads = 0,
                                const FailureSweepOptions& options = {});
 
-// Canonical JSON (sorted keys, exact integers): counts plus one record per
-// trial. Equal matrices dump byte-identically.
+// Canonical JSON (sorted keys, exact integers): counts, one record per
+// trial, and the hung and integrity gates (src/metrics/gates.h). Equal
+// matrices dump byte-identically.
 Json FailureMatrixToJson(const FailureMatrix& matrix);
 
 }  // namespace accent

@@ -7,6 +7,7 @@
 #include "src/base/thread_pool.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
+#include "src/metrics/gates.h"
 #include "src/workloads/workload.h"
 
 namespace accent {
@@ -278,6 +279,12 @@ Json PreCopySweepToJson(const PreCopySweepSummary& summary) {
   report["slo_ok"] = Json(summary.slo_ok);
   report["pareto"] = std::move(pareto);
   report["cells"] = std::move(cells);
+  AddGate(&report, "hung", summary.hung, "==", 0);
+  AddGate(&report, "completed", summary.completed, "==",
+          static_cast<std::uint64_t>(summary.cells.size()));
+  AddGate(&report, "downtime_wins", summary.downtime_wins, ">=", 2);
+  AddGate(&report, "bytes_ordering_ok", summary.bytes_ordering_ok, "==", true);
+  AddGate(&report, "slo_ok", summary.slo_ok, "==", true);
   return report;
 }
 

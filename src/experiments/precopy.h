@@ -14,8 +14,8 @@
 // system measured: pre-copy beats pure-copy on downtime (freeze-to-resume)
 // for the compute-bound workloads, and loses on page bytes — every page
 // dirtied during a round crosses the wire again. BENCH_precopy.json carries
-// the full grid plus a per-workload Pareto summary (downtime vs bytes);
-// tools/check_bench.sh --precopy re-asserts the headline gates.
+// the full grid plus a per-workload Pareto summary (downtime vs bytes), and
+// declares the headline gates in its `gates` array (src/metrics/gates.h).
 #ifndef SRC_EXPERIMENTS_PRECOPY_H_
 #define SRC_EXPERIMENTS_PRECOPY_H_
 

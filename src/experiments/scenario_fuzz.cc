@@ -14,6 +14,7 @@
 #include "src/experiments/cluster.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
+#include "src/metrics/gates.h"
 #include "src/net/page_service.h"
 #include "src/vm/pager.h"
 #include "src/workloads/workload.h"
@@ -656,6 +657,12 @@ Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
   report["checkpoint_failures"] = Json(corpus.checkpoint_failures);
   report["failures"] = Json(corpus.failures);
   report["scenarios"] = std::move(scenarios);
+  AddGate(&report, "failures", corpus.failures, "==", 0);
+  AddGate(&report, "integrity_failures", corpus.integrity_failures, "==", 0);
+  AddGate(&report, "hung", corpus.hung, "==", 0);
+  AddGate(&report, "shard_divergences", corpus.shard_divergences, "==", 0);
+  AddGate(&report, "dedup_failures", corpus.dedup_failures, "==", 0);
+  AddGate(&report, "checkpoint_failures", corpus.checkpoint_failures, "==", 0);
   return report;
 }
 

@@ -170,8 +170,9 @@ struct FuzzCorpusResult {
 FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count,
                                int threads = 0);
 
-// Canonical JSON (sorted keys, exact integers): the gate counters plus one
-// record per scenario. Equal corpora dump byte-identically.
+// Canonical JSON (sorted keys, exact integers): the oracle counters, one
+// record per scenario, and the gates on those counters
+// (src/metrics/gates.h). Equal corpora dump byte-identically.
 Json FuzzCorpusToJson(const FuzzCorpusResult& corpus);
 
 }  // namespace accent

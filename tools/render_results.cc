@@ -27,7 +27,7 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 8;
+constexpr int kTemplateVersion = 9;
 
 // -------------------------------------------------------------------------
 // Paper constants (Zayas, SOSP 1987); a value of -1 renders as "(n/a)" —
@@ -200,6 +200,21 @@ double Seconds(const Json& trial, const char* key) {
 // -------------------------------------------------------------------------
 // Sections.
 
+// The pass rules the report declares (src/metrics/gates.h), as stored in
+// it; tools/check_bench recomputes each ok.
+void RenderGates(const Json& report, std::ostream& out) {
+  auto cell = [](const Json& v) {
+    return v.is_number() && !v.is_integer() ? FormatDouble(v.AsDouble(), 3) : v.Dump();
+  };
+  MdTable table({"Gate", "Value", "Op", "Bound", "Ok"});
+  for (const Json& gate : report.Get("gates").AsArray()) {
+    table.AddRow({"`" + gate.Get("name").AsString() + "`", cell(gate.Get("value")),
+                  "`" + gate.Get("op").AsString() + "`", cell(gate.Get("bound")),
+                  gate.Get("ok").AsBool() ? "yes" : "**NO**"});
+  }
+  out << "Gates:\n\n" << table.ToString() << '\n';
+}
+
 void RenderTable41(const SweepIndex& index, std::ostream& out) {
   out << "## Table 4-1: Address space sizes in bytes\n\n"
       << "Real memory (touched, backed pages), real-but-zero (allocated, "
@@ -344,6 +359,7 @@ void RenderMetrics(const Json& sweep, std::ostream& out) {
                        FormatDouble(h.Get("max").AsDouble(), 3)});
   }
   out << histograms.ToString() << '\n';
+  RenderGates(sweep, out);
 }
 
 void RenderFailureMatrix(const Json& failure, std::ostream& out) {
@@ -422,6 +438,7 @@ void RenderFailureMatrix(const Json& failure, std::ostream& out) {
                   FormatWithCommas(agg.dead_letters)});
   }
   out << table.ToString() << '\n';
+  RenderGates(failure, out);
 }
 
 void RenderCheckpoint(const Json& ckpt, std::ostream& out) {
@@ -444,12 +461,7 @@ void RenderCheckpoint(const Json& ckpt, std::ostream& out) {
                  FormatWithCommas(ckpt.Get("hung").AsUint64()),
                  FormatWithCommas(ckpt.Get("integrity_failures").AsUint64())});
   out << totals.ToString() << '\n';
-
-  out << "Gates: "
-      << FormatWithCommas(ckpt.Get("unsurvivable_pure_iou_source_crash").AsUint64())
-      << " unsurvivable pure-IOU source-crash cells (0 required); every restored "
-         "incarnation's contents matched a lossless reference run; the store-off "
-         "77-trial golden digest is unchanged (golden_sweep_test).\n\n";
+  RenderGates(ckpt, out);
 }
 
 void RenderPreCopy(const Json& precopy, std::ostream& out) {
@@ -477,17 +489,7 @@ void RenderPreCopy(const Json& precopy, std::ostream& out) {
          row.Get("downtime_win").AsBool() ? "yes" : "no"});
   }
   out << table.ToString() << '\n';
-
-  out << "Grid gates: " << precopy.Get("completed").AsUint64() << "/"
-      << precopy.Get("trial_count").AsUint64() << " cells completed, "
-      << precopy.Get("hung").AsUint64() << " hung; "
-      << precopy.Get("downtime_wins").AsUint64()
-      << " compute-bound downtime wins vs pure-copy; byte ordering "
-         "pre-copy >= pure-copy >= IOU "
-      << (precopy.Get("bytes_ordering_ok").AsBool() ? "held" : "BROKE") << "; SLO predictor "
-      << (precopy.Get("slo_ok").AsBool() ? "fired on every compute-bound workload"
-                                         : "FAILED to fire")
-      << ".\n\n";
+  RenderGates(precopy, out);
 }
 
 void RenderDedup(const Json& dedup, std::ostream& out) {
@@ -500,7 +502,10 @@ void RenderDedup(const Json& dedup, std::ostream& out) {
          "small confirm ack instead of pulling the payload from the origin "
          "backer, and misses are served by the nearest holder before the "
          "origin — the per-round table shows the origin falling out of the "
-         "fault path as the fleet warms up.\n\n";
+         "fault path as the fleet warms up. The hash rider costs 16 B per real "
+         "page up front, so dedup pays off only when the migrated image's touch "
+         "fraction is high enough — docs/STRATEGIES.md quantifies the "
+         "crossover.\n\n";
 
   MdTable table({"Round", "Dest", "Faulted", "Confirm acks", "Holder pulls",
                  "Origin payload", "Wire bytes"});
@@ -514,21 +519,7 @@ void RenderDedup(const Json& dedup, std::ostream& out) {
                   FormatWithCommas(row.Get("wire_bytes").AsUint64())});
   }
   out << table.ToString() << '\n';
-
-  out << "Gates: origin offload "
-      << FormatDouble(100.0 * dedup.Get("origin_offload_ratio").AsDouble(), 1)
-      << "% of faulted pages (>= 50% required); wire bytes "
-      << FormatWithCommas(dedup.Get("wire_bytes_cached").AsUint64()) << " cached vs "
-      << FormatWithCommas(dedup.Get("wire_bytes_baseline").AsUint64()) << " baseline ("
-      << FormatWithCommas(dedup.Get("wire_bytes_saved").AsUint64()) << " saved); cache "
-      << FormatWithCommas(dedup.Get("cached").Get("cache_hits").AsUint64()) << " hits / "
-      << FormatWithCommas(dedup.Get("cached").Get("cache_misses").AsUint64()) << " misses / "
-      << FormatWithCommas(dedup.Get("cached").Get("cache_evictions").AsUint64())
-      << " evictions; " << dedup.Get("integrity_failures").AsUint64()
-      << " integrity failures. The hash rider costs 16 B per real page up "
-         "front, so dedup pays off only when the migrated image's touch "
-         "fraction is high enough — docs/STRATEGIES.md quantifies the "
-         "crossover.\n\n";
+  RenderGates(dedup, out);
 }
 
 void RenderCluster(const Json& cluster, std::ostream& out) {
@@ -574,6 +565,7 @@ void RenderCluster(const Json& cluster, std::ostream& out) {
                  secs(row, "queueing_p99_us"), secs(row, "downtime_p99_us")});
   }
   out << grid.ToString() << '\n';
+  RenderGates(cluster, out);
 }
 
 bool LoadJson(const std::string& path, Json* out) {
