@@ -34,9 +34,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  FailureSweepOptions options;
-  options.checkpoint_store = true;
-  const FailureMatrix matrix = RunFailureMatrix(seed, threads, options);
+  const FailureMatrix matrix = RunFailureMatrix(seed, threads, /*checkpoint_store=*/true);
 
   // The acceptance gate: no pure-IOU source-crash cell may stay terminal.
   std::uint64_t unsurvivable = 0;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/base/check.h"
-#include "src/base/thread_pool.h"
 #include "src/experiments/cluster.h"
 #include "src/experiments/sweep.h"
 #include "src/metrics/gates.h"
@@ -145,19 +144,15 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  std::vector<ClusterResult> sweep_results(points.size());
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
-  ParallelFor(threads, points.size(), [&](std::size_t i) {
-    const SweepPoint& pt = points[i];
-    sweep_results[i] = RunClusterTrial(SweepTrialConfig(
-        seed, pt.hosts, pt.threshold, pt.hysteresis, pt.dispersal));
-  });
+  const std::vector<ClusterResult> sweep_results =
+      ParallelMap(threads, points.size(), [&](std::size_t i) {
+        const SweepPoint& pt = points[i];
+        return RunClusterTrial(
+            SweepTrialConfig(seed, pt.hosts, pt.threshold, pt.hysteresis, pt.dispersal));
+      });
 
   Json sweep_rows = Json::Array{};
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ClusterResult& result = sweep_results[i];
+  for (const ClusterResult& result : sweep_results) {
     hung += result.hung ? 1 : 0;
     integrity_failures += result.census_ok ? 0 : 1;
     Json row = ClusterResultToJson(result);

@@ -1,4 +1,4 @@
-// Failure-matrix bench: the seven representative workloads x three transfer
+// Failure-matrix bench: the seven representative workloads x four transfer
 // strategies under a lossy / partitioning / crashing wire, emitting
 // machine-readable JSON (BENCH_failure.json) so the failure-handling
 // guarantees are tracked from PR to PR: nothing may hang, the lossy-wire

@@ -3,22 +3,25 @@
 namespace accent {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ull;
 
 std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
+std::uint64_t SplitMix64(std::uint64_t x) {
+  x += kGoldenGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
+  // The SplitMix64 generator: successive finalisers of seed + k * gamma.
   std::uint64_t s = seed;
   for (auto& word : state_) {
     word = SplitMix64(s);
+    s += kGoldenGamma;
   }
 }
 
@@ -65,7 +68,7 @@ bool Rng::NextBool(double p) {
 }
 
 Rng Rng::Fork(std::uint64_t label) const {
-  return Rng(seed_ ^ (label * 0x9e3779b97f4a7c15ull + 0x853c49e6748fea9bull));
+  return Rng(seed_ ^ (label * kGoldenGamma + 0x853c49e6748fea9bull));
 }
 
 }  // namespace accent

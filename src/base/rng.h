@@ -14,6 +14,10 @@
 
 namespace accent {
 
+// The SplitMix64 finaliser of x + 0x9e3779b97f4a7c15: a bijective 64-bit
+// mix, for deriving well-spread seeds from structured ones.
+std::uint64_t SplitMix64(std::uint64_t x);
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed);

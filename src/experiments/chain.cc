@@ -1,24 +1,13 @@
 #include "src/experiments/chain.h"
 
-#include <optional>
-#include <utility>
-
 #include "src/base/check.h"
-#include "src/base/logging.h"
-#include "src/base/page_data.h"
-#include "src/base/thread_pool.h"
+#include "src/experiments/scenario.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/testbed.h"
 #include "src/metrics/gates.h"
-#include "src/workloads/workload.h"
 
 namespace accent {
 
 namespace {
-
-// Two migrations plus remote execution; the 600 s abort backstop and the
-// longest workload both fit with room to spare.
-constexpr SimDuration kChainHorizon = Sec(3600.0);
 
 // Far enough out that the baseline's planted crash never fires, yet the
 // FaultInjector still attaches — so the baseline and the crashed rerun share
@@ -27,213 +16,75 @@ constexpr SimTime kNeverCrash = SimTime{3'000'000'000'000};  // ~35 days
 
 }  // namespace
 
-// Same fold as the failure sweep's TouchedChecksum. A chain's final
-// incarnation does not hold every planned page privately: pages touched only
-// at an intermediate hop stay owed to the backing chain, so they are
-// resolved through their backer object via the (simulation-global) segment
-// table — which also checks that a collapse actually moved the bytes, not
-// just the references.
-std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
-                                 const std::set<PageIndex>& touches) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-    }
-  };
-  for (PageIndex page : touches) {
-    mix(page);
-    if (space.HasPrivatePage(page)) {
-      mix(PageIntegrityChecksum(space.ReadPage(page)));
-    } else if (space.ClassOf(PageBase(page)) == MemClass::kImag) {
-      const AddressSpace::ImagTarget target = space.ImagTargetOf(PageBase(page));
-      Segment* backer = segments.Find(target.iou.segment);
-      mix(backer != nullptr ? PageIntegrityChecksum(backer->ReadPage(PageOf(target.backer_offset)))
-                            : 0);
-    } else {
-      mix(PageIntegrityChecksum(space.ReadPage(page)));
-    }
-  }
-  return h;
-}
-
-// One lossless single-hop pure-copy migration of the same workload
-// instance, run to completion at the destination (the failure sweep's
-// baseline methodology). BuildWorkload is bit-deterministic per
-// (spec, seed), so any later run must reproduce these page contents
-// whatever the strategy, topology or calibration.
-std::uint64_t ChainReferenceChecksum(const std::string& workload, std::uint64_t seed) {
-  Testbed bed;
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed);
-  Process* proc = instance.process.get();
-  bed.manager(0)->RegisterLocal(proc);
-
-  Process* remote = nullptr;
-  bed.manager(1)->set_on_insert([&remote](Process* inserted) { remote = inserted; });
-  bool done = false;
-  bed.manager(0)->Migrate(proc, bed.manager(1)->port(), TransferStrategy::kPureCopy,
-                          [&done](const MigrationRecord&) { done = true; });
-  bed.sim().Run();
-  ACCENT_CHECK(done && remote != nullptr && remote->done())
-      << " reference migration of " << workload << " did not finish";
-  return ObservableChecksum(*remote->space(), bed.segments(), instance.planned_touches);
-}
-
 ChainTrialResult RunChainTrial(const ChainTrialConfig& config) {
-  const std::uint64_t reference = ChainReferenceChecksum(config.workload, config.seed);
-
-  TestbedConfig testbed_config;
-  testbed_config.host_count = 3;
-  testbed_config.calibrations = config.calibrations;
+  FuzzScenario spec;
+  spec.seed = config.seed;
+  spec.host_count = 3;
+  spec.calibrations = config.calibrations;
+  spec.workload = config.workload;
+  spec.strategy = config.strategy;
+  spec.prefetch = config.prefetch;
+  spec.dest = 1;
+  spec.remigrate = true;
+  spec.redest = 2;
+  spec.remigrate_at = config.remigrate_at;
+  FaultPlan plan;
   if (config.crash_intermediate) {
-    // Host index 1 (the intermediary B) carries HostId 2; the crash is
-    // permanent. Reliable transport comes with the non-trivial plan.
-    testbed_config.fault_plan.crashes.push_back(
-        CrashWindow{HostId(2), config.crash_at, kFaultForever});
-    testbed_config.fault_seed = config.seed;
+    // B (host index 1) carries HostId 2; the crash is permanent.
+    plan.crashes.push_back(CrashWindow{HostId(2), config.crash_at, kFaultForever});
   }
-  Testbed bed(testbed_config);
-  bed.SetPrefetch(config.prefetch);
+  const MechRun run = RunMech(spec, plan, config.seed);
 
   ChainTrialResult result;
   result.config = config;
-
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(config.workload), bed.host(0),
-                                            config.seed);
-  Process* proc = instance.process.get();
-  const PortId owned_port = bed.fabric().AllocatePort(bed.host(0)->id, nullptr, "proc-owned");
-  proc->AttachReceiveRight(owned_port);
-  bed.manager(0)->RegisterLocal(proc);
-
-  Process* at_c = nullptr;
-  bed.manager(2)->set_on_insert([&at_c](Process* inserted) { at_c = inserted; });
-
-  // Post-collapse counters are deltas against a snapshot taken the moment
-  // the collapse completes at B. Trials whose chain never forms (pure-copy
-  // carries no IOUs, so there is nothing to collapse) snapshot at hop-2
-  // completion instead: "after collapse" then simply means "after the
-  // re-migration handshake".
-  bool have_snapshot = false;
-  std::uint64_t b_requests_snap = 0;
-  std::uint64_t b_forwards_snap = 0;
-  std::uint64_t origin_requests_snap = 0;
-  auto snapshot = [&]() {
-    b_requests_snap = bed.netmsg(1)->backer().requests_served();
-    b_forwards_snap = bed.netmsg(1)->backer().requests_forwarded();
-    origin_requests_snap = bed.netmsg(0)->backer().requests_served();
-    have_snapshot = true;
-  };
-
-  bed.manager(1)->set_on_collapse([&](const ChainCollapseStats& stats) {
-    result.collapse_done = true;
-    result.collapse = stats;
-    snapshot();
-  });
-
-  // Hop 2 arms itself when the process lands at B: execute remigrate_at of
-  // the trace remaining there, then move on to C under the same strategy.
-  bed.manager(1)->set_on_insert([&](Process* at_b) {
-    const std::size_t pc = at_b->trace_pc();
-    const std::size_t size = at_b->trace()->size();
-    const std::size_t span = size > pc ? size - pc : 0;
-    std::size_t target =
-        pc + static_cast<std::size_t>(static_cast<double>(span) * config.remigrate_at);
-    if (target <= pc) {
-      target = pc + 1;
-    }
-    if (target >= size && size > 0) {
-      target = size - 1;  // at worst, just before the terminate op
-    }
-    at_b->SuspendAt(target, [&, at_b]() {
-      bed.manager(1)->Migrate(at_b, bed.manager(2)->port(), config.strategy,
-                              [&](const MigrationRecord& record) {
-                                result.hop2 = record;
-                                result.hop2_done = true;
-                                if (!have_snapshot) {
-                                  snapshot();
-                                }
-                              });
-    });
-  });
-
-  bed.manager(0)->Migrate(proc, bed.manager(1)->port(), config.strategy,
-                          [&](const MigrationRecord& record) {
-                            result.hop1 = record;
-                            result.hop1_done = true;
-                          });
-
-  result.drained = bed.RunGuarded(kChainHorizon);
-
-  result.finished_at_c = at_c != nullptr && at_c->done();
+  result.drained = run.drained;
+  result.hop1_done = run.hop1_done;
+  result.hop2_done = run.hop2_done;
+  result.hop1 = run.hop1;
+  result.hop2 = run.hop2;
+  result.finished_at_c = run.finished && run.finish_host == spec.redest;
   if (result.finished_at_c) {
-    result.finished = at_c->finish_time();
+    result.finished = run.finish;
     result.integrity_ok =
-        ObservableChecksum(*at_c->space(), bed.segments(), instance.planned_touches) ==
-        reference;
+        run.checksum == ChainReferenceChecksum(config.workload, config.seed);
   }
-
-  SegmentBacker& b = bed.netmsg(1)->backer();
-  if (have_snapshot) {
-    result.b_requests_after_collapse = b.requests_served() - b_requests_snap;
-    result.b_forwards_after_collapse = b.requests_forwarded() - b_forwards_snap;
-    result.origin_requests_after_collapse =
-        bed.netmsg(0)->backer().requests_served() - origin_requests_snap;
-  }
-  result.b_objects_after_collapse = b.object_count();
-  result.b_stubs = b.stub_count();
-  result.handoff_pages = b.handoff_pages_sent();
-  result.c_imag_faults = bed.pager(2)->stats().imag_faults;
+  result.collapse_done = run.collapse_done;
+  result.collapse = run.collapse;
+  result.handoff_pages = run.dest_handoff_pages;
+  result.b_requests_after_collapse = run.dest_requests_after_collapse;
+  result.b_forwards_after_collapse = run.dest_forwards_after_collapse;
+  result.b_objects_after_collapse = run.dest_objects;
+  result.b_stubs = run.dest_stubs;
+  result.origin_requests_after_collapse = run.origin_requests_after_collapse;
+  result.c_imag_faults = run.redest_imag_faults;
   return result;
 }
 
 std::vector<ChainTrialConfig> ChainSweepConfigs(const std::string& workload,
                                                 std::uint64_t seed) {
   std::vector<ChainTrialConfig> configs;
-  ChainTrialConfig base;
-  base.workload = workload;
-  base.seed = seed;
-
-  ChainTrialConfig pure_copy = base;
-  pure_copy.strategy = TransferStrategy::kPureCopy;
-  configs.push_back(pure_copy);
-
-  for (TransferStrategy strategy :
-       {TransferStrategy::kPureIou, TransferStrategy::kResidentSet}) {
-    for (std::uint32_t prefetch : kPaperPrefetchValues) {
-      ChainTrialConfig config = base;
-      config.strategy = strategy;
-      config.prefetch = prefetch;
-      configs.push_back(config);
-    }
+  ChainTrialConfig config;
+  config.workload = workload;
+  config.seed = seed;
+  for (const TrialConfig& trial : StrategySweepConfigs(workload, seed)) {
+    config.strategy = trial.strategy;
+    config.prefetch = trial.prefetch;
+    configs.push_back(config);
   }
 
   // Pre-copy, like pure-copy, leaves no IOUs behind (everything arrives
   // physically by resumption), so one cell per workload suffices and the
   // collapse machinery must find nothing to hand off.
-  ChainTrialConfig precopy = base;
-  precopy.strategy = TransferStrategy::kPreCopy;
-  configs.push_back(precopy);
+  config.strategy = TransferStrategy::kPreCopy;
+  config.prefetch = 0;
+  configs.push_back(config);
   return configs;
 }
 
 std::vector<ChainTrialResult> RunChainTrials(const std::vector<ChainTrialConfig>& configs,
                                              int threads) {
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
-  // One slot per trial; every trial owns a private Testbed, so thread count
-  // and scheduling cannot reach any result.
-  std::vector<std::optional<ChainTrialResult>> slots(configs.size());
-  ParallelFor(threads, configs.size(),
-              [&](std::size_t i) { slots[i] = RunChainTrial(configs[i]); });
-
-  std::vector<ChainTrialResult> results;
-  results.reserve(slots.size());
-  for (std::optional<ChainTrialResult>& slot : slots) {
-    ACCENT_CHECK(slot.has_value()) << " chain trial slot never filled";
-    results.push_back(std::move(*slot));
-  }
-  return results;
+  return ParallelMap(threads, configs.size(),
+                     [&configs](std::size_t i) { return RunChainTrial(configs[i]); });
 }
 
 ChainCrashResult RunChainCrashTrial(ChainTrialConfig config) {

@@ -9,8 +9,9 @@
 // and retiring into forwarding stubs — so B drops off the fault path
 // entirely. Each trial verifies:
 //
-//   - end-to-end integrity: the touched-page checksum at C matches a
-//     no-migration local run of the same workload;
+//   - end-to-end integrity: the observable checksum at C, taken when the
+//     process terminates, matches the single-hop reference
+//     (ChainReferenceChecksum, scenario.h);
 //   - evacuation: after the collapse completes, zero page-fault requests
 //     are serviced by (or routed through) B, and B's backer owns no
 //     objects — only inert stubs remain;
@@ -24,7 +25,6 @@
 #define SRC_EXPERIMENTS_CHAIN_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,8 +33,6 @@
 #include "src/migration/migration_manager.h"
 #include "src/migration/migration_record.h"
 #include "src/migration/strategy.h"
-#include "src/vm/address_space.h"
-#include "src/vm/segment.h"
 
 namespace accent {
 
@@ -91,24 +89,15 @@ struct ChainTrialResult {
   SimDuration Hop2Downtime() const { return hop2.Downtime(); }
 };
 
-// FNV fold over the contents a fault would observe for each planned page,
-// visited in ascending order. Pages owed to a backing chain are resolved
-// through their backer object via the segment table, so the fold verifies
-// that collapses moved bytes, not just references. Shared by the chain
-// trials and the scenario fuzzer's integrity oracle.
-std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
-                                 const std::set<PageIndex>& touches);
-
-// The integrity reference for `workload`: one lossless single-hop pure-copy
-// migration on a homogeneous bed, run to completion at the destination.
-std::uint64_t ChainReferenceChecksum(const std::string& workload, std::uint64_t seed);
-
-// Runs one chain trial end to end. Deterministic per config.
+// Runs one chain trial end to end through the shared runner (scenario.h):
+// a three-host spec with dest = B, redest = C and the re-migration armed.
+// Deterministic per config.
 ChainTrialResult RunChainTrial(const ChainTrialConfig& config);
 
 // The chain grid for one workload, mirroring StrategySweepConfigs: pure-copy
 // once (it ignores prefetch), then {pure-IOU, resident-set} x
-// kPaperPrefetchValues. Single source of truth for grid order.
+// kPaperPrefetchValues, then one pre-copy cell — 12 trials. Single source
+// of truth for grid order.
 std::vector<ChainTrialConfig> ChainSweepConfigs(const std::string& workload,
                                                 std::uint64_t seed = 42);
 

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/experiments/chain.h"
+#include "src/experiments/scenario.h"
 #include "src/experiments/testbed.h"
 #include "src/workloads/workload.h"
 

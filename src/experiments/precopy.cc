@@ -1,12 +1,10 @@
 #include "src/experiments/precopy.h"
 
 #include <algorithm>
-#include <optional>
+#include <numeric>
 
-#include "src/base/check.h"
-#include "src/base/thread_pool.h"
+#include "src/experiments/scenario.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/testbed.h"
 #include "src/metrics/gates.h"
 #include "src/workloads/workload.h"
 
@@ -39,6 +37,45 @@ bool IsComputeBoundGate(const std::string& workload) {
 
 const int kRoundCaps[] = {1, 4, 8};
 const SimDuration kDowntimeSlos[] = {SimDuration{0}, Sec(1.0), Sec(5.0)};
+
+// One workload's completed comparison cells: pure-copy, pure-IOU and
+// pre-copy's best-downtime cell (the first minimum in grid order), plus
+// pre-copy's smallest page bill and whether any pre-copy cell met its SLO.
+struct WorkloadCells {
+  const PreCopySweepCellResult* purecopy = nullptr;
+  const PreCopySweepCellResult* pureiou = nullptr;
+  const PreCopySweepCellResult* best_precopy = nullptr;
+  ByteCount min_precopy_page_bytes = 0;
+  bool precopy_slo_met = false;
+
+  bool complete() const {
+    return purecopy != nullptr && pureiou != nullptr && best_precopy != nullptr;
+  }
+};
+
+WorkloadCells CellsOf(const std::vector<PreCopySweepCellResult>& cells,
+                      const std::string& workload) {
+  WorkloadCells w;
+  for (const PreCopySweepCellResult& r : cells) {
+    if (r.cell.workload != workload || !r.completed) {
+      continue;
+    }
+    if (r.cell.strategy == TransferStrategy::kPureCopy) {
+      w.purecopy = &r;
+    } else if (r.cell.strategy == TransferStrategy::kPureIou) {
+      w.pureiou = &r;
+    } else if (r.cell.strategy == TransferStrategy::kPreCopy) {
+      if (w.best_precopy == nullptr || r.downtime < w.best_precopy->downtime) {
+        w.best_precopy = &r;
+      }
+      w.min_precopy_page_bytes = w.min_precopy_page_bytes == 0
+                                     ? r.page_bytes
+                                     : std::min(w.min_precopy_page_bytes, r.page_bytes);
+      w.precopy_slo_met = w.precopy_slo_met || r.slo_met;
+    }
+  }
+  return w;
+}
 
 }  // namespace
 
@@ -74,130 +111,75 @@ std::vector<PreCopySweepCell> PreCopySweepCells() {
 }
 
 PreCopySweepCellResult RunPreCopyCell(const PreCopySweepCell& cell, std::uint64_t seed) {
+  FuzzScenario spec;
+  spec.seed = seed;
+  spec.workload = cell.workload;
+  spec.strategy = cell.strategy;
+  if (cell.live) {
+    spec.live_migrate_at = cell.migrate_at;
+  }
+  if (cell.strategy == TransferStrategy::kPreCopy) {
+    spec.precopy.max_rounds = cell.max_rounds;
+    spec.precopy.target_downtime = cell.target_downtime;
+  }
+  const MechRun run = RunMech(spec, FaultPlan{}, seed);
+
   PreCopySweepCellResult result;
   result.cell = cell;
-
-  Testbed bed;
-  WorkloadInstance instance =
-      BuildWorkload(WorkloadByName(cell.workload), bed.host(0), seed);
-  Process* proc = instance.process.get();
-  const PortId owned_port =
-      bed.fabric().AllocatePort(bed.host(0)->id, nullptr, "proc-owned");
-  proc->AttachReceiveRight(owned_port);
-  bed.manager(0)->RegisterLocal(proc);
-
-  Process* remote = nullptr;
-  bed.manager(1)->set_on_insert([&remote](Process* inserted) { remote = inserted; });
-
-  if (cell.live) {
-    proc->Start();
-    bed.sim().RunUntil(cell.migrate_at);
-  }
-
-  if (cell.strategy == TransferStrategy::kPreCopy) {
-    PreCopyConfig config;
-    config.max_rounds = cell.max_rounds;
-    config.target_downtime = cell.target_downtime;
-    bed.manager(0)->set_precopy_config(config);
-  }
-
-  bool done = false;
-  MigrationRecord record;
-  bed.manager(0)->Migrate(proc, bed.manager(1)->port(), cell.strategy,
-                          [&](const MigrationRecord& r) {
-                            record = r;
-                            done = true;
-                          });
-
-  const bool drained = bed.RunGuarded();
-  result.hung = !drained;
-  result.completed = drained && done && !record.aborted && remote != nullptr &&
-                     remote->done() && !remote->faulted();
+  result.hung = !run.drained;
+  result.completed = run.drained && run.hop1_done && !run.hop1.aborted && run.finished &&
+                     run.finish_host == spec.dest;
   if (!result.completed) {
     return result;
   }
-
-  result.rounds = record.precopy_rounds;
-  result.downtime = record.Downtime();
-  result.total = remote->finish_time() - record.requested;
-  result.page_bytes = bed.traffic().BytesOf(TrafficKind::kBulkData) +
-                      bed.traffic().BytesOf(TrafficKind::kFaultData);
-  result.wire_bytes = bed.traffic().TotalBytes();
-  result.wws_pages = record.precopy_wws_pages;
-  result.predicted_downtime = record.precopy_predicted_downtime;
-  result.slo_met = record.precopy_slo_met;
+  const auto bytes = [&run](TrafficKind kind) {
+    return run.wire_bytes[static_cast<std::size_t>(kind)];
+  };
+  result.rounds = run.hop1.precopy_rounds;
+  result.downtime = run.hop1.Downtime();
+  result.total = run.finish - run.hop1.requested;
+  result.page_bytes = bytes(TrafficKind::kBulkData) + bytes(TrafficKind::kFaultData);
+  result.wire_bytes = std::accumulate(run.wire_bytes.begin(), run.wire_bytes.end(), ByteCount{0});
+  result.wws_pages = run.hop1.precopy_wws_pages;
+  result.predicted_downtime = run.hop1.precopy_predicted_downtime;
+  result.slo_met = run.hop1.precopy_slo_met;
   return result;
 }
 
 PreCopySweepSummary RunPreCopySweep(std::uint64_t seed, int threads) {
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
   const std::vector<PreCopySweepCell> cells = PreCopySweepCells();
 
-  // One slot per cell; cells share nothing (private testbeds), so thread
-  // count and scheduling cannot reach any result.
-  std::vector<std::optional<PreCopySweepCellResult>> slots(cells.size());
-  ParallelFor(threads, cells.size(),
-              [&](std::size_t i) { slots[i] = RunPreCopyCell(cells[i], seed); });
-
+  // Cells share nothing (private testbeds), so thread count and scheduling
+  // cannot reach any result.
   PreCopySweepSummary summary;
-  summary.cells.reserve(slots.size());
-  for (std::optional<PreCopySweepCellResult>& slot : slots) {
-    ACCENT_CHECK(slot.has_value()) << " pre-copy sweep slot never filled";
-    summary.completed += slot->completed ? 1 : 0;
-    summary.hung += slot->hung ? 1 : 0;
-    summary.cells.push_back(std::move(*slot));
+  summary.cells = ParallelMap(threads, cells.size(), [&cells, seed](std::size_t i) {
+    return RunPreCopyCell(cells[i], seed);
+  });
+  for (const PreCopySweepCellResult& r : summary.cells) {
+    summary.completed += r.completed ? 1 : 0;
+    summary.hung += r.hung ? 1 : 0;
   }
 
   // Gate evaluation: per-workload extremes over the grid.
   summary.bytes_ordering_ok = true;
   summary.slo_ok = true;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    const PreCopySweepCellResult* purecopy = nullptr;
-    const PreCopySweepCellResult* pureiou = nullptr;
-    const PreCopySweepCellResult* best_precopy = nullptr;  // min downtime
-    ByteCount min_precopy_page_bytes = 0;
-    bool workload_slo_met = false;
-    for (const PreCopySweepCellResult& r : summary.cells) {
-      if (r.cell.workload != spec.name || !r.completed) {
-        continue;
-      }
-      switch (r.cell.strategy) {
-        case TransferStrategy::kPureCopy:
-          purecopy = &r;
-          break;
-        case TransferStrategy::kPureIou:
-          pureiou = &r;
-          break;
-        case TransferStrategy::kResidentSet:
-          break;
-        case TransferStrategy::kPreCopy:
-          if (best_precopy == nullptr || r.downtime < best_precopy->downtime) {
-            best_precopy = &r;
-          }
-          min_precopy_page_bytes = min_precopy_page_bytes == 0
-                                       ? r.page_bytes
-                                       : std::min(min_precopy_page_bytes, r.page_bytes);
-          workload_slo_met = workload_slo_met || r.slo_met;
-          break;
-      }
-    }
-    if (purecopy == nullptr || pureiou == nullptr || best_precopy == nullptr) {
+    const WorkloadCells w = CellsOf(summary.cells, spec.name);
+    if (!w.complete()) {
       summary.bytes_ordering_ok = false;
       continue;
     }
     // Dirty re-shipping must cost: even pre-copy's cheapest cell moves at
     // least one full copy, and pure-copy moves more than copy-on-reference.
-    if (min_precopy_page_bytes < purecopy->page_bytes ||
-        purecopy->page_bytes < pureiou->page_bytes) {
+    if (w.min_precopy_page_bytes < w.purecopy->page_bytes ||
+        w.purecopy->page_bytes < w.pureiou->page_bytes) {
       summary.bytes_ordering_ok = false;
     }
     if (IsComputeBoundGate(spec.name)) {
-      if (best_precopy->downtime < purecopy->downtime) {
+      if (w.best_precopy->downtime < w.purecopy->downtime) {
         ++summary.downtime_wins;
       }
-      summary.slo_ok = summary.slo_ok && workload_slo_met;
+      summary.slo_ok = summary.slo_ok && w.precopy_slo_met;
     }
   }
   summary.downtime_win_ok = summary.downtime_wins >= 2;
@@ -231,39 +213,24 @@ Json PreCopySweepToJson(const PreCopySweepSummary& summary) {
   // RESULTS.md renders falls straight out of these rows.
   Json pareto{Json::Array{}};
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    const PreCopySweepCellResult* purecopy = nullptr;
-    const PreCopySweepCellResult* pureiou = nullptr;
-    const PreCopySweepCellResult* best_precopy = nullptr;
-    for (const PreCopySweepCellResult& r : summary.cells) {
-      if (r.cell.workload != spec.name || !r.completed) {
-        continue;
-      }
-      if (r.cell.strategy == TransferStrategy::kPureCopy) {
-        purecopy = &r;
-      } else if (r.cell.strategy == TransferStrategy::kPureIou) {
-        pureiou = &r;
-      } else if (r.cell.strategy == TransferStrategy::kPreCopy &&
-                 (best_precopy == nullptr || r.downtime < best_precopy->downtime)) {
-        best_precopy = &r;
-      }
-    }
-    if (purecopy == nullptr || pureiou == nullptr || best_precopy == nullptr) {
+    const WorkloadCells w = CellsOf(summary.cells, spec.name);
+    if (!w.complete()) {
       continue;
     }
     Json row;
     row["workload"] = Json(spec.name);
-    row["live"] = Json(best_precopy->cell.live);
-    row["purecopy_downtime_s"] = Json(ToSeconds(purecopy->downtime));
-    row["purecopy_page_bytes"] = Json(purecopy->page_bytes);
-    row["iou_downtime_s"] = Json(ToSeconds(pureiou->downtime));
-    row["iou_page_bytes"] = Json(pureiou->page_bytes);
-    row["precopy_downtime_s"] = Json(ToSeconds(best_precopy->downtime));
-    row["precopy_page_bytes"] = Json(best_precopy->page_bytes);
-    row["precopy_rounds"] = Json(best_precopy->rounds);
-    row["precopy_max_rounds"] = Json(best_precopy->cell.max_rounds);
+    row["live"] = Json(w.best_precopy->cell.live);
+    row["purecopy_downtime_s"] = Json(ToSeconds(w.purecopy->downtime));
+    row["purecopy_page_bytes"] = Json(w.purecopy->page_bytes);
+    row["iou_downtime_s"] = Json(ToSeconds(w.pureiou->downtime));
+    row["iou_page_bytes"] = Json(w.pureiou->page_bytes);
+    row["precopy_downtime_s"] = Json(ToSeconds(w.best_precopy->downtime));
+    row["precopy_page_bytes"] = Json(w.best_precopy->page_bytes);
+    row["precopy_rounds"] = Json(w.best_precopy->rounds);
+    row["precopy_max_rounds"] = Json(w.best_precopy->cell.max_rounds);
     row["precopy_target_downtime_ms"] =
-        Json(best_precopy->cell.target_downtime.count() / 1000);
-    row["downtime_win"] = Json(best_precopy->downtime < purecopy->downtime);
+        Json(w.best_precopy->cell.target_downtime.count() / 1000);
+    row["downtime_win"] = Json(w.best_precopy->downtime < w.purecopy->downtime);
     pareto.Append(std::move(row));
   }
 

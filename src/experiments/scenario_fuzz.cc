@@ -1,234 +1,24 @@
 #include "src/experiments/scenario_fuzz.h"
 
-#include <algorithm>
-#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "src/base/check.h"
 #include "src/base/logging.h"
 #include "src/base/page_ref.h"
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
-#include "src/experiments/chain.h"
 #include "src/experiments/cluster.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/testbed.h"
 #include "src/metrics/gates.h"
-#include "src/net/page_service.h"
-#include "src/vm/pager.h"
 #include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
-
-// The longest workload (Chess, 480 s of compute) on the slowest calibrated
-// CPU (0.5x) with the 600 s abort backstop still fits with margin.
-constexpr SimDuration kFuzzHorizon = Sec(7200.0);
-
-std::uint64_t SplitMix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // The calibration menus. Identity is always on the menu so homogeneous
 // corners stay in the fuzzed space.
 constexpr double kCpuMenu[] = {0.5, 1.0, 2.0, 4.0};
 constexpr double kLatencyMenu[] = {0.5, 1.0, 2.0};
 constexpr double kBandwidthMenu[] = {0.5, 1.0, 2.0};
-
-// One mechanistic run of a scenario's migration(s) on a private testbed.
-// Mirrors the failure sweep's MigrationRun, extended with the optional
-// re-migration hop and the backer-balance snapshot.
-struct MechRun {
-  bool drained = false;
-  bool hop1_done = false;
-  MigrationRecord hop1;
-  bool remigrate_fired = false;
-  bool hop2_done = false;
-  MigrationRecord hop2;
-
-  // The incarnation that finished (searched redest, dest, source — in that
-  // order of likelihood), snapshotted before the testbed dies. The checksum
-  // is captured at the instant of its kTerminate, not post-drain: at that
-  // point the space-death notices are posted but not yet delivered (even a
-  // local delivery costs a scheduled kernel hop), so every backing object
-  // the process could still read remains intact. A post-mortem read races
-  // those deaths against the chain collapse — a client terminating while
-  // its rebind is still in flight legitimately retires both the origin and
-  // the intermediate backing object, and the books balance even though
-  // nothing is left to read.
-  bool finished = false;
-  SimTime finish{0};
-  std::uint64_t checksum = 0;
-  bool any_faulted = false;
-  bool local_rolled_back_done = false;
-
-  // Backer balance at drain time.
-  bool nonorigin_objects_clear = true;
-  std::uint64_t duplicate_deaths = 0;
-  std::string backer_detail;
-
-  // Dedup oracle at drain time: pages the cache plane served, and every
-  // hash mismatch any layer of the walk counted (pager rejects of holder
-  // payloads, cache insertions whose bytes belie their claimed hash, origin
-  // confirm probes whose bytes disagree with the rider).
-  std::uint64_t cache_activity = 0;
-  std::uint64_t dedup_mismatches = 0;
-
-  // Checkpoint-plane activity at drain time (puts sent, restores finished).
-  std::uint64_t checkpoints = 0;
-  std::uint64_t restores = 0;
-};
-
-MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed,
-                bool reliable) {
-  TestbedConfig config;
-  config.host_count = sc.host_count;
-  config.calibrations = sc.calibrations;
-  config.fault_plan = plan;
-  config.fault_seed = fault_seed;
-  config.reliable_transport = reliable;
-  config.content_cache = sc.content_cache;
-  config.content_cache_pages = sc.content_cache_pages;
-  config.checkpoint_store = sc.checkpoint;
-  Testbed bed(config);
-  bed.SetPrefetch(sc.prefetch);
-
-  MechRun run;
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(sc.workload), bed.host(0), sc.seed);
-  Process* proc = instance.process.get();
-  const PortId owned_port = bed.fabric().AllocatePort(bed.host(0)->id, nullptr, "proc-owned");
-  proc->AttachReceiveRight(owned_port);
-  bed.manager(0)->RegisterLocal(proc);
-
-  // Observable content at the finishing incarnation's last breath (see the
-  // MechRun comment for why this cannot wait until the testbed drains).
-  bool observed = false;
-  auto observe = [&run, &bed, &instance, &observed](Process* p) {
-    if (observed || !p->done()) {
-      return;
-    }
-    observed = true;
-    run.checksum = ObservableChecksum(*p->space(), bed.segments(), instance.planned_touches);
-  };
-  proc->set_on_terminate(observe);
-
-  // Latest incarnation inserted at each host (rollbacks re-insert at the
-  // hop's source, so "latest" is the one that matters).
-  std::vector<Process*> latest(static_cast<std::size_t>(sc.host_count), nullptr);
-  latest[0] = proc;
-  for (int i = 0; i < sc.host_count; ++i) {
-    if (i == sc.dest) {
-      continue;  // dest gets the re-migration arming handler below
-    }
-    bed.manager(i)->set_on_insert([&latest, i, &observe](Process* inserted) {
-      latest[static_cast<std::size_t>(i)] = inserted;
-      inserted->set_on_terminate(observe);
-    });
-  }
-
-  // Re-migration arms exactly once, on the first landing at dest: execute
-  // remigrate_at of the trace remaining there, then move on under the same
-  // strategy. A rollback re-inserting at dest must not re-arm (the guard),
-  // but is still tracked as the latest incarnation there.
-  bool armed = false;
-  bed.manager(sc.dest)->set_on_insert([&](Process* at_dest) {
-    latest[static_cast<std::size_t>(sc.dest)] = at_dest;
-    at_dest->set_on_terminate(observe);
-    if (!sc.remigrate || armed) {
-      return;
-    }
-    armed = true;
-    const std::size_t pc = at_dest->trace_pc();
-    const std::size_t size = at_dest->trace()->size();
-    const std::size_t span = size > pc ? size - pc : 0;
-    std::size_t target =
-        pc + static_cast<std::size_t>(static_cast<double>(span) * sc.remigrate_at);
-    if (target <= pc) {
-      target = pc + 1;
-    }
-    if (target >= size && size > 0) {
-      target = size - 1;  // at worst, just before the terminate op
-    }
-    at_dest->SuspendAt(target, [&, at_dest]() {
-      run.remigrate_fired = true;
-      bed.manager(sc.dest)->Migrate(at_dest, bed.manager(sc.redest)->port(), sc.strategy,
-                                    [&run](const MigrationRecord& record) {
-                                      run.hop2 = record;
-                                      run.hop2_done = true;
-                                    });
-    });
-  });
-
-  bed.manager(0)->Migrate(proc, bed.manager(sc.dest)->port(), sc.strategy,
-                          [&run](const MigrationRecord& record) {
-                            run.hop1 = record;
-                            run.hop1_done = true;
-                          });
-
-  run.drained = bed.RunGuarded(kFuzzHorizon);
-
-  // Snapshot whichever incarnation finished (and whether any faulted)
-  // before the testbed and its processes die.
-  const std::vector<int> order = [&] {
-    std::vector<int> o;
-    if (sc.remigrate) {
-      o.push_back(sc.redest);
-    }
-    o.push_back(sc.dest);
-    o.push_back(0);
-    return o;
-  }();
-  for (int host : order) {
-    Process* p = latest[static_cast<std::size_t>(host)];
-    if (p == nullptr) {
-      continue;
-    }
-    if (p->faulted()) {
-      run.any_faulted = true;
-    }
-    if (!run.finished && p->done()) {
-      run.finished = true;
-      run.finish = p->finish_time();
-      if (host == 0 && p != proc) {
-        run.local_rolled_back_done = true;
-      }
-    }
-  }
-  // The original incarnation can also finish at home after a rollback that
-  // re-used it rather than re-inserting.
-  if (!run.finished && proc->done()) {
-    run.finished = true;
-    run.finish = proc->finish_time();
-  }
-  ACCENT_CHECK(!run.finished || observed)
-      << " a finished incarnation must have been observed at kTerminate";
-
-  std::ostringstream backer_detail;
-  for (int i = 0; i < sc.host_count; ++i) {
-    const SegmentBacker& backer = bed.netmsg(i)->backer();
-    run.duplicate_deaths += backer.duplicate_deaths();
-    if (i != 0 && backer.object_count() != 0) {
-      run.nonorigin_objects_clear = false;
-      backer_detail << " host" << i << ":objects=" << backer.object_count();
-    }
-    const PagerStats& ps = bed.pager(i)->stats();
-    run.cache_activity += ps.cache_local_hits + ps.cache_pages_confirmed +
-                          ps.cache_pages_from_holders + ps.cache_pull_pages_served;
-    run.dedup_mismatches += ps.cache_hash_rejects;
-    run.dedup_mismatches += backer.confirm_mismatches();
-    if (PageService* service = bed.page_service(i)) {
-      run.dedup_mismatches += service->cache().stats().hash_mismatches;
-    }
-    run.checkpoints += bed.manager(i)->checkpoints_sent();
-    run.restores += bed.manager(i)->restores_completed();
-  }
-  run.backer_detail = backer_detail.str();
-  return run;
-}
 
 // The fleet-scale half of a scenario: same topology, calibrations and
 // strategy, sized to finish quickly. Deliberately identical at both shard
@@ -254,47 +44,10 @@ ClusterConfig MakeFleetConfig(const FuzzScenario& sc, int shards, int threads) {
 
 }  // namespace
 
-std::string FuzzScenario::Describe() const {
-  std::ostringstream out;
-  out << "seed=" << seed << " hosts=" << host_count << " workload=" << workload
-      << " strategy=" << StrategyName(strategy) << " prefetch=" << prefetch << " dest="
-      << dest;
-  if (remigrate) {
-    out << " remigrate@" << remigrate_at << "->" << redest;
-  }
-  int calibrated = 0;
-  int diskless = 0;
-  for (const HostCalibration& cal : calibrations) {
-    calibrated += cal.identity() ? 0 : 1;
-    diskless += cal.diskless ? 1 : 0;
-  }
-  out << " calibrated=" << calibrated << "/" << host_count << " diskless=" << diskless;
-  if (content_cache) {
-    out << " cache=" << content_cache_pages;
-  }
-  if (checkpoint) {
-    out << " ckpt";
-  }
-  if (drop > 0.0 || duplicate > 0.0 || delay > 0.0 || reorder > 0.0) {
-    out << " lossy(drop=" << drop << ",dup=" << duplicate << ",delay=" << delay
-        << ",reorder=" << reorder << ")";
-  }
-  if (partition_transfer) {
-    out << " partition";
-  }
-  if (crash_dest) {
-    out << " crash=dest";
-  }
-  if (crash_source) {
-    out << " crash=source";
-  }
-  return out.str();
-}
-
 FuzzScenario MakeScenario(std::uint64_t seed) {
   FuzzScenario sc;
   sc.seed = seed;
-  Rng root(SplitMix(seed ^ 0x5cea4a10f0220000ull));
+  Rng root(SplitMix64(seed ^ 0x5cea4a10f0220000ull));
   Rng topo = root.Fork(1);
   Rng work = root.Fork(2);
   Rng fault = root.Fork(3);
@@ -380,7 +133,7 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   // Lossless baseline on the scenario's own topology + calibrations:
   // supplies the phase boundaries crash/partition windows anchor to, and
   // proves the scenario completes when the wire behaves.
-  MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed, /*reliable=*/false);
+  const MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed);
   if (!baseline.drained || !baseline.hop1_done || baseline.hop1.aborted ||
       !baseline.finished) {
     result.outcome = FailureOutcome::kHung;
@@ -393,62 +146,18 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
     failure << "baseline integrity mismatch;";
   }
 
-  MechRun run = baseline;
-  if (scenario.faulty()) {
-    FaultPlan plan;
-    plan.drop = scenario.drop;
-    plan.duplicate = scenario.duplicate;
-    plan.delay = scenario.delay;
-    plan.reorder = scenario.reorder;
-    const SimTime mid_transfer =
-        baseline.hop1.excise_done + (baseline.hop1.resumed - baseline.hop1.excise_done) / 2;
-    if (scenario.partition_transfer) {
-      // A transient source<->dest cut mid-transfer; the reliable transport
-      // must ride it out.
-      plan.partitions.push_back(LinkPartition{
-          HostId(1), HostId(static_cast<std::uint64_t>(scenario.dest + 1)), mid_transfer,
-          mid_transfer + Sec(1.0)});
-    }
-    if (scenario.crash_dest) {
-      plan.crashes.push_back(CrashWindow{
-          HostId(static_cast<std::uint64_t>(scenario.dest + 1)), mid_transfer, kFaultForever});
-    }
-    if (scenario.crash_source) {
-      // 30% into the baseline's remote execution: copy-on-reference debts
-      // are typically still outstanding.
-      const SimDuration remote_exec = baseline.finish - baseline.hop1.resumed;
-      plan.crashes.push_back(CrashWindow{
-          HostId(1), baseline.hop1.resumed + (remote_exec * 3) / 10, kFaultForever});
-    }
-    run = RunMech(scenario, plan, SplitMix(scenario.seed ^ 0xfa071ull), /*reliable=*/true);
-  }
-
+  const MechRun run = scenario.faulty()
+                          ? RunMech(scenario, PlantFaults(scenario, baseline),
+                                    SplitMix64(scenario.seed ^ 0xfa071ull))
+                          : baseline;
   result.remigrated = run.remigrate_fired;
 
-  // ---- classify (failure-sweep taxonomy) ---------------------------------
-  if (!run.drained) {
-    result.outcome = FailureOutcome::kHung;
-    result.hang = true;
-    failure << "hung;";
-  } else if (!run.hop1_done) {
-    result.outcome = FailureOutcome::kHung;
-    failure << "no migration verdict;";
-  } else if (run.hop1.aborted && !run.finished) {
-    result.outcome = FailureOutcome::kAborted;
-    result.rolled_back = run.hop1.rolled_back;
-  } else if (run.finished) {
-    result.outcome = run.hop1.aborted ? FailureOutcome::kAborted : FailureOutcome::kCompleted;
-    result.rolled_back = run.hop1.aborted && run.hop1.rolled_back;
-    result.integrity_ok = run.checksum == reference;
-    if (!result.integrity_ok) {
-      failure << "integrity mismatch;";
-    }
-  } else if (run.any_faulted) {
-    result.outcome = FailureOutcome::kTerminalFault;
-  } else {
-    result.outcome = FailureOutcome::kHung;
-    failure << "drained without completion or fault;";
-  }
+  const MechVerdict verdict = Classify(run, reference);
+  result.outcome = verdict.outcome;
+  result.rolled_back = verdict.rolled_back;
+  result.integrity_ok = verdict.integrity_ok;
+  result.hang = !run.drained;
+  failure << verdict.failure;
 
   // ---- backer balance (crash-free scenarios only: a crashed host cannot
   // be expected to have settled its books) --------------------------------
@@ -537,24 +246,15 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
 }
 
 FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count, int threads) {
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
   const PageCounterSnapshot before = ReadPageCounters();
 
-  // One slot per seed; every scenario owns private simulations, so thread
-  // count and scheduling cannot reach any result.
-  std::vector<std::optional<FuzzScenarioResult>> slots(static_cast<std::size_t>(count));
-  ParallelFor(threads, static_cast<std::size_t>(count), [&](std::size_t i) {
-    slots[i] = RunScenario(first_seed + i);
-  });
-
+  // Every scenario owns private simulations, so thread count and
+  // scheduling cannot reach any result.
   FuzzCorpusResult corpus;
   corpus.scenarios = count;
-  corpus.results.reserve(slots.size());
-  for (std::optional<FuzzScenarioResult>& slot : slots) {
-    ACCENT_CHECK(slot.has_value()) << " fuzz scenario slot never filled";
-    const FuzzScenarioResult& r = *slot;
+  corpus.results = ParallelMap(threads, static_cast<std::size_t>(count),
+                               [first_seed](std::size_t i) { return RunScenario(first_seed + i); });
+  for (const FuzzScenarioResult& r : corpus.results) {
     switch (r.outcome) {
       case FailureOutcome::kCompleted:
         ++corpus.completed;
@@ -592,7 +292,6 @@ FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count, in
       ACCENT_LOG(kError) << "fuzz: replay with: tools/migrate_sim --replay-seed="
                          << r.scenario.seed;
     }
-    corpus.results.push_back(std::move(*slot));
   }
 
   const PageCounterSnapshot after = ReadPageCounters();

@@ -44,58 +44,9 @@
 #include <vector>
 
 #include "src/base/json.h"
-#include "src/experiments/failure_sweep.h"
-#include "src/host/calibration.h"
-#include "src/migration/strategy.h"
-#include "src/net/fault.h"
+#include "src/experiments/scenario.h"
 
 namespace accent {
-
-struct FuzzScenario {
-  std::uint64_t seed = 0;
-
-  // Topology: hosts carry ids 1..host_count; the workload starts on index 0.
-  int host_count = 2;
-  std::vector<HostCalibration> calibrations;
-
-  // Workload + transfer.
-  std::string workload = "Minprog";
-  TransferStrategy strategy = TransferStrategy::kPureCopy;
-  std::uint32_t prefetch = 0;
-  int dest = 1;  // first-hop destination host index
-
-  // Content-addressed page cache (drawn independently of the other menus so
-  // cache-on and cache-off runs of the same seed share everything else).
-  bool content_cache = false;
-  std::int64_t content_cache_pages = 512;
-
-  // Durable checkpoint store (docs/INTERNALS.md §16), on its own fork for
-  // the same reason: legacy seed streams are untouched. Forced off when
-  // every host is diskless (nothing could anchor the store).
-  bool checkpoint = false;
-
-  // Optional mid-trial re-migration to a third host.
-  bool remigrate = false;
-  int redest = -1;
-  double remigrate_at = 0.5;  // fraction of the trace remaining at `dest`
-
-  // Wire mistreatment. Crash/partition windows are planted at phase
-  // boundaries from the scenario's lossless baseline at run time.
-  double drop = 0.0;
-  double duplicate = 0.0;
-  double delay = 0.0;
-  double reorder = 0.0;
-  bool partition_transfer = false;  // transient source<->dest cut mid-transfer
-  bool crash_dest = false;          // first-hop destination dies for good
-  bool crash_source = false;        // source dies mid-remote-execution
-
-  bool faulty() const {
-    return drop > 0.0 || duplicate > 0.0 || delay > 0.0 || reorder > 0.0 ||
-           partition_transfer || crash_dest || crash_source;
-  }
-  // One-line human summary (for logs and JSON).
-  std::string Describe() const;
-};
 
 // Deterministically derives seed -> scenario. Same seed, same scenario.
 FuzzScenario MakeScenario(std::uint64_t seed);
@@ -130,8 +81,10 @@ struct FuzzScenarioResult {
   bool ok() const { return failure.empty(); }
 };
 
-// Runs one scenario end to end: lossless baseline, faulty mechanistic
-// trial, and the 1-vs-2-shard fleet identity check.
+// Runs one scenario end to end through the shared runner (scenario.h): the
+// content reference, the lossless baseline, the faulty run with its
+// windows planted at the baseline's phase boundaries, the classification,
+// the oracles, and the 1-vs-2-shard fleet identity check.
 FuzzScenarioResult RunScenario(const FuzzScenario& scenario);
 FuzzScenarioResult RunScenario(std::uint64_t seed);
 
@@ -164,7 +117,7 @@ struct FuzzCorpusResult {
 };
 
 // Runs seeds [first_seed, first_seed + count) across up to `threads`
-// workers (<= 0 picks a conservative default). Results in seed order,
+// workers (<= 0 picks SweepThreadCount()). Results in seed order,
 // byte-identical at any thread count. Each failing scenario is logged with
 // its --replay-seed line.
 FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count,

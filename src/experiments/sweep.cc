@@ -1,10 +1,7 @@
 #include "src/experiments/sweep.h"
 
 #include <cstdlib>
-#include <optional>
-#include <utility>
 
-#include "src/base/check.h"
 #include "src/base/thread_pool.h"
 
 namespace accent {
@@ -45,22 +42,8 @@ std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
 }
 
 std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs, int threads) {
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
-  // Results land in per-index slots, so completion order (which depends on
-  // scheduling) never affects output order.
-  std::vector<std::optional<TrialResult>> slots(configs.size());
-  ParallelFor(threads, configs.size(),
-              [&configs, &slots](std::size_t i) { slots[i] = RunTrial(configs[i]); });
-
-  std::vector<TrialResult> results;
-  results.reserve(configs.size());
-  for (std::optional<TrialResult>& slot : slots) {
-    ACCENT_CHECK(slot.has_value()) << " trial slot never filled";
-    results.push_back(std::move(*slot));
-  }
-  return results;
+  return ParallelMap(threads, configs.size(),
+                     [&configs](std::size_t i) { return RunTrial(configs[i]); });
 }
 
 std::vector<TrialResult> RunStrategySweepParallel(const std::string& workload,

@@ -11,9 +11,14 @@
 #ifndef SRC_EXPERIMENTS_SWEEP_H_
 #define SRC_EXPERIMENTS_SWEEP_H_
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/check.h"
+#include "src/base/thread_pool.h"
 #include "src/experiments/trial.h"
 
 namespace accent {
@@ -21,6 +26,27 @@ namespace accent {
 // Thread count for sweeps: the ACCENT_SWEEP_THREADS environment variable if
 // set to a positive integer, otherwise hardware_concurrency; always >= 1.
 int SweepThreadCount();
+
+// Runs fn(i) for every i in [0, count) across up to `threads` workers
+// (<= 0 = SweepThreadCount()) and returns the results in index order. Each
+// result lands in its own slot, so completion order (which depends on
+// scheduling) never reaches the output: with independent iterations the
+// result is byte-identical at any thread count.
+template <typename Fn>
+auto ParallelMap(int threads, std::size_t count, Fn fn)
+    -> std::vector<decltype(fn(std::size_t{0}))> {
+  using Result = decltype(fn(std::size_t{0}));
+  std::vector<std::optional<Result>> slots(count);
+  ParallelFor(threads > 0 ? threads : SweepThreadCount(), count,
+              [&slots, &fn](std::size_t i) { slots[i] = fn(i); });
+  std::vector<Result> results;
+  results.reserve(count);
+  for (std::optional<Result>& slot : slots) {
+    ACCENT_CHECK(slot.has_value()) << " sweep slot never filled";
+    results.push_back(std::move(*slot));
+  }
+  return results;
+}
 
 // The paper's full grid for one workload: pure-copy once (it ignores
 // prefetch), then {pure-IOU, resident-set} x kPaperPrefetchValues.

@@ -63,6 +63,8 @@ struct PreCopyConfig {
   // set) meets the target, or when a round stops shrinking the dirty set —
   // more rounds can then only waste bytes, never meet the SLO sooner.
   SimDuration target_downtime{0};
+
+  bool operator==(const PreCopyConfig&) const = default;
 };
 
 // Destination-side timing report.

@@ -141,8 +141,7 @@ TEST(CheckpointTest, RestoreFlipsSourceCrashTerminalToCompleted) {
 
   // Store off: the classic matrix's terminal residual-dependency cell (the
   // crashed origin still owes copy-on-reference pages).
-  const FailureBaseline off_base =
-      RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
+  const MechRun off_base = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
   const FailureTrialResult off = RunFailureTrial("Minprog", TransferStrategy::kPureIou,
                                                  *source_crash, off_base, 42);
   EXPECT_EQ(off.outcome, FailureOutcome::kTerminalFault);
@@ -150,12 +149,11 @@ TEST(CheckpointTest, RestoreFlipsSourceCrashTerminalToCompleted) {
 
   // Store on: the dead-backer fault triggers a restore from the checkpoint
   // image and the process finishes with intact contents.
-  FailureSweepOptions options;
-  options.checkpoint_store = true;
-  const FailureBaseline on_base =
-      RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42, options);
+  const MechRun on_base = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42,
+                                             /*checkpoint_store=*/true);
   const FailureTrialResult on = RunFailureTrial("Minprog", TransferStrategy::kPureIou,
-                                                *source_crash, on_base, 42, options);
+                                                *source_crash, on_base, 42,
+                                                /*checkpoint_store=*/true);
   EXPECT_EQ(on.outcome, FailureOutcome::kCompleted);
   EXPECT_TRUE(on.restored);
   EXPECT_TRUE(on.integrity_ok);

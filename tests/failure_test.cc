@@ -199,11 +199,9 @@ TEST(MigrationRollback, DestinationCrashMidInsertRollsBackSource) {
   // the peer is gone, abort, and restore the process runnable at home from
   // its retained context copies. Crash placement comes from a lossless
   // baseline of the same trial.
-  const FailureBaseline baseline =
-      RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
-  ASSERT_GT(baseline.migration.insert_time.count(), 0);
-  const SimTime mid_insert =
-      baseline.migration.resumed - baseline.migration.insert_time / 2;
+  const MechRun baseline = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
+  ASSERT_GT(baseline.hop1.insert_time.count(), 0);
+  const SimTime mid_insert = baseline.hop1.resumed - baseline.hop1.insert_time / 2;
 
   TestbedConfig config;
   config.costs.migration_abort_timeout = Sec(30.0);  // keep the test brisk

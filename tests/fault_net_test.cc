@@ -151,19 +151,20 @@ TEST_P(LossyPlanProperty, AnyLossyPlanCompletesByteIdentical) {
 
   FailureScenario scenario;
   scenario.name = "random";
-  scenario.drop = 0.01 + 0.07 * rng.NextDouble();
-  scenario.duplicate = 0.08 * rng.NextDouble();
-  scenario.delay = 0.25 * rng.NextDouble();
-  scenario.reorder = 0.30 * rng.NextDouble();
+  scenario.faults.drop = 0.01 + 0.07 * rng.NextDouble();
+  scenario.faults.duplicate = 0.08 * rng.NextDouble();
+  scenario.faults.delay = 0.25 * rng.NextDouble();
+  scenario.faults.reorder = 0.30 * rng.NextDouble();
 
   const std::vector<WorkloadSpec>& workloads = RepresentativeWorkloads();
   const std::string workload = workloads[rng.NextBelow(workloads.size())].name;
   const auto strategy = static_cast<TransferStrategy>(rng.NextBelow(3));
   SCOPED_TRACE(workload + "/" + StrategyName(strategy) + " drop=" +
-               std::to_string(scenario.drop) + " dup=" + std::to_string(scenario.duplicate) +
-               " reorder=" + std::to_string(scenario.reorder));
+               std::to_string(scenario.faults.drop) + " dup=" +
+               std::to_string(scenario.faults.duplicate) +
+               " reorder=" + std::to_string(scenario.faults.reorder));
 
-  const FailureBaseline baseline = RunFailureBaseline(workload, strategy, seed);
+  const MechRun baseline = RunFailureBaseline(workload, strategy, seed);
   const FailureTrialResult trial =
       RunFailureTrial(workload, strategy, scenario, baseline, seed);
 
@@ -180,7 +181,7 @@ TEST(LossyTransport, RetriesAndDedupDoRealWork) {
   // duplicates suppressed at the receiver — and still land intact.
   FailureScenario lossy = FailureScenarios()[1];
   ASSERT_EQ(lossy.name, "lossy5");
-  const FailureBaseline baseline =
+  const MechRun baseline =
       RunFailureBaseline("Lisp-Del", TransferStrategy::kPureCopy, 42);
   const FailureTrialResult trial =
       RunFailureTrial("Lisp-Del", TransferStrategy::kPureCopy, lossy, baseline, 42);
@@ -197,11 +198,11 @@ TEST(LossyTransport, RetriesAndDedupDoRealWork) {
 
 TEST(CrashScenarios, DestinationCrashAbortsAndRollsBack) {
   const FailureScenario& dest_crash = FailureScenarios()[2];
-  ASSERT_TRUE(dest_crash.crash_dest);
+  ASSERT_TRUE(dest_crash.faults.crash_dest);
   for (TransferStrategy strategy : {TransferStrategy::kPureCopy, TransferStrategy::kPureIou,
                                     TransferStrategy::kResidentSet}) {
     SCOPED_TRACE(StrategyName(strategy));
-    const FailureBaseline baseline = RunFailureBaseline("PM-Mid", strategy, 42);
+    const MechRun baseline = RunFailureBaseline("PM-Mid", strategy, 42);
     const FailureTrialResult trial =
         RunFailureTrial("PM-Mid", strategy, dest_crash, baseline, 42);
     EXPECT_EQ(trial.outcome, FailureOutcome::kAborted);
@@ -215,11 +216,11 @@ TEST(CrashScenarios, DestinationCrashAbortsAndRollsBack) {
 
 TEST(CrashScenarios, SourceCrashIsTerminalFaultForIouButSurvivedByPureCopy) {
   const FailureScenario& source_crash = FailureScenarios()[3];
-  ASSERT_TRUE(source_crash.crash_source);
+  ASSERT_TRUE(source_crash.faults.crash_source);
 
   // Pure-copy carries no residual dependency: the source's death after
   // resumption must be invisible.
-  const FailureBaseline copy_base =
+  const MechRun copy_base =
       RunFailureBaseline("PM-Mid", TransferStrategy::kPureCopy, 42);
   const FailureTrialResult copy_trial =
       RunFailureTrial("PM-Mid", TransferStrategy::kPureCopy, source_crash, copy_base, 42);
@@ -228,7 +229,7 @@ TEST(CrashScenarios, SourceCrashIsTerminalFaultForIouButSurvivedByPureCopy) {
 
   // Pure-IOU owes every page to the dead source: the next fetch can never
   // be satisfied and must surface as a terminal fault — not a hang.
-  const FailureBaseline iou_base =
+  const MechRun iou_base =
       RunFailureBaseline("PM-Mid", TransferStrategy::kPureIou, 42);
   const FailureTrialResult iou_trial =
       RunFailureTrial("PM-Mid", TransferStrategy::kPureIou, source_crash, iou_base, 42);
@@ -243,9 +244,9 @@ TEST(FailureMatrixTest, ScenarioGridIsStable) {
   ASSERT_EQ(scenarios.size(), 4u);
   EXPECT_EQ(scenarios[0].name, "drop2");
   EXPECT_EQ(scenarios[1].name, "lossy5");
-  EXPECT_DOUBLE_EQ(scenarios[1].drop, 0.05);
-  EXPECT_DOUBLE_EQ(scenarios[1].duplicate, 0.05);
-  EXPECT_GT(scenarios[1].reorder, 0.0);
+  EXPECT_DOUBLE_EQ(scenarios[1].faults.drop, 0.05);
+  EXPECT_DOUBLE_EQ(scenarios[1].faults.duplicate, 0.05);
+  EXPECT_GT(scenarios[1].faults.reorder, 0.0);
   EXPECT_EQ(scenarios[2].name, "dest_crash");
   EXPECT_EQ(scenarios[3].name, "source_crash");
 }

@@ -19,6 +19,7 @@
 #include "src/experiments/sweep.h"
 #include "src/experiments/sweep_cache.h"
 #include "src/workloads/workload.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
@@ -27,16 +28,8 @@ namespace {
 // the expectation left blank and recording the reported digest.
 constexpr std::uint64_t kGoldenSweepDigest = 0x5798e77cf186ffd8ull;
 
-std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 TEST(GoldenSweep, FullGridDigestMatchesPreRefactorValue) {
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64-bit offset basis
+  std::uint64_t digest = kFnv1aOffsetBasis;
   std::size_t trials = 0;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
     const std::vector<TrialConfig> configs = StrategySweepConfigs(spec.name);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/experiments/chain.h"
+#include "src/experiments/scenario.h"
 #include "src/experiments/testbed.h"
 #include "src/net/page_service.h"
 #include "src/workloads/workload.h"

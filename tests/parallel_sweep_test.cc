@@ -18,9 +18,17 @@
 #include "src/experiments/sweep_cache.h"
 #include "src/experiments/trial.h"
 #include "src/workloads/workload.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
+
+// FNV-1a digests of the serial report dumps, recorded before the failure,
+// chain, pre-copy and fuzz families moved onto the shared scenario runner
+// (src/experiments/scenario.h): any change to a simulated number, verdict
+// or key in these reports moves the digest.
+constexpr std::uint64_t kFailureMatrixDigest = 0x365165bd114f6093ull;
+constexpr std::uint64_t kMinprogChainDigest = 0xd0383cf6d7f02a0full;
 
 // Field-by-field equality for every metric the evaluation reports. Exact
 // (==) on purpose: the engines must agree bit-for-bit, not approximately.
@@ -142,6 +150,8 @@ TEST(ParallelSweep, FailureMatrixIsByteIdenticalAcross1And2And8Threads) {
     if (reference.empty()) {
       reference = dump;
       EXPECT_NE(reference.find("\"hung\": 0"), std::string::npos);
+      EXPECT_EQ(Fnv1aDigest(reference), kFailureMatrixDigest)
+          << "failure matrix changed: new digest 0x" << std::hex << Fnv1aDigest(reference);
     } else {
       EXPECT_EQ(dump, reference) << "threads=" << threads;
     }
@@ -156,6 +166,8 @@ TEST(ParallelSweep, ChainSweepIsByteIdenticalAcross1And2And8Threads) {
   const std::vector<ChainTrialConfig> configs = ChainSweepConfigs("Minprog", 42);
   const std::string serial = ChainSweepToJson(RunChainTrials(configs, 1), {}).Dump(2);
   EXPECT_NE(serial.find("\"hung\": 0"), std::string::npos);
+  EXPECT_EQ(Fnv1aDigest(serial), kMinprogChainDigest)
+      << "chain sweep changed: new digest 0x" << std::hex << Fnv1aDigest(serial);
   EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 2), {}).Dump(2), serial);
   EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 8), {}).Dump(2), serial);
 }
@@ -219,17 +231,11 @@ TEST(ParallelSweep, GoldenDigestHoldsWithShardKnobSet) {
   // 77-trial digest (tests/golden_sweep_test.cc) must be unreachable by the
   // knob. Same digest constant, same FNV-1a fold, knob set the whole time.
   ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "1", 1), 0);
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
-  auto fold = [&digest](const std::string& text) {
-    for (unsigned char c : text) {
-      digest ^= c;
-      digest *= 1099511628211ull;
-    }
-  };
+  std::uint64_t digest = kFnv1aOffsetBasis;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
     for (const TrialResult& result : RunTrials(StrategySweepConfigs(spec.name))) {
-      fold(TrialResultToJson(result).Dump());
-      fold("\n");
+      digest = Fnv1a(digest, TrialResultToJson(result).Dump());
+      digest = Fnv1a(digest, "\n");
     }
   }
   EXPECT_EQ(digest, 0x5798e77cf186ffd8ull)

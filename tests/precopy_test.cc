@@ -5,9 +5,14 @@
 
 #include "src/experiments/precopy.h"
 #include "src/experiments/testbed.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
+
+// FNV-1a digest of the serial BENCH_precopy.json dump, recorded before the
+// pre-copy grid moved onto the shared scenario runner.
+constexpr std::uint64_t kPreCopySweepDigest = 0xf1e0fe57ee1d16f6ull;
 
 class PreCopyTest : public ::testing::Test {
  protected:
@@ -266,6 +271,9 @@ TEST_F(PreCopyTest, SweepIsThreadCountInvariant) {
   }
   EXPECT_EQ(t1.completed, t1.cells.size());
   EXPECT_EQ(t1.hung, 0u);
+  const std::string dump = PreCopySweepToJson(t1).Dump();
+  EXPECT_EQ(Fnv1aDigest(dump), kPreCopySweepDigest)
+      << "pre-copy sweep changed: new digest 0x" << std::hex << Fnv1aDigest(dump);
 }
 
 TEST_F(PreCopyTest, RoundsAreAcknowledgedFlowControl) {

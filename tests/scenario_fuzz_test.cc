@@ -7,9 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "src/experiments/scenario_fuzz.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
+
+// FNV-1a digest of the serial JSON dump of seeds 1..8, recorded before the
+// fuzzer's runner became the shared scenario runner: MakeScenario's seed
+// streams and every verdict are pinned.
+constexpr std::uint64_t kCorpusDigest = 0xe576cb5f905dc9d8ull;
 
 class ScenarioFuzzCorpus : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -42,6 +48,8 @@ TEST(ScenarioFuzz, CorpusJsonIsThreadCountInvariant) {
   const Json sequential = FuzzCorpusToJson(RunFuzzCorpus(1, 8, /*threads=*/1));
   const Json parallel = FuzzCorpusToJson(RunFuzzCorpus(1, 8, /*threads=*/4));
   EXPECT_EQ(sequential.Dump(), parallel.Dump());
+  EXPECT_EQ(Fnv1aDigest(sequential.Dump()), kCorpusDigest)
+      << "fuzz corpus changed: new digest 0x" << std::hex << Fnv1aDigest(sequential.Dump());
 }
 
 // The generator must keep exercising the interesting corners: across a

@@ -40,8 +40,7 @@ void PrintUsage() {
       "  --no-iou-caching       disable NetMsgServer IOU substitution\n"
       "  --content-cache        enable the content-addressed page service\n"
       "                         (capacity: ACCENT_CONTENT_CACHE_PAGES, default 4096)\n"
-      "  --checkpoint           enable the durable checkpoint store (also via\n"
-      "                         ACCENT_CHECKPOINT_STORE=1)\n"
+      "  --checkpoint           enable the durable checkpoint store\n"
       "  --trace-out=FILE       write a Chrome-trace JSON of the trial (Perfetto)\n"
       "  --trace-verbose        also record per-fragment / per-dispatch events\n"
       "  --series               print the byte transfer-rate series\n"
@@ -108,11 +107,6 @@ int Run(int argc, char** argv) {
   bool sweep = false;
   std::string trace_out;
   bool trace_verbose = false;
-
-  if (const char* env = std::getenv("ACCENT_CHECKPOINT_STORE");
-      env != nullptr && std::strcmp(env, "0") != 0 && env[0] != '\0') {
-    config.checkpoint = true;
-  }
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
