@@ -1,12 +1,14 @@
 // Simulates the 77-trial paper grid in parallel and folds it into
 // BENCH_sweep.json: per-trial summary rows plus the aggregated metrics
-// registry (checked by tools/check_bench, consumed by
+// registry, Figure 4-5's Lisp-Del series and the section 4.3.3 fault
+// latencies (checked by tools/check_bench, rendered by
 // tools/render_results).
 //
 // Usage: run_all [--threads N] [--seed N] [--out FILE]
 //   --threads   worker threads (default: ACCENT_SWEEP_THREADS or hardware)
 //   --seed      trial seed (default 42, the grid every binary uses)
 //   --out       sweep summary JSON path (default BENCH_sweep.json)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,11 +18,123 @@
 #include "bench/bench_util.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
+#include "src/experiments/testbed.h"
 #include "src/metrics/gates.h"
 #include "src/metrics/registry.h"
+#include "src/vm/backer.h"
 
 namespace accent {
 namespace {
+
+// Figure 4-5 plots Lisp-Del's prefetch-0 traffic in 2.5 s buckets; each is
+// whole 500 ms grid buckets summed, so the figure needs no trials of its own.
+constexpr SimDuration kFigure45Bucket = Ms(2500);
+
+Json Figure45Series(const TrialResult& trial) {
+  ACCENT_CHECK(kFigure45Bucket % trial.series_bucket == SimDuration::zero());
+  const std::size_t merge = static_cast<std::size_t>(kFigure45Bucket / trial.series_bucket);
+  Json buckets{Json::Array{}};
+  for (std::size_t first = 0; first < trial.series.size(); first += merge) {
+    ByteCount fault = 0;
+    ByteCount other = 0;
+    for (std::size_t i = first; i < std::min(first + merge, trial.series.size()); ++i) {
+      for (std::size_t k = 0; k < trial.series[i].bytes.size(); ++k) {
+        (k == static_cast<std::size_t>(TrafficKind::kFaultData) ? fault : other) +=
+            trial.series[i].bytes[k];
+      }
+    }
+    Json bucket{Json::Object{}};
+    bucket["start_us"] = Json(trial.series[first].start.count());
+    bucket["fault_bytes"] = Json(fault);
+    bucket["other_bytes"] = Json(other);
+    buckets.Append(std::move(bucket));
+  }
+  Json row{Json::Object{}};
+  row["strategy"] = Json(StrategyName(trial.config.strategy));
+  row["finished_us"] = Json(trial.finished.count());
+  row["buckets"] = std::move(buckets);
+  return row;
+}
+
+// The Lisp-Del grid's prefetch-0 pure-IOU, resident-set and pure-copy
+// trials, in the figure's order.
+Json Figure45Block(const std::vector<TrialResult>& lisp_del) {
+  Json block{Json::Object{}};
+  block["workload"] = Json("Lisp-Del");
+  block["bucket_us"] = Json(kFigure45Bucket.count());
+  Json series{Json::Array{}};
+  for (TransferStrategy strategy : {TransferStrategy::kPureIou, TransferStrategy::kResidentSet,
+                                    TransferStrategy::kPureCopy}) {
+    const auto it = std::find_if(lisp_del.begin(), lisp_del.end(), [&](const TrialResult& r) {
+      return r.config.strategy == strategy && r.config.prefetch == 0;
+    });
+    ACCENT_CHECK(it != lisp_del.end()) << " missing Lisp-Del " << StrategyName(strategy);
+    series.Append(Figure45Series(*it));
+    if (strategy == TransferStrategy::kPureCopy) {
+      block["copy_resumed_us"] = Json(it->migration.resumed.count());
+    }
+  }
+  block["series"] = std::move(series);
+  return block;
+}
+
+// Section 4.3.3's fault-latency lab: host 0 faults on a disk-backed real
+// region, a fill-zero region and an imaginary region backed on host 1.
+struct FaultLab {
+  Testbed bed;
+  std::unique_ptr<SegmentBacker> remote_backer;
+  std::unique_ptr<AddressSpace> space;
+
+  FaultLab() {
+    space = std::make_unique<AddressSpace>(SpaceId(bed.sim().AllocateId()), bed.host(0)->id);
+
+    Segment* image = bed.segments().CreateReal(1024 * kPageSize, "lab-image");
+    for (PageIndex p = 0; p < 1024; ++p) {
+      image->StorePage(p, MakePatternPage(p + 1));
+    }
+
+    remote_backer = std::make_unique<SegmentBacker>(bed.host(1)->id, &bed.sim(), &bed.costs(),
+                                                    &bed.fabric(), &bed.segments(),
+                                                    CpuWork::kProcess, "lab-backer");
+    remote_backer->Start();
+
+    // Layout: [0,1024) disk-backed real, [1024,2048) zero, [2048,3072)
+    // imaginary backed on host 1.
+    space->MapReal(0, 1024 * kPageSize, image, 0, /*copy_on_write=*/false);
+    space->Validate(1024 * kPageSize, 2048 * kPageSize);
+    Segment* remote_obj = bed.segments().CreateReal(1024 * kPageSize, "lab-remote");
+    for (PageIndex p = 0; p < 1024; ++p) {
+      remote_obj->StorePage(p, MakePatternPage(p + 5000));
+    }
+    const IouRef iou = remote_backer->Back(remote_obj);
+    Segment* standin = bed.segments().CreateImaginary(1024 * kPageSize, iou, "lab-standin");
+    space->MapImaginary(2048 * kPageSize, 3072 * kPageSize, standin, 0);
+  }
+
+  // Returns simulated latency of touching `addr`.
+  SimDuration Touch(Addr addr) {
+    const SimTime start = bed.sim().Now();
+    SimTime done_at = start;
+    bool done = false;
+    bed.pager(0)->Access(space.get(), addr, /*write=*/false, [&](const AccessOutcome&) {
+      done_at = bed.sim().Now();
+      done = true;
+    });
+    bed.sim().Run();
+    ACCENT_CHECK(done);
+    return done_at - start;
+  }
+};
+
+Json FaultAnchors() {
+  FaultLab lab;
+  Json anchors{Json::Object{}};
+  anchors["fillzero_us"] = Json(lab.Touch(1024 * kPageSize).count());
+  anchors["disk_us"] = Json(lab.Touch(0).count());
+  anchors["imaginary_us"] = Json(lab.Touch(2048 * kPageSize).count());
+  anchors["resident_us"] = Json(lab.Touch(0).count());  // second touch: already resident
+  return anchors;
+}
 
 int Main(int argc, char** argv) {
   int threads = 0;
@@ -49,6 +163,7 @@ int Main(int argc, char** argv) {
   MetricsRegistry metrics;
   Json trial_rows{Json::Array{}};
   Json workloads{Json::Array{}};
+  Json figure_4_5;
   for (const std::string& name : RepresentativeNames()) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<TrialResult> results = RunTrials(StrategySweepConfigs(name, seed), threads);
@@ -58,6 +173,9 @@ int Main(int argc, char** argv) {
     for (const TrialResult& result : results) {
       FoldTrialMetrics(result, &metrics);
       trial_rows.Append(TrialSummaryToJson(result));
+    }
+    if (name == "Lisp-Del") {
+      figure_4_5 = Figure45Block(results);
     }
     std::printf("  %-10s %3zu trials  %8.1f ms\n", name.c_str(), results.size(),
                 std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -97,7 +215,7 @@ int Main(int argc, char** argv) {
 
   Json root{Json::Object{}};
   root["bench"] = Json("sweep");
-  root["schema_version"] = Json(2);
+  root["schema_version"] = Json(3);
   root["rs_zero_scan_per_mb_us"] = Json(static_cast<std::int64_t>(rs_zero_scan.count()));
   root["rs_calibrated"] = std::move(rs_rows);
   root["seed"] = Json(seed);
@@ -105,6 +223,8 @@ int Main(int argc, char** argv) {
   root["workloads"] = std::move(workloads);
   root["metrics"] = metrics.ToJson();
   root["trials"] = std::move(trial_rows);
+  root["figure_4_5"] = std::move(figure_4_5);
+  root["fault_anchors"] = FaultAnchors();
   AddGate(&root, "trial_count", static_cast<std::uint64_t>(trials), ">", 0);
   return WriteReport(root, out);
 }

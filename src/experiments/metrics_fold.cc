@@ -87,8 +87,10 @@ Json TrialSummaryToJson(const TrialResult& result) {
 
   json["netmsg_busy_us"] = Json(result.netmsg_busy.count());
   json["remote_exec_us"] = Json(result.remote_exec.count());
+  json["transfer_plus_exec_us"] = Json(result.TransferPlusExec().count());
   json["dest_imag_faults"] = Json(result.dest_pager.imag_faults);
   json["dest_imag_pages_fetched"] = Json(result.dest_pager.imag_pages_fetched);
+  json["dest_prefetched_pages"] = Json(result.dest_pager.prefetched_pages);
   json["dest_prefetch_hits"] = Json(result.dest_pager.prefetch_hits);
   return json;
 }

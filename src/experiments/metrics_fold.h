@@ -31,9 +31,10 @@ void FoldTrialMetrics(const TrialResult& result, MetricsRegistry* registry);
 void FoldDedupMetrics(const DedupResult& result, MetricsRegistry* registry);
 
 // Compact one-object-per-trial summary for BENCH_sweep.json: the fields the
-// paper tables are computed from (spec composition, excision/transfer/insert
-// timings, byte traffic, destination fault counts), WITHOUT the bulky
-// traffic series that the full TrialResultToJson row carries.
+// paper's tables and figures are computed from (spec composition,
+// excision/transfer/insert timings, byte traffic, remote execution, destination
+// fault and prefetch counts), WITHOUT the bulky traffic series that the full
+// TrialResultToJson row carries.
 // tools/render_results consumes exactly this shape.
 Json TrialSummaryToJson(const TrialResult& result);
 

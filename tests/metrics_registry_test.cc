@@ -117,12 +117,13 @@ TEST(MetricsRegistry, JsonRoundTrip) {
 
 TEST(MetricsRegistry, TrialSummaryCarriesTableFields) {
   TrialConfig config;
-  config.workload = "Minprog";
+  config.workload = "Lisp-Del";
   config.strategy = TransferStrategy::kResidentSet;
+  config.prefetch = 1;
   const TrialResult result = RunTrial(config);
   const Json row = TrialSummaryToJson(result);
 
-  EXPECT_EQ(row.Get("workload").AsString(), "Minprog");
+  EXPECT_EQ(row.Get("workload").AsString(), "Lisp-Del");
   EXPECT_EQ(row.Get("strategy").AsString(), "resident-set");
   EXPECT_EQ(row.Get("spec_resident_bytes").AsUint64(), result.spec.resident_bytes);
   EXPECT_EQ(row.Get("downtime_us").AsInt64(), result.migration.Downtime().count());
@@ -130,6 +131,9 @@ TEST(MetricsRegistry, TrialSummaryCarriesTableFields) {
             result.migration.RimasTransferTime().count());
   EXPECT_DOUBLE_EQ(row.Get("frac_real_transferred").AsDouble(),
                    result.FractionOfRealTransferred());
+  EXPECT_EQ(row.Get("transfer_plus_exec_us").AsInt64(), result.TransferPlusExec().count());
+  EXPECT_GT(result.dest_pager.prefetched_pages, 0u);
+  EXPECT_EQ(row.Get("dest_prefetched_pages").AsUint64(), result.dest_pager.prefetched_pages);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

@@ -1,6 +1,7 @@
 // Report/CSV rendering tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/experiments/report.h"
@@ -80,6 +81,37 @@ TEST(Report, SeriesCsvSumsToTotals) {
   }
   EXPECT_EQ(fault, trial.bytes_fault);
   EXPECT_EQ(fault + other, trial.bytes_total);
+}
+
+// BENCH_sweep.json's Figure 4-5 series sums five 500 ms grid buckets into
+// each 2.5 s bucket. That equals a 2.5 s recorder only if every byte lands in
+// the coarse bucket that holds its fine one, and the bucket width changes
+// nothing else about the trial.
+TEST(Report, CoarseSeriesIsFineSeriesSummed) {
+  for (TransferStrategy strategy : {TransferStrategy::kPureIou, TransferStrategy::kResidentSet,
+                                    TransferStrategy::kPureCopy}) {
+    TrialConfig config;
+    config.workload = "Lisp-Del";
+    config.strategy = strategy;
+    const TrialResult fine = RunTrial(config);
+    config.traffic_bucket = Ms(2500);
+    const TrialResult coarse = RunTrial(config);
+    ASSERT_EQ(fine.series_bucket * 5, coarse.series_bucket);
+    ASSERT_EQ(coarse.series.size(), (fine.series.size() + 4) / 5) << StrategyName(strategy);
+    for (std::size_t i = 0; i < coarse.series.size(); ++i) {
+      EXPECT_EQ(coarse.series[i].start, fine.series[5 * i].start);
+      for (std::size_t k = 0; k < coarse.series[i].bytes.size(); ++k) {
+        ByteCount sum = 0;
+        for (std::size_t j = 5 * i; j < std::min(5 * i + 5, fine.series.size()); ++j) {
+          sum += fine.series[j].bytes[k];
+        }
+        EXPECT_EQ(coarse.series[i].bytes[k], sum)
+            << StrategyName(strategy) << " bucket " << i << " kind " << k;
+      }
+    }
+    EXPECT_EQ(coarse.finished, fine.finished);
+    EXPECT_EQ(coarse.migration.resumed, fine.migration.resumed);
+  }
 }
 
 }  // namespace

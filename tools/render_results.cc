@@ -1,19 +1,22 @@
 // render_results: turns BENCH_*.json into docs/RESULTS.md.
 //
-//   render_results --sweep build/BENCH_sweep.json --out docs/RESULTS.md
+//   render_results [--out FILE] REPORT...
+//   render_results --out docs/RESULTS.md build/BENCH_*.json
 //
-// Reads the sweep summary emitted by `run_all` (and, when given, the
-// failure, checkpoint, pre-copy, dedup and cluster reports) and renders the
-// paper-shaped result tables — Tables 4-1 .. 4-5, the failure matrix, the
-// fleet sweep — as Markdown, with the paper's published values alongside
-// ours. This is the only renderer of Tables 4-1 .. 4-5 and the only copy of
-// the paper's values for them.
+// Each REPORT is a BENCH_*.json file; its `bench` field places it in the
+// document's fixed section order, whatever order the files come in.
+// BENCH_sweep.json (from `run_all`) is required: it carries every number of
+// the paper's section 4 — Tables 4-1 .. 4-5, Figures 4-1 .. 4-5, the section
+// 4.3.3 fault latencies and the section 4.5 summary — rendered here in the
+// paper's shapes with its published values alongside ours. This is their
+// only renderer and the only copy of the paper's values. Every other report
+// gets its own section, each ending in the report's gates table.
 // The emitted file carries a template-version marker; the docs_check ctest
 // compares it against --print-template-version to catch a stale RESULTS.md.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -27,7 +30,7 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 9;
+constexpr int kTemplateVersion = 10;
 
 // -------------------------------------------------------------------------
 // Paper constants (Zayas, SOSP 1987); a value of -1 renders as "(n/a)" —
@@ -183,6 +186,15 @@ class SweepIndex {
 
   const Json& sweep() const { return sweep_; }
 
+  // The grid's workloads in run order (the paper's order).
+  std::vector<std::string> workloads() const {
+    std::vector<std::string> names;
+    for (const Json& name : sweep_.Get("workloads").AsArray()) {
+      names.push_back(name.AsString());
+    }
+    return names;
+  }
+
  private:
   static std::string Key(const std::string& workload, const std::string& strategy,
                          std::uint64_t prefetch) {
@@ -303,14 +315,10 @@ void RenderTable45(const SweepIndex& index, std::ostream& out) {
          "measured column carries — Lisp validates its whole 4 GB heap at "
          "birth, so partitioning its RIMAS walks ~4 GB of RealZero map.\n\n";
 
-  // Calibrated resident-set rows (fresh trials, not the cached grid);
-  // rendered as (n/a) when an older BENCH_sweep.json lacks the section.
+  // Calibrated resident-set rows (fresh trials, not the grid).
   std::map<std::string, double> rs_cal;
-  if (const Json* section = index.sweep().Find("rs_calibrated")) {
-    for (const Json& row : section->AsArray()) {
-      rs_cal[row.Get("workload").AsString()] =
-          row.Get("rimas_transfer_us").AsDouble() / 1e6;
-    }
+  for (const Json& row : index.sweep().Get("rs_calibrated").AsArray()) {
+    rs_cal[row.Get("workload").AsString()] = row.Get("rimas_transfer_us").AsDouble() / 1e6;
   }
 
   MdTable table({"Process", "Pure-IOU", "(paper)", "RS", "RS-cal", "(paper)", "Copy",
@@ -321,10 +329,9 @@ void RenderTable45(const SweepIndex& index, std::ostream& out) {
     const Json& iou = index.Find(row.name, "pure-IOU");
     const Json& rs = index.Find(row.name, "resident-set");
     const Json& copy = index.Find(row.name, "pure-copy");
-    const auto cal = rs_cal.find(row.name);
     table.AddRow({row.name, FormatSeconds(Seconds(iou, "rimas_transfer_us")),
                   Paper(row.iou), FormatSeconds(Seconds(rs, "rimas_transfer_us")),
-                  cal == rs_cal.end() ? "(n/a)" : FormatSeconds(cal->second, 1),
+                  FormatSeconds(rs_cal.at(row.name), 1),
                   Paper(row.rs, 1), FormatSeconds(Seconds(copy, "rimas_transfer_us"), 1),
                   Paper(row.copy, 1)});
     const double ratio = Seconds(copy, "rimas_transfer_us") / Seconds(iou, "rimas_transfer_us");
@@ -336,6 +343,326 @@ void RenderTable45(const SweepIndex& index, std::ostream& out) {
   out << table.ToString() << '\n';
   out << "Largest copy/IOU ratio: " << worst_name << " at " << FormatDouble(worst_ratio, 0)
       << "x (paper: Lisp-Del, ~1000x).\n\n";
+}
+
+// -------------------------------------------------------------------------
+// Figures 4-1 .. 4-5 and the section 4.3.3 / 4.5 summary. The paper charts
+// the figures without numbers, so their paper values are its prose anchors.
+
+// The paper's prefetch axis: pages prefetched per imaginary fault.
+constexpr std::uint64_t kPrefetchDepths[] = {0, 1, 3, 7, 15};
+
+// One cell of a strategy grid: `trial` formatted against its workload's
+// pure-copy trial.
+using GridCell = std::function<std::string(const Json& trial, const Json& copy)>;
+
+// Figures 4-1 .. 4-4 share this shape: a row per workload with the
+// pure-copy cell, then pure-IOU and resident-set at every prefetch depth.
+std::string StrategyGrid(const SweepIndex& index, const GridCell& cell) {
+  MdTable table({"Process", "Copy", "IOU PF0", "PF1", "PF3", "PF7", "PF15", "RS PF0", "PF1",
+                 "PF3", "PF7", "PF15"});
+  for (const std::string& name : index.workloads()) {
+    const Json& copy = index.Find(name, "pure-copy");
+    std::vector<std::string> row{name, cell(copy, copy)};
+    for (const char* strategy : {"pure-IOU", "resident-set"}) {
+      for (std::uint64_t prefetch : kPrefetchDepths) {
+        row.push_back(cell(index.Find(name, strategy, prefetch), copy));
+      }
+    }
+    table.AddRow(std::move(row));
+  }
+  return table.ToString();
+}
+
+// Mean over the workloads of 1 - pure-IOU PF0 / pure-copy, in percent.
+double MeanIouSaving(const SweepIndex& index, double (*metric)(const Json&)) {
+  const std::vector<std::string> names = index.workloads();
+  double sum = 0;
+  for (const std::string& name : names) {
+    sum += 1.0 - metric(index.Find(name, "pure-IOU")) / metric(index.Find(name, "pure-copy"));
+  }
+  return 100.0 * sum / static_cast<double>(names.size());
+}
+
+double BytesTotal(const Json& trial) { return trial.Get("bytes_total").AsDouble(); }
+double NetMsgBusy(const Json& trial) { return Seconds(trial, "netmsg_busy_us"); }
+
+// Figure 4-2's metric: percent saved on transfer + remote execution.
+double Speedup(const Json& trial, const Json& copy) {
+  const double copy_total = Seconds(copy, "transfer_plus_exec_us");
+  return 100.0 * (copy_total - Seconds(trial, "transfer_plus_exec_us")) / copy_total;
+}
+
+// printf into a string, for the figure lines whose layout is fixed-width.
+template <typename... Args>
+std::string Printf(const char* format, Args... args) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), format, args...);
+  return buf;
+}
+
+void RenderFigure41(const SweepIndex& index, std::ostream& out) {
+  out << "## Figure 4-1: Remote execution times in seconds\n\n"
+      << "From the restart at the new host until remote execution completes: "
+         "pure-copy, then pure-IOU and resident-set with 0/1/3/7/15 pages "
+         "prefetched per imaginary fault.\n\n"
+      << StrategyGrid(index, [](const Json& trial, const Json&) {
+           return FormatSeconds(Seconds(trial, "remote_exec_us"));
+         })
+      << '\n';
+
+  auto exec = [&index](const char* name, const char* strategy, std::uint64_t prefetch = 0) {
+    return Seconds(index.Find(name, strategy, prefetch), "remote_exec_us");
+  };
+  const double chess_copy = exec("Chess", "pure-copy");
+  MdTable anchors({"Anchor", "Ours", "(paper)"});
+  anchors.AddRow({"Minprog pure-IOU slowdown",
+                  FormatDouble(exec("Minprog", "pure-IOU") / exec("Minprog", "pure-copy"), 0) +
+                      "x",
+                  "(44x)"});
+  anchors.AddRow({"Chess pure-IOU penalty",
+                  FormatDouble(100.0 * (exec("Chess", "pure-IOU") - chess_copy) / chess_copy, 1) +
+                      "%",
+                  "(~3%)"});
+  anchors.AddRow({"PM-Start pure-IOU, PF0 time / PF15 time",
+                  FormatDouble(exec("PM-Start", "pure-IOU") / exec("PM-Start", "pure-IOU", 15), 2) +
+                      "x",
+                  "(up to 2x)"});
+  out << anchors.ToString() << '\n';
+
+  out << "Pure-IOU prefetch hit ratios (hits / prefetched pages), section "
+         "4.3.3's prose:\n\n";
+  MdTable hits({"Process", "PF1", "PF3", "PF7", "PF15", "(paper)"});
+  const std::pair<const char*, const char*> paper_hits[] = {{"Lisp-Del", "(~40% -> ~20%)"},
+                                                             {"PM-Start", "(~78%)"}};
+  for (const auto& [name, paper] : paper_hits) {
+    std::vector<std::string> row{name};
+    for (std::uint64_t prefetch : {1, 3, 7, 15}) {
+      const Json& trial = index.Find(name, "pure-IOU", prefetch);
+      const double prefetched = trial.Get("dest_prefetched_pages").AsDouble();
+      const double ratio =
+          prefetched == 0 ? 0.0 : trial.Get("dest_prefetch_hits").AsDouble() / prefetched;
+      row.push_back(FormatDouble(100.0 * ratio, 0) + "%");
+    }
+    row.push_back(paper);
+    hits.AddRow(std::move(row));
+  }
+  out << hits.ToString() << '\n';
+}
+
+void RenderFigure42(const SweepIndex& index, std::ostream& out) {
+  out << "## Figure 4-2: Percent migration speedup vs. pure-copy\n\n"
+      << "Address-space transfer plus remote execution, compared to pure-copy "
+         "(the Copy column, 0.0 by definition); positive is faster. Paper "
+         "anchors: processes touching less than ~25% of RealMem win under "
+         "pure-IOU; PF1 always helps; resident-set rarely pays its way; Chess is "
+         "insensitive.\n\n"
+      << StrategyGrid(index,
+                      [](const Json& trial, const Json& copy) {
+                        return FormatDouble(Speedup(trial, copy), 1);
+                      })
+      << '\n';
+
+  out << "Touched fraction of RealMem against the pure-IOU PF0 outcome (paper: "
+         "breakeven around 25% of RealMem; Chess drowned by longevity):\n\n";
+  MdTable touched({"Process", "Touched", "IOU PF0 speedup"});
+  for (const std::string& name : index.workloads()) {
+    const Json& iou = index.Find(name, "pure-IOU");
+    touched.AddRow({name, FormatPercent(iou.Get("frac_real_transferred").AsDouble()),
+                    Printf("%+.1f%%", Speedup(iou, index.Find(name, "pure-copy")))});
+  }
+  out << touched.ToString() << '\n';
+}
+
+void RenderFigure43(const SweepIndex& index, std::ostream& out) {
+  out << "## Figure 4-3: Bytes transferred per trial\n\n"
+      << "All bytes exchanged between the hosts (context, fault traffic, "
+         "control). Paper anchors: prefetch adds dead-weight bytes; resident-set "
+         "cuts into the IOU savings.\n\n"
+      << StrategyGrid(index, [](const Json& trial, const Json&) {
+           return FormatWithCommas(trial.Get("bytes_total").AsUint64());
+         })
+      << '\n';
+  out << "Average pure-IOU (PF0) byte savings vs pure-copy: "
+      << FormatDouble(MeanIouSaving(index, BytesTotal), 1) << "% (paper: 58.2%).\n\n";
+}
+
+void RenderFigure44(const SweepIndex& index, std::ostream& out) {
+  out << "## Figure 4-4: Message handling costs in seconds\n\n"
+      << "NetMsgServer CPU busy time summed over both hosts. Paper anchors: PF1 "
+         "dips slightly below PF0; larger prefetch climbs again (dead-weight "
+         "pages, bigger replies). Pure-copy sends fewer messages but spends "
+         "longer handling them: most of the pages it ships are never used at "
+         "the remote site.\n\n"
+      << StrategyGrid(index, [](const Json& trial, const Json&) {
+           return FormatSeconds(Seconds(trial, "netmsg_busy_us"));
+         })
+      << '\n';
+  out << "Average pure-IOU (PF0) handling-cost savings vs pure-copy: "
+      << FormatDouble(MeanIouSaving(index, NetMsgBusy), 1) << "% (paper: 47.8%).\n\n";
+}
+
+void RenderFigure45(const SweepIndex& index, std::ostream& out) {
+  const Json& figure = index.sweep().Get("figure_4_5");
+  out << "## Figure 4-5: Byte transfer rates for Lisp-Del\n\n"
+      << "Prefetch 0, from migration start to the final remote instruction; "
+         "empty buckets are left out. `o` marks bytes supporting imaginary "
+         "faults (the paper's white areas), `#` all other transfers (its black "
+         "areas). Paper anchor: the pure-IOU trial finishes shortly after the "
+         "pure-copy trial *begins* remote execution.\n\n";
+  const double bucket = Seconds(figure, "bucket_us");
+  double iou_finished = 0;
+  for (const Json& series : figure.Get("series").AsArray()) {
+    const std::string strategy = series.Get("strategy").AsString();
+    if (strategy == "pure-IOU") {
+      iou_finished = Seconds(series, "finished_us");
+    }
+    std::uint64_t peak = 1;
+    for (const Json& b : series.Get("buckets").AsArray()) {
+      peak = std::max(peak, b.Get("fault_bytes").AsUint64() + b.Get("other_bytes").AsUint64());
+    }
+    out << Printf("%s (bucket = %.1f s, trial ends at %.1f s):\n\n```\n", strategy.c_str(),
+                  bucket, Seconds(series, "finished_us"))
+        << Printf("%9s  %12s  %12s  rate\n", "t (s)", "fault B", "other B");
+    for (const Json& b : series.Get("buckets").AsArray()) {
+      const std::uint64_t fault = b.Get("fault_bytes").AsUint64();
+      const std::uint64_t other = b.Get("other_bytes").AsUint64();
+      if (fault + other == 0) {
+        continue;
+      }
+      const auto width = [peak](std::uint64_t bytes) {
+        return static_cast<std::size_t>(60.0 * static_cast<double>(bytes) /
+                                        static_cast<double>(peak));
+      };
+      std::string chart(width(fault), 'o');
+      chart.append(width(fault + other) - width(fault), '#');
+      out << Printf("%9.1f  %12s  %12s  ", Seconds(b, "start_us"),
+                    FormatWithCommas(fault).c_str(), FormatWithCommas(other).c_str())
+          << chart << '\n';
+    }
+    out << "```\n\n";
+  }
+  out << Printf("Pure-IOU finished at %.1f s; pure-copy resumed execution at %.1f s.\n\n",
+                iou_finished, Seconds(figure, "copy_resumed_us"));
+}
+
+// The smallest and largest `metric` over the workloads, each given its PF0
+// pure-copy and pure-IOU trials.
+struct Span {
+  double min = 1e300, max = -1e300;
+};
+Span SpanOver(const SweepIndex& index,
+              const std::function<double(const Json& copy, const Json& iou)>& metric) {
+  Span span;
+  for (const std::string& name : index.workloads()) {
+    const double value = metric(index.Find(name, "pure-copy"), index.Find(name, "pure-IOU"));
+    span.min = std::min(span.min, value);
+    span.max = std::max(span.max, value);
+  }
+  return span;
+}
+
+void RenderSummary(const SweepIndex& index, std::ostream& out) {
+  out << "## Sections 4.3.3 and 4.5: fault latencies and the summary\n\n"
+      << "Section 4.5's claims recomputed from the grid (pure-IOU and pure-copy "
+         "at PF0), then section 4.3.3's fault latencies from a lab on the "
+         "two-host testbed that touches one fill-zero, one local-disk and one "
+         "remote imaginary page, then the disk page again once resident. "
+         "Paper values in parentheses.\n\n";
+
+  auto copy_field = [](const char* key) {
+    return [key](const Json& copy, const Json&) { return copy.Get(key).AsDouble(); };
+  };
+  auto copy_seconds = [](const char* key) {
+    return [key](const Json& copy, const Json&) { return Seconds(copy, key); };
+  };
+  auto touched = [](const char* key) {
+    return [key](const Json&, const Json& iou) { return 100.0 * iou.Get(key).AsDouble(); };
+  };
+  const Span total = SpanOver(index, copy_field("spec_total_bytes"));
+  const Span real = SpanOver(index, copy_field("spec_real_bytes"));
+  const Span touched_total = SpanOver(index, touched("frac_total_transferred"));
+  const Span touched_real = SpanOver(index, touched("frac_real_transferred"));
+  const Span excise = SpanOver(index, copy_seconds("excise_overall_us"));
+  const Span insert = SpanOver(index, copy_seconds("insert_time_us"));
+  const Span copy_xfer = SpanOver(index, copy_seconds("rimas_transfer_us"));
+  const Span iou_xfer = SpanOver(index, [](const Json&, const Json& iou) {
+    return Seconds(iou, "rimas_transfer_us");
+  });
+  const Span xfer_ratio = SpanOver(index, [](const Json& copy, const Json& iou) {
+    return Seconds(copy, "rimas_transfer_us") / Seconds(iou, "rimas_transfer_us");
+  });
+  // PF1 may not be slower than PF0 end to end (0.1% slack).
+  const Span pf1_loss = SpanOver(index, [&index](const Json& copy, const Json& iou) {
+    const Json& pf1 = index.Find(copy.Get("workload").AsString(), "pure-IOU", 1);
+    return Seconds(pf1, "transfer_plus_exec_us") - Seconds(iou, "transfer_plus_exec_us") * 1.001;
+  });
+  const double chess_copy = Seconds(index.Find("Chess", "pure-copy"), "transfer_plus_exec_us");
+  const double chess_iou = Seconds(index.Find("Chess", "pure-IOU"), "transfer_plus_exec_us");
+
+  MdTable claims({"Claim", "Ours", "(paper)"});
+  auto ratio = [](const Span& span) {
+    return FormatWithCommas(static_cast<std::uint64_t>(span.max / span.min)) + "x";
+  };
+  claims.AddRow({"Address-space size variance", ratio(total), "(12,803x)"});
+  claims.AddRow({"RealMem variance", ratio(real), "(15x)"});
+  claims.AddRow({"Touched, % of validated space",
+                 FormatDouble(touched_total.min, 3) + "%-" + FormatDouble(touched_total.max, 1) +
+                     "%",
+                 "(0.002%-27.4%)"});
+  claims.AddRow({"Touched, % of RealMem",
+                 FormatDouble(touched_real.min, 1) + "%-" + FormatDouble(touched_real.max, 1) +
+                     "%",
+                 "(3%-58%)"});
+  claims.AddRow(
+      {"Excision time variance", FormatDouble(excise.max / excise.min, 1) + "x", "(4x)"});
+  claims.AddRow(
+      {"Insertion time variance", FormatDouble(insert.max / insert.min, 1) + "x", "(3.3x)"});
+  claims.AddRow({"IOU transfer times",
+                 FormatSeconds(iou_xfer.min) + "-" + FormatSeconds(iou_xfer.max) + " s",
+                 "(~1 s bound, 0.15-0.21 s RIMAS)"});
+  claims.AddRow({"Pure-copy transfer variance",
+                 FormatDouble(copy_xfer.max / copy_xfer.min, 1) + "x", "(20x)"});
+  claims.AddRow({"Worst copy vs IOU transfer", FormatDouble(xfer_ratio.max, 0) + "x", "(~1000x)"});
+  claims.AddRow({"Avg byte savings (IOU PF0)",
+                 FormatDouble(MeanIouSaving(index, BytesTotal), 1) + "%", "(58.2%)"});
+  claims.AddRow({"Avg message-cost savings (IOU PF0)",
+                 FormatDouble(MeanIouSaving(index, NetMsgBusy), 1) + "%", "(47.8%)"});
+  claims.AddRow({"Chess end-to-end sensitivity",
+                 FormatDouble(100.0 * (chess_iou - chess_copy) / chess_copy, 1) + "%",
+                 "(insensitive)"});
+  claims.AddRow({"One-page prefetch always helps", pf1_loss.max > 0 ? "NO" : "yes", "(yes)"});
+  out << claims.ToString() << '\n';
+
+  const Json& anchors = index.sweep().Get("fault_anchors");
+  auto ms = [&anchors](const char* key) { return Seconds(anchors, key) * 1e3; };
+  MdTable faults({"Fault", "Latency", "(paper)"});
+  faults.AddRow({"Fill-zero fault", FormatDouble(ms("fillzero_us"), 1) + " ms", "(n/a)"});
+  faults.AddRow({"Local disk fault", FormatDouble(ms("disk_us"), 1) + " ms", "(40.8 ms)"});
+  faults.AddRow(
+      {"Remote imaginary fault", FormatDouble(ms("imaginary_us"), 1) + " ms", "(115 ms)"});
+  faults.AddRow({"Resident access", FormatDouble(ms("resident_us"), 3) + " ms", "(n/a)"});
+  faults.AddRow({"Remote / local ratio",
+                 FormatDouble(Seconds(anchors, "imaginary_us") / Seconds(anchors, "disk_us"), 2) +
+                     "x",
+                 "(2.8x)"});
+  out << faults.ToString() << '\n';
+}
+
+// Section 4 in the paper's order: the tables, the figures, the summary.
+void RenderPaper(const Json& sweep, std::ostream& out) {
+  const SweepIndex index(sweep);
+  RenderTable41(index, out);
+  RenderTable42(index, out);
+  RenderTable43(index, out);
+  RenderTable44(index, out);
+  RenderTable45(index, out);
+  RenderFigure41(index, out);
+  RenderFigure42(index, out);
+  RenderFigure43(index, out);
+  RenderFigure44(index, out);
+  RenderFigure45(index, out);
+  RenderSummary(index, out);
 }
 
 void RenderMetrics(const Json& sweep, std::ostream& out) {
@@ -368,51 +695,49 @@ void RenderFailureMatrix(const Json& failure, std::ostream& out) {
          "crashing wire (`failure_sweep`). Invariants: nothing hangs, every "
          "completed migration has intact contents.\n\n";
 
-  const Json* restored = failure.Find("restored");
   MdTable totals({"Trials", "Completed", "Aborted", "Terminal faults", "Restored", "Hung",
                   "Integrity failures"});
   totals.AddRow({FormatWithCommas(failure.Get("trial_count").AsUint64()),
                  FormatWithCommas(failure.Get("completed").AsUint64()),
                  FormatWithCommas(failure.Get("aborted").AsUint64()),
                  FormatWithCommas(failure.Get("terminal_faults").AsUint64()),
-                 restored == nullptr ? "(n/a)" : FormatWithCommas(restored->AsUint64()),
+                 FormatWithCommas(failure.Get("restored").AsUint64()),
                  FormatWithCommas(failure.Get("hung").AsUint64()),
                  FormatWithCommas(failure.Get("integrity_failures").AsUint64())});
   out << totals.ToString() << '\n';
 
-  // Per-strategy x scenario terminal-fault cells (schema_version >= 2) — the
-  // paper's section-5 residual-dependency kills, localised. Every pure-IOU
-  // source_crash trial dies here with the store off; checkpoint_sweep re-runs
-  // the same matrix against the durable store and must flip them all.
-  if (const Json* breakdown = failure.Find("terminal_breakdown")) {
-    out << "Terminal faults by strategy and fault scenario. A non-zero cell "
-           "is a process that died with its source host — the residual-"
-           "dependency cost of copy-on-reference the paper's section 5 "
-           "predicts.\n\n";
-    std::vector<std::string> scenarios;
-    for (const auto& [strategy, cells] : breakdown->AsObject()) {
-      for (const auto& [scenario, count] : cells.AsObject()) {
-        (void)count;
-        if (std::find(scenarios.begin(), scenarios.end(), scenario) == scenarios.end()) {
-          scenarios.push_back(scenario);
-        }
+  // Per-strategy x scenario terminal-fault cells — the paper's section-5
+  // residual-dependency kills, localised. Every pure-IOU source_crash trial
+  // dies here with the store off; checkpoint_sweep re-runs the same matrix
+  // against the durable store and must flip them all.
+  const Json& breakdown = failure.Get("terminal_breakdown");
+  out << "Terminal faults by strategy and fault scenario. A non-zero cell "
+         "is a process that died with its source host — the residual-"
+         "dependency cost of copy-on-reference the paper's section 5 "
+         "predicts.\n\n";
+  std::vector<std::string> columns;
+  for (const auto& [strategy, cells] : breakdown.AsObject()) {
+    for (const auto& [scenario, count] : cells.AsObject()) {
+      (void)count;
+      if (std::find(columns.begin(), columns.end(), scenario) == columns.end()) {
+        columns.push_back(scenario);
       }
-      break;  // every strategy row carries the same scenario columns
     }
-    std::vector<std::string> headers = {"Strategy"};
-    for (const std::string& scenario : scenarios) {
-      headers.push_back("`" + scenario + "`");
-    }
-    MdTable cells_table(std::move(headers));
-    for (const auto& [strategy, cells] : breakdown->AsObject()) {
-      std::vector<std::string> row = {"`" + strategy + "`"};
-      for (const std::string& scenario : scenarios) {
-        row.push_back(FormatWithCommas(cells.Get(scenario).AsUint64()));
-      }
-      cells_table.AddRow(std::move(row));
-    }
-    out << cells_table.ToString() << '\n';
+    break;  // every strategy row carries the same scenario columns
   }
+  std::vector<std::string> headers = {"Strategy"};
+  for (const std::string& scenario : columns) {
+    headers.push_back("`" + scenario + "`");
+  }
+  MdTable cells_table(std::move(headers));
+  for (const auto& [strategy, cells] : breakdown.AsObject()) {
+    std::vector<std::string> row = {"`" + strategy + "`"};
+    for (const std::string& scenario : columns) {
+      row.push_back(FormatWithCommas(cells.Get(scenario).AsUint64()));
+    }
+    cells_table.AddRow(std::move(row));
+  }
+  out << cells_table.ToString() << '\n';
 
   struct ScenarioAgg {
     std::uint64_t trials = 0, completed = 0, aborted = 0;
@@ -568,6 +893,43 @@ void RenderCluster(const Json& cluster, std::ostream& out) {
   RenderGates(cluster, out);
 }
 
+void RenderChain(const Json& chain, std::ostream& out) {
+  out << "## Multi-hop chain sweep\n\n"
+      << "`chain_sweep` migrates every workload A -> B -> C on a three-host "
+         "testbed (" << chain.Get("trial_count").AsUint64() << " trials, plus "
+      << chain.Get("crash_trial_count").AsUint64()
+      << " where B crashes after its IOU chain collapses). After the collapse B "
+         "must serve, forward and hold nothing, and every process must finish "
+         "on C with the contents of a single-hop run.\n\n";
+  RenderGates(chain, out);
+}
+
+void RenderFuzz(const Json& fuzz, std::ostream& out) {
+  out << "## Adversarial scenario fuzz corpus\n\n"
+      << "`fuzz_corpus` draws " << fuzz.Get("scenario_count").AsUint64()
+      << " seeded scenarios from seed " << fuzz.Get("first_seed").AsUint64()
+      << " (heterogeneous topology, workload, strategy, fault plan, "
+         "re-migration, checkpoint store) and holds each to the standing "
+         "oracles; a failing seed replays with `tools/migrate_sim "
+         "--replay-seed=N`.\n\n";
+  RenderGates(fuzz, out);
+}
+
+// The document's sections in order, each keyed by the `bench` of the report
+// it renders. The sweep opens the document (section 4) and closes it (its
+// metrics registry).
+struct Section {
+  const char* bench;
+  void (*render)(const Json& report, std::ostream& out);
+};
+constexpr Section kSections[] = {
+    {"sweep", RenderPaper},          {"failure_matrix", RenderFailureMatrix},
+    {"checkpoint_matrix", RenderCheckpoint}, {"chain_sweep", RenderChain},
+    {"precopy", RenderPreCopy},      {"dedup_sweep", RenderDedup},
+    {"cluster", RenderCluster},      {"fuzz_corpus", RenderFuzz},
+    {"sweep", RenderMetrics},
+};
+
 bool LoadJson(const std::string& path, Json* out) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
@@ -579,58 +941,49 @@ bool LoadJson(const std::string& path, Json* out) {
 }
 
 int Main(int argc, char** argv) {
-  std::string sweep_path = "BENCH_sweep.json";
-  std::string failure_path;
-  std::string cluster_path;
-  std::string precopy_path;
-  std::string dedup_path;
-  std::string checkpoint_path;
   std::string out_path = "docs/RESULTS.md";
+  std::map<std::string, Json> reports;  // by bench
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "render_results: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--print-template-version") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--print-template-version") {
       std::printf("%d\n", kTemplateVersion);
       return 0;
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep_path = next("--sweep");
-    } else if (std::strcmp(argv[i], "--failure") == 0) {
-      failure_path = next("--failure");
-    } else if (std::strcmp(argv[i], "--cluster") == 0) {
-      cluster_path = next("--cluster");
-    } else if (std::strcmp(argv[i], "--precopy") == 0) {
-      precopy_path = next("--precopy");
-    } else if (std::strcmp(argv[i], "--dedup") == 0) {
-      dedup_path = next("--dedup");
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      checkpoint_path = next("--checkpoint");
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else {
+    }
+    if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+      continue;
+    }
+    if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
-                   "usage: render_results [--sweep BENCH_sweep.json]\n"
-                   "                      [--failure BENCH_failure.json]\n"
-                   "                      [--cluster BENCH_cluster.json]\n"
-                   "                      [--precopy BENCH_precopy.json]\n"
-                   "                      [--dedup BENCH_dedup.json]\n"
-                   "                      [--checkpoint BENCH_checkpoint.json]\n"
-                   "                      [--out RESULTS.md] [--print-template-version]\n");
+                   "usage: render_results [--out FILE] REPORT...\n"
+                   "       render_results --print-template-version\n");
       return 2;
     }
+    Json report;
+    const Json* bench = nullptr;
+    if (!LoadJson(arg, &report) || (bench = report.Find("bench")) == nullptr ||
+        !bench->is_string()) {
+      std::fprintf(stderr, "render_results: %s is not a bench report\n", arg.c_str());
+      return 1;
+    }
+    const std::string kind = bench->AsString();
+    if (std::none_of(std::begin(kSections), std::end(kSections),
+                     [&kind](const Section& section) { return kind == section.bench; })) {
+      std::fprintf(stderr, "render_results: %s has unknown bench \"%s\"\n", arg.c_str(),
+                   kind.c_str());
+      return 1;
+    }
+    if (!reports.emplace(kind, std::move(report)).second) {
+      std::fprintf(stderr, "render_results: bench \"%s\" given twice (%s)\n", kind.c_str(),
+                   arg.c_str());
+      return 1;
+    }
   }
-
-  Json sweep;
-  if (!LoadJson(sweep_path, &sweep)) {
-    std::fprintf(stderr, "render_results: cannot read sweep summary %s (run run_all first)\n",
-                 sweep_path.c_str());
+  const auto sweep = reports.find("sweep");
+  if (sweep == reports.end()) {
+    std::fprintf(stderr, "render_results: BENCH_sweep.json is required (run run_all first)\n");
     return 1;
   }
-  SweepIndex index(sweep);
 
   std::ostringstream out;
   out << "<!-- Generated by tools/render_results (template v" << kTemplateVersion
@@ -643,64 +996,19 @@ int Main(int argc, char** argv) {
       << "Regenerate with:\n\n"
       << "```sh\n"
       << "cmake --build build -j\n"
-      << "(cd build && ./bench/run_all && ./bench/failure_sweep && ./bench/cluster_sweep \\\n"
-      << "    && ./bench/precopy_sweep && ./bench/dedup_sweep && ./bench/checkpoint_sweep)\n"
-      << "./build/tools/render_results --sweep build/BENCH_sweep.json \\\n"
-      << "    --failure build/BENCH_failure.json \\\n"
-      << "    --cluster build/BENCH_cluster.json --precopy build/BENCH_precopy.json \\\n"
-      << "    --dedup build/BENCH_dedup.json --checkpoint build/BENCH_checkpoint.json \\\n"
-      << "    --out docs/RESULTS.md\n"
+      << "(cd build && ./bench/run_all && ./bench/failure_sweep && ./bench/checkpoint_sweep \\\n"
+      << "    && ./bench/chain_sweep && ./bench/precopy_sweep && ./bench/dedup_sweep \\\n"
+      << "    && ./bench/cluster_sweep && ./bench/fuzz_corpus)\n"
+      << "./build/tools/render_results --out docs/RESULTS.md build/BENCH_*.json\n"
       << "```\n\n"
-      << "Sweep grid: " << sweep.Get("trial_count").AsUint64() << " trials, seed "
-      << sweep.Get("seed").AsUint64() << ".\n\n";
-
-  RenderTable41(index, out);
-  RenderTable42(index, out);
-  RenderTable43(index, out);
-  RenderTable44(index, out);
-  RenderTable45(index, out);
-
-  Json failure;
-  if (!failure_path.empty() && LoadJson(failure_path, &failure)) {
-    RenderFailureMatrix(failure, out);
-  } else if (!failure_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping failure matrix (cannot read %s)\n",
-                 failure_path.c_str());
+      << "Sweep grid: " << sweep->second.Get("trial_count").AsUint64() << " trials, seed "
+      << sweep->second.Get("seed").AsUint64() << ".\n\n";
+  for (const Section& section : kSections) {
+    const auto report = reports.find(section.bench);
+    if (report != reports.end()) {
+      section.render(report->second, out);
+    }
   }
-
-  Json checkpoint;
-  if (!checkpoint_path.empty() && LoadJson(checkpoint_path, &checkpoint)) {
-    RenderCheckpoint(checkpoint, out);
-  } else if (!checkpoint_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping checkpoint sweep (cannot read %s)\n",
-                 checkpoint_path.c_str());
-  }
-
-  Json precopy;
-  if (!precopy_path.empty() && LoadJson(precopy_path, &precopy)) {
-    RenderPreCopy(precopy, out);
-  } else if (!precopy_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping pre-copy frontier (cannot read %s)\n",
-                 precopy_path.c_str());
-  }
-
-  Json dedup;
-  if (!dedup_path.empty() && LoadJson(dedup_path, &dedup)) {
-    RenderDedup(dedup, out);
-  } else if (!dedup_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping dedup sweep (cannot read %s)\n",
-                 dedup_path.c_str());
-  }
-
-  Json cluster;
-  if (!cluster_path.empty() && LoadJson(cluster_path, &cluster)) {
-    RenderCluster(cluster, out);
-  } else if (!cluster_path.empty()) {
-    std::fprintf(stderr, "render_results: skipping cluster sweep (cannot read %s)\n",
-                 cluster_path.c_str());
-  }
-
-  RenderMetrics(sweep, out);
 
   std::ofstream file(out_path, std::ios::binary | std::ios::trunc);
   if (!file) {
