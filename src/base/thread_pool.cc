@@ -1,75 +1,16 @@
 #include "src/base/thread_pool.h"
 
 #include <atomic>
-#include <utility>
+#include <thread>
+#include <vector>
 
 #include "src/base/check.h"
 
 namespace accent {
 
-ThreadPool::ThreadPool(int threads) {
-  if (threads < 1) {
-    threads = 1;
-  }
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  ACCENT_EXPECTS(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ACCENT_CHECK(!shutting_down_) << " Submit() after shutdown began";
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-int ThreadPool::HardwareThreads() {
+int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_ready_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // shutting down and drained
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
-  }
 }
 
 void ParallelFor(int threads, std::size_t count,
@@ -88,23 +29,27 @@ void ParallelFor(int threads, std::size_t count,
     return;
   }
 
-  // Workers pull indices from a shared atomic cursor, so an expensive item
-  // never serialises the cheap ones behind it (the trial grid mixes ~ms
-  // Minprog runs with ~100x costlier Lisp pure-copy runs).
+  // Every thread pulls indices from a shared atomic cursor, so an expensive
+  // item never serialises the cheap ones behind it (the trial grid mixes
+  // ~ms Minprog runs with ~100x costlier Lisp pure-copy runs).
   std::atomic<std::size_t> next{0};
-  ThreadPool pool(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.Submit([&next, count, &fn] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) {
-          return;
-        }
-        fn(i);
+  auto drain = [&next, count, &fn] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) {
+        return;
       }
-    });
+      fn(i);
+    }
+  };
+  // jthreads join on destruction, so on every path the helpers finish
+  // before `next` and `drain` go out of scope.
+  std::vector<std::jthread> helpers;
+  helpers.reserve(static_cast<std::size_t>(threads - 1));
+  for (int t = 1; t < threads; ++t) {
+    helpers.emplace_back(drain);
   }
-  pool.Wait();
+  drain();
 }
 
 }  // namespace accent

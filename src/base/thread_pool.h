@@ -1,62 +1,25 @@
-// Fixed-size worker pool for fanning out independent jobs.
+// Fork-join fan-out for independent jobs.
 //
-// Deliberately minimal: one shared FIFO guarded by a mutex, no work
-// stealing. Sweep jobs (whole migration trials) run for milliseconds, so
-// queue contention is irrelevant and a simple pool keeps the determinism
-// story auditable: the pool never reorders results — callers index output
-// slots by job id, so the same inputs produce the same outputs regardless
-// of thread count or scheduling.
+// Deliberately minimal: no work stealing, no persistent workers. Sweep jobs
+// (whole migration trials) run for milliseconds, so starting threads per
+// call is noise, and the determinism story stays auditable: nothing here
+// reorders results — callers index output slots by job id, so the same
+// inputs produce the same outputs regardless of thread count or scheduling.
 #ifndef SRC_BASE_THREAD_POOL_H_
 #define SRC_BASE_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace accent {
 
-class ThreadPool {
- public:
-  // Spawns `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
+// std::thread::hardware_concurrency() clamped to >= 1.
+int HardwareThreads();
 
-  // Drains outstanding work, then joins the workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished executing.
-  void Wait();
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  // std::thread::hardware_concurrency() clamped to >= 1.
-  static int HardwareThreads();
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  bool shutting_down_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// Runs fn(i) for i in [0, count) across up to `threads` workers and returns
-// once all iterations finished. Iterations must be independent. `threads`
-// <= 1 (or count <= 1) degrades to a plain serial loop on the caller's
-// thread, which keeps single-threaded runs free of any pool machinery.
+// Runs fn(i) for i in [0, count) on up to `threads` threads — the caller's
+// plus `threads - 1` started for the call — and returns once all iterations
+// finished. Iterations must be independent. `threads` <= 1 (or count <= 1)
+// degrades to a plain serial loop on the caller's thread.
 void ParallelFor(int threads, std::size_t count, const std::function<void(std::size_t)>& fn);
 
 }  // namespace accent

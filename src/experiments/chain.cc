@@ -46,7 +46,7 @@ ChainTrialResult RunChainTrial(const ChainTrialConfig& config) {
   if (result.finished_at_c) {
     result.finished = run.finish;
     result.integrity_ok =
-        run.checksum == ChainReferenceChecksum(config.workload, config.seed);
+        run.checksum == ReferenceChecksum(config.workload, config.seed);
   }
   result.collapse_done = run.collapse_done;
   result.collapse = run.collapse;

@@ -10,8 +10,8 @@
 // entirely. Each trial verifies:
 //
 //   - end-to-end integrity: the observable checksum at C, taken when the
-//     process terminates, matches the single-hop reference
-//     (ChainReferenceChecksum, scenario.h);
+//     process terminates, matches the unmigrated reference
+//     (ReferenceChecksum, scenario.h);
 //   - evacuation: after the collapse completes, zero page-fault requests
 //     are serviced by (or routed through) B, and B's backer owns no
 //     objects — only inert stubs remain;

@@ -685,7 +685,6 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   // the smallest cross-host link latency; MinWireLatency returns exactly
   // costs.wire_latency on an uncalibrated row.
   sim.ConfigureShards(shards, Network::MinWireLatency(costs, config.calibrations));
-  sim.set_shard_threads(config.shard_threads);
   Network net(&sim, &costs, /*recorder=*/nullptr);
   net.ConfigureSwitched(config.host_count);
   if (!config.calibrations.empty()) {

@@ -28,9 +28,9 @@
 // canonical cross-shard merge order), per-host state is touched only by
 // the owning shard, and end-of-run aggregation walks hosts in index
 // order. A trial's ClusterResult — and its canonical JSON — is therefore
-// byte-identical for any shard count and any worker-thread count; the
-// shard knobs are deliberately excluded from the JSON so the equality can
-// be asserted literally (tests/parallel_sweep_test.cc does).
+// byte-identical for any shard count; the shard knob is deliberately
+// excluded from the JSON so the equality can be asserted literally
+// (tests/parallel_sweep_test.cc does).
 #ifndef SRC_EXPERIMENTS_CLUSTER_H_
 #define SRC_EXPERIMENTS_CLUSTER_H_
 
@@ -51,10 +51,13 @@ struct ClusterConfig {
   std::uint64_t seed = 42;
   SimDuration duration = Sec(120.0);
 
-  // Sharding knobs. They select the execution engine, never the result:
-  // trial output is byte-identical across both. shards <= 0 reads
-  // ACCENT_SIM_SHARDS (default 1); shard_threads 0 = auto.
+  // Sharding knob. It selects the execution engine, never the result:
+  // trial output is byte-identical for every shard count. shards <= 0 reads
+  // ACCENT_SIM_SHARDS (default 1).
   int shards = 0;
+  // Unread: every shard window runs on the caller's thread. Kept only
+  // because perfbench/perfbench.cc still assigns it; it goes with the next
+  // change to the benchmark.
   int shard_threads = 1;
 
   // Workload churn. Each host starts with `initial_processes_per_host`
@@ -171,7 +174,7 @@ int SimShardCount();
 // Runs one fleet trial to completion (or its watchdog budget).
 ClusterResult RunClusterTrial(const ClusterConfig& config);
 
-// Canonical JSON for one trial. Excludes the shard/thread knobs and any
+// Canonical JSON for one trial. Excludes the shard knobs and any
 // wall-clock quantity on purpose: two runs of the same config at different
 // shard counts must serialise byte-identically.
 Json ClusterResultToJson(const ClusterResult& result);

@@ -44,9 +44,10 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
   ACCENT_EXPECTS(config.host_count >= 2);
   ACCENT_EXPECTS(config.repeats >= 1);
 
-  // Page contents never depend on the cache plane or calibration, so the
-  // homogeneous pure-copy run pins what every incarnation must observe.
-  const std::uint64_t reference = ChainReferenceChecksum(config.workload, config.seed);
+  // Page contents never depend on migration, the cache plane or
+  // calibration, so the unmigrated run pins what every incarnation must
+  // observe.
+  const std::uint64_t reference = ReferenceChecksum(config.workload, config.seed);
 
   TestbedConfig testbed_config;
   testbed_config.host_count = config.host_count;

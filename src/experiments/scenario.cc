@@ -353,14 +353,20 @@ std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& 
 
 // BuildWorkload is bit-deterministic per (spec, seed), so any later run
 // must reproduce these page contents.
-std::uint64_t ChainReferenceChecksum(const std::string& workload, std::uint64_t seed) {
-  FuzzScenario reference;
-  reference.seed = seed;
-  reference.workload = workload;
-  const MechRun run = RunMech(reference, FaultPlan{}, seed);
-  ACCENT_CHECK(run.drained && run.hop1_done && run.finished)
-      << " reference migration of " << workload << " did not finish";
-  return run.checksum;
+std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed) {
+  Testbed bed;
+  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed);
+  bool finished = false;
+  std::uint64_t checksum = 0;
+  // Folded at kTerminate, the hook RunMech observes too.
+  instance.process->set_on_terminate([&](Process* p) {
+    finished = true;
+    checksum = ObservableChecksum(*p->space(), bed.segments(), instance.planned_touches);
+  });
+  instance.process->Start();
+  ACCENT_CHECK(bed.RunGuarded() && finished)
+      << " reference run of " << workload << " did not finish";
+  return checksum;
 }
 
 }  // namespace accent

@@ -10,8 +10,9 @@
 //
 // The fuzzer (scenario_fuzz.h) draws specs at random. The failure and
 // checkpoint matrices (failure_sweep.h), the chain grid (chain.h) and the
-// pre-copy grid (precopy.h) fill them in from their own grids, and the
-// integrity reference (ChainReferenceChecksum) is itself one run.
+// pre-copy grid (precopy.h) fill them in from their own grids. Every one
+// of them judges what finished against ReferenceChecksum, the same process
+// run to completion without migrating.
 #ifndef SRC_EXPERIMENTS_SCENARIO_H_
 #define SRC_EXPERIMENTS_SCENARIO_H_
 
@@ -200,10 +201,12 @@ MechVerdict Classify(const MechRun& run, std::uint64_t reference);
 std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
                                  const std::set<PageIndex>& touches);
 
-// The integrity reference for `workload`: one lossless single-hop pure-copy
-// migration on a homogeneous two-host bed, run to completion. Page contents
-// never depend on strategy, topology, calibration or faults.
-std::uint64_t ChainReferenceChecksum(const std::string& workload, std::uint64_t seed);
+// The integrity reference for `workload`: the staged process started on
+// host 0 of a default lossless testbed and run to completion there, never
+// migrated, folded with ObservableChecksum at its kTerminate. Migration
+// must leave page contents exactly as this run leaves them, whatever the
+// strategy, topology, calibration or faults.
+std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed);
 
 }  // namespace accent
 

@@ -23,13 +23,12 @@ constexpr double kBandwidthMenu[] = {0.5, 1.0, 2.0};
 // The fleet-scale half of a scenario: same topology, calibrations and
 // strategy, sized to finish quickly. Deliberately identical at both shard
 // counts; the caller compares the canonical JSON byte for byte.
-ClusterConfig MakeFleetConfig(const FuzzScenario& sc, int shards, int threads) {
+ClusterConfig MakeFleetConfig(const FuzzScenario& sc, int shards) {
   ClusterConfig config;
   config.host_count = sc.host_count;
   config.seed = sc.seed;
   config.duration = Sec(15.0);
   config.shards = shards;
-  config.shard_threads = threads;
   config.initial_processes_per_host = 3;
   config.arrivals_per_host_per_sec = 0.25;
   config.mean_service_sec = 5.0;
@@ -126,9 +125,9 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   result.scenario = scenario;
   std::ostringstream failure;
 
-  // Homogeneous content reference: page contents never depend on topology,
-  // calibration or faults, so one lossless pure-copy hop pins them.
-  const std::uint64_t reference = ChainReferenceChecksum(scenario.workload, scenario.seed);
+  // Content reference: page contents never depend on migration, topology,
+  // calibration or faults, so the process run unmigrated at home pins them.
+  const std::uint64_t reference = ReferenceChecksum(scenario.workload, scenario.seed);
 
   // Lossless baseline on the scenario's own topology + calibrations:
   // supplies the phase boundaries crash/partition windows anchor to, and
@@ -210,8 +209,8 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   }
 
   // ---- fleet shard identity ----------------------------------------------
-  const ClusterResult fleet1 = RunClusterTrial(MakeFleetConfig(scenario, 1, 1));
-  const ClusterResult fleet2 = RunClusterTrial(MakeFleetConfig(scenario, 2, 2));
+  const ClusterResult fleet1 = RunClusterTrial(MakeFleetConfig(scenario, 1));
+  const ClusterResult fleet2 = RunClusterTrial(MakeFleetConfig(scenario, 2));
   // A lone migrating chain has no third-party holders, so mechanistic runs
   // only engage the dedup plane on a re-migration; the fleet half (many
   // processes, shared pages) is where cache serves actually accrue.

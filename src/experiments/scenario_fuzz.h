@@ -14,14 +14,14 @@
 //
 // Oracles (every scenario, every seed):
 //   - census/content integrity: a completed process's touched pages match
-//     the homogeneous lossless reference (ObservableChecksum); a rolled-back
-//     process must match it too once it re-finishes at home;
+//     the unmigrated reference (ReferenceChecksum); a rolled-back process
+//     must match it too once it re-finishes at home;
 //   - zero hangs: the simulated-time watchdog (RunGuarded) always drains;
 //   - balanced backer references: after a crash-free completed run, no host
 //     but the chain origin owns backer objects, and no duplicate death
 //     notices were processed anywhere;
-//   - shard-count identity: the fleet trial's JSON at shards=1/threads=1
-//     equals shards=2/threads=2 exactly, and its census balances;
+//   - shard-count identity: the fleet trial's JSON at shards=1 equals
+//     shards=2 exactly, and its census balances;
 //   - dedup identity (content-cache scenarios): every page served from a
 //     ContentCache or a holder pull is byte-identical to what the origin
 //     would have served — any hash mismatch counted by a pager, cache or

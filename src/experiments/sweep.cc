@@ -16,7 +16,7 @@ int SweepThreadCount() {
     // Malformed or non-positive values fall through to the hardware default
     // rather than aborting: CI scripts set this blindly.
   }
-  return ThreadPool::HardwareThreads();
+  return HardwareThreads();
 }
 
 std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,

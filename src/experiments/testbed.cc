@@ -184,13 +184,6 @@ bool Testbed::RunGuarded(SimDuration limit) {
   }
   ACCENT_LOG(kError) << "testbed: event queue not drained after " << limit.count()
                      << "us of simulated time; " << sim_.pending_events() << " events pending";
-  if (sim_.sharded()) {
-    const std::vector<std::size_t> per_shard = sim_.PendingEventsByShard();
-    for (std::size_t shard = 0; shard < per_shard.size(); ++shard) {
-      ACCENT_LOG(kError) << "testbed:   shard " << shard << ": " << per_shard[shard]
-                         << " events pending";
-    }
-  }
   for (SimTime when : sim_.PendingEventTimes(8)) {
     ACCENT_LOG(kError) << "testbed:   pending event at t=" << when.count() << "us";
   }

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/base/thread_pool.h"
-
 namespace accent {
-
-thread_local Simulator* Simulator::tls_sim_ = nullptr;
-thread_local Simulator::Shard* Simulator::tls_shard_ = nullptr;
 
 namespace {
 constexpr SimTime kNoEvent = SimTime::max();
@@ -16,23 +11,14 @@ constexpr SimTime kNoEvent = SimTime::max();
 
 Simulator::Simulator() { queue_.reserve(kInitialQueueCapacity); }
 
-Simulator::~Simulator() = default;
-
-SimTime Simulator::ShardedNow() const {
-  if (tls_sim_ == this && tls_shard_ != nullptr) {
-    return tls_shard_->now;
-  }
-  return now_;
-}
-
 void Simulator::ScheduleAt(SimTime when, InlineEvent fn) {
   ACCENT_CHECK(static_cast<bool>(fn)) << " scheduling an empty event";
   if (!shards_.empty()) {
     // Sharded mode: land on the executing shard — the same-host fast path.
     // Setup-time code must name its host via ScheduleAtHost instead.
-    ACCENT_CHECK(tls_sim_ == this && tls_shard_ != nullptr)
+    ACCENT_CHECK(running_ != nullptr)
         << " sharded ScheduleAt outside event execution; use ScheduleAtHost";
-    Shard& shard = *tls_shard_;
+    Shard& shard = *running_;
     ACCENT_CHECK(when >= shard.now)
         << " scheduling into the past: when=" << when.count() << "us now="
         << shard.now.count() << "us";
@@ -54,25 +40,10 @@ void Simulator::ConfigureShards(int shards, SimDuration lookahead) {
   ACCENT_CHECK(queue_.empty() && events_executed_ == 0)
       << " configure shards before any event is scheduled or run";
   lookahead_ = lookahead;
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->queue.reserve(kInitialQueueCapacity);
-    shards_.push_back(std::move(shard));
+  shards_.resize(static_cast<std::size_t>(shards));
+  for (Shard& shard : shards_) {
+    shard.queue.reserve(kInitialQueueCapacity);
   }
-}
-
-void Simulator::set_shard_threads(int threads) {
-  ACCENT_EXPECTS(threads >= 0);
-  ACCENT_CHECK(pool_ == nullptr) << " worker pool already started";
-  shard_threads_ = threads;
-}
-
-int Simulator::ShardWorkers() const {
-  if (shard_threads_ > 0) {
-    return std::min(shard_threads_, shard_count());
-  }
-  return std::min(ThreadPool::HardwareThreads(), shard_count());
 }
 
 void Simulator::AssignHostShard(HostId host, int shard) {
@@ -80,7 +51,7 @@ void Simulator::AssignHostShard(HostId host, int shard) {
   ACCENT_CHECK(!shards_.empty()) << " ConfigureShards first";
   ACCENT_CHECK(shard >= 0 && shard < shard_count())
       << " shard " << shard << " out of range";
-  ACCENT_CHECK(tls_sim_ != this) << " host assignment during window execution";
+  ACCENT_CHECK(running_ == nullptr) << " host assignment during window execution";
   auto [it, inserted] =
       host_slots_.emplace(host.value, HostSlot{shard, host_send_seq_.size()});
   ACCENT_CHECK(inserted) << " host " << host << " assigned twice";
@@ -102,10 +73,10 @@ void Simulator::ScheduleAtHost(HostId host, SimTime when, InlineEvent fn) {
     ScheduleAt(when, std::move(fn));
     return;
   }
-  ACCENT_CHECK(tls_sim_ != this)
+  ACCENT_CHECK(running_ == nullptr)
       << " ScheduleAtHost during window execution; events self-schedule with "
          "ScheduleAt and reach peers through ScheduleCross";
-  Shard& shard = *shards_[static_cast<std::size_t>(SlotOf(host).shard)];
+  Shard& shard = shards_[static_cast<std::size_t>(SlotOf(host).shard)];
   ACCENT_CHECK(when >= shard.now) << " scheduling into the past";
   shard.queue.push_back(Event{when, shard.next_seq++, std::move(fn)});
   std::push_heap(shard.queue.begin(), shard.queue.end(), EventLater{});
@@ -119,26 +90,22 @@ void Simulator::ScheduleCross(HostId from, HostId to, SimTime when, InlineEvent 
   }
   const HostSlot& src = SlotOf(from);
   const HostSlot& dst = SlotOf(to);
-  if (tls_sim_ == this && tls_shard_ != nullptr) {
+  if (running_ != nullptr) {
     // The conservative-window safety contract: an in-window send may not
     // arrive before the next barrier, or the destination shard could have
     // run past it. Wire latencies >= lookahead guarantee this.
-    ACCENT_CHECK(when >= tls_shard_->now + lookahead_)
+    ACCENT_CHECK(when >= running_->now + lookahead_)
         << " cross-shard event inside the lookahead window: when="
-        << when.count() << "us now=" << tls_shard_->now.count()
+        << when.count() << "us now=" << running_->now.count()
         << "us lookahead=" << lookahead_.count() << "us";
-    ACCENT_CHECK(shards_[static_cast<std::size_t>(src.shard)].get() == tls_shard_)
+    ACCENT_CHECK(&shards_[static_cast<std::size_t>(src.shard)] == running_)
         << " cross-shard send from host " << from
         << " outside its owning shard";
   }
-  // The canonical merge key. The per-source counter is written only by the
-  // source host's shard (or the setup thread), so no lock is needed here.
+  // The canonical merge key: the source host's own send order.
   const std::uint64_t src_seq = host_send_seq_[src.index]++;
-  Shard& target = *shards_[static_cast<std::size_t>(dst.shard)];
-  {
-    std::lock_guard<std::mutex> lock(target.inbox_mu);
-    target.inbox.push_back(CrossEvent{when, from.value, src_seq, std::move(fn)});
-  }
+  shards_[static_cast<std::size_t>(dst.shard)].inbox.push_back(
+      CrossEvent{when, from.value, src_seq, std::move(fn)});
 }
 
 void Simulator::RunOne() {
@@ -160,32 +127,26 @@ void Simulator::RunOne() {
 }
 
 void Simulator::RunShardWindow(Shard* shard, SimTime end_exclusive) {
-  tls_sim_ = this;
-  tls_shard_ = shard;
+  running_ = shard;
   std::vector<Event>& queue = shard->queue;
-  while (!queue.empty() && queue.front().when < end_exclusive &&
-         !stopped_.load(std::memory_order_relaxed)) {
+  while (!queue.empty() && queue.front().when < end_exclusive && !stopped_) {
     std::pop_heap(queue.begin(), queue.end(), EventLater{});
     Event event = std::move(queue.back());
     queue.pop_back();
     shard->now = event.when;
-    shard->executed.fetch_add(1, std::memory_order_relaxed);
+    ++shard->executed;
     event.fn();
   }
-  tls_shard_ = nullptr;
-  tls_sim_ = nullptr;
+  running_ = nullptr;
 }
 
 void Simulator::DrainInbox(Shard* shard) {
   drain_scratch_.clear();
-  {
-    std::lock_guard<std::mutex> lock(shard->inbox_mu);
-    drain_scratch_.swap(shard->inbox);
-  }
+  drain_scratch_.swap(shard->inbox);
   // Canonical merge order: arrival time, then source host, then the
   // source's own send order. This depends only on each host's execution
-  // history, so the merged schedule is identical for every shard count and
-  // worker count — the determinism contract of the whole engine.
+  // history, so the merged schedule is identical for every shard count —
+  // the determinism contract of the whole engine.
   std::sort(drain_scratch_.begin(), drain_scratch_.end(),
             [](const CrossEvent& a, const CrossEvent& b) {
               if (a.when != b.when) return a.when < b.when;
@@ -203,22 +164,16 @@ void Simulator::DrainInbox(Shard* shard) {
 }
 
 bool Simulator::RunWindowed(bool bounded, SimTime deadline) {
-  ACCENT_CHECK(tls_sim_ == nullptr) << " nested sharded runs on one thread";
-  stopped_.store(false, std::memory_order_relaxed);
-  const int workers = ShardWorkers();
-  ACCENT_CHECK(tracer_ == nullptr || workers == 1)
-      << " tracing a sharded run needs a single worker (set_shard_threads(1))";
-  if (workers > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
+  ACCENT_CHECK(running_ == nullptr) << " nested sharded run";
+  stopped_ = false;
   for (;;) {
-    for (auto& shard : shards_) {
-      DrainInbox(shard.get());
+    for (Shard& shard : shards_) {
+      DrainInbox(&shard);
     }
     SimTime next = kNoEvent;
-    for (auto& shard : shards_) {
-      if (!shard->queue.empty() && shard->queue.front().when < next) {
-        next = shard->queue.front().when;
+    for (const Shard& shard : shards_) {
+      if (!shard.queue.empty() && shard.queue.front().when < next) {
+        next = shard.queue.front().when;
       }
     }
     if (next == kNoEvent) {
@@ -227,8 +182,8 @@ bool Simulator::RunWindowed(bool bounded, SimTime deadline) {
           now_ = deadline;
         }
       } else {
-        for (const auto& shard : shards_) {
-          now_ = std::max(now_, shard->now);
+        for (const Shard& shard : shards_) {
+          now_ = std::max(now_, shard.now);
         }
       }
       return true;  // drained
@@ -249,22 +204,12 @@ bool Simulator::RunWindowed(bool bounded, SimTime deadline) {
           {{"end_us", Json(end.count())},
            {"shards", Json(static_cast<std::uint64_t>(shards_.size()))}});
     }
-    if (workers == 1) {
-      for (auto& shard : shards_) {
-        if (!shard->queue.empty() && shard->queue.front().when < end) {
-          RunShardWindow(shard.get(), end);
-        }
+    for (Shard& shard : shards_) {
+      if (!shard.queue.empty() && shard.queue.front().when < end) {
+        RunShardWindow(&shard, end);
       }
-    } else {
-      for (auto& shard : shards_) {
-        if (!shard->queue.empty() && shard->queue.front().when < end) {
-          Shard* raw = shard.get();
-          pool_->Submit([this, raw, end]() { RunShardWindow(raw, end); });
-        }
-      }
-      pool_->Wait();
     }
-    if (stopped_.load(std::memory_order_relaxed)) {
+    if (stopped_) {
       return pending_events() == 0;
     }
   }
@@ -276,8 +221,8 @@ std::uint64_t Simulator::Run() {
     RunWindowed(/*bounded=*/false, SimTime{0});
     return events_executed() - start;
   }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
+  stopped_ = false;
+  while (!queue_.empty() && !stopped_) {
     RunOne();
   }
   return events_executed_ - start;
@@ -287,8 +232,8 @@ bool Simulator::RunUntil(SimTime deadline) {
   if (!shards_.empty()) {
     return RunWindowed(/*bounded=*/true, deadline);
   }
-  stopped_.store(false, std::memory_order_relaxed);
-  while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
+  stopped_ = false;
+  while (!queue_.empty() && !stopped_) {
     if (queue_.front().when > deadline) {
       now_ = deadline;
       return false;
@@ -303,10 +248,8 @@ bool Simulator::RunUntil(SimTime deadline) {
 
 std::size_t Simulator::pending_events() const {
   std::size_t pending = queue_.size();
-  for (const auto& shard : shards_) {
-    pending += shard->queue.size();
-    std::lock_guard<std::mutex> lock(shard->inbox_mu);
-    pending += shard->inbox.size();
+  for (const Shard& shard : shards_) {
+    pending += shard.queue.size() + shard.inbox.size();
   }
   return pending;
 }
@@ -314,17 +257,16 @@ std::size_t Simulator::pending_events() const {
 std::vector<std::size_t> Simulator::PendingEventsByShard() const {
   std::vector<std::size_t> counts;
   counts.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->inbox_mu);
-    counts.push_back(shard->queue.size() + shard->inbox.size());
+  for (const Shard& shard : shards_) {
+    counts.push_back(shard.queue.size() + shard.inbox.size());
   }
   return counts;
 }
 
 std::uint64_t Simulator::events_executed() const {
   std::uint64_t total = events_executed_;
-  for (const auto& shard : shards_) {
-    total += shard->executed.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    total += shard.executed;
   }
   return total;
 }
@@ -335,12 +277,11 @@ std::vector<SimTime> Simulator::PendingEventTimes(std::size_t limit) const {
   for (const Event& event : queue_) {
     times.push_back(event.when);
   }
-  for (const auto& shard : shards_) {
-    for (const Event& event : shard->queue) {
+  for (const Shard& shard : shards_) {
+    for (const Event& event : shard.queue) {
       times.push_back(event.when);
     }
-    std::lock_guard<std::mutex> lock(shard->inbox_mu);
-    for (const CrossEvent& cross : shard->inbox) {
+    for (const CrossEvent& cross : shard.inbox) {
       times.push_back(cross.when);
     }
   }

@@ -15,31 +15,27 @@
 //
 //  * Sharded (fleet-scale cluster trials): the queue is split into
 //    per-shard queues, each owning a disjoint set of hosts, executed with
-//    conservative time-window barriers (classic conservative parallel
-//    discrete-event simulation). The only cross-shard edges are network
-//    arrivals, and every link has a nonzero minimum latency L (the
-//    lookahead), so each shard may safely run ahead to window_start + L
-//    before exchanging cross-shard events at a barrier. Cross-shard events
-//    travel through per-shard inboxes and are merged in a canonical order
-//    — (arrival time, source host, per-source sequence) — so the executed
-//    schedule, and therefore every simulation result, is bit-identical for
-//    any shard count and any worker-thread count. Same-shard dispatch
-//    keeps the InlineEvent fast path untouched.
+//    conservative time-window barriers (classic conservative discrete-event
+//    simulation). The only cross-shard edges are network arrivals, and
+//    every link has a nonzero minimum latency L (the lookahead), so each
+//    shard may safely run ahead to window_start + L before exchanging
+//    cross-shard events at a barrier. Every window runs on the caller's
+//    thread, due shards in index order. Cross-shard events travel through
+//    per-shard inboxes and are merged in a canonical order — (arrival
+//    time, source host, per-source sequence) — so the executed schedule,
+//    and therefore every simulation result, is bit-identical for any shard
+//    count. Same-shard dispatch keeps the InlineEvent fast path untouched.
 //
 // Hot-path notes: each queue is a binary heap laid out in a std::vector
 // whose storage is reserved up front and retained across pops, and each
 // event carries a small-buffer-optimised InlineEvent instead of a
 // heap-allocated std::function, so steady-state scheduling performs no
 // allocation. Sharding also shrinks each heap by the shard count, which
-// cuts the per-event sift cost (O(log n/K)) — on a single core that, not
-// thread parallelism, is where the cluster-trial speedup comes from.
+// cuts the per-event sift cost (O(log n/K)).
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -50,24 +46,15 @@
 
 namespace accent {
 
-class ThreadPool;
-
 class Simulator {
  public:
   Simulator();
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Current simulated time: the executing shard's clock from inside an
-  // event, the global window clock otherwise. The serial path is the
-  // original single load.
-  SimTime Now() const {
-    if (shards_.empty()) {
-      return now_;
-    }
-    return ShardedNow();
-  }
+  // Current simulated time: the executing shard's clock from inside a
+  // sharded event, the global clock otherwise.
+  SimTime Now() const { return running_ != nullptr ? running_->now : now_; }
 
   // Schedules `fn` at absolute simulated time `when` (>= Now()). Accepts any
   // void() callable; small captures are stored inline (see event.h). In
@@ -88,11 +75,6 @@ class Simulator {
   // windowed engine — that is the cluster baseline — but the classic serial
   // loop is used whenever ConfigureShards was never called.
   void ConfigureShards(int shards, SimDuration lookahead);
-
-  // Caps the worker threads executing shard windows. 0 (default) picks
-  // min(shard_count, hardware threads); 1 runs shards inline on the
-  // caller's thread with zero pool machinery.
-  void set_shard_threads(int threads);
 
   // Maps a host onto a shard (0 <= shard < shard_count). Every host that
   // schedules or receives cross-host events must be assigned before Run.
@@ -126,7 +108,7 @@ class Simulator {
 
   // Makes Run() return after the current event completes (serial mode) or
   // at the next window barrier (sharded mode).
-  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
+  void Stop() { stopped_ = true; }
 
   bool empty() const {
     if (shards_.empty()) {
@@ -153,16 +135,15 @@ class Simulator {
   std::uint64_t events_executed() const;
 
   // Process/port/segment id allocator (ids are unique per simulation).
-  // Serial-mode (and setup-time) only: allocation order from concurrent
-  // shards would leak scheduling nondeterminism into ids.
+  // Serial-mode (and setup-time) only: allocation order inside shard
+  // windows follows the shard layout, so ids would differ across shard
+  // counts.
   std::uint64_t AllocateId() { return ++last_id_; }
 
   // Optional observability hook. The simulator does not own the tracer;
   // callers must keep it alive for the simulation's lifetime. Instrumented
   // subsystems reach it through here (sim.tracer()), so one assignment
   // enables tracing everywhere. Null (the default) disables all recording.
-  // Sharded runs accept a tracer only with a single worker thread (the
-  // recorder is not thread-safe); the schedule is identical either way.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
@@ -188,7 +169,7 @@ class Simulator {
   // A cross-shard event parked in the destination shard's inbox until the
   // next barrier. The (when, src_host, src_seq) key is the canonical merge
   // order: it depends only on each source host's own execution history,
-  // never on shard layout or thread interleaving.
+  // never on shard layout.
   struct CrossEvent {
     SimTime when;
     std::uint64_t src_host;
@@ -196,15 +177,11 @@ class Simulator {
     InlineEvent fn;
   };
 
-  // Shards are cache-line-aligned so two workers never share a line.
-  struct alignas(64) Shard {
+  struct Shard {
     std::vector<Event> queue;  // binary heap, same discipline as queue_
     SimTime now{0};
     std::uint64_t next_seq = 0;
-    // Relaxed atomic so watchdog events on one shard may read the global
-    // events_executed() while other shards are mid-window.
-    std::atomic<std::uint64_t> executed{0};
-    std::mutex inbox_mu;
+    std::uint64_t executed = 0;
     std::vector<CrossEvent> inbox;
   };
 
@@ -214,18 +191,10 @@ class Simulator {
   };
 
   void RunOne();
-  SimTime ShardedNow() const;
   bool RunWindowed(bool bounded, SimTime deadline);
   void RunShardWindow(Shard* shard, SimTime end_exclusive);
   void DrainInbox(Shard* shard);
   const HostSlot& SlotOf(HostId host) const;
-  int ShardWorkers() const;
-
-  // The shard whose window the calling thread is executing (null outside
-  // window execution). Guarded by tls_sim_ so nested simulators in one
-  // process never cross wires.
-  static thread_local Simulator* tls_sim_;
-  static thread_local Shard* tls_shard_;
 
   // Binary heap over queue_ (std::push_heap/pop_heap with EventLater).
   std::vector<Event> queue_;
@@ -233,17 +202,19 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t last_id_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
   Tracer* tracer_ = nullptr;  // not owned
 
-  // Sharded mode (empty vectors/maps in serial mode).
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Sharded mode (empty vectors/maps in serial mode). shards_ is sized once
+  // by ConfigureShards, so pointers into it stay valid.
+  std::vector<Shard> shards_;
+  // The shard whose window is executing; null outside window execution
+  // (and always in serial mode).
+  Shard* running_ = nullptr;
   SimDuration lookahead_{0};
-  int shard_threads_ = 0;  // 0 = auto
   std::unordered_map<std::uint64_t, HostSlot> host_slots_;
   // Per-source-host cross-send counters; written only by the owning shard.
   std::vector<std::uint64_t> host_send_seq_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<CrossEvent> drain_scratch_;
 };
 

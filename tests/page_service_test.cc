@@ -229,7 +229,7 @@ TEST(PageServiceFaultWalk, HolderCrashMidFaultFallsBackToOrigin) {
   config.fault_plan.crashes.push_back(CrashWindow{HostId(2), SimTime(0) + Sec(150.0),
                                                   kFaultForever});
   Testbed bed(config);
-  const std::uint64_t reference = ChainReferenceChecksum("Minprog", 42);
+  const std::uint64_t reference = ReferenceChecksum("Minprog", 42);
 
   // Round 1, 0 -> 1: seeds host 1's ContentCache with the image and
   // announces it in the directory.

@@ -175,8 +175,7 @@ TEST(ParallelSweep, ChainSweepIsByteIdenticalAcross1And2And8Threads) {
 TEST(ParallelSweep, ClusterTrialIsByteIdenticalAcross1And2And8Shards) {
   // The sharded-core determinism contract, stated where the other engine
   // determinism contracts live: a fleet trial's canonical JSON is identical
-  // for every shard count, including with real worker threads underneath
-  // (which is what the tsan preset exercises here).
+  // for every shard count.
   ClusterConfig config;
   config.host_count = 10;
   config.duration = Sec(40.0);
@@ -191,7 +190,6 @@ TEST(ParallelSweep, ClusterTrialIsByteIdenticalAcross1And2And8Shards) {
   EXPECT_NE(reference.find("\"census_ok\": true"), std::string::npos);
   for (int shards : {2, 8}) {
     config.shards = shards;
-    config.shard_threads = 2;
     EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference)
         << "shards=" << shards;
   }
@@ -219,7 +217,6 @@ TEST(ParallelSweep, CachedClusterTrialIsByteIdenticalAcross1And2And8Shards) {
       << "the cached trial must actually dedup pages";
   for (int shards : {2, 8}) {
     config.shards = shards;
-    config.shard_threads = 2;
     EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference)
         << "shards=" << shards;
   }
@@ -248,11 +245,11 @@ TEST(SweepThreads, EnvVarOverridesAndClamps) {
   EXPECT_EQ(SweepThreadCount(), 3);
   // Non-positive and garbage values fall back to the hardware default.
   ASSERT_EQ(setenv("ACCENT_SWEEP_THREADS", "0", 1), 0);
-  EXPECT_EQ(SweepThreadCount(), ThreadPool::HardwareThreads());
+  EXPECT_EQ(SweepThreadCount(), HardwareThreads());
   ASSERT_EQ(setenv("ACCENT_SWEEP_THREADS", "-4", 1), 0);
-  EXPECT_EQ(SweepThreadCount(), ThreadPool::HardwareThreads());
+  EXPECT_EQ(SweepThreadCount(), HardwareThreads());
   ASSERT_EQ(setenv("ACCENT_SWEEP_THREADS", "lots", 1), 0);
-  EXPECT_EQ(SweepThreadCount(), ThreadPool::HardwareThreads());
+  EXPECT_EQ(SweepThreadCount(), HardwareThreads());
   ASSERT_EQ(unsetenv("ACCENT_SWEEP_THREADS"), 0);
   EXPECT_GE(SweepThreadCount(), 1);
 }

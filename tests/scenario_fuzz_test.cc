@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/experiments/scenario_fuzz.h"
+#include "src/workloads/workload.h"
 #include "tests/digest.h"
 
 namespace accent {
@@ -28,6 +29,31 @@ TEST_P(ScenarioFuzzCorpus, SeedSatisfiesAllOracles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ScenarioFuzz, ScenarioFuzzCorpus, ::testing::Range<std::uint64_t>(1, 65));
+
+// Migration must leave page contents exactly as an unmigrated run leaves
+// them, so every lossless two-host migration of every workload, under every
+// strategy, folds the unmigrated reference's checksum. The pure-copy cells
+// are the procedure the reference used to be.
+TEST(Scenario, ReferenceMatchesEveryLosslessStrategy) {
+  constexpr std::uint64_t kSeed = 42;
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+    const std::uint64_t reference = ReferenceChecksum(spec.name, kSeed);
+    for (TransferStrategy strategy :
+         {TransferStrategy::kPureCopy, TransferStrategy::kPureIou,
+          TransferStrategy::kResidentSet, TransferStrategy::kPreCopy}) {
+      FuzzScenario sc;
+      sc.seed = kSeed;
+      sc.workload = spec.name;
+      sc.strategy = strategy;
+      const MechRun run = RunMech(sc, FaultPlan{}, kSeed);
+      ASSERT_TRUE(run.drained && run.hop1_done && run.finished)
+          << spec.name << " " << StrategyName(strategy);
+      EXPECT_FALSE(run.hop1.aborted) << spec.name << " " << StrategyName(strategy);
+      EXPECT_EQ(run.finish_host, sc.dest) << spec.name << " " << StrategyName(strategy);
+      EXPECT_EQ(run.checksum, reference) << spec.name << " " << StrategyName(strategy);
+    }
+  }
+}
 
 // Scenario construction is a pure function of the seed: the corpus a CI run
 // checks is the corpus --replay-seed reconstructs.

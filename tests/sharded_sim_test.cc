@@ -4,23 +4,65 @@
 // for network edges), canonical cross-shard merge order, the per-shard
 // clock, partial drains under RunUntil, Stop at window barriers, the
 // watchdog introspection surface (pending_events / PendingEventsByShard /
-// PendingEventTimes) and the lookahead safety contract. The headline
-// determinism claim — identical execution for every shard count — is
-// asserted here on a ping-pong microkernel and again, full-stack, in
-// tests/cluster_test.cc.
+// PendingEventTimes), the lookahead safety contract, and that every window
+// runs on the caller's thread, traced or not. The headline determinism
+// claim — identical execution for every shard count — is asserted here on
+// a ping-pong microkernel and again, full-stack, in tests/cluster_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/types.h"
 #include "src/sim/simulator.h"
+#include "src/trace/trace.h"
 
 namespace accent {
 namespace {
 
 constexpr SimDuration kLookahead = Ms(4);
+
+using RingLog = std::vector<std::vector<SimTime>>;
+
+// Four hosts pass a token around the ring via ScheduleCross, 40 hops in
+// all; each host logs its local receive times. `threads`, when given,
+// records the thread every hop ran on.
+RingLog RunRing(Simulator& sim, int shards, std::vector<std::thread::id>* threads = nullptr) {
+  sim.ConfigureShards(shards, kLookahead);
+  const int kHosts = 4;
+  for (int h = 1; h <= kHosts; ++h) {
+    sim.AssignHostShard(HostId(static_cast<std::uint64_t>(h)), (h - 1) % shards);
+  }
+  RingLog log(kHosts + 1);
+  struct Ring {
+    Simulator* sim;
+    RingLog* log;
+    std::vector<std::thread::id>* threads;
+    int hops_left;
+  } ring{&sim, &log, threads, 40};
+  // InlineEvent capture: one pointer, recursion through a function ptr.
+  struct Hop {
+    static void At(Ring* ring, int host) {
+      (*ring->log)[static_cast<std::size_t>(host)].push_back(ring->sim->Now());
+      if (ring->threads != nullptr) {
+        ring->threads->push_back(std::this_thread::get_id());
+      }
+      if (--ring->hops_left == 0) {
+        return;
+      }
+      const int next = host % 4 + 1;
+      ring->sim->ScheduleCross(HostId(static_cast<std::uint64_t>(host)),
+                               HostId(static_cast<std::uint64_t>(next)),
+                               ring->sim->Now() + kLookahead,
+                               [ring, next] { Hop::At(ring, next); });
+    }
+  };
+  sim.ScheduleAtHost(HostId(1), Ms(1), [&ring] { Hop::At(&ring, 1); });
+  sim.Run();
+  return log;
+}
 
 TEST(ShardedSim, SerialUnlessConfigured) {
   Simulator sim;
@@ -47,9 +89,6 @@ TEST(ShardedSim, ConfigureAndAssign) {
 TEST(ShardedSim, PerShardClockInsideEvents) {
   Simulator sim;
   sim.ConfigureShards(2, kLookahead);
-  // One worker: both shards' events write the shared `observed` vector, and
-  // the recording-order assertion below relies on sequential shard order.
-  sim.set_shard_threads(1);
   sim.AssignHostShard(HostId(1), 0);
   sim.AssignHostShard(HostId(2), 1);
   std::vector<SimTime> observed;
@@ -186,43 +225,45 @@ TEST(ShardedSim, WatchdogIntrospectionSeesEveryShardAndInbox) {
 }
 
 TEST(ShardedSim, PingPongScheduleIsIdenticalForEveryShardCount) {
-  // Four hosts pass a token around the ring via ScheduleCross; each host
-  // logs its local receive times. The per-host traces must be identical
-  // whether the ring shares one shard or is split across four.
+  // The per-host traces must be identical whether the ring shares one shard
+  // or is split across four.
   auto run = [](int shards) {
     Simulator sim;
-    sim.ConfigureShards(shards, kLookahead);
-    const int kHosts = 4;
-    for (int h = 1; h <= kHosts; ++h) {
-      sim.AssignHostShard(HostId(static_cast<std::uint64_t>(h)), (h - 1) % shards);
-    }
-    std::vector<std::vector<SimTime>> log(kHosts + 1);
-    struct Ring {
-      Simulator* sim;
-      std::vector<std::vector<SimTime>>* log;
-      int hops_left;
-    } ring{&sim, &log, 40};
-    // InlineEvent capture: one pointer, recursion through a function ptr.
-    struct Hop {
-      static void At(Ring* ring, int host) {
-        (*ring->log)[static_cast<std::size_t>(host)].push_back(ring->sim->Now());
-        if (--ring->hops_left == 0) {
-          return;
-        }
-        const int next = host % 4 + 1;
-        ring->sim->ScheduleCross(HostId(static_cast<std::uint64_t>(host)),
-                                 HostId(static_cast<std::uint64_t>(next)),
-                                 ring->sim->Now() + kLookahead,
-                                 [ring, next] { Hop::At(ring, next); });
-      }
-    };
-    sim.ScheduleAtHost(HostId(1), Ms(1), [&ring] { Hop::At(&ring, 1); });
-    sim.Run();
-    return log;
+    return RunRing(sim, shards);
   };
-  const auto baseline = run(1);
+  const RingLog baseline = run(1);
   EXPECT_EQ(run(2), baseline);
   EXPECT_EQ(run(4), baseline);
+}
+
+TEST(ShardedSim, WindowsRunOnTheCallingThread) {
+  Simulator sim;
+  std::vector<std::thread::id> threads;
+  RunRing(sim, 4, &threads);
+  ASSERT_EQ(threads.size(), 40u);
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ShardedSim, TracedShardedRunRecordsWindows) {
+  Simulator untraced;
+  const RingLog baseline = RunRing(untraced, 2);
+
+  Tracer tracer;
+  tracer.set_verbose(true);
+  Simulator traced;
+  traced.set_tracer(&tracer);
+  EXPECT_EQ(RunRing(traced, 2), baseline);
+  EXPECT_EQ(traced.events_executed(), untraced.events_executed());
+
+  std::size_t windows = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.name == "shard:window") {
+      ++windows;
+    }
+  }
+  EXPECT_GT(windows, 0u);
 }
 
 TEST(ShardedSimDeath, LookaheadViolationAborts) {
