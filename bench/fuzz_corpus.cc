@@ -1,8 +1,8 @@
 // Adversarial fuzz-corpus bench: seeded random scenarios — heterogeneous
 // topology x workload x fault plan x strategy x optional re-migration —
 // checked against the standing oracles (content integrity, zero hangs,
-// balanced backer references, 1-vs-2-shard fleet identity, payload
-// balance), emitting machine-readable JSON (BENCH_fuzz.json) so the fuzzed
+// balanced backer references, the fleet census, payload balance),
+// emitting machine-readable JSON (BENCH_fuzz.json) so the fuzzed
 // guarantees are tracked from PR to PR.
 //
 // Usage: fuzz_corpus [--first N] [--seeds N] [--threads N] [--out PATH]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <list>
 #include <map>
@@ -21,20 +20,8 @@
 namespace accent {
 namespace {
 
-int EnvInt(const char* name, int fallback, int lo, int hi) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') {
-    return fallback;
-  }
-  const long parsed = std::strtol(value, nullptr, 10);
-  return static_cast<int>(std::clamp<long>(parsed, lo, hi));
-}
-
 // One fleet-granularity process: a CPU demand plus the footprint the
-// migration cost formulas consume. Owned (touched) exclusively by the
-// shard of whichever host it currently resides on; ownership moves with
-// the Core/RIMAS handoff, which orders the two shards through the
-// cross-shard inbox.
+// migration cost formulas consume.
 struct ClusterProc {
   std::uint64_t pid = 0;
   SimTime arrive{0};
@@ -53,8 +40,7 @@ struct ClusterProc {
   // this process runs (drawn once at spawn); shared_owed is the portion of
   // the current debt that is image-shared content, dedup_remaining the part
   // of it the destination's cache already held when the process landed —
-  // those pages ride confirm acks instead of payload. All three are touched
-  // only on the shard of the process's current host.
+  // those pages ride confirm acks instead of payload.
   int binary_class = -1;
   std::int64_t shared_owed = 0;
   std::int64_t dedup_remaining = 0;
@@ -74,7 +60,7 @@ struct Host {
   Rng rng{0};
   std::deque<ClusterProc> arena;  // every proc born here; stable addresses
   // Resident, unfrozen processes keyed by pid. std::map so victim scans
-  // iterate in a platform-independent, shard-count-independent order.
+  // iterate in a platform-independent order.
   std::map<std::uint64_t, ActiveEntry> active;
   int runnable = 0;
   std::uint64_t next_local_pid = 0;
@@ -88,13 +74,12 @@ struct Host {
   std::uint64_t directives_unfilled = 0;
   std::uint64_t pull_batches = 0;
   std::uint64_t pages_pulled = 0;
-  // Incremented on this host's shard when it is the migration source.
+  // Incremented when this host is the migration source.
   std::uint64_t diskless_copy_forced = 0;
   std::uint64_t diskless_backing_anchors = 0;
   // Per-host content cache, fleet granularity: page counts per binary
-  // class under a class-LRU (front = most recent). Touched only by this
-  // host's shard — inserts and dedup lookups both run on destination-side
-  // events — so the model stays byte-identical across shard counts.
+  // class under a class-LRU (front = most recent). Inserts and dedup
+  // lookups both run on destination-side events.
   std::map<int, std::int64_t> cache_pages_by_class;
   std::list<int> cache_recency;
   std::int64_t cache_total = 0;
@@ -105,10 +90,9 @@ struct Host {
   std::vector<SimDuration> downtimes;  // per landed migration
 };
 
-// Balancer state, owned by host 0's shard. Every mutation happens inside
-// an event executing on that shard (load-report deliveries, sample ticks,
-// completion notices), so no locking is needed and the decision sequence
-// is identical at any shard count.
+// Balancer state, hosted on host 0. Every mutation happens inside an event
+// at the coordinator (load-report deliveries, sample ticks, completion
+// notices).
 struct Coordinator {
   ImbalanceGovernor governor{1, 0};
   std::vector<int> last_runnable;  // freshest report per host
@@ -146,7 +130,7 @@ struct Trial {
 
   // ---- processor-sharing slices -----------------------------------------
 
-  void ScheduleSlice(Host& host, ClusterProc* p, bool at_setup) {
+  void ScheduleSlice(Host& host, ClusterProc* p) {
     const SimDuration remaining = p->demand - p->consumed;
     p->slice_len = std::min(config.quantum, remaining);
     // PS approximation: a slice of CPU `slice_len` finishes after
@@ -160,12 +144,7 @@ struct Trial {
     Host* h = &host;
     ClusterProc* proc = p;
     const std::uint64_t epoch = p->epoch;
-    auto fire = [this, h, proc, epoch]() { OnSlice(*h, proc, epoch); };
-    if (at_setup) {
-      sim.ScheduleAtHost(host.id, sim.Now() + stretch, std::move(fire));
-    } else {
-      sim.ScheduleAfter(stretch, std::move(fire));
-    }
+    sim.ScheduleAfter(stretch, [this, h, proc, epoch]() { OnSlice(*h, proc, epoch); });
   }
 
   void OnSlice(Host& host, ClusterProc* p, std::uint64_t epoch) {
@@ -185,13 +164,13 @@ struct Trial {
       return;
     }
     MaybePull(host, p);
-    ScheduleSlice(host, p, /*at_setup=*/false);
+    ScheduleSlice(host, p);
   }
 
   // ---- content cache (fleet model) ---------------------------------------
 
   // How many image pages of `binary_class` the destination already caches;
-  // a hit touches the class to the LRU front. Runs on the dest's shard.
+  // a hit touches the class to the LRU front.
   std::int64_t CacheHeld(Host& host, int binary_class) {
     auto it = host.cache_pages_by_class.find(binary_class);
     if (it == host.cache_pages_by_class.end() || it->second <= 0) {
@@ -203,7 +182,7 @@ struct Trial {
   }
 
   // Inserts freshly pulled image pages, partially evicting the coldest
-  // classes once the capacity overflows. Runs on the dest's shard.
+  // classes once the capacity overflows.
   void CacheInsert(Host& host, int binary_class, std::int64_t pages) {
     if (pages <= 0 || binary_class < 0) {
       return;
@@ -265,7 +244,7 @@ struct Trial {
                  });
   }
 
-  // Runs on the backer's shard: charge request handling + backer service,
+  // Runs at the backer: charge request handling + backer service,
   // then ship the batch back. Confirmed pages shrink the reply to an ack —
   // the origin offload the content cache buys.
   void ServePull(Host& backer, Host& dest, ClusterProc* p, std::int64_t batch,
@@ -354,7 +333,7 @@ struct Trial {
 
   void OnArrival(Host& host) {
     ClusterProc* p = SpawnProc(host);
-    ScheduleSlice(host, p, /*at_setup=*/false);
+    ScheduleSlice(host, p);
   }
 
   // ---- load reports + balancing ------------------------------------------
@@ -462,7 +441,7 @@ struct Trial {
     return strategy;
   }
 
-  // Runs on the source's shard: pick the cheapest victim and start the
+  // Runs at the source: pick the cheapest victim and start the
   // transfer. Homogeneous rows rank by the dispersal-aware anchor metric
   // (bytes anchored locally); calibrated rows rank by the full
   // MigrationCostModel::RelocationCost — excise at the source's speed, wire
@@ -559,7 +538,7 @@ struct Trial {
     });
   }
 
-  // Runs on the destination's shard once the RIMAS has fully arrived.
+  // Runs at the destination once the RIMAS has fully arrived.
   void FinishMigration(Host& source, Host& target, ClusterProc* p,
                        ByteCount core_bytes, ByteCount rimas_bytes,
                        std::int64_t shipped, std::int64_t owed, int backing,
@@ -596,7 +575,7 @@ struct Trial {
       dst->downtimes.push_back(sim.Now() - freeze_at);
       NotifyMigrationDone(src->index, dst->index, /*migrated=*/true, *dst);
       MaybePull(*dst, p);
-      ScheduleSlice(*dst, p, /*at_setup=*/false);
+      ScheduleSlice(*dst, p);
     });
   }
 
@@ -654,8 +633,6 @@ std::uint64_t AutoEventBudget(const ClusterConfig& config) {
 
 }  // namespace
 
-int SimShardCount() { return EnvInt("ACCENT_SIM_SHARDS", 1, 1, 64); }
-
 ClusterResult RunClusterTrial(const ClusterConfig& config) {
   ACCENT_EXPECTS(config.host_count >= 2);
   ACCENT_EXPECTS(config.duration > SimDuration::zero());
@@ -675,16 +652,9 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
 
   ClusterResult result;
   result.config = config;
-  const int shards = config.shards > 0 ? config.shards : SimShardCount();
 
   const CostTable& costs = PerqCosts();
   Simulator sim;
-  // Every cluster trial runs the windowed engine — shards == 1 included —
-  // so cross-host arrivals always merge in the canonical inbox order and
-  // results never depend on the shard count. The lookahead must not exceed
-  // the smallest cross-host link latency; MinWireLatency returns exactly
-  // costs.wire_latency on an uncalibrated row.
-  sim.ConfigureShards(shards, Network::MinWireLatency(costs, config.calibrations));
   Network net(&sim, &costs, /*recorder=*/nullptr);
   net.ConfigureSwitched(config.host_count);
   if (!config.calibrations.empty()) {
@@ -699,7 +669,6 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
     host->index = i;
     host->id = HostId(static_cast<std::uint64_t>(i + 1));
     host->rng = root.Fork(static_cast<std::uint64_t>(i + 1));
-    sim.AssignHostShard(host->id, i % shards);
     hosts.push_back(std::move(host));
   }
 
@@ -717,12 +686,10 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   }
   trial.calibrated = AnyCalibrated(config.calibrations);
 
-  // --- setup (serial; every schedule goes through ScheduleAtHost) ---------
+  // --- setup --------------------------------------------------------------
   for (auto& host_ptr : hosts) {
     Host& host = *host_ptr;
-    // Poisson arrival times for the whole run, pre-scheduled. Besides being
-    // simple, this keeps thousands of future events resident in the heaps,
-    // which is exactly the load the sharded engine is built to split.
+    // Poisson arrival times for the whole run, pre-scheduled.
     std::vector<SimTime> arrivals;
     SimTime t{0};
     while (true) {
@@ -736,11 +703,11 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
     }
     Host* h = &host;
     for (SimTime when : arrivals) {
-      sim.ScheduleAtHost(host.id, when, [&trial, h]() { trial.OnArrival(*h); });
+      sim.ScheduleAt(when, [&trial, h]() { trial.OnArrival(*h); });
     }
     for (SimTime when = config.report_period; when < config.duration;
          when += config.report_period) {
-      sim.ScheduleAtHost(host.id, when, [&trial, h]() { trial.OnReportTick(*h); });
+      sim.ScheduleAt(when, [&trial, h]() { trial.OnReportTick(*h); });
     }
     for (int i = 0; i < config.initial_processes_per_host; ++i) {
       trial.SpawnProc(host);
@@ -751,16 +718,16 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   for (auto& host_ptr : hosts) {
     Host& host = *host_ptr;
     for (auto& [pid, entry] : host.active) {
-      trial.ScheduleSlice(host, entry.proc, /*at_setup=*/true);
+      trial.ScheduleSlice(host, entry.proc);
     }
   }
   for (SimTime when = config.policy.sample_period; when < config.duration;
        when += config.policy.sample_period) {
-    sim.ScheduleAtHost(hosts[0]->id, when, [&trial]() { trial.OnSampleTick(); });
+    sim.ScheduleAt(when, [&trial]() { trial.OnSampleTick(); });
   }
   for (SimTime when = config.steady_window; when < config.duration;
        when += config.steady_window) {
-    sim.ScheduleAtHost(hosts[0]->id, when, [&trial]() { trial.OnSteadyTick(); });
+    sim.ScheduleAt(when, [&trial]() { trial.OnSteadyTick(); });
   }
 
   // --- run -----------------------------------------------------------------
@@ -769,10 +736,6 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   if (result.hung) {
     ACCENT_LOG(kError) << "cluster: watchdog tripped after " << sim.events_executed()
                       << " events (budget " << trial.event_budget << ")";
-    const std::vector<std::size_t> by_shard = sim.PendingEventsByShard();
-    for (std::size_t i = 0; i < by_shard.size(); ++i) {
-      ACCENT_LOG(kError) << "cluster:   shard " << i << " pending " << by_shard[i];
-    }
     for (SimTime when : sim.PendingEventTimes(8)) {
       ACCENT_LOG(kError) << "cluster:   next pending event at " << when.count() << "us";
     }

@@ -24,13 +24,11 @@
 // request/reply) while the process runs at its new home.
 //
 // Determinism: every stochastic draw flows through per-host Rng streams,
-// all cross-host interaction rides Network::Transmit (and therefore the
-// canonical cross-shard merge order), per-host state is touched only by
-// the owning shard, and end-of-run aggregation walks hosts in index
-// order. A trial's ClusterResult — and its canonical JSON — is therefore
-// byte-identical for any shard count; the shard knob is deliberately
-// excluded from the JSON so the equality can be asserted literally
-// (tests/parallel_sweep_test.cc does).
+// all cross-host interaction rides Network::Transmit, the trial runs on
+// the one serial Simulator loop, and end-of-run aggregation walks hosts in
+// index order. A trial's ClusterResult — and its canonical JSON — is
+// therefore a pure function of its config (tests/cluster_test.cc pins
+// four of them).
 #ifndef SRC_EXPERIMENTS_CLUSTER_H_
 #define SRC_EXPERIMENTS_CLUSTER_H_
 
@@ -51,13 +49,10 @@ struct ClusterConfig {
   std::uint64_t seed = 42;
   SimDuration duration = Sec(120.0);
 
-  // Sharding knob. It selects the execution engine, never the result:
-  // trial output is byte-identical for every shard count. shards <= 0 reads
-  // ACCENT_SIM_SHARDS (default 1).
+  // Unread: every trial runs on the serial event loop. Kept only because
+  // perfbench/perfbench.cc:364-365 still assigns both; they go with the
+  // next change to the benchmark.
   int shards = 0;
-  // Unread: every shard window runs on the caller's thread. Kept only
-  // because perfbench/perfbench.cc still assigns it; it goes with the next
-  // change to the benchmark.
   int shard_threads = 1;
 
   // Workload churn. Each host starts with `initial_processes_per_host`
@@ -85,8 +80,7 @@ struct ClusterConfig {
   // a destination whose per-host cache (content_cache_pages, class-LRU)
   // already holds image pages answers that portion of a pull batch with a
   // small confirm ack instead of payload. All cache state lives on the
-  // destination host and is touched only by its owning shard, so results
-  // stay byte-identical across shard counts.
+  // destination host.
   bool content_cache = false;
   std::int64_t content_cache_pages = 8192;
   int binary_classes = 6;
@@ -157,8 +151,7 @@ struct ClusterResult {
   SimTime steady_at{0};
   double steady_migrations_per_sec = 0.0;
 
-  // Engine counters — identical across shard counts by construction, so
-  // they double as determinism checks.
+  // Engine counters; they double as determinism checks.
   std::uint64_t events_executed = 0;
   std::uint64_t transmissions = 0;
   ByteCount wire_bytes = 0;
@@ -167,16 +160,12 @@ struct ClusterResult {
   bool hung = false;
 };
 
-// Shard count for cluster trials: ACCENT_SIM_SHARDS if set (clamped to
-// [1, 64]), else 1.
-int SimShardCount();
-
 // Runs one fleet trial to completion (or its watchdog budget).
 ClusterResult RunClusterTrial(const ClusterConfig& config);
 
-// Canonical JSON for one trial. Excludes the shard knobs and any
-// wall-clock quantity on purpose: two runs of the same config at different
-// shard counts must serialise byte-identically.
+// Canonical JSON for one trial. Excludes the unread shard fields and any
+// wall-clock quantity on purpose: two runs of the same config serialise
+// byte-identically.
 Json ClusterResultToJson(const ClusterResult& result);
 
 }  // namespace accent

@@ -21,14 +21,12 @@ constexpr double kLatencyMenu[] = {0.5, 1.0, 2.0};
 constexpr double kBandwidthMenu[] = {0.5, 1.0, 2.0};
 
 // The fleet-scale half of a scenario: same topology, calibrations and
-// strategy, sized to finish quickly. Deliberately identical at both shard
-// counts; the caller compares the canonical JSON byte for byte.
-ClusterConfig MakeFleetConfig(const FuzzScenario& sc, int shards) {
+// strategy, sized to finish quickly.
+ClusterConfig MakeFleetConfig(const FuzzScenario& sc) {
   ClusterConfig config;
   config.host_count = sc.host_count;
   config.seed = sc.seed;
   config.duration = Sec(15.0);
-  config.shards = shards;
   config.initial_processes_per_host = 3;
   config.arrivals_per_host_per_sec = 0.25;
   config.mean_service_sec = 5.0;
@@ -208,28 +206,20 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
             << ",restores=" << result.restores << ");";
   }
 
-  // ---- fleet shard identity ----------------------------------------------
-  const ClusterResult fleet1 = RunClusterTrial(MakeFleetConfig(scenario, 1));
-  const ClusterResult fleet2 = RunClusterTrial(MakeFleetConfig(scenario, 2));
+  // ---- fleet half ---------------------------------------------------------
+  const ClusterResult fleet = RunClusterTrial(MakeFleetConfig(scenario));
   // A lone migrating chain has no third-party holders, so mechanistic runs
   // only engage the dedup plane on a re-migration; the fleet half (many
   // processes, shared pages) is where cache serves actually accrue.
-  result.cache_activity = cache_activity + fleet1.pages_deduped + fleet2.pages_deduped;
+  result.cache_activity = cache_activity + fleet.pages_deduped;
   if (!scenario.content_cache && result.cache_activity != 0) {
     result.dedup_ok = false;
     failure << "cache-off scenario touched the dedup plane (served="
             << result.cache_activity << ");";
   }
-  const std::string json1 = ClusterResultToJson(fleet1).Dump();
-  const std::string json2 = ClusterResultToJson(fleet2).Dump();
-  result.shard_match = json1 == json2;
-  result.cluster_census_ok = fleet1.census_ok && fleet2.census_ok;
-  result.cluster_hung = fleet1.hung || fleet2.hung;
-  result.diskless_backing_anchors =
-      fleet1.diskless_backing_anchors + fleet2.diskless_backing_anchors;
-  if (!result.shard_match) {
-    failure << "shard divergence (1-shard vs 2-shard JSON differ);";
-  }
+  result.cluster_census_ok = fleet.census_ok;
+  result.cluster_hung = fleet.hung;
+  result.diskless_backing_anchors = fleet.diskless_backing_anchors;
   if (!result.cluster_census_ok) {
     failure << "fleet census imbalance;";
   }
@@ -272,7 +262,6 @@ FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count, in
         break;
     }
     corpus.backer_imbalances += r.backer_balanced ? 0 : 1;
-    corpus.shard_divergences += r.shard_match ? 0 : 1;
     corpus.cluster_census_failures += r.cluster_census_ok ? 0 : 1;
     corpus.cluster_hangs += r.cluster_hung ? 1 : 0;
     corpus.diskless_backing_anchors += r.diskless_backing_anchors;
@@ -315,7 +304,6 @@ Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
     entry["rolled_back"] = Json(r.rolled_back);
     entry["remigrated"] = Json(r.remigrated);
     entry["backer_balanced"] = Json(r.backer_balanced);
-    entry["shard_match"] = Json(r.shard_match);
     entry["cluster_census_ok"] = Json(r.cluster_census_ok);
     entry["cluster_hung"] = Json(r.cluster_hung);
     entry["content_cache"] = Json(r.scenario.content_cache);
@@ -341,7 +329,6 @@ Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
   report["hung"] = Json(corpus.hung);
   report["integrity_failures"] = Json(corpus.integrity_failures);
   report["backer_imbalances"] = Json(corpus.backer_imbalances);
-  report["shard_divergences"] = Json(corpus.shard_divergences);
   report["cluster_census_failures"] = Json(corpus.cluster_census_failures);
   report["cluster_hangs"] = Json(corpus.cluster_hangs);
   report["diskless_backing_anchors"] = Json(corpus.diskless_backing_anchors);
@@ -358,7 +345,6 @@ Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
   AddGate(&report, "failures", corpus.failures, "==", 0);
   AddGate(&report, "integrity_failures", corpus.integrity_failures, "==", 0);
   AddGate(&report, "hung", corpus.hung, "==", 0);
-  AddGate(&report, "shard_divergences", corpus.shard_divergences, "==", 0);
   AddGate(&report, "dedup_failures", corpus.dedup_failures, "==", 0);
   AddGate(&report, "checkpoint_failures", corpus.checkpoint_failures, "==", 0);
   return report;

@@ -9,8 +9,7 @@
 // source-destination partition, or a permanent crash planted at a phase
 // boundary learned from the scenario's own lossless baseline — the failure
 // sweep's methodology). The same seed also drives a small fleet trial over
-// the same topology and calibrations, run twice — at one shard and at two —
-// whose canonical JSON must match byte for byte.
+// the same topology and calibrations.
 //
 // Oracles (every scenario, every seed):
 //   - census/content integrity: a completed process's touched pages match
@@ -20,8 +19,8 @@
 //   - balanced backer references: after a crash-free completed run, no host
 //     but the chain origin owns backer objects, and no duplicate death
 //     notices were processed anywhere;
-//   - shard-count identity: the fleet trial's JSON at shards=1 equals
-//     shards=2 exactly, and its census balances;
+//   - fleet census: the fleet trial's books balance, it does not hang, and
+//     no diskless host anchors owed pages;
 //   - dedup identity (content-cache scenarios): every page served from a
 //     ContentCache or a holder pull is byte-identical to what the origin
 //     would have served — any hash mismatch counted by a pager, cache or
@@ -63,8 +62,10 @@ struct FuzzScenarioResult {
   bool integrity_ok = false;      // touched contents match the reference
   bool hang = false;              // RunGuarded failed to drain
   bool backer_balanced = true;    // no stray objects / duplicate deaths
-  bool shard_match = true;        // fleet JSON identical at 1 vs 2 shards
-  bool cluster_census_ok = true;  // fleet books balance (both runs)
+  // Always true: a scenario runs one fleet trial, so there is nothing to
+  // compare. Kept only because perfbench/perfbench.cc:470 reads it.
+  bool shard_match = true;
+  bool cluster_census_ok = true;  // fleet books balance
   bool cluster_hung = false;      // fleet watchdog tripped
   bool dedup_ok = true;           // no hash mismatch anywhere in the walk
   std::uint64_t cache_activity = 0;  // cache-served pages (hits+confirms+pulls)
@@ -84,7 +85,7 @@ struct FuzzScenarioResult {
 // Runs one scenario end to end through the shared runner (scenario.h): the
 // content reference, the lossless baseline, the faulty run with its
 // windows planted at the baseline's phase boundaries, the classification,
-// the oracles, and the 1-vs-2-shard fleet identity check.
+// the oracles, and the fleet trial.
 FuzzScenarioResult RunScenario(const FuzzScenario& scenario);
 FuzzScenarioResult RunScenario(std::uint64_t seed);
 
@@ -98,7 +99,6 @@ struct FuzzCorpusResult {
   std::uint64_t hung = 0;
   std::uint64_t integrity_failures = 0;
   std::uint64_t backer_imbalances = 0;
-  std::uint64_t shard_divergences = 0;
   std::uint64_t cluster_census_failures = 0;
   std::uint64_t cluster_hangs = 0;
   std::uint64_t diskless_backing_anchors = 0;

@@ -16,8 +16,7 @@
 //
 // Directory protocol: holders announce asynchronously; an announcement
 // becomes visible to queries only after `propagation` of simulated time
-// (one wire latency — the same lookahead the sharded engine uses), so a
-// probe can always race a crash or an eviction. Staleness is safe by
+// (one wire latency), so a probe can always race a crash or an eviction. Staleness is safe by
 // construction: a holder that no longer has the bytes answers "miss" and
 // the pager falls back to the origin; a holder that crashed times out and
 // the pager drops the host from the directory before falling back. Pages

@@ -1,15 +1,16 @@
 // Full-stack contract of the fleet-scale cluster layer (RunClusterTrial):
-// the determinism guarantee (byte-identical results for every shard count),
-// census integrity under continuous churn,
-// balancer policy effects, the strategy-dependent downtime ordering the
-// paper predicts, steady-state detection, the event-budget watchdog and
-// the ACCENT_SIM_SHARDS knob.
+// pinned digests of four trials' canonical JSON, census integrity under
+// continuous churn, balancer policy effects, the strategy-dependent
+// downtime ordering the paper predicts, steady-state detection and the
+// event-budget watchdog.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/experiments/cluster.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
@@ -25,18 +26,6 @@ ClusterConfig TestConfig() {
   config.mean_service_sec = 15.0;
   config.policy.sample_period = Sec(2.0);
   return config;
-}
-
-TEST(Cluster, ResultIsByteIdenticalAcross1And2And8Shards) {
-  ClusterConfig config = TestConfig();
-  config.shards = 1;
-  const std::string reference = ClusterResultToJson(RunClusterTrial(config)).Dump(2);
-  EXPECT_NE(reference.find("\"census_ok\": true"), std::string::npos);
-  for (int shards : {2, 4, 8}) {
-    config.shards = shards;
-    EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference)
-        << "shards=" << shards;
-  }
 }
 
 TEST(Cluster, CensusBalancesAndMigrationsFlow) {
@@ -130,18 +119,6 @@ std::vector<HostCalibration> MixedCalibrations(int host_count) {
   return calibrations;
 }
 
-TEST(Cluster, MixedCalibrationsStayByteIdenticalAcrossShards) {
-  // The shard-count determinism contract must survive heterogeneity: the
-  // calibrated cost paths go through the same deterministic engine.
-  ClusterConfig config = TestConfig();
-  config.calibrations = MixedCalibrations(config.host_count);
-  config.shards = 1;
-  const std::string reference = ClusterResultToJson(RunClusterTrial(config)).Dump(2);
-  EXPECT_NE(reference.find("\"census_ok\": true"), std::string::npos);
-  config.shards = 2;
-  EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference);
-}
-
 TEST(Cluster, DisklessHostsNeverAnchorBacking) {
   // Under an owed-page strategy the balancer degrades any migration off a
   // diskless host to pure-copy; the invariant counter proves no
@@ -172,33 +149,51 @@ TEST(Cluster, FasterFleetFinishesMoreWork) {
   EXPECT_GT(fast_result.completed, slow_result.completed);
 }
 
-TEST(Cluster, ShardEnvKnobParsesAndClamps) {
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARDS"), 0);
-  EXPECT_EQ(SimShardCount(), 1);  // never configured: serial-equivalent default
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "8", 1), 0);
-  EXPECT_EQ(SimShardCount(), 8);
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "9999", 1), 0);
-  EXPECT_EQ(SimShardCount(), 64);  // clamped
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "0", 1), 0);
-  EXPECT_EQ(SimShardCount(), 1);
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "garbage", 1), 0);
-  EXPECT_EQ(SimShardCount(), 1);
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARDS"), 0);
+// A shorter ten-host row with a lighter service mix.
+ClusterConfig TenHostConfig() {
+  ClusterConfig config;
+  config.host_count = 10;
+  config.duration = Sec(40.0);
+  config.initial_processes_per_host = 5;
+  config.arrivals_per_host_per_sec = 0.5;
+  config.mean_service_sec = 12.0;
+  config.policy.sample_period = Sec(2.0);
+  return config;
 }
 
-TEST(Cluster, ConfigZeroShardsReadsEnvKnob) {
-  // shards == 0 defers to ACCENT_SIM_SHARDS; the result must still match
-  // the explicit shards=1 run byte for byte (the knob is engine-only).
-  ClusterConfig explicit_one = TestConfig();
-  explicit_one.shards = 1;
-  const std::string reference =
-      ClusterResultToJson(RunClusterTrial(explicit_one)).Dump(2);
+// FNV-1a digest of a trial's canonical JSON: any change to a simulated
+// number or key of a fleet trial moves it.
+void ExpectTrialJsonDigest(const ClusterConfig& config, std::uint64_t digest) {
+  const std::string json = ClusterResultToJson(RunClusterTrial(config)).Dump(2);
+  EXPECT_NE(json.find("\"census_ok\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"hung\": false"), std::string::npos);
+  EXPECT_EQ(Fnv1aDigest(json), digest)
+      << "fleet trial changed: new digest 0x" << std::hex << Fnv1aDigest(json);
+  if (config.content_cache) {
+    EXPECT_EQ(json.find("\"pages_deduped\": 0,"), std::string::npos)
+        << "the cached trial must actually dedup pages";
+  }
+}
 
-  ClusterConfig from_env = TestConfig();
-  from_env.shards = 0;
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "3", 1), 0);
-  EXPECT_EQ(ClusterResultToJson(RunClusterTrial(from_env)).Dump(2), reference);
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARDS"), 0);
+TEST(Cluster, ResultJsonMatchesPinnedDigest) {
+  ExpectTrialJsonDigest(TestConfig(), 0xcea7cb4a3c4aefa8ull);
+}
+
+TEST(Cluster, MixedCalibrationsJsonMatchesPinnedDigest) {
+  ClusterConfig mixed = TestConfig();
+  mixed.calibrations = MixedCalibrations(mixed.host_count);
+  ExpectTrialJsonDigest(mixed, 0x896a7a4922035b29ull);
+}
+
+TEST(Cluster, TenHostTrialJsonMatchesPinnedDigest) {
+  ExpectTrialJsonDigest(TenHostConfig(), 0x7aa6f4d9ee405478ull);
+}
+
+TEST(Cluster, CachedTenHostTrialJsonMatchesPinnedDigest) {
+  ClusterConfig cached = TenHostConfig();
+  cached.content_cache = true;
+  cached.content_cache_pages = 256;  // small enough to force evictions
+  ExpectTrialJsonDigest(cached, 0xf3b184b603fd7fc7ull);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // FNV-1a digests for pinning whole reports in one constant: the golden
-// 77-trial grid (tests/golden_sweep_test.cc) and the failure, chain,
-// pre-copy and fuzz reports.
+// 77-trial grid (tests/golden_sweep_test.cc), the failure, chain, pre-copy
+// and fuzz reports, and four fleet trials (tests/cluster_test.cc).
 #ifndef TESTS_DIGEST_H_
 #define TESTS_DIGEST_H_
 

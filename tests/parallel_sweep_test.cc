@@ -12,12 +12,10 @@
 
 #include "src/base/thread_pool.h"
 #include "src/experiments/chain.h"
-#include "src/experiments/cluster.h"
 #include "src/experiments/failure_sweep.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/sweep_cache.h"
 #include "src/experiments/trial.h"
-#include "src/workloads/workload.h"
 #include "tests/digest.h"
 
 namespace accent {
@@ -170,74 +168,6 @@ TEST(ParallelSweep, ChainSweepIsByteIdenticalAcross1And2And8Threads) {
       << "chain sweep changed: new digest 0x" << std::hex << Fnv1aDigest(serial);
   EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 2), {}).Dump(2), serial);
   EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 8), {}).Dump(2), serial);
-}
-
-TEST(ParallelSweep, ClusterTrialIsByteIdenticalAcross1And2And8Shards) {
-  // The sharded-core determinism contract, stated where the other engine
-  // determinism contracts live: a fleet trial's canonical JSON is identical
-  // for every shard count.
-  ClusterConfig config;
-  config.host_count = 10;
-  config.duration = Sec(40.0);
-  config.initial_processes_per_host = 5;
-  config.arrivals_per_host_per_sec = 0.5;
-  config.mean_service_sec = 12.0;
-  config.policy.sample_period = Sec(2.0);
-  config.shards = 1;
-  const std::string reference =
-      ClusterResultToJson(RunClusterTrial(config)).Dump(2);
-  EXPECT_NE(reference.find("\"hung\": false"), std::string::npos);
-  EXPECT_NE(reference.find("\"census_ok\": true"), std::string::npos);
-  for (int shards : {2, 8}) {
-    config.shards = shards;
-    EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference)
-        << "shards=" << shards;
-  }
-}
-
-TEST(ParallelSweep, CachedClusterTrialIsByteIdenticalAcross1And2And8Shards) {
-  // Same contract with the content cache on: all dedup state (per-host
-  // class caches, confirm accounting) is owned by destination-shard events,
-  // so the fleet cache must not cost a byte of determinism.
-  ClusterConfig config;
-  config.host_count = 10;
-  config.duration = Sec(40.0);
-  config.initial_processes_per_host = 5;
-  config.arrivals_per_host_per_sec = 0.5;
-  config.mean_service_sec = 12.0;
-  config.policy.sample_period = Sec(2.0);
-  config.content_cache = true;
-  config.content_cache_pages = 256;  // small enough to force evictions
-  config.shards = 1;
-  const std::string reference =
-      ClusterResultToJson(RunClusterTrial(config)).Dump(2);
-  EXPECT_NE(reference.find("\"hung\": false"), std::string::npos);
-  EXPECT_NE(reference.find("\"census_ok\": true"), std::string::npos);
-  EXPECT_EQ(reference.find("\"pages_deduped\": 0,"), std::string::npos)
-      << "the cached trial must actually dedup pages";
-  for (int shards : {2, 8}) {
-    config.shards = shards;
-    EXPECT_EQ(ClusterResultToJson(RunClusterTrial(config)).Dump(2), reference)
-        << "shards=" << shards;
-  }
-}
-
-TEST(ParallelSweep, GoldenDigestHoldsWithShardKnobSet) {
-  // ACCENT_SIM_SHARDS selects the engine for cluster trials only; the
-  // classic two-host testbeds never call ConfigureShards, so the golden
-  // 77-trial digest (tests/golden_sweep_test.cc) must be unreachable by the
-  // knob. Same digest constant, same FNV-1a fold, knob set the whole time.
-  ASSERT_EQ(setenv("ACCENT_SIM_SHARDS", "1", 1), 0);
-  std::uint64_t digest = kFnv1aOffsetBasis;
-  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    for (const TrialResult& result : RunTrials(StrategySweepConfigs(spec.name))) {
-      digest = Fnv1a(digest, TrialResultToJson(result).Dump());
-      digest = Fnv1a(digest, "\n");
-    }
-  }
-  EXPECT_EQ(digest, 0x5798e77cf186ffd8ull)
-      << "ACCENT_SIM_SHARDS leaked into the classic serial engine";
-  ASSERT_EQ(unsetenv("ACCENT_SIM_SHARDS"), 0);
 }
 
 TEST(SweepThreads, EnvVarOverridesAndClamps) {

@@ -2,6 +2,9 @@
 // physical memory).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/host/cpu.h"
 #include "src/host/disk.h"
 #include "src/host/physical_memory.h"
@@ -53,8 +56,44 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_FALSE(sim.RunUntil(Ms(20)));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.Now(), Ms(20));
+  EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_TRUE(sim.RunUntil(Ms(100)));
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, RunUntilPartialDrain) {
+  Simulator sim;
+  int fired = 0;
+  sim.ScheduleAt(Ms(10), [&] { ++fired; });
+  sim.ScheduleAt(Ms(50), [&] { ++fired; });
+  sim.ScheduleAt(Ms(50) + Us(1), [&] { ++fired; });
+  EXPECT_FALSE(sim.RunUntil(Ms(20)));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.Now(), Ms(20));  // the clock parks at the deadline between runs
+  // An event at exactly the deadline runs; one just past it does not.
+  EXPECT_FALSE(sim.RunUntil(Ms(50)));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.Now(), Ms(50));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_TRUE(sim.RunUntil(Ms(60)));
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulator, PendingEventTimesAreEarliestFirst) {
+  Simulator sim;
+  for (std::int64_t ms : {7, 3, 9, 1, 5}) {
+    sim.ScheduleAt(Ms(ms), [] {});
+  }
+  EXPECT_EQ(sim.pending_events(), 5u);
+  EXPECT_EQ(sim.PendingEventTimes(3), (std::vector<SimTime>{Ms(1), Ms(3), Ms(5)}));
+  EXPECT_EQ(sim.PendingEventTimes(10),
+            (std::vector<SimTime>{Ms(1), Ms(3), Ms(5), Ms(7), Ms(9)}));
+  EXPECT_FALSE(sim.RunUntil(Ms(4)));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.PendingEventTimes(1), (std::vector<SimTime>{Ms(5)}));
+  EXPECT_TRUE(sim.PendingEventTimes(0).empty());
 }
 
 TEST(Simulator, RunUntilAdvancesClockWhenIdle) {
