@@ -35,7 +35,6 @@ struct ClusterProc {
   std::int64_t owed_pages = 0;
   int backing = -1;
   bool pull_outstanding = false;
-  bool done = false;
   // Content-cache fleet model. binary_class identifies the program image
   // this process runs (drawn once at spawn); shared_owed is the portion of
   // the current debt that is image-shared content, dedup_remaining the part
@@ -44,13 +43,13 @@ struct ClusterProc {
   int binary_class = -1;
   std::int64_t shared_owed = 0;
   std::int64_t dedup_remaining = 0;
-  // Bumped when the process freezes for a migration; a pending slice
-  // event whose epoch no longer matches is stale and must not fire.
-  std::uint64_t epoch = 0;
-};
-
-struct ActiveEntry {
-  ClusterProc* proc = nullptr;
+  // Staleness rule for slice events. A slice carries the epoch it was
+  // scheduled under and fires only while that still equals `epoch`.
+  // StartMigration, the one place that takes a process out of `active`
+  // without completing it, bumps the epoch in the same step, and a process
+  // completes only inside its one live slice. So a slice's epoch matches
+  // exactly when its process is still resident and unfrozen on the host
+  // that scheduled it.
   std::uint64_t epoch = 0;
 };
 
@@ -61,7 +60,7 @@ struct Host {
   std::deque<ClusterProc> arena;  // every proc born here; stable addresses
   // Resident, unfrozen processes keyed by pid. std::map so victim scans
   // iterate in a platform-independent order.
-  std::map<std::uint64_t, ActiveEntry> active;
+  std::map<std::uint64_t, ClusterProc*> active;
   int runnable = 0;
   std::uint64_t next_local_pid = 0;
 
@@ -148,16 +147,14 @@ struct Trial {
   }
 
   void OnSlice(Host& host, ClusterProc* p, std::uint64_t epoch) {
-    auto it = host.active.find(p->pid);
-    if (it == host.active.end() || it->second.epoch != epoch) {
-      return;  // frozen or completed since this slice was scheduled
+    if (p->epoch != epoch) {
+      return;  // frozen for a migration since this slice was scheduled
     }
     p->consumed += p->slice_len;
     if (p->consumed >= p->demand) {
-      host.active.erase(it);
+      ACCENT_CHECK_EQ(host.active.erase(p->pid), 1u);
       --host.runnable;
       ++host.completed;
-      p->done = true;
       const SimDuration sojourn = sim.Now() - p->arrive;
       host.queueing.push_back(sojourn > p->demand ? sojourn - p->demand
                                                   : SimDuration{0});
@@ -325,7 +322,7 @@ struct Trial {
     }
     host.arena.push_back(proc);
     ClusterProc* p = &host.arena.back();
-    host.active[p->pid] = ActiveEntry{p, p->epoch};
+    host.active[p->pid] = p;
     ++host.runnable;
     ++host.arrived;
     return p;
@@ -452,8 +449,7 @@ struct Trial {
     ClusterProc* victim = nullptr;
     ByteCount best_anchor = 0;
     SimDuration best_cost{0};
-    for (const auto& [pid, entry] : source.active) {
-      ClusterProc* p = entry.proc;
+    for (const auto& [pid, p] : source.active) {
       if (p->pull_outstanding) {
         continue;  // a pull reply is already in flight to this host
       }
@@ -568,7 +564,7 @@ struct Trial {
         p->shared_owed = 0;
         p->dedup_remaining = 0;
       }
-      dst->active[p->pid] = ActiveEntry{p, p->epoch};
+      dst->active[p->pid] = p;
       ++dst->runnable;
       ++dst->inbound_landed;
       ++dst->migrations_completed;
@@ -717,8 +713,8 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   // resident, so the first PS stretch sees the true initial load.
   for (auto& host_ptr : hosts) {
     Host& host = *host_ptr;
-    for (auto& [pid, entry] : host.active) {
-      trial.ScheduleSlice(host, entry.proc);
+    for (const auto& [pid, p] : host.active) {
+      trial.ScheduleSlice(host, p);
     }
   }
   for (SimTime when = config.policy.sample_period; when < config.duration;

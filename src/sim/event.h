@@ -3,10 +3,10 @@
 // Every scheduled event used to carry a heap-allocated std::function. Event
 // callbacks are almost always small lambdas (a couple of captured pointers
 // plus a byte count), so InlineEvent stores callables of up to
-// kInlineCapacity bytes directly inside the event record and only falls back
-// to the heap for oversized or throwing-move captures. Move-only captures
-// (e.g. a std::unique_ptr riding along with a message) are supported;
-// copying is not, because events are consumed exactly once.
+// kInlineCapacity bytes directly inside the simulator's callable slab and
+// only falls back to the heap for oversized or throwing-move captures.
+// Move-only captures (e.g. a std::unique_ptr riding along with a message)
+// are supported; copying is not, because events are consumed exactly once.
 #ifndef SRC_SIM_EVENT_H_
 #define SRC_SIM_EVENT_H_
 
@@ -22,9 +22,7 @@ namespace accent {
 
 class InlineEvent {
  public:
-  // Sized so the simulator's Event record (when + seq + InlineEvent) is
-  // exactly one 64-byte cache line: 40 bytes of storage + the ops pointer.
-  // This covers the hot capture shapes — notably Cpu::StartNext's
+  // Sized to hold the largest hot capture shape inline: Cpu::StartNext's
   // [this, done = std::function] completion wrapper (40 bytes), which
   // std::function itself would heap-allocate (its SBO tops out at 16).
   static constexpr std::size_t kInlineCapacity = 40;
@@ -78,8 +76,9 @@ class InlineEvent {
 
  private:
   // Null relocate/destroy entries mark trivial operations, letting the move
-  // path (run once per heap sift step — the hottest code in the simulator)
-  // stay a branch plus a fixed-size memcpy instead of an indirect call.
+  // path stay a branch plus a fixed-size memcpy instead of an indirect call.
+  // Inside the simulator every event's callable moves twice, into its slot
+  // and out of it to run, and almost every capture takes the memcpy path.
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs *dst from *src and destroys *src; null when a raw

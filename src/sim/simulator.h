@@ -7,10 +7,13 @@
 // keeps trials deterministic. One queue serves every simulation: the
 // two-host testbeds, the sweeps and the fleet-scale cluster trials.
 //
-// Hot-path notes: the queue is a binary heap laid out in a std::vector
-// whose storage is reserved up front and retained across pops, and each
-// event carries a small-buffer-optimised InlineEvent instead of a
-// heap-allocated std::function, so steady-state scheduling performs no
+// Hot-path notes: the queue is a 4-ary min-heap of 24-byte keys
+// {when, seq, slot}; sifting moves only keys. Each key's callable, a
+// small-buffer-optimised InlineEvent (not a heap-allocated std::function),
+// sits in a slab slot that does not move while the event is pending. Freed
+// slots are reused last-in first-out, so an event that schedules its
+// successor hands over its own, still-cached slot. All three vectors keep
+// their storage across pops, so steady-state scheduling performs no
 // allocation.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -46,11 +49,13 @@ class Simulator {
   // number of events executed.
   std::uint64_t Run();
 
-  // Runs until `deadline`; events at exactly `deadline` are executed.
-  // Returns true if the queue drained before the deadline.
+  // Runs until `deadline`; events at exactly `deadline` are executed, and
+  // the clock then reads `deadline`. If a callback calls Stop(), returns
+  // after that event with the clock at its time. Returns true if the queue
+  // drained.
   bool RunUntil(SimTime deadline);
 
-  // Makes Run() return after the current event completes.
+  // Makes Run() or RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
   bool empty() const { return queue_.empty(); }
@@ -77,26 +82,31 @@ class Simulator {
  private:
   static constexpr std::size_t kInitialQueueCapacity = 1024;
 
-  struct Event {
-    SimTime when;
-    std::uint64_t seq;
-    InlineEvent fn;
+  // A pending event's place in the queue: its time, its scheduling order
+  // and the slab slot holding its callable.
+  struct Key {
+    SimTime when{0};
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
   };
-  // Heap comparator: the "largest" element (heap top) is the earliest event;
-  // ties broken by sequence number for same-instant FIFO order.
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  // Earliest first; ties broken by sequence number for same-instant FIFO
+  // order. Sequence numbers are unique, so this is a strict total order and
+  // any correct min-queue pops events in the same sequence.
+  static bool Earlier(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
 
+  void SiftUp(std::size_t hole, Key key);
+  void SiftDown(Key key);
   void RunOne();
 
-  // Binary heap over queue_ (std::push_heap/pop_heap with EventLater).
-  std::vector<Event> queue_;
+  // 4-ary min-heap: the root is the earliest event, node i's children are
+  // 4i+1 .. 4i+4.
+  std::vector<Key> queue_;
+  // Callables of pending events, indexed by Key::slot; a free slot holds an
+  // empty InlineEvent.
+  std::vector<InlineEvent> slots_;
+  std::vector<std::uint32_t> free_slots_;  // LIFO
   SimTime now_{0};
   std::uint64_t next_seq_ = 0;
   std::uint64_t last_id_ = 0;

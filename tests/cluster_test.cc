@@ -1,5 +1,5 @@
 // Full-stack contract of the fleet-scale cluster layer (RunClusterTrial):
-// pinned digests of four trials' canonical JSON, census integrity under
+// pinned digests of five trials' canonical JSON, census integrity under
 // continuous churn, balancer policy effects, the strategy-dependent
 // downtime ordering the paper predicts, steady-state detection and the
 // event-budget watchdog.
@@ -194,6 +194,22 @@ TEST(Cluster, CachedTenHostTrialJsonMatchesPinnedDigest) {
   cached.content_cache = true;
   cached.content_cache_pages = 256;  // small enough to force evictions
   ExpectTrialJsonDigest(cached, 0xf3b184b603fd7fc7ull);
+}
+
+// bench/cluster_sweep's big trial at its default seed. The ten- and
+// twelve-host pins keep at most about a thousand events pending; this one
+// averages tens of thousands per pop, the depth the event queue is built
+// for, over about a million events.
+TEST(Cluster, FleetScaleTrialJsonMatchesPinnedDigest) {
+  ClusterConfig config;
+  config.host_count = 480;
+  config.initial_processes_per_host = 30;
+  config.duration = Sec(75.0);
+  config.arrivals_per_host_per_sec = 1.0;
+  config.mean_service_sec = 60.0;
+  config.policy.sample_period = Sec(2.0);
+  config.seed = 42;
+  ExpectTrialJsonDigest(config, 0xcd45dfbac86ec798ull);
 }
 
 }  // namespace

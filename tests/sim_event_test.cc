@@ -1,13 +1,18 @@
-// Simulator event-queue contract: same-instant FIFO ordering, the
-// no-scheduling-into-the-past precondition, and the InlineEvent callable
+// Simulator event-queue contract: same-instant FIFO ordering, (time,
+// scheduling order) at fleet depth, the no-scheduling-into-the-past
+// precondition, ownership of pending callables, and the InlineEvent callable
 // (inline small-buffer path, heap fallback, move-only captures).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/sim/event.h"
 #include "src/sim/simulator.h"
 
@@ -54,6 +59,204 @@ TEST(SimulatorOrdering, FifoSurvivesQueueGrowthAcrossManyEvents) {
   for (int i = 0; i < kCount; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i) << "at " << i;
   }
+}
+
+// Differential check at fleet depth: a seeded mix of tied and spread-out
+// times, events that schedule children at delay 0 and later, drained in
+// slices by RunUntil and then by Run. Whatever the queue's layout, events
+// must run in (time, scheduling order), the order a plain sort of every
+// scheduled event gives.
+TEST(SimulatorOrdering, DeepQueueMatchesTimeThenSeqOrder) {
+  struct Scheduled {
+    SimTime when{0};
+    std::uint64_t id = 0;  // scheduling order
+  };
+  struct Harness {
+    Simulator sim;
+    Rng rng{20240601};
+    std::vector<Scheduled> scheduled;
+    std::vector<std::uint64_t> executed;
+
+    // Half the draws fall on four instants (many ties), half anywhere in
+    // ten seconds.
+    SimDuration DrawDelay() {
+      static constexpr std::array<std::int64_t, 4> kTied{0, 1, 1000, 250'000};
+      if (rng.NextBool(0.5)) {
+        return Us(kTied[rng.NextBelow(kTied.size())]);
+      }
+      return Us(static_cast<std::int64_t>(rng.NextBelow(10'000'000)));
+    }
+    void Schedule(SimTime when, int depth) {
+      const std::uint64_t id = scheduled.size();
+      scheduled.push_back(Scheduled{when, id});
+      sim.ScheduleAt(when, [this, id, depth] { Fire(id, depth); });
+    }
+    void Fire(std::uint64_t id, int depth) {
+      executed.push_back(id);
+      if (depth >= 2) {
+        return;
+      }
+      switch (rng.NextBelow(4)) {
+        case 0:  // same instant: runs after everything already queued there
+          Schedule(sim.Now(), depth + 1);
+          break;
+        case 1:
+          Schedule(sim.Now() + DrawDelay(), depth + 1);
+          break;
+        default:
+          break;
+      }
+    }
+    // Everything due by `deadline` ran in (time, id) order, and the queue
+    // holds exactly the rest.
+    void ExpectDrainedTo(SimTime deadline) {
+      std::vector<Scheduled> reference = scheduled;
+      std::sort(reference.begin(), reference.end(),
+                [](const Scheduled& a, const Scheduled& b) {
+                  return a.when != b.when ? a.when < b.when : a.id < b.id;
+                });
+      const auto due = static_cast<std::size_t>(
+          std::partition_point(reference.begin(), reference.end(),
+                               [deadline](const Scheduled& s) { return s.when <= deadline; }) -
+          reference.begin());
+      ASSERT_EQ(executed.size(), due) << "deadline " << deadline.count() << "us";
+      for (std::size_t i = 0; i < due; ++i) {
+        ASSERT_EQ(executed[i], reference[i].id) << "at position " << i;
+      }
+      const std::size_t pending = reference.size() - due;
+      ASSERT_EQ(sim.pending_events(), pending);
+      for (std::size_t limit : {std::size_t{1}, std::size_t{64}, pending}) {
+        std::vector<SimTime> expected;
+        for (std::size_t i = due; i < reference.size() && expected.size() < limit; ++i) {
+          expected.push_back(reference[i].when);
+        }
+        EXPECT_EQ(sim.PendingEventTimes(limit), expected) << "limit " << limit;
+      }
+    }
+  };
+
+  Harness h;
+  constexpr int kRoots = 100'000;
+  for (int i = 0; i < kRoots; ++i) {
+    h.Schedule(h.DrawDelay(), 0);
+  }
+  for (SimTime deadline : {Us(0), Ms(1), Ms(250), Sec(2.5), Sec(6.0)}) {
+    EXPECT_FALSE(h.sim.RunUntil(deadline));
+    ASSERT_EQ(h.sim.Now(), deadline);
+    h.ExpectDrainedTo(deadline);
+    if (HasFatalFailure()) {
+      return;
+    }
+    // Fresh roots between slices, some at the parked clock itself.
+    for (int i = 0; i < 5000; ++i) {
+      h.Schedule(h.sim.Now() + h.DrawDelay(), 0);
+    }
+  }
+  h.sim.Run();
+  EXPECT_TRUE(h.sim.empty());
+  EXPECT_GT(h.scheduled.size(), static_cast<std::size_t>(kRoots) * 3 / 2);
+  h.ExpectDrainedTo(SimTime::max());
+}
+
+// A move-only capture that counts its own destruction in `ledger[id]`;
+// moved-from shells count nothing.
+class CountedProbe {
+ public:
+  CountedProbe(std::vector<int>* ledger, std::size_t id) : ledger_(ledger), id_(id) {}
+  CountedProbe(CountedProbe&& other) noexcept
+      : ledger_(std::exchange(other.ledger_, nullptr)), id_(other.id_) {}
+  CountedProbe(const CountedProbe&) = delete;
+  CountedProbe& operator=(const CountedProbe&) = delete;
+  CountedProbe& operator=(CountedProbe&&) = delete;
+  ~CountedProbe() {
+    if (ledger_ != nullptr) {
+      ++(*ledger_)[id_];
+    }
+  }
+  std::size_t id() const { return id_; }
+
+ private:
+  std::vector<int>* ledger_;
+  std::size_t id_;
+};
+
+// Pending callables change hands inside the simulator as the queue grows,
+// as slots are reused and as events run; whichever way each event leaves
+// (run by RunUntil, run by Run before a Stop, or still pending when the
+// simulator dies), its capture is destroyed exactly once and invoked at
+// most once. While the simulator lives, a capture is destroyed exactly
+// when its event has run: a pending one stays alive, and a finished one
+// does not linger in its slot until the slot is reused.
+TEST(Simulator, DestroysEveryPendingCallableExactlyOnce) {
+  constexpr std::size_t kRoots = 6000;  // far past the queue's initial reservation
+  std::vector<int> destroyed(2 * kRoots, 0);
+  std::vector<int> invoked(2 * kRoots, 0);
+  struct Harness {
+    Simulator* sim;
+    std::vector<int>* destroyed;
+    std::vector<int>* invoked;
+    std::size_t next_id = 0;
+
+    void Schedule(SimTime when, bool spawn) {
+      CountedProbe probe(destroyed, next_id++);
+      if (probe.id() % 3 == 0) {
+        // Too big for the inline buffer: takes InlineEvent's heap fallback.
+        sim->ScheduleAt(when, [this, spawn, probe = std::move(probe),
+                               pad = std::array<std::uint64_t, 8>{}] {
+          Fire(probe.id() + pad[0], spawn);
+        });
+      } else {
+        sim->ScheduleAt(when, [this, spawn, probe = std::move(probe)] {
+          Fire(probe.id(), spawn);
+        });
+      }
+    }
+    void Fire(std::size_t id, bool spawn) {
+      ++(*invoked)[id];
+      if (spawn) {
+        Schedule(sim->Now() + Us(static_cast<std::int64_t>(id % 7)), false);
+      }
+    }
+  };
+
+  std::size_t scheduled = 0;
+  std::uint64_t executed = 0;
+  std::size_t pending_at_destruction = 0;
+  {
+    Simulator sim;
+    Harness h{&sim, &destroyed, &invoked};
+    for (std::size_t i = 0; i < kRoots; ++i) {
+      h.Schedule(Us(static_cast<std::int64_t>(i % 500) * 10), /*spawn=*/i % 2 == 0);
+    }
+    EXPECT_EQ(sim.pending_events(), kRoots);
+    const auto expect_destroyed_iff_run = [&] {
+      for (std::size_t id = 0; id < h.next_id; ++id) {
+        ASSERT_EQ(destroyed[id], invoked[id]) << "capture " << id;
+      }
+    };
+    EXPECT_FALSE(sim.RunUntil(Ms(1)));
+    expect_destroyed_iff_run();
+    sim.ScheduleAt(sim.Now() + Ms(1), [&sim] { sim.Stop(); });
+    sim.Run();
+    EXPECT_EQ(sim.Now(), Ms(2));
+    EXPECT_FALSE(sim.empty());
+    expect_destroyed_iff_run();
+    scheduled = h.next_id;
+    executed = sim.events_executed() - 1;  // less the Stop() event
+    pending_at_destruction = sim.pending_events();
+  }
+  ASSERT_LE(scheduled, destroyed.size());
+  std::uint64_t invoked_total = 0;
+  std::size_t never_invoked = 0;
+  for (std::size_t id = 0; id < scheduled; ++id) {
+    EXPECT_EQ(destroyed[id], 1) << "capture " << id;
+    EXPECT_LE(invoked[id], 1) << "capture " << id;
+    invoked_total += static_cast<std::uint64_t>(invoked[id]);
+    never_invoked += invoked[id] == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(invoked_total, executed);
+  EXPECT_EQ(never_invoked, pending_at_destruction);
+  EXPECT_GT(pending_at_destruction, 0u);
 }
 
 TEST(SimulatorOrderingDeathTest, SchedulingIntoThePastAborts) {
@@ -107,25 +310,14 @@ TEST(InlineEvent, MoveOnlyCaptureIsSupported) {
 }
 
 TEST(InlineEvent, DestroysCaptureExactlyOnce) {
-  struct Probe {
-    explicit Probe(int* counter) : counter_(counter) {}
-    Probe(Probe&& other) noexcept : counter_(other.counter_) { other.counter_ = nullptr; }
-    Probe(const Probe&) = delete;
-    ~Probe() {
-      if (counter_ != nullptr) {
-        ++*counter_;
-      }
-    }
-    int* counter_;
-  };
-  int destroyed = 0;
+  std::vector<int> destroyed(1, 0);
   {
-    InlineEvent event([probe = Probe(&destroyed)] { (void)probe; });
+    InlineEvent event([probe = CountedProbe(&destroyed, 0)] { (void)probe; });
     InlineEvent moved(std::move(event));
     moved();
-    EXPECT_EQ(destroyed, 0);
+    EXPECT_EQ(destroyed[0], 0);
   }
-  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(destroyed[0], 1);
 }
 
 TEST(InlineEvent, SimulatorAcceptsStdFunctionArguments) {

@@ -116,6 +116,25 @@ TEST(Simulator, StopHaltsRun) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, StopInsideRunUntilKeepsClockAtTheStoppingEvent) {
+  Simulator sim;
+  std::vector<SimTime> fired_at;
+  sim.ScheduleAt(Ms(10), [&] {
+    fired_at.push_back(sim.Now());
+    sim.Stop();
+  });
+  sim.ScheduleAt(Ms(20), [&] { fired_at.push_back(sim.Now()); });
+  EXPECT_FALSE(sim.RunUntil(Ms(100)));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // A stopped loop leaves the clock at the stopping event: parking it at
+  // the deadline would put it past the still-pending 20-ms event.
+  ASSERT_EQ(sim.Now(), Ms(10));
+  sim.ScheduleAt(Ms(50), [&] { fired_at.push_back(sim.Now()); });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<SimTime>{Ms(10), Ms(20), Ms(50)}));
+  EXPECT_EQ(sim.Now(), Ms(50));
+}
+
 TEST(Simulator, AllocateIdIsUnique) {
   Simulator sim;
   std::set<std::uint64_t> ids;
