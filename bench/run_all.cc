@@ -15,7 +15,6 @@
 #include <cstring>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
@@ -164,20 +163,21 @@ int Main(int argc, char** argv) {
   Json trial_rows{Json::Array{}};
   Json workloads{Json::Array{}};
   Json figure_4_5;
-  for (const std::string& name : RepresentativeNames()) {
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<TrialResult> results = RunTrials(StrategySweepConfigs(name, seed), threads);
+    const std::vector<TrialResult> results =
+        RunTrials(StrategySweepConfigs(spec.name, seed), threads);
     const auto t1 = std::chrono::steady_clock::now();
     trials += results.size();
-    workloads.Append(Json(name));
+    workloads.Append(Json(spec.name));
     for (const TrialResult& result : results) {
       FoldTrialMetrics(result, &metrics);
       trial_rows.Append(TrialSummaryToJson(result));
     }
-    if (name == "Lisp-Del") {
+    if (spec.name == "Lisp-Del") {
       figure_4_5 = Figure45Block(results);
     }
-    std::printf("  %-10s %3zu trials  %8.1f ms\n", name.c_str(), results.size(),
+    std::printf("  %-10s %3zu trials  %8.1f ms\n", spec.name.c_str(), results.size(),
                 std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
 
@@ -190,9 +190,9 @@ int Main(int argc, char** argv) {
   // stay byte-identical.
   const SimDuration rs_zero_scan = Ms(3);
   std::vector<TrialConfig> rs_configs;
-  for (const std::string& name : RepresentativeNames()) {
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
     TrialConfig config;
-    config.workload = name;
+    config.workload = spec.name;
     config.strategy = TransferStrategy::kResidentSet;
     config.prefetch = 0;
     config.seed = seed;

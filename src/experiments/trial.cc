@@ -83,7 +83,8 @@ TrialResult RunTrial(const TrialConfig& config) {
       shipped = result.spec.real_bytes;
       break;
     case TransferStrategy::kPureIou:
-      shipped = 0;
+      // Substitution off, the NetMsgServer ships the RIMAS data as-is.
+      shipped = config.iou_caching ? 0 : result.spec.real_bytes;
       break;
     case TransferStrategy::kResidentSet:
       shipped = result.migration.resident_bytes_shipped;

@@ -143,7 +143,8 @@ struct CostTable {
   // Service imaginary-fault traffic (requests, replies, their kernel and
   // backer stages) on the CPU's high-priority lane so it overtakes queued
   // bulk-transfer work between items. The measured 1987 system had no such
-  // lane; bench/ablation_priority quantifies what it would have bought.
+  // lane; bench/beyond_paper's priority study measures what it would have
+  // bought.
   bool fault_priority_lane = false;
 
   // --- Context sizes ---------------------------------------------------------

@@ -2,6 +2,7 @@
 // strategies: the invariants behind every table and figure.
 #include <gtest/gtest.h>
 
+#include "src/experiments/metrics_fold.h"
 #include "src/experiments/trial.h"
 
 namespace accent {
@@ -180,6 +181,16 @@ TEST_P(TrialRelationTest, IouTransfersLessAndFasterThanCopy) {
 
   // Table 4-3: RS ships at least as much of RealMem as IOU touches.
   EXPECT_GE(rs.real_bytes_transferred + kPageSize, iou.real_bytes_transferred);
+
+  // With IOU substitution off the NetMsgServer ships pure-IOU's RIMAS data
+  // as-is: the trial is pure-copy in every measured column, bytes of
+  // RealMem transferred included.
+  config.strategy = TransferStrategy::kPureIou;
+  config.iou_caching = false;
+  TrialResult uncached = RunTrial(config);
+  uncached.config.strategy = TransferStrategy::kPureCopy;
+  uncached.config.iou_caching = true;
+  EXPECT_EQ(TrialSummaryToJson(uncached).Dump(), TrialSummaryToJson(copy).Dump());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, TrialRelationTest,

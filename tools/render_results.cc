@@ -14,6 +14,7 @@
 // The emitted file carries a template-version marker; the docs_check ctest
 // compares it against --print-template-version to catch a stale RESULTS.md.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -30,7 +31,7 @@ namespace {
 
 // Bump when the set of tables or their columns change, so a committed
 // docs/RESULTS.md rendered by an older binary fails docs_check.
-constexpr int kTemplateVersion = 11;
+constexpr int kTemplateVersion = 12;
 
 // -------------------------------------------------------------------------
 // Paper constants (Zayas, SOSP 1987); a value of -1 renders as "(n/a)" —
@@ -910,6 +911,197 @@ void RenderFuzz(const Json& fuzz, std::ostream& out) {
   RenderGates(fuzz, out);
 }
 
+// The studies beyond section 4, from `beyond_paper`; EXPERIMENTS.md states
+// each claim they support as one of the gates that close the section.
+void RenderBeyond(const Json& beyond, std::ostream& out) {
+  out << "## Beyond section 4: argued claims and six ablations\n\n"
+      << "`beyond_paper` measures what the paper argues but never stages, "
+         "runs the Pasmac life cycle instead of staging it, and ablates six "
+         "parts of the model. Each claim drawn from these tables is a gate "
+         "at the end of the section.\n\n";
+
+  out << "### IOU substitution on and off\n\n"
+      << "Pure-IOU's RIMAS transfer seconds and total bytes with the "
+         "NetMsgServer's IOU substitution (section 2.4) on and off. Off, the "
+         "RIMAS data ships physically at pure-copy's cost: the whole Table "
+         "4-5 gap is this one mechanism.\n\n";
+  MdTable substitution(
+      {"Process", "xfer (cache on)", "xfer (cache off)", "bytes on", "bytes off"});
+  const Json::Array& iou_rows = beyond.Get("iou_caching").AsArray();
+  for (std::size_t i = 0; i + 1 < iou_rows.size(); i += 3) {  // on, off, pure-copy
+    const Json& on = iou_rows[i];
+    const Json& off = iou_rows[i + 1];
+    substitution.AddRow({on.Get("workload").AsString(),
+                         FormatSeconds(Seconds(on, "rimas_transfer_us")),
+                         FormatSeconds(Seconds(off, "rimas_transfer_us"), 1),
+                         FormatWithCommas(on.Get("bytes_total").AsUint64()),
+                         FormatWithCommas(off.Get("bytes_total").AsUint64())});
+  }
+  out << substitution.ToString() << '\n';
+
+  out << "### Prefetch depth 0..16 (pure-IOU)\n\n"
+      << "The paper samples 0/1/3/7/15 pages and recommends one (section "
+         "4.4.2). Hit ratio is the share of prefetched pages later "
+         "touched.\n\n";
+  const Json& prefetch = beyond.Get("prefetch");
+  MdTable depths({"Process", "PF", "xfer+exec (s)", "bytes", "remote faults", "hit ratio"});
+  for (const Json& trial : prefetch.Get("trials").AsArray()) {
+    const double prefetched = trial.Get("dest_prefetched_pages").AsDouble();
+    const double hits = trial.Get("dest_prefetch_hits").AsDouble();
+    depths.AddRow({trial.Get("workload").AsString(), trial.Get("prefetch").Dump(),
+                   FormatSeconds(Seconds(trial, "transfer_plus_exec_us")),
+                   FormatWithCommas(trial.Get("bytes_total").AsUint64()),
+                   FormatWithCommas(trial.Get("dest_imag_faults").AsUint64()),
+                   FormatPercent(prefetched == 0 ? 0.0 : hits / prefetched, 0)});
+  }
+  out << depths.ToString() << "\nFastest depth:";
+  const char* sep = " ";
+  for (const auto& [name, pf] : prefetch.Get("best_prefetch").AsObject()) {
+    out << sep << name << ' ' << pf.AsUint64() << " pages";
+    sep = ", ";
+  }
+  out << ".\n\n";
+
+  const Json::Array& memory = beyond.Get("memory").AsArray();
+  out << "### Destination memory (Lisp-Del, "
+      << FormatWithCommas(memory.front().Get("spec_real_bytes").AsUint64() / kPageSize)
+      << " RealMem pages)\n\n"
+      << "Remote execution seconds as the destination's frames halve: "
+         "pure-copy lands the whole image, which overflows to disk; "
+         "copy-on-reference materialises only what it touches.\n\n";
+  MdTable frames({"Frames", "MB", "Copy exec", "IOU exec", "IOU faults"});
+  for (std::size_t i = 0; i + 1 < memory.size(); i += 2) {  // pure-copy, pure-IOU
+    const std::uint64_t count = memory[i].Get("frames").AsUint64();
+    frames.AddRow({std::to_string(count),
+                   FormatDouble(static_cast<double>(count * kPageSize) / (1024.0 * 1024.0), 1),
+                   FormatSeconds(Seconds(memory[i], "remote_exec_us")),
+                   FormatSeconds(Seconds(memory[i + 1], "remote_exec_us")),
+                   FormatWithCommas(memory[i + 1].Get("dest_imag_faults").AsUint64())});
+  }
+  out << frames.ToString() << '\n';
+
+  out << "### Network software speed\n\n"
+      << "Transfer + remote execution seconds as NetMsgServer per-byte "
+         "handling falls from the 1987 testbed's 33 us/byte per node, the "
+         "wire sped up by the same factor. Fault latency has a floor (pager "
+         "plus round trip) that bulk bandwidth does not.\n\n";
+  MdTable network({"Process", "us/byte", "copy total", "IOU total", "winner"});
+  for (const Json& row : beyond.Get("network").AsArray()) {
+    const double copy = Seconds(row, "copy_total_us");
+    const double iou = Seconds(row, "iou_total_us");
+    network.AddRow({row.Get("workload").AsString(), row.Get("netmsg_per_byte_us").Dump(),
+                    FormatSeconds(copy), FormatSeconds(iou), iou < copy ? "IOU" : "copy"});
+  }
+  out << network.ToString() << '\n';
+
+  out << "### IPC copy threshold and fragment size (section 2.1)\n\n"
+      << "Local delivery latency (ms) by message size and copy threshold: "
+         "below the threshold a message is copied twice, above it the "
+         "receiver's map is rewritten copy-on-write.\n\n";
+  const Json& ipc = beyond.Get("ipc");
+  std::map<std::uint64_t, std::map<std::uint64_t, double>> latency_ms;  // size, threshold
+  for (const Json& row : ipc.Get("local").AsArray()) {
+    latency_ms[row.Get("message_bytes").AsUint64()][row.Get("threshold_bytes").AsUint64()] =
+        Seconds(row, "latency_us") * 1e3;
+  }
+  std::vector<std::string> headers = {"message"};
+  for (const auto& [threshold, ms] : latency_ms.begin()->second) {
+    headers.push_back("thr " + FormatWithCommas(threshold) + " B");
+  }
+  MdTable local(std::move(headers));
+  for (const auto& [bytes, by_threshold] : latency_ms) {
+    std::vector<std::string> row = {FormatWithCommas(bytes) + " B"};
+    for (const auto& [threshold, ms] : by_threshold) {
+      row.push_back(FormatDouble(ms, 2));
+    }
+    local.AddRow(std::move(row));
+  }
+  out << local.ToString() << "\n256 KB remote transfer time (s) by fragment size:\n\n";
+  MdTable fragments({"fragment", "transfer (s)"});
+  for (const Json& row : ipc.Get("fragments").AsArray()) {
+    fragments.AddRow({FormatWithCommas(row.Get("fragment_bytes").AsUint64()) + " B",
+                      FormatSeconds(Seconds(row, "transfer_us"))});
+  }
+  out << fragments.ToString() << '\n';
+
+  const Json& priority = beyond.Get("priority");
+  const double fcfs = Seconds(priority, "fcfs_victim_us");
+  const double lane = Seconds(priority, "lane_victim_us");
+  out << "### A fault-priority CPU lane\n\n"
+      << "A victim that takes 32 remote faults 250 ms apart (about 12 s "
+         "alone) runs while Lisp-Del's 2.2 MB streams between the same two "
+         "hosts by pure-copy. The 1987 system served every work item first come, "
+         "first served; a non-preemptive high lane lets page fetches slip "
+         "between queued bulk fragments.\n\n";
+  MdTable lanes({"Scheduling", "victim elapsed (s)"});
+  lanes.AddRow({"FCFS (the 1987 system)", FormatSeconds(fcfs)});
+  lanes.AddRow({"fault-priority lane", FormatSeconds(lane)});
+  out << lanes.ToString() << '\n'
+      << Printf("The lane makes the victim %.1fx faster.\n\n", fcfs / lane);
+
+  const Json& bystander = beyond.Get("bystander");
+  const double idle = Seconds(bystander, "idle_us");
+  out << "### Bystander: time stolen from other processes (section 4.4.2)\n\n"
+      << "A 60 s compute job on the source host while a neighbour migrates "
+         "away; slowdown is its extra elapsed time over an idle machine.\n\n";
+  MdTable stolen({"Migrating", "idle (s)", "copy (s)", "IOU (s)", "RS (s)", "copy slowdown",
+                  "IOU slowdown"});
+  for (const Json& run : bystander.Get("runs").AsArray()) {
+    const double copy = Seconds(run, "copy_us");
+    const double iou = Seconds(run, "iou_us");
+    stolen.AddRow({run.Get("workload").AsString(), FormatSeconds(idle), FormatSeconds(copy),
+                   FormatSeconds(iou), FormatSeconds(Seconds(run, "rs_us")),
+                   FormatPercent(copy / idle - 1.0, 1), FormatPercent(iou / idle - 1.0, 1)});
+  }
+  out << stolen.ToString() << '\n';
+
+  const Json& fitz = beyond.Get("fitzgerald");
+  const double copied_pct =
+      100.0 * fitz.Get("bytes_copied").AsDouble() / fitz.Get("bytes_passed").AsDouble();
+  out << "### Fitzgerald's observation: bytes copied by local IPC (section 2.1)\n\n"
+      << "A system-building mix of local messages: many small control "
+         "messages, copied, and a few large object-file transfers, mapped "
+         "copy-on-write.\n\n";
+  MdTable mix({"Metric", "Value"});
+  for (const char* key : {"messages", "small_messages", "large_messages", "bytes_passed",
+                          "bytes_copied"}) {
+    mix.AddRow({"`" + std::string(key) + "`", FormatWithCommas(fitz.Get(key).AsUint64())});
+  }
+  mix.AddRow({"copied fraction", FormatDouble(copied_pct, 3) + "%"});
+  mix.AddRow({"avoided", FormatDouble(100.0 - copied_pct, 3) + "% (paper: up to 99.98%)"});
+  out << mix.ToString() << '\n';
+
+  out << "### Pasmac migrated early, midway and late in life\n\n"
+      << "One executed Pasmac-shaped program migrated at 10%, 50% and 90% of "
+         "its file scan, so the resident set at migration is emergent, not "
+         "staged. In parentheses, the paper's staged PM-Start, PM-Mid and "
+         "PM-End (Tables 4-2 and 4-3, pure-IOU): compare the trends, not the "
+         "values.\n\n";
+  const std::array<std::string, 3> staged = {"PM-Start", "PM-Mid", "PM-End"};
+  auto paper = [](const auto& table, const std::string& name) {
+    return std::find_if(std::begin(table), std::end(table),
+                        [&name](const auto& row) { return name == row.name; });
+  };
+  MdTable life({"Migrated at", "Emergent RS (%Real)", "(paper)", "Remote faults (IOU)",
+                "%image touched remotely", "(paper)", "RS strategy faults", "IOU xfer (s)"});
+  const Json::Array& stages = beyond.Get("lifecycle").AsArray();
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const Json& row = stages[i];
+    life.AddRow({FormatPercent(row.Get("migrate_at").AsDouble(), 0),
+                 FormatDouble(100.0 * row.Get("resident_bytes").AsDouble() /
+                                  row.Get("real_bytes_at_migration").AsDouble(),
+                              1),
+                 PaperPercent(paper(kPaperResident, staged.at(i))->pct_real),
+                 FormatWithCommas(row.Get("iou_remote_faults").AsUint64()),
+                 FormatDouble(100.0 * row.Get("image_touched_fraction").AsDouble(), 1),
+                 PaperPercent(paper(kPaperAccessed, staged.at(i))->iou_real),
+                 FormatWithCommas(row.Get("rs_remote_faults").AsUint64()),
+                 FormatSeconds(Seconds(row, "iou_transfer_us"))});
+  }
+  out << life.ToString() << '\n';
+  RenderGates(beyond, out);
+}
+
 // The document's sections in order, each keyed by the `bench` of the report
 // it renders. The sweep opens the document (section 4) and closes it (its
 // metrics registry).
@@ -918,11 +1110,11 @@ struct Section {
   void (*render)(const Json& report, std::ostream& out);
 };
 constexpr Section kSections[] = {
-    {"sweep", RenderPaper},          {"failure_matrix", RenderFailureMatrix},
-    {"checkpoint_matrix", RenderCheckpoint}, {"chain_sweep", RenderChain},
-    {"precopy", RenderPreCopy},      {"dedup_sweep", RenderDedup},
-    {"cluster", RenderCluster},      {"fuzz_corpus", RenderFuzz},
-    {"sweep", RenderMetrics},
+    {"sweep", RenderPaper},          {"beyond", RenderBeyond},
+    {"failure_matrix", RenderFailureMatrix}, {"checkpoint_matrix", RenderCheckpoint},
+    {"chain_sweep", RenderChain},    {"precopy", RenderPreCopy},
+    {"dedup_sweep", RenderDedup},    {"cluster", RenderCluster},
+    {"fuzz_corpus", RenderFuzz},     {"sweep", RenderMetrics},
 };
 
 bool LoadJson(const std::string& path, Json* out) {
@@ -991,9 +1183,9 @@ int Main(int argc, char** argv) {
       << "Regenerate with:\n\n"
       << "```sh\n"
       << "cmake --build build -j\n"
-      << "(cd build && ./bench/run_all && ./bench/failure_sweep && ./bench/checkpoint_sweep \\\n"
-      << "    && ./bench/chain_sweep && ./bench/precopy_sweep && ./bench/dedup_sweep \\\n"
-      << "    && ./bench/cluster_sweep && ./bench/fuzz_corpus)\n"
+      << "(cd build && ./bench/run_all && ./bench/beyond_paper && ./bench/failure_sweep \\\n"
+      << "    && ./bench/checkpoint_sweep && ./bench/chain_sweep && ./bench/precopy_sweep \\\n"
+      << "    && ./bench/dedup_sweep && ./bench/cluster_sweep && ./bench/fuzz_corpus)\n"
       << "./build/tools/render_results --out docs/RESULTS.md build/BENCH_*.json\n"
       << "```\n\n"
       << "Sweep grid: " << sweep->second.Get("trial_count").AsUint64() << " trials, seed "
