@@ -8,9 +8,7 @@
 // now-A-only residual dependency.
 //
 // Usage: chain_sweep [--seed N] [--threads N] [--out PATH]
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,45 +20,32 @@ namespace accent {
 namespace {
 
 int Main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  int threads = 0;
-  std::string out_path = "BENCH_chain.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--threads N] [--out PATH]\n", argv[0]);
-      return 2;
-    }
+  const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_chain.json");
+  if (!args) {
+    return 2;
   }
 
-  std::vector<ChainTrialConfig> configs;
+  std::vector<FuzzScenario> specs;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    for (const ChainTrialConfig& config : ChainSweepConfigs(spec.name, seed)) {
-      configs.push_back(config);
+    for (const FuzzScenario& cell : ChainSweepSpecs(spec.name, args->seed)) {
+      specs.push_back(cell);
     }
   }
-  const std::vector<ChainTrialResult> trials = RunChainTrials(configs, threads);
 
   // Crash variant: only the copy-on-reference strategies leave a chain at B
-  // to collapse (pure-copy carries no IOUs), one trial each.
-  std::vector<ChainCrashResult> crashes;
-  for (TransferStrategy strategy :
-       {TransferStrategy::kPureIou, TransferStrategy::kResidentSet}) {
-    ChainTrialConfig config;
-    config.workload = "Minprog";
-    config.strategy = strategy;
-    config.seed = seed;
-    crashes.push_back(RunChainCrashTrial(config));
+  // to collapse (pure-copy carries no IOUs), one Minprog cell each.
+  std::vector<FuzzScenario> crash_specs;
+  for (const FuzzScenario& cell : ChainSweepSpecs("Minprog", args->seed)) {
+    if (cell.prefetch == 0 && (cell.strategy == TransferStrategy::kPureIou ||
+                               cell.strategy == TransferStrategy::kResidentSet)) {
+      crash_specs.push_back(cell);
+    }
   }
 
-  Json report = ChainSweepToJson(trials, crashes);
-  report["seed"] = Json(seed);
-  return WriteReport(report, out_path);
+  Json report = ChainSweepToJson(RunMechTrials(specs, args->threads),
+                                 RunChainCrashTrials(crash_specs, args->threads));
+  report["seed"] = Json(args->seed);
+  return WriteReport(report, args->out);
 }
 
 }  // namespace

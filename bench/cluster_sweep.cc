@@ -8,8 +8,7 @@
 //
 // Usage: cluster_sweep [--seed N] [--threads N] [--out PATH]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,24 +45,13 @@ ClusterConfig SweepTrialConfig(std::uint64_t seed, int hosts, int threshold,
 }
 
 int Main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  int threads = 0;
-  std::string out_path = "BENCH_cluster.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--threads N] [--out PATH]\n", argv[0]);
-      return 2;
-    }
+  const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_cluster.json");
+  if (!args) {
+    return 2;
   }
 
   // --- big trial ------------------------------------------------------------
-  const ClusterConfig big = BigTrialConfig(seed);
+  const ClusterConfig big = BigTrialConfig(args->seed);
   const ClusterResult big_result = RunClusterTrial(big);
   std::printf("cluster big trial: %d hosts, %llu events\n", big.host_count,
               static_cast<unsigned long long>(big_result.events_executed));
@@ -88,10 +76,10 @@ int Main(int argc, char** argv) {
     }
   }
   const std::vector<ClusterResult> sweep_results =
-      ParallelMap(threads, points.size(), [&](std::size_t i) {
+      ParallelMap(args->threads, points.size(), [&](std::size_t i) {
         const SweepPoint& pt = points[i];
         return RunClusterTrial(
-            SweepTrialConfig(seed, pt.hosts, pt.threshold, pt.hysteresis, pt.dispersal));
+            SweepTrialConfig(args->seed, pt.hosts, pt.threshold, pt.hysteresis, pt.dispersal));
       });
 
   Json sweep_rows = Json::Array{};
@@ -104,7 +92,7 @@ int Main(int argc, char** argv) {
   Json report = Json::Object{};
   report["bench"] = Json("cluster");
   report["schema_version"] = Json(1);
-  report["seed"] = Json(seed);
+  report["seed"] = Json(args->seed);
   report["hosts"] = Json(big.host_count);
   report["processes_arrived"] = Json(big_result.arrived);
   report["trial_count"] = Json(static_cast<std::uint64_t>(1 + points.size()));
@@ -115,7 +103,7 @@ int Main(int argc, char** argv) {
 
   AddGate(&report, "hung", hung, "==", 0);
   AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
-  return WriteReport(report, out_path);
+  return WriteReport(report, args->out);
 }
 
 }  // namespace

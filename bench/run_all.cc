@@ -4,15 +4,14 @@
 // latencies (checked by tools/check_bench, rendered by
 // tools/render_results).
 //
-// Usage: run_all [--threads N] [--seed N] [--out FILE]
-//   --threads   worker threads (default: ACCENT_SWEEP_THREADS or hardware)
+// Usage: run_all [--seed N] [--threads N] [--out PATH]
 //   --seed      trial seed (default 42, the grid every binary uses)
+//   --threads   worker threads (default: ACCENT_SWEEP_THREADS or hardware)
 //   --out       sweep summary JSON path (default BENCH_sweep.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include "src/experiments/metrics_fold.h"
@@ -136,24 +135,12 @@ Json FaultAnchors() {
 }
 
 int Main(int argc, char** argv) {
-  int threads = 0;
-  std::uint64_t seed = 42;
-  std::string out = "BENCH_sweep.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--threads N] [--seed N] [--out FILE]\n", argv[0]);
-      return 2;
-    }
+  const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_sweep.json");
+  if (!args) {
+    return 2;
   }
-  if (threads <= 0) {
-    threads = SweepThreadCount();
-  }
+  const std::uint64_t seed = args->seed;
+  const int threads = args->threads > 0 ? args->threads : SweepThreadCount();
 
   std::printf("Simulating the paper grid (threads=%d, seed=%llu)\n", threads,
               static_cast<unsigned long long>(seed));
@@ -226,7 +213,7 @@ int Main(int argc, char** argv) {
   root["figure_4_5"] = std::move(figure_4_5);
   root["fault_anchors"] = FaultAnchors();
   AddGate(&root, "trial_count", static_cast<std::uint64_t>(trials), ">", 0);
-  return WriteReport(root, out);
+  return WriteReport(root, args->out);
 }
 
 }  // namespace

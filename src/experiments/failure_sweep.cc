@@ -1,5 +1,9 @@
 #include "src/experiments/failure_sweep.h"
 
+#include <iterator>
+#include <map>
+#include <utility>
+
 #include "src/base/check.h"
 #include "src/base/logging.h"
 #include "src/base/rng.h"
@@ -31,23 +35,6 @@ std::uint64_t FaultSeed(std::uint64_t seed, const std::string& workload,
   return SplitMix64(seed ^ SplitMix64(Fnv(workload)) ^
                     SplitMix64(static_cast<std::uint64_t>(strategy) + 1) ^
                     SplitMix64(Fnv(scenario)));
-}
-
-// `spec` (a wire recipe, or none for the baseline) on the group's bed: the
-// classic two-host bed, or with the checkpoint store a third host carrying
-// it, out of every crash window (crashes target the source and the
-// destination only).
-FuzzScenario FailureSpec(FuzzScenario spec, const std::string& workload,
-                         TransferStrategy strategy, std::uint64_t seed, bool checkpoint_store) {
-  spec.seed = seed;
-  spec.workload = workload;
-  spec.strategy = strategy;
-  if (checkpoint_store) {
-    spec.host_count = 3;
-    spec.checkpoint = true;
-    spec.checkpoint_host = 3;
-  }
-  return spec;
 }
 
 }  // namespace
@@ -82,161 +69,150 @@ const std::vector<FailureScenario>& FailureScenarios() {
   return scenarios;
 }
 
-MechRun RunFailureBaseline(const std::string& workload, TransferStrategy strategy,
-                           std::uint64_t seed, bool checkpoint_store) {
-  const MechRun run =
-      RunMech(FailureSpec({}, workload, strategy, seed, checkpoint_store), FaultPlan{}, seed);
-  ACCENT_CHECK(run.drained && run.hop1_done && !run.hop1.aborted && run.finished)
-      << " lossless baseline failed for " << workload;
+FuzzScenario FailureSpec(const FuzzScenario& faults, const std::string& workload,
+                         TransferStrategy strategy, std::uint64_t seed, bool checkpoint_store) {
+  FuzzScenario spec = faults;
+  spec.seed = seed;
+  spec.workload = workload;
+  spec.strategy = strategy;
+  if (checkpoint_store) {
+    spec.host_count = 3;
+    spec.checkpoint = true;
+    spec.checkpoint_host = 3;
+  }
+  return spec;
+}
+
+MechRun RunFailureBaseline(const FuzzScenario& spec, std::uint64_t reference) {
+  const MechRun run = RunMech(spec, FaultPlan{}, spec.seed);
+  const MechVerdict verdict = Classify(run, reference);
+  ACCENT_CHECK(verdict.outcome == FailureOutcome::kCompleted && verdict.integrity_ok)
+      << " lossless baseline failed for " << spec.Describe() << ": " << verdict.failure;
   return run;
 }
 
-FailureTrialResult RunFailureTrial(const std::string& workload, TransferStrategy strategy,
-                                   const FailureScenario& scenario, const MechRun& baseline,
-                                   std::uint64_t seed, bool checkpoint_store) {
-  const FuzzScenario spec =
-      FailureSpec(scenario.faults, workload, strategy, seed, checkpoint_store);
-  const MechRun run = RunMech(spec, PlantFaults(spec, baseline),
-                              FaultSeed(seed, workload, strategy, scenario.name));
-  const MechVerdict verdict = Classify(run, baseline.checksum);
-  if (!verdict.failure.empty()) {
-    ACCENT_LOG(kError) << "failure trial " << workload << "/" << StrategyName(strategy) << "/"
-                       << scenario.name << ": " << verdict.failure;
+MechTrial RunFailureTrial(const FuzzScenario& spec, const std::string& column,
+                          const MechRun& baseline, std::uint64_t reference) {
+  MechTrial trial{spec,
+                  RunMech(spec, PlantFaults(spec, baseline),
+                          FaultSeed(spec.seed, spec.workload, spec.strategy, column)),
+                  {}};
+  trial.verdict = Classify(trial.run, reference);
+  if (!trial.verdict.failure.empty()) {
+    ACCENT_LOG(kError) << "failure trial " << spec.workload << "/" << StrategyName(spec.strategy)
+                       << "/" << column << ": " << trial.verdict.failure;
   }
-
-  FailureTrialResult result;
-  result.workload = workload;
-  result.strategy = strategy;
-  result.scenario = scenario.name;
-  result.outcome = verdict.outcome;
-  result.integrity_ok = verdict.integrity_ok;
-  result.rolled_back = verdict.rolled_back;
-  result.fragments_retransmitted = run.netmsg.fragments_retransmitted;
-  result.retransmit_bytes = run.netmsg.retransmit_bytes;
-  result.duplicates_suppressed = run.netmsg.duplicates_suppressed;
-  result.transfers_dead_lettered = run.netmsg.transfers_dead_lettered;
-  result.deliveries_lost = run.deliveries_lost;
-  if (verdict.outcome == FailureOutcome::kAborted) {
-    result.abort_reason = run.hop1.abort_reason;
-  }
-  if (verdict.outcome != FailureOutcome::kHung) {
-    result.finished = run.finish;
-  }
-  if (verdict.outcome == FailureOutcome::kCompleted) {
-    result.restored = run.restores > 0;
-    result.slowdown = static_cast<double>(result.finished.count()) /
-                      static_cast<double>(baseline.finish.count());
-  }
-  return result;
+  return trial;
 }
 
 FailureMatrix RunFailureMatrix(std::uint64_t seed, int threads, bool checkpoint_store) {
   const std::vector<WorkloadSpec>& workloads = RepresentativeWorkloads();
-  const std::vector<FailureScenario>& scenarios = FailureScenarios();
-  const std::size_t strategies = sizeof(kStrategies) / sizeof(kStrategies[0]);
+  const std::size_t strategies = std::size(kStrategies);
+  const std::vector<std::uint64_t> references =
+      ParallelMap(threads, workloads.size(), [&workloads, seed](std::size_t w) {
+        return ReferenceChecksum(workloads[w].name, seed);
+      });
 
   // One task per (workload, strategy) group: its lossless baseline first
-  // (crash placement + integrity reference), then its scenarios in order.
-  // Groups share nothing, so thread count and scheduling cannot reach any
-  // result.
-  const std::vector<std::vector<FailureTrialResult>> groups =
+  // (crash placement), then its columns in order. Groups share nothing, so
+  // thread count and scheduling cannot reach any result.
+  std::vector<FailureMatrix> groups =
       ParallelMap(threads, workloads.size() * strategies, [&](std::size_t group) {
-        const std::string& workload = workloads[group / strategies].name;
+        const std::size_t w = group / strategies;
+        const std::string& workload = workloads[w].name;
         const TransferStrategy strategy = kStrategies[group % strategies];
-        const MechRun baseline = RunFailureBaseline(workload, strategy, seed, checkpoint_store);
-        std::vector<FailureTrialResult> trials;
-        for (const FailureScenario& scenario : scenarios) {
-          trials.push_back(
-              RunFailureTrial(workload, strategy, scenario, baseline, seed, checkpoint_store));
+        FailureMatrix cells;
+        cells.baselines.push_back(RunFailureBaseline(
+            FailureSpec({}, workload, strategy, seed, checkpoint_store), references[w]));
+        for (const FailureScenario& column : FailureScenarios()) {
+          cells.trials.push_back(RunFailureTrial(
+              FailureSpec(column.faults, workload, strategy, seed, checkpoint_store), column.name,
+              cells.baselines.back(), references[w]));
         }
-        return trials;
+        return cells;
       });
 
   FailureMatrix matrix;
-  for (const std::vector<FailureTrialResult>& group : groups) {
-    for (const FailureTrialResult& trial : group) {
-      switch (trial.outcome) {
-        case FailureOutcome::kCompleted:
-          ++matrix.completed;
-          if (!trial.integrity_ok) {
-            ++matrix.integrity_failures;
-          }
-          if (trial.restored) {
-            ++matrix.restored;
-          }
-          break;
-        case FailureOutcome::kAborted:
-          ++matrix.aborted;
-          break;
-        case FailureOutcome::kTerminalFault:
-          ++matrix.terminal_faults;
-          break;
-        case FailureOutcome::kHung:
-          ++matrix.hung;
-          break;
-      }
-      matrix.trials.push_back(trial);
+  for (FailureMatrix& group : groups) {
+    matrix.baselines.push_back(std::move(group.baselines.front()));
+    for (MechTrial& trial : group.trials) {
+      matrix.trials.push_back(std::move(trial));
     }
   }
   return matrix;
 }
 
 Json FailureMatrixToJson(const FailureMatrix& matrix) {
+  const std::vector<FailureScenario>& columns = FailureScenarios();
+  std::uint64_t completed = 0;
+  std::uint64_t aborted = 0;
+  std::uint64_t terminal_faults = 0;
+  std::uint64_t hung = 0;
+  std::uint64_t integrity_failures = 0;  // completed with wrong contents
+  std::uint64_t restored = 0;            // completed via checkpoint restore
+  // Terminal cells per strategy x column: the table that shows which
+  // residual-dependency cells a checkpoint store flips to survivable. Every
+  // cell is present, zeros included, so diffs across runs line up key for
+  // key.
+  std::map<std::string, std::map<std::string, std::uint64_t>> terminal;
+  for (TransferStrategy strategy : kStrategies) {
+    for (const FailureScenario& column : columns) {
+      terminal[StrategyName(strategy)][column.name] = 0;
+    }
+  }
+
   Json trials{Json::Array{}};
-  for (const FailureTrialResult& trial : matrix.trials) {
-    Json entry;
-    entry["workload"] = Json(trial.workload);
-    entry["strategy"] = Json(StrategyName(trial.strategy));
-    entry["scenario"] = Json(trial.scenario);
-    entry["outcome"] = Json(FailureOutcomeName(trial.outcome));
-    entry["integrity_ok"] = Json(trial.integrity_ok);
-    entry["rolled_back"] = Json(trial.rolled_back);
-    entry["restored"] = Json(trial.restored);
-    entry["abort_reason"] = Json(trial.abort_reason);
-    entry["fragments_retransmitted"] = Json(trial.fragments_retransmitted);
-    entry["retransmit_bytes"] = Json(trial.retransmit_bytes);
-    entry["duplicates_suppressed"] = Json(trial.duplicates_suppressed);
-    entry["transfers_dead_lettered"] = Json(trial.transfers_dead_lettered);
-    entry["deliveries_lost"] = Json(trial.deliveries_lost);
-    entry["finished_us"] = Json(static_cast<std::int64_t>(trial.finished.count()));
-    entry["slowdown"] = Json(trial.slowdown);
+  for (std::size_t i = 0; i < matrix.trials.size(); ++i) {
+    const MechTrial& trial = matrix.trials[i];
+    const std::string& column = columns[i % columns.size()].name;
+    const bool done = trial.verdict.outcome == FailureOutcome::kCompleted;
+    switch (trial.verdict.outcome) {
+      case FailureOutcome::kCompleted:
+        ++completed;
+        integrity_failures += trial.verdict.integrity_ok ? 0 : 1;
+        restored += trial.verdict.restored ? 1 : 0;
+        break;
+      case FailureOutcome::kAborted:
+        ++aborted;
+        break;
+      case FailureOutcome::kTerminalFault:
+        ++terminal_faults;
+        ++terminal[StrategyName(trial.spec.strategy)][column];
+        break;
+      case FailureOutcome::kHung:
+        ++hung;
+        break;
+    }
+    const SimTime baseline_finish = matrix.baselines.at(i / columns.size()).finish;
+    Json entry = MechRowToJson(trial.spec, trial.run, trial.verdict);
+    entry["scenario"] = Json(column);
+    entry["slowdown"] = Json(done ? static_cast<double>(trial.run.finish.count()) /
+                                        static_cast<double>(baseline_finish.count())
+                                  : 0.0);
     trials.Append(std::move(entry));
   }
 
-  // Per-strategy x fault-kind breakdown of the terminal cells: the table
-  // that shows which residual-dependency cells a checkpoint store flips to
-  // survivable. Every (strategy, scenario) cell is present, zeros included,
-  // so diffs across runs line up key for key.
   Json breakdown;
-  for (TransferStrategy strategy : kStrategies) {
-    Json per_scenario;
-    for (const FailureScenario& scenario : FailureScenarios()) {
-      std::uint64_t count = 0;
-      for (const FailureTrialResult& trial : matrix.trials) {
-        if (trial.strategy == strategy && trial.scenario == scenario.name &&
-            trial.outcome == FailureOutcome::kTerminalFault) {
-          ++count;
-        }
-      }
-      per_scenario[scenario.name] = Json(count);
+  for (const auto& [strategy, per_column] : terminal) {
+    for (const auto& [column, count] : per_column) {
+      breakdown[strategy][column] = Json(count);
     }
-    breakdown[StrategyName(strategy)] = std::move(per_scenario);
   }
 
   Json report;
   report["bench"] = Json("failure_matrix");
-  report["schema_version"] = Json(2);
+  report["schema_version"] = Json(3);
   report["trial_count"] = Json(static_cast<std::uint64_t>(matrix.trials.size()));
-  report["completed"] = Json(matrix.completed);
-  report["aborted"] = Json(matrix.aborted);
-  report["terminal_faults"] = Json(matrix.terminal_faults);
+  report["completed"] = Json(completed);
+  report["aborted"] = Json(aborted);
+  report["terminal_faults"] = Json(terminal_faults);
   report["terminal_breakdown"] = std::move(breakdown);
-  report["hung"] = Json(matrix.hung);
-  report["integrity_failures"] = Json(matrix.integrity_failures);
-  report["restored"] = Json(matrix.restored);
+  report["hung"] = Json(hung);
+  report["integrity_failures"] = Json(integrity_failures);
+  report["restored"] = Json(restored);
   report["trials"] = std::move(trials);
-  AddGate(&report, "hung", matrix.hung, "==", 0);
-  AddGate(&report, "integrity_failures", matrix.integrity_failures, "==", 0);
+  AddGate(&report, "hung", hung, "==", 0);
+  AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
   return report;
 }
 

@@ -20,75 +20,30 @@
 #define SRC_EXPERIMENTS_PRECOPY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/base/json.h"
-#include "src/base/types.h"
-#include "src/migration/strategy.h"
+#include "src/experiments/scenario.h"
 
 namespace accent {
 
-// One point of the grid. For the three paper strategies the pre-copy knobs
-// are ignored; `live` is a property of the workload (enough compute runway
-// to migrate mid-execution) and is identical across a workload's cells so
-// every comparison is at the same migration point.
-struct PreCopySweepCell {
-  std::string workload;
-  TransferStrategy strategy = TransferStrategy::kPureCopy;
-  int max_rounds = 0;               // pre-copy cells only
-  SimDuration target_downtime{0};   // pre-copy cells only; 0 = SLO off
-  bool live = false;
-  SimDuration migrate_at{0};        // live cells: source execution before Migrate
-};
-
-struct PreCopySweepCellResult {
-  PreCopySweepCell cell;
-  bool completed = false;  // migration done, remote ran to completion
-  bool hung = false;       // watchdog fired (always a bug)
-  int rounds = 0;          // pre-copy rounds (0 for paper strategies)
-  SimDuration downtime{0};            // process runnable nowhere
-  SimDuration total{0};               // request -> remote completion
-  ByteCount page_bytes = 0;           // bulk + fault wire traffic
-  ByteCount wire_bytes = 0;           // all wire traffic
-  double wws_pages = 0.0;             // final writable-working-set estimate
-  SimDuration predicted_downtime{0};  // last SLO-loop prediction (0 = SLO off)
-  bool slo_met = false;
-};
-
-struct PreCopySweepSummary {
-  std::vector<PreCopySweepCellResult> cells;  // fixed grid order
-  std::uint64_t completed = 0;
-  std::uint64_t hung = 0;
-
-  // Headline gates (see RunPreCopySweep).
-  int downtime_wins = 0;          // compute-bound workloads beating pure-copy
-  bool downtime_win_ok = false;   // >= 2 such workloads
-  bool bytes_ordering_ok = false; // per workload: precopy >= pure-copy >= IOU
-  bool slo_ok = false;            // SLO met on every compute-bound workload
-};
-
 // The fixed grid: 7 workloads x (3 paper strategies + round caps {1,4,8} x
-// SLOs {off, 1 s, 5 s}) = 84 cells, in deterministic order.
-std::vector<PreCopySweepCell> PreCopySweepCells();
+// SLOs {off, 1 s, 5 s}) = 84 specs, in deterministic order. A workload with
+// enough compute runway migrates live (live_migrate_at, identical across
+// its cells so every comparison is at the same migration point). Run it
+// with RunMechTrials (scenario.h).
+std::vector<FuzzScenario> PreCopySweepSpecs(std::uint64_t seed = 42);
 
-// One cell on a private testbed. Deterministic for (cell, seed).
-PreCopySweepCellResult RunPreCopyCell(const PreCopySweepCell& cell, std::uint64_t seed);
-
-// The full grid, fanned out over up to `threads` workers (0 =
-// SweepThreadCount()); results return in grid order, byte-identical at any
-// thread count. Gates:
-//   - nothing hangs, every migration completes;
+// Canonical JSON (sorted keys) of the grid's runs: one MechRowToJson row per
+// cell plus its live, max_rounds, target_downtime_ms and completed keys,
+// the per-workload Pareto summary (downtime vs page bytes), and the gates:
+//   - nothing hangs, every migration completes with intact contents;
 //   - pre-copy's best cell beats pure-copy on downtime for the
 //     compute-bound workloads (Chess, Lisp-Del);
 //   - page bytes order pre-copy >= pure-copy >= pure-IOU per workload
 //     (dirty re-shipping is pre-copy's bill; §5's critique);
 //   - the SLO predictor fires on the compute-bound workloads.
-PreCopySweepSummary RunPreCopySweep(std::uint64_t seed = 42, int threads = 0);
-
-// Canonical JSON (sorted keys): gates, the per-workload Pareto summary
-// (downtime vs page bytes) and every cell.
-Json PreCopySweepToJson(const PreCopySweepSummary& summary);
+Json PreCopySweepToJson(const std::vector<MechTrial>& cells);
 
 }  // namespace accent
 

@@ -1,10 +1,13 @@
 #include "src/experiments/scenario.h"
 
 #include <map>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "src/base/check.h"
 #include "src/base/page_data.h"
+#include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
 #include "src/net/page_service.h"
 #include "src/vm/pager.h"
@@ -70,7 +73,14 @@ std::string FuzzScenario::Describe() const {
   if (crash_source) {
     out << " crash=source";
   }
+  if (crash_dest_at != SimTime{0}) {
+    out << " crash=dest@" << crash_dest_at.count() << "us";
+  }
   return out.str();
+}
+
+ByteCount MechRun::WireBytes() const {
+  return std::accumulate(wire_bytes.begin(), wire_bytes.end(), ByteCount{0});
 }
 
 MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed) {
@@ -284,6 +294,9 @@ FaultPlan PlantFaults(const FuzzScenario& sc, const MechRun& baseline) {
   if (sc.crash_dest) {
     plan.crashes.push_back(CrashWindow{dest, mid_transfer, kFaultForever});
   }
+  if (sc.crash_dest_at != SimTime{0}) {
+    plan.crashes.push_back(CrashWindow{dest, sc.crash_dest_at, kFaultForever});
+  }
   if (sc.crash_source) {
     // 30% into the baseline's remote execution: copy-on-reference debts are
     // typically still outstanding (pure-copy carries none and must survive).
@@ -307,6 +320,7 @@ MechVerdict Classify(const MechRun& run, std::uint64_t reference) {
     // either way the contents must match the reference.
     verdict.outcome = run.hop1.aborted ? FailureOutcome::kAborted : FailureOutcome::kCompleted;
     verdict.rolled_back = run.hop1.aborted && run.hop1.rolled_back;
+    verdict.restored = !run.hop1.aborted && run.restores > 0;
     verdict.integrity_ok = run.checksum == reference;
     if (!verdict.integrity_ok) {
       verdict.failure = "integrity mismatch;";
@@ -320,6 +334,83 @@ MechVerdict Classify(const MechRun& run, std::uint64_t reference) {
     verdict.failure = "drained without completion or fault;";
   }
   return verdict;
+}
+
+std::vector<MechTrial> RunMechTrials(const std::vector<FuzzScenario>& specs, int threads) {
+  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> references;
+  for (const FuzzScenario& spec : specs) {
+    ACCENT_CHECK(!spec.partition_transfer && !spec.crash_dest && !spec.crash_source)
+        << " a phase-boundary window needs a baseline: " << spec.Describe();
+    references.emplace(std::make_pair(spec.workload, spec.seed), 0);
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> keys;
+  for (const auto& [key, reference] : references) {
+    keys.push_back(key);
+  }
+  const std::vector<std::uint64_t> checksums =
+      ParallelMap(threads, keys.size(), [&keys](std::size_t i) {
+        return ReferenceChecksum(keys[i].first, keys[i].second);
+      });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    references[keys[i]] = checksums[i];
+  }
+  return ParallelMap(threads, specs.size(), [&specs, &references](std::size_t i) {
+    const FuzzScenario& spec = specs[i];
+    MechTrial trial{spec, RunMech(spec, PlantFaults(spec, MechRun{}), spec.seed), {}};
+    trial.verdict = Classify(trial.run, references.at({spec.workload, spec.seed}));
+    return trial;
+  });
+}
+
+Json MechRowToJson(const FuzzScenario& spec, const MechRun& run, const MechVerdict& verdict) {
+  const auto us = [](SimDuration d) { return Json(static_cast<std::int64_t>(d.count())); };
+  Json row;
+  row["spec"] = Json(spec.Describe());
+  row["seed"] = Json(spec.seed);
+  row["workload"] = Json(spec.workload);
+  row["strategy"] = Json(StrategyName(spec.strategy));
+  row["prefetch"] = Json(spec.prefetch);
+
+  row["outcome"] = Json(FailureOutcomeName(verdict.outcome));
+  row["integrity_ok"] = Json(verdict.integrity_ok);
+  row["rolled_back"] = Json(verdict.rolled_back);
+  row["restored"] = Json(verdict.restored);
+
+  row["hung"] = Json(!run.drained);
+  row["remigrated"] = Json(run.remigrate_fired);
+  row["abort_reason"] = Json(run.hop1.abort_reason);
+  row["finish_host"] = Json(run.finish_host);
+  row["finished_us"] = us(run.finish);
+  row["downtime_us"] = us(run.Downtime());
+  row["hop2_downtime_us"] =
+      us(run.hop2_done && !run.hop2.aborted ? run.hop2.Downtime() : SimDuration{0});
+  row["request_to_finish_us"] = us(run.RequestToFinish());
+  row["page_bytes"] = Json(run.PageBytes());
+  row["wire_bytes"] = Json(run.WireBytes());
+  row["precopy_rounds"] = Json(run.hop1.precopy_rounds);
+  row["precopy_wws_pages"] = Json(run.hop1.precopy_wws_pages);
+  row["precopy_predicted_downtime_us"] = us(run.hop1.precopy_predicted_downtime);
+  row["precopy_slo_met"] = Json(run.hop1.precopy_slo_met);
+
+  row["fragments_retransmitted"] = Json(run.netmsg.fragments_retransmitted);
+  row["retransmit_bytes"] = Json(run.netmsg.retransmit_bytes);
+  row["duplicates_suppressed"] = Json(run.netmsg.duplicates_suppressed);
+  row["transfers_dead_lettered"] = Json(run.netmsg.transfers_dead_lettered);
+  row["deliveries_lost"] = Json(run.deliveries_lost);
+
+  row["collapse_done"] = Json(run.collapse_done);
+  row["objects_handed_off"] = Json(run.collapse.objects_handed_off);
+  row["rebinds_acked"] = Json(run.collapse.rebinds_acked);
+  row["segments_rebound"] = Json(run.collapse.segments_rebound);
+  row["collapsed_at_us"] = us(run.collapse.collapsed_at);
+  row["dest_requests_after_collapse"] = Json(run.dest_requests_after_collapse);
+  row["dest_forwards_after_collapse"] = Json(run.dest_forwards_after_collapse);
+  row["origin_requests_after_collapse"] = Json(run.origin_requests_after_collapse);
+  row["dest_objects"] = Json(run.dest_objects);
+  row["dest_stubs"] = Json(run.dest_stubs);
+  row["dest_handoff_pages"] = Json(run.dest_handoff_pages);
+  row["redest_imag_faults"] = Json(run.redest_imag_faults);
+  return row;
 }
 
 // A chain's final incarnation does not hold every planned page privately:

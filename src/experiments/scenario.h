@@ -6,13 +6,14 @@
 // finished. FuzzScenario describes one such trial; RunMech runs it and
 // returns everything any caller reads; PlantFaults places a scenario's
 // crash and partition windows at a lossless baseline's phase boundaries;
-// Classify turns a run into the failure-sweep verdict.
+// Classify turns a run into the failure-sweep verdict; MechRowToJson writes
+// the three as one report row.
 //
 // The fuzzer (scenario_fuzz.h) draws specs at random. The failure and
 // checkpoint matrices (failure_sweep.h), the chain grid (chain.h) and the
-// pre-copy grid (precopy.h) fill them in from their own grids. Every one
-// of them judges what finished against ReferenceChecksum, the same process
-// run to completion without migrating.
+// pre-copy grid (precopy.h) are grids of specs. Every one of them judges
+// what finished against ReferenceChecksum, the same process run to
+// completion without migrating, and writes each run through MechRowToJson.
 #ifndef SRC_EXPERIMENTS_SCENARIO_H_
 #define SRC_EXPERIMENTS_SCENARIO_H_
 
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/host/calibration.h"
 #include "src/migration/migration_manager.h"
 #include "src/migration/migration_record.h"
@@ -91,10 +93,13 @@ struct FuzzScenario {
   bool partition_transfer = false;  // transient source<->dest cut mid-transfer
   bool crash_dest = false;          // first-hop destination dies for good
   bool crash_source = false;        // source dies mid-remote-execution
+  // The first-hop destination dies for good at this instant (0 = never);
+  // unlike the windows above it needs no baseline to place.
+  SimTime crash_dest_at{0};
 
   bool faulty() const {
     return drop > 0.0 || duplicate > 0.0 || delay > 0.0 || reorder > 0.0 ||
-           partition_transfer || crash_dest || crash_source;
+           partition_transfer || crash_dest || crash_source || crash_dest_at != SimTime{0};
   }
   // One-line human summary (for logs and JSON). Fields at their defaults
   // are left out.
@@ -168,6 +173,24 @@ struct MechRun {
   std::uint64_t dest_stubs = 0;
   std::uint64_t dest_handoff_pages = 0;
   std::uint64_t redest_imag_faults = 0;
+
+  // First-hop downtime (MigrationRecord::Downtime); zero unless the hop
+  // completed.
+  SimDuration Downtime() const {
+    return hop1_done && !hop1.aborted ? hop1.Downtime() : SimDuration{0};
+  }
+  // Migration request to the finishing incarnation's completion; zero when
+  // nothing finished.
+  SimDuration RequestToFinish() const {
+    return finished ? finish - hop1.requested : SimDuration{0};
+  }
+  // Page traffic on the wire: bulk transfer plus fault replies.
+  ByteCount PageBytes() const {
+    return wire_bytes[static_cast<std::size_t>(TrafficKind::kBulkData)] +
+           wire_bytes[static_cast<std::size_t>(TrafficKind::kFaultData)];
+  }
+  // Every byte on the wire, of every kind.
+  ByteCount WireBytes() const;
 };
 
 // Runs `sc` on a private testbed whose wire follows `plan`, drawing verdicts
@@ -176,16 +199,18 @@ struct MechRun {
 // MechRun.
 MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed);
 
-// `sc`'s wire recipe as a plan: its drop/duplicate/delay/reorder rates, and
-// each window it asks for, placed at `baseline`'s phase boundaries — the
-// transient source<->dest partition (1 s) and the permanent destination
-// crash halfway between excision and resumption, the permanent source crash
-// 30% into remote execution.
+// `sc`'s wire recipe as a plan: its drop/duplicate/delay/reorder rates, the
+// permanent destination crash at crash_dest_at, and each window it asks
+// for, placed at `baseline`'s phase boundaries — the transient
+// source<->dest partition (1 s) and the permanent destination crash halfway
+// between excision and resumption, the permanent source crash 30% into
+// remote execution.
 FaultPlan PlantFaults(const FuzzScenario& sc, const MechRun& baseline);
 
 struct MechVerdict {
   FailureOutcome outcome = FailureOutcome::kHung;
   bool rolled_back = false;   // aborted, and the source rolled the process back
+  bool restored = false;      // completed, via a checkpoint-store restore
   bool integrity_ok = false;  // an incarnation finished with `reference` contents
   std::string failure;        // empty unless the run exposes a bug
 };
@@ -193,6 +218,28 @@ struct MechVerdict {
 // The failure-sweep classification of `run`, judging the finished
 // incarnation's contents against `reference`.
 MechVerdict Classify(const MechRun& run, std::uint64_t reference);
+
+// One cell of a grid: a spec, its run and its verdict.
+struct MechTrial {
+  FuzzScenario spec;
+  MechRun run;
+  MechVerdict verdict;
+};
+
+// Runs each of `specs` on its own testbed with the faults PlantFaults places
+// without a baseline (its wire rates and crash_dest_at; a spec asking for a
+// phase-boundary window is a caller bug), drawing verdicts from the spec's
+// seed, and judges it against ReferenceChecksum, computed once per
+// (workload, seed). Fans out over up to `threads` workers (0 =
+// SweepThreadCount()); results in input order, byte-identical at any thread
+// count.
+std::vector<MechTrial> RunMechTrials(const std::vector<FuzzScenario>& specs, int threads = 0);
+
+// The one per-run report row (docs/OBSERVABILITY.md): the spec's Describe()
+// line and grid axes, the verdict, and the run's times (integer µs), bytes,
+// retry traffic and chain collapse. Every family's row is this plus only
+// the keys that family declares.
+Json MechRowToJson(const FuzzScenario& spec, const MechRun& run, const MechVerdict& verdict);
 
 // FNV fold over the contents a fault would observe for each planned page,
 // visited in ascending order. Pages owed to a backing chain are resolved

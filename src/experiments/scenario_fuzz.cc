@@ -130,26 +130,29 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   // Lossless baseline on the scenario's own topology + calibrations:
   // supplies the phase boundaries crash/partition windows anchor to, and
   // proves the scenario completes when the wire behaves.
-  const MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed);
+  MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed);
   if (!baseline.drained || !baseline.hop1_done || baseline.hop1.aborted ||
       !baseline.finished) {
     result.outcome = FailureOutcome::kHung;
     result.hang = !baseline.drained;
     failure << "baseline did not complete;";
     result.failure = failure.str();
+    result.run = std::move(baseline);
+    result.verdict.failure = result.failure;
     return result;
   }
   if (baseline.checksum != reference) {
     failure << "baseline integrity mismatch;";
   }
 
-  const MechRun run = scenario.faulty()
-                          ? RunMech(scenario, PlantFaults(scenario, baseline),
-                                    SplitMix64(scenario.seed ^ 0xfa071ull))
-                          : baseline;
+  result.run = scenario.faulty() ? RunMech(scenario, PlantFaults(scenario, baseline),
+                                           SplitMix64(scenario.seed ^ 0xfa071ull))
+                                 : baseline;
+  const MechRun& run = result.run;
   result.remigrated = run.remigrate_fired;
 
-  const MechVerdict verdict = Classify(run, reference);
+  result.verdict = Classify(run, reference);
+  const MechVerdict& verdict = result.verdict;
   result.outcome = verdict.outcome;
   result.rolled_back = verdict.rolled_back;
   result.integrity_ok = verdict.integrity_ok;
@@ -296,13 +299,7 @@ FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count, in
 Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
   Json scenarios{Json::Array{}};
   for (const FuzzScenarioResult& r : corpus.results) {
-    Json entry;
-    entry["seed"] = Json(r.scenario.seed);
-    entry["scenario"] = Json(r.scenario.Describe());
-    entry["outcome"] = Json(FailureOutcomeName(r.outcome));
-    entry["integrity_ok"] = Json(r.integrity_ok);
-    entry["rolled_back"] = Json(r.rolled_back);
-    entry["remigrated"] = Json(r.remigrated);
+    Json entry = MechRowToJson(r.scenario, r.run, r.verdict);
     entry["backer_balanced"] = Json(r.backer_balanced);
     entry["cluster_census_ok"] = Json(r.cluster_census_ok);
     entry["cluster_hung"] = Json(r.cluster_hung);
@@ -319,7 +316,7 @@ Json FuzzCorpusToJson(const FuzzCorpusResult& corpus) {
 
   Json report;
   report["bench"] = Json("fuzz_corpus");
-  report["schema_version"] = Json(1);
+  report["schema_version"] = Json(2);
   report["first_seed"] =
       Json(corpus.results.empty() ? std::uint64_t{0} : corpus.results.front().scenario.seed);
   report["scenario_count"] = Json(corpus.scenarios);

@@ -53,6 +53,13 @@ FuzzScenario MakeScenario(std::uint64_t seed);
 struct FuzzScenarioResult {
   FuzzScenario scenario;
 
+  // The judged run (the faulty one; the baseline when the scenario is
+  // lossless) and its verdict; when the baseline itself fails, the baseline
+  // with a hung verdict. outcome, rolled_back, remigrated, integrity_ok and
+  // hang below repeat them for perfbench and migrate_sim, which read those.
+  MechRun run;
+  MechVerdict verdict;
+
   // Mechanistic trial classification (failure-sweep taxonomy).
   FailureOutcome outcome = FailureOutcome::kHung;
   bool rolled_back = false;
@@ -124,8 +131,9 @@ FuzzCorpusResult RunFuzzCorpus(std::uint64_t first_seed, std::uint64_t count,
                                int threads = 0);
 
 // Canonical JSON (sorted keys, exact integers): the oracle counters, one
-// record per scenario, and the gates on those counters
-// (src/metrics/gates.h). Equal corpora dump byte-identically.
+// row per scenario (the judged run's MechRowToJson row plus the scenario's
+// oracles), and the gates on those counters (src/metrics/gates.h). Equal
+// corpora dump byte-identically.
 Json FuzzCorpusToJson(const FuzzCorpusResult& corpus);
 
 }  // namespace accent

@@ -46,9 +46,4 @@ std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs, int 
                      [&configs](std::size_t i) { return RunTrial(configs[i]); });
 }
 
-std::vector<TrialResult> RunStrategySweepParallel(const std::string& workload,
-                                                  std::uint64_t seed, int threads) {
-  return RunTrials(StrategySweepConfigs(workload, seed), threads);
-}
-
 }  // namespace accent

@@ -61,11 +61,6 @@ std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
 std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs,
                                    int threads = 0);
 
-// Parallel equivalent of RunStrategySweep(workload, seed).
-std::vector<TrialResult> RunStrategySweepParallel(const std::string& workload,
-                                                  std::uint64_t seed = 42,
-                                                  int threads = 0);
-
 }  // namespace accent
 
 #endif  // SRC_EXPERIMENTS_SWEEP_H_

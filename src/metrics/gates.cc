@@ -1,7 +1,10 @@
 #include "src/metrics/gates.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <limits>
+#include <system_error>
 #include <fstream>
 #include <string_view>
 #include <utility>
@@ -144,6 +147,38 @@ int WriteReport(const Json& report, const std::string& path) {
   }
   std::printf("-> %s\n", path.c_str());
   return problems.empty() ? 0 : 1;
+}
+
+std::optional<ReportArgs> ParseReportArgs(int argc, char** argv,
+                                          const std::string& default_out) {
+  // A whole non-negative number and nothing else: no sign, no space, no
+  // suffix, no overflow.
+  const auto whole = [](std::string_view text, std::uint64_t max, std::uint64_t* value) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+    return !text.empty() && ec == std::errc() && ptr == end && *value <= max;
+  };
+  ReportArgs args;
+  args.out = default_out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    std::uint64_t value = 0;
+    if (flag == "--seed" && has_value &&
+        whole(argv[i + 1], std::numeric_limits<std::uint64_t>::max(), &value)) {
+      args.seed = value;
+    } else if (flag == "--threads" && has_value &&
+               whole(argv[i + 1], std::numeric_limits<int>::max(), &value)) {
+      args.threads = static_cast<int>(value);
+    } else if (flag == "--out" && has_value) {
+      args.out = argv[i + 1];
+    } else {
+      std::fprintf(stderr, "usage: %s [--seed N] [--threads N] [--out PATH]\n", argv[0]);
+      return std::nullopt;
+    }
+    ++i;
+  }
+  return args;
 }
 
 std::vector<std::string> CheckReport(const std::string& text, const std::string& bench,

@@ -2,13 +2,15 @@
 //
 // Every report carries its own gates, `gates: [{name, value, op, bound,
 // ok}]`. The code that builds a report declares them with AddGate; the
-// report binary ends with WriteReport, whose return value is its exit code;
+// report binary reads its flags with ParseReportArgs and ends with
+// WriteReport, whose return value is its exit code;
 // tools/check_bench re-evaluates them from the written file (CheckReport);
 // tools/render_results renders them. A gate passes when `value op bound`
 // holds, where op is one of == != < <= > >= and a bool counts as 0 or 1.
 #ifndef SRC_METRICS_GATES_H_
 #define SRC_METRICS_GATES_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +31,22 @@ std::optional<bool> EvalGate(const Json& value, const std::string& op, const Jso
 // Writes `report` to `path`, prints one line per gate, and returns 0 only
 // if the file was written and every gate passes (1 otherwise).
 int WriteReport(const Json& report, const std::string& path);
+
+// The command line of the report binaries that run a seeded grid:
+// [--seed N] [--threads N] [--out PATH].
+struct ReportArgs {
+  std::uint64_t seed = 42;
+  int threads = 0;  // 0: SweepThreadCount()
+  std::string out;
+};
+
+// Parses argv[1..argc) over the defaults, `out` defaulting to
+// `default_out`. On an unknown flag, a flag without its value, or a --seed
+// or --threads value that is not a whole non-negative number (--threads at
+// most INT_MAX), prints usage to stderr and returns nullopt; the binary
+// then exits 2.
+std::optional<ReportArgs> ParseReportArgs(int argc, char** argv,
+                                          const std::string& default_out);
 
 // The whole check of one report file's text, one line per problem; empty
 // means the report is ok. The text must parse (a non-finite double dumps

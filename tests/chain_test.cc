@@ -178,36 +178,67 @@ INSTANTIATE_TEST_SUITE_P(Strategies, ChainStrategyTest,
                            return "Unknown";
                          });
 
-// The packaged trial harness agrees: one cell of the grid end to end.
+// The chain grid's pure-IOU, prefetch-0 Minprog cell.
+FuzzScenario PureIouCell() {
+  const FuzzScenario spec = ChainSweepSpecs("Minprog", 42)[1];
+  EXPECT_EQ(spec.strategy, TransferStrategy::kPureIou);
+  EXPECT_EQ(spec.prefetch, 0u);
+  return spec;
+}
+
+// The packaged grid agrees: one cell of the grid end to end.
 TEST(ChainTrial, PureIouTrialMeetsEveryGate) {
-  ChainTrialConfig config;
-  config.workload = "Minprog";
-  config.strategy = TransferStrategy::kPureIou;
-  const ChainTrialResult result = RunChainTrial(config);
-  EXPECT_TRUE(result.drained);
-  EXPECT_TRUE(result.hop1_done);
-  EXPECT_TRUE(result.hop2_done);
-  EXPECT_TRUE(result.finished_at_c);
-  EXPECT_TRUE(result.integrity_ok);
-  EXPECT_TRUE(result.collapse_done);
-  EXPECT_EQ(result.b_requests_after_collapse, 0u);
-  EXPECT_EQ(result.b_forwards_after_collapse, 0u);
-  EXPECT_EQ(result.b_objects_after_collapse, 0u);
-  EXPECT_GT(result.b_stubs, 0u);
-  EXPECT_GT(result.c_imag_faults, 0u);
+  const MechTrial trial = RunMechTrials({PureIouCell()}, 1).front();
+  const MechRun& run = trial.run;
+  EXPECT_TRUE(run.drained);
+  EXPECT_TRUE(run.hop1_done);
+  EXPECT_TRUE(run.hop2_done);
+  EXPECT_TRUE(run.finished && run.finish_host == trial.spec.redest);  // finished at C
+  EXPECT_TRUE(trial.verdict.integrity_ok);
+  EXPECT_TRUE(run.collapse_done);
+  EXPECT_EQ(run.dest_requests_after_collapse, 0u);
+  EXPECT_EQ(run.dest_forwards_after_collapse, 0u);
+  EXPECT_EQ(run.dest_objects, 0u);
+  EXPECT_GT(run.dest_stubs, 0u);
+  EXPECT_GT(run.redest_imag_faults, 0u);
 }
 
 // B dies for good right after its chain collapsed; the process on C keeps
 // running to completion — its residual dependency moved to A.
 TEST(ChainCrash, IntermediaryDeathAfterCollapseIsSurvivable) {
-  ChainTrialConfig config;
-  config.workload = "Minprog";
-  config.strategy = TransferStrategy::kPureIou;
-  const ChainCrashResult result = RunChainCrashTrial(config);
-  EXPECT_TRUE(result.baseline.collapse_done);
-  EXPECT_TRUE(result.survived);
-  EXPECT_TRUE(result.crashed.finished_at_c);
-  EXPECT_TRUE(result.crashed.integrity_ok);
+  const MechTrial crashed = RunChainCrashTrials({PureIouCell()}, 1).front();
+  // The rerun matches its baseline up to the crash, so it collapsed at the
+  // baseline's instant, 1 ms before B died.
+  EXPECT_TRUE(crashed.run.collapse_done);
+  EXPECT_EQ(crashed.spec.crash_dest_at, crashed.run.collapse.collapsed_at + Ms(1));
+  EXPECT_TRUE(ChainSweepToJson({}, {crashed}).Get("b_crash_survived").AsBool());
+  EXPECT_TRUE(crashed.run.finished && crashed.run.finish_host == crashed.spec.redest);
+  EXPECT_TRUE(crashed.verdict.integrity_ok);
+}
+
+// The crash cell is nothing but a spec: a chain cell whose crash_dest_at is
+// the parked baseline's collapse + 1 ms. PlantFaults places it, Describe()
+// prints it, and the process survives at C with intact contents.
+TEST(ChainCrash, CrashCellIsASpec) {
+  FuzzScenario spec = PureIouCell();
+  spec.crash_dest_at = kParkedCrash;
+  const MechRun baseline = RunMech(spec, PlantFaults(spec, MechRun{}), spec.seed);
+  ASSERT_TRUE(baseline.collapse_done);
+
+  spec.crash_dest_at = baseline.collapse.collapsed_at + Ms(1);
+  const FaultPlan plan = PlantFaults(spec, baseline);
+  ASSERT_EQ(plan.crashes.size(), 1u);
+  EXPECT_EQ(plan.crashes[0].host, HostId(2));  // B, host index 1
+  EXPECT_EQ(plan.crashes[0].start, spec.crash_dest_at);
+  EXPECT_EQ(plan.crashes[0].end, kFaultForever);
+  const std::string crash = " crash=dest@" + std::to_string(spec.crash_dest_at.count()) + "us";
+  EXPECT_NE(spec.Describe().find(crash), std::string::npos) << spec.Describe();
+
+  const MechRun run = RunMech(spec, plan, spec.seed);
+  const MechVerdict verdict = Classify(run, ReferenceChecksum(spec.workload, spec.seed));
+  EXPECT_EQ(verdict.outcome, FailureOutcome::kCompleted);
+  EXPECT_EQ(run.finish_host, spec.redest);
+  EXPECT_TRUE(verdict.integrity_ok);
 }
 
 }  // namespace

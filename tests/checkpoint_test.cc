@@ -138,39 +138,43 @@ TEST(CheckpointTest, RestoreFlipsSourceCrashTerminalToCompleted) {
     }
   }
   ASSERT_NE(source_crash, nullptr);
+  const std::uint64_t reference = ReferenceChecksum("Minprog", 42);
 
   // Store off: the classic matrix's terminal residual-dependency cell (the
   // crashed origin still owes copy-on-reference pages).
-  const MechRun off_base = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
-  const FailureTrialResult off = RunFailureTrial("Minprog", TransferStrategy::kPureIou,
-                                                 *source_crash, off_base, 42);
-  EXPECT_EQ(off.outcome, FailureOutcome::kTerminalFault);
-  EXPECT_FALSE(off.restored);
+  const FuzzScenario off_spec =
+      FailureSpec(source_crash->faults, "Minprog", TransferStrategy::kPureIou, 42);
+  const MechRun off_base = RunFailureBaseline(off_spec, reference);
+  const MechTrial off = RunFailureTrial(off_spec, source_crash->name, off_base, reference);
+  EXPECT_EQ(off.verdict.outcome, FailureOutcome::kTerminalFault);
+  EXPECT_FALSE(off.verdict.restored);
 
   // Store on: the dead-backer fault triggers a restore from the checkpoint
   // image and the process finishes with intact contents.
-  const MechRun on_base = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42,
-                                             /*checkpoint_store=*/true);
-  const FailureTrialResult on = RunFailureTrial("Minprog", TransferStrategy::kPureIou,
-                                                *source_crash, on_base, 42,
-                                                /*checkpoint_store=*/true);
-  EXPECT_EQ(on.outcome, FailureOutcome::kCompleted);
-  EXPECT_TRUE(on.restored);
-  EXPECT_TRUE(on.integrity_ok);
+  const FuzzScenario on_spec = FailureSpec(source_crash->faults, "Minprog",
+                                           TransferStrategy::kPureIou, 42,
+                                           /*checkpoint_store=*/true);
+  const MechRun on_base = RunFailureBaseline(on_spec, reference);
+  const MechTrial on = RunFailureTrial(on_spec, source_crash->name, on_base, reference);
+  EXPECT_EQ(on.verdict.outcome, FailureOutcome::kCompleted);
+  EXPECT_TRUE(on.verdict.restored);
+  EXPECT_TRUE(on.verdict.integrity_ok);
 }
 
 TEST(CheckpointJsonTest, TerminalBreakdownCoversEveryCell) {
+  // One group: its baseline and a trial per column, the last (source_crash)
+  // terminal.
   FailureMatrix matrix;
-  FailureTrialResult trial;
-  trial.workload = "Minprog";
-  trial.strategy = TransferStrategy::kPureIou;
-  trial.scenario = "source_crash";
-  trial.outcome = FailureOutcome::kTerminalFault;
-  matrix.trials.push_back(trial);
-  matrix.terminal_faults = 1;
+  matrix.baselines.emplace_back();
+  for (const FailureScenario& column : FailureScenarios()) {
+    MechTrial& trial = matrix.trials.emplace_back();
+    trial.spec = FailureSpec(column.faults, "Minprog", TransferStrategy::kPureIou, 42);
+  }
+  ASSERT_EQ(FailureScenarios().back().name, "source_crash");
+  matrix.trials.back().verdict.outcome = FailureOutcome::kTerminalFault;
 
   const Json report = FailureMatrixToJson(matrix);
-  EXPECT_EQ(report.Get("schema_version").AsInt64(), 2);
+  EXPECT_EQ(report.Get("schema_version").AsInt64(), 3);
   const Json& breakdown = report.Get("terminal_breakdown");
   EXPECT_EQ(breakdown.Get("pure-IOU").Get("source_crash").AsInt64(), 1);
   // Every strategy x scenario cell is present, zeros included, so diffs

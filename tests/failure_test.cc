@@ -199,7 +199,8 @@ TEST(MigrationRollback, DestinationCrashMidInsertRollsBackSource) {
   // the peer is gone, abort, and restore the process runnable at home from
   // its retained context copies. Crash placement comes from a lossless
   // baseline of the same trial.
-  const MechRun baseline = RunFailureBaseline("Minprog", TransferStrategy::kPureIou, 42);
+  const MechRun baseline = RunFailureBaseline(
+      FailureSpec({}, "Minprog", TransferStrategy::kPureIou, 42), ReferenceChecksum("Minprog", 42));
   ASSERT_GT(baseline.hop1.insert_time.count(), 0);
   const SimTime mid_insert = baseline.hop1.resumed - baseline.hop1.insert_time / 2;
 

@@ -139,9 +139,26 @@ TEST(FaultWiringTest, RunGuardedFlagsEventsBeyondTheHorizon) {
 
 // --- the acceptance property ----------------------------------------------
 
+// One failure-matrix cell the way RunFailureMatrix runs it: the group's
+// lossless baseline, then `column`'s faults planted at its phase
+// boundaries, both judged against the unmigrated reference.
+struct FailureCell {
+  MechRun baseline;
+  MechTrial trial;
+};
+
+FailureCell RunCell(const FailureScenario& column, const std::string& workload,
+                    TransferStrategy strategy, std::uint64_t seed) {
+  const FuzzScenario spec = FailureSpec(column.faults, workload, strategy, seed);
+  const std::uint64_t reference = ReferenceChecksum(workload, seed);
+  FailureCell cell{RunFailureBaseline(spec, reference), {}};
+  cell.trial = RunFailureTrial(spec, column.name, cell.baseline, reference);
+  return cell;
+}
+
 // Any seeded drop+duplicate+delay+reorder plan (no partitions, no crashes):
 // the migration must complete and the destination's touched pages must be
-// byte-identical to the lossless baseline, for a randomly drawn workload
+// byte-identical to the unmigrated reference, for a randomly drawn workload
 // and strategy.
 class LossyPlanProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -164,13 +181,10 @@ TEST_P(LossyPlanProperty, AnyLossyPlanCompletesByteIdentical) {
                std::to_string(scenario.faults.duplicate) +
                " reorder=" + std::to_string(scenario.faults.reorder));
 
-  const MechRun baseline = RunFailureBaseline(workload, strategy, seed);
-  const FailureTrialResult trial =
-      RunFailureTrial(workload, strategy, scenario, baseline, seed);
-
-  EXPECT_EQ(trial.outcome, FailureOutcome::kCompleted);
-  EXPECT_TRUE(trial.integrity_ok);
-  EXPECT_GE(trial.slowdown, 1.0);  // retries never make it faster
+  const FailureCell cell = RunCell(scenario, workload, strategy, seed);
+  EXPECT_EQ(cell.trial.verdict.outcome, FailureOutcome::kCompleted);
+  EXPECT_TRUE(cell.trial.verdict.integrity_ok);
+  EXPECT_GE(cell.trial.run.finish, cell.baseline.finish);  // retries never make it faster
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LossyPlanProperty, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
@@ -181,17 +195,14 @@ TEST(LossyTransport, RetriesAndDedupDoRealWork) {
   // duplicates suppressed at the receiver — and still land intact.
   FailureScenario lossy = FailureScenarios()[1];
   ASSERT_EQ(lossy.name, "lossy5");
-  const MechRun baseline =
-      RunFailureBaseline("Lisp-Del", TransferStrategy::kPureCopy, 42);
-  const FailureTrialResult trial =
-      RunFailureTrial("Lisp-Del", TransferStrategy::kPureCopy, lossy, baseline, 42);
-  EXPECT_EQ(trial.outcome, FailureOutcome::kCompleted);
-  EXPECT_TRUE(trial.integrity_ok);
-  EXPECT_GT(trial.deliveries_lost, 0u);
-  EXPECT_GT(trial.fragments_retransmitted, 0u);
-  EXPECT_GT(trial.retransmit_bytes, 0u);
-  EXPECT_GT(trial.duplicates_suppressed, 0u);
-  EXPECT_EQ(trial.transfers_dead_lettered, 0u);
+  const MechTrial trial = RunCell(lossy, "Lisp-Del", TransferStrategy::kPureCopy, 42).trial;
+  EXPECT_EQ(trial.verdict.outcome, FailureOutcome::kCompleted);
+  EXPECT_TRUE(trial.verdict.integrity_ok);
+  EXPECT_GT(trial.run.deliveries_lost, 0u);
+  EXPECT_GT(trial.run.netmsg.fragments_retransmitted, 0u);
+  EXPECT_GT(trial.run.netmsg.retransmit_bytes, 0u);
+  EXPECT_GT(trial.run.netmsg.duplicates_suppressed, 0u);
+  EXPECT_EQ(trial.run.netmsg.transfers_dead_lettered, 0u);
 }
 
 // --- crash windows ---------------------------------------------------------
@@ -202,15 +213,13 @@ TEST(CrashScenarios, DestinationCrashAbortsAndRollsBack) {
   for (TransferStrategy strategy : {TransferStrategy::kPureCopy, TransferStrategy::kPureIou,
                                     TransferStrategy::kResidentSet}) {
     SCOPED_TRACE(StrategyName(strategy));
-    const MechRun baseline = RunFailureBaseline("PM-Mid", strategy, 42);
-    const FailureTrialResult trial =
-        RunFailureTrial("PM-Mid", strategy, dest_crash, baseline, 42);
-    EXPECT_EQ(trial.outcome, FailureOutcome::kAborted);
-    EXPECT_TRUE(trial.rolled_back);
+    const MechTrial trial = RunCell(dest_crash, "PM-Mid", strategy, 42).trial;
+    EXPECT_EQ(trial.verdict.outcome, FailureOutcome::kAborted);
+    EXPECT_TRUE(trial.verdict.rolled_back);
     // The rolled-back process reran its trace at home over identical data.
-    EXPECT_TRUE(trial.integrity_ok);
-    EXPECT_GT(trial.finished.count(), 0);
-    EXPECT_GT(trial.transfers_dead_lettered, 0u);
+    EXPECT_TRUE(trial.verdict.integrity_ok);
+    EXPECT_GT(trial.run.finish.count(), 0);
+    EXPECT_GT(trial.run.netmsg.transfers_dead_lettered, 0u);
   }
 }
 
@@ -220,21 +229,17 @@ TEST(CrashScenarios, SourceCrashIsTerminalFaultForIouButSurvivedByPureCopy) {
 
   // Pure-copy carries no residual dependency: the source's death after
   // resumption must be invisible.
-  const MechRun copy_base =
-      RunFailureBaseline("PM-Mid", TransferStrategy::kPureCopy, 42);
-  const FailureTrialResult copy_trial =
-      RunFailureTrial("PM-Mid", TransferStrategy::kPureCopy, source_crash, copy_base, 42);
-  EXPECT_EQ(copy_trial.outcome, FailureOutcome::kCompleted);
-  EXPECT_TRUE(copy_trial.integrity_ok);
+  const MechTrial copy_trial =
+      RunCell(source_crash, "PM-Mid", TransferStrategy::kPureCopy, 42).trial;
+  EXPECT_EQ(copy_trial.verdict.outcome, FailureOutcome::kCompleted);
+  EXPECT_TRUE(copy_trial.verdict.integrity_ok);
 
   // Pure-IOU owes every page to the dead source: the next fetch can never
   // be satisfied and must surface as a terminal fault — not a hang.
-  const MechRun iou_base =
-      RunFailureBaseline("PM-Mid", TransferStrategy::kPureIou, 42);
-  const FailureTrialResult iou_trial =
-      RunFailureTrial("PM-Mid", TransferStrategy::kPureIou, source_crash, iou_base, 42);
-  EXPECT_EQ(iou_trial.outcome, FailureOutcome::kTerminalFault);
-  EXPECT_GT(iou_trial.transfers_dead_lettered, 0u);
+  const MechTrial iou_trial =
+      RunCell(source_crash, "PM-Mid", TransferStrategy::kPureIou, 42).trial;
+  EXPECT_EQ(iou_trial.verdict.outcome, FailureOutcome::kTerminalFault);
+  EXPECT_GT(iou_trial.run.netmsg.transfers_dead_lettered, 0u);
 }
 
 // --- matrix plumbing -------------------------------------------------------
@@ -252,15 +257,15 @@ TEST(FailureMatrixTest, ScenarioGridIsStable) {
 }
 
 TEST(FailureMatrixTest, JsonCarriesCountsAndTrials) {
+  // One group: its baseline and the first column's trial.
   FailureMatrix matrix;
-  FailureTrialResult trial;
-  trial.workload = "Minprog";
-  trial.strategy = TransferStrategy::kPureIou;
-  trial.scenario = "lossy5";
-  trial.outcome = FailureOutcome::kCompleted;
-  trial.integrity_ok = true;
-  matrix.trials.push_back(trial);
-  matrix.completed = 1;
+  matrix.baselines.emplace_back().finish = Sec(10.0);
+  MechTrial& trial = matrix.trials.emplace_back();
+  trial.spec.workload = "Minprog";
+  trial.spec.strategy = TransferStrategy::kPureIou;
+  trial.run.finish = Sec(12.0);
+  trial.verdict.outcome = FailureOutcome::kCompleted;
+  trial.verdict.integrity_ok = true;
 
   const Json json = FailureMatrixToJson(matrix);
   EXPECT_EQ(json.Get("bench").AsString(), "failure_matrix");
@@ -269,7 +274,9 @@ TEST(FailureMatrixTest, JsonCarriesCountsAndTrials) {
   ASSERT_EQ(json.Get("trials").AsArray().size(), 1u);
   const Json& entry = json.Get("trials").AsArray()[0];
   EXPECT_EQ(entry.Get("outcome").AsString(), "completed");
-  EXPECT_EQ(entry.Get("strategy").AsString(), std::string(StrategyName(trial.strategy)));
+  EXPECT_EQ(entry.Get("strategy").AsString(), std::string(StrategyName(trial.spec.strategy)));
+  EXPECT_EQ(entry.Get("scenario").AsString(), "drop2");
+  EXPECT_DOUBLE_EQ(entry.Get("slowdown").AsDouble(), 1.2);
   // Canonical: equal matrices dump byte-identically.
   EXPECT_EQ(json.Dump(2), FailureMatrixToJson(matrix).Dump(2));
 }

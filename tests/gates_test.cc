@@ -1,12 +1,13 @@
-// Declared gates: the evaluator, the report writer's exit code, and the
-// report check tools/check_bench runs — including three reports a
-// whole-file key search accepts although a top-level key is missing,
-// because the same key sits deeper in the file.
+// Declared gates: the evaluator, the report writer's exit code, the report
+// check tools/check_bench runs — including three reports a whole-file key
+// search accepts although a top-level key is missing, because the same key
+// sits deeper in the file — and the report binaries' shared flag parser.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,11 +216,11 @@ TEST(Gates, CheckRejectsAPreCopyReportWithoutTopLevelCompleted) {
   precopy["slo_ok"] = Json(true);
   precopy["pareto"].Append(Json(Json::Object{}));
   Json cell;
-  for (const char* key : {"completed", "slo_met"}) {
+  for (const char* key : {"completed", "precopy_slo_met"}) {
     cell[key] = Json(true);
   }
-  for (const char* key : {"downtime_s", "page_bytes", "wws_pages", "predicted_downtime_s",
-                          "rounds"}) {
+  for (const char* key : {"downtime_us", "page_bytes", "precopy_wws_pages",
+                          "precopy_predicted_downtime_us", "precopy_rounds"}) {
     cell[key] = Json(1);
   }
   precopy["cells"].Append(cell);
@@ -264,6 +265,64 @@ TEST(Gates, CheckRejectsADedupReportWithoutTopLevelRunKeys) {
   EXPECT_EQ(Check(Without(dedup, {"workload", "seed", "repeats", "hosts"}), paths),
             (std::vector<std::string>{"missing workload", "missing seed", "missing repeats",
                                       "missing hosts"}));
+}
+
+// ParseReportArgs over a literal command line.
+std::optional<ReportArgs> Parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "report");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return ParseReportArgs(static_cast<int>(argv.size()), argv.data(), "BENCH_x.json");
+}
+
+TEST(ReportArgs, DefaultsAndEveryFlag) {
+  const std::optional<ReportArgs> none = Parse({});
+  ASSERT_TRUE(none.has_value());
+  EXPECT_EQ(none->seed, 42u);
+  EXPECT_EQ(none->threads, 0);
+  EXPECT_EQ(none->out, "BENCH_x.json");
+
+  const std::optional<ReportArgs> all =
+      Parse({"--out", "y.json", "--threads", "0", "--seed", "18446744073709551615"});
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(all->seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(all->threads, 0);
+  EXPECT_EQ(all->out, "y.json");
+
+  const std::optional<ReportArgs> some = Parse({"--threads", "3", "--seed", "7"});
+  ASSERT_TRUE(some.has_value());
+  EXPECT_EQ(some->seed, 7u);
+  EXPECT_EQ(some->threads, 3);
+}
+
+TEST(ReportArgs, RejectsEveryValueThatIsNotAWholeNonNegativeNumber) {
+  for (const char* flag : {"--seed", "--threads"}) {
+    for (const char* value : {"abc", "-1", "+1", "", " 1", "1 ", "1x", "0x10", "1.5", "1e3",
+                              "18446744073709551616"}) {
+      SCOPED_TRACE(std::string(flag) + " '" + value + "'");
+      testing::internal::CaptureStderr();
+      EXPECT_FALSE(Parse({flag, value}).has_value());
+      EXPECT_NE(testing::internal::GetCapturedStderr().find("usage: report"),
+                std::string::npos);
+    }
+  }
+  // A thread count must fit an int.
+  EXPECT_TRUE(Parse({"--threads", "2147483647"}).has_value());
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(Parse({"--threads", "2147483648"}).has_value());
+  testing::internal::GetCapturedStderr();
+}
+
+TEST(ReportArgs, RejectsUnknownFlagsAndMissingValues) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--seed"}, {"--threads"}, {"--out"},
+                                             {"--first", "1"}, {"seed", "1"}, {"--seed=1"}}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(Parse(args).has_value()) << args[0];
+    testing::internal::GetCapturedStderr();
+  }
 }
 
 }  // namespace

@@ -21,12 +21,13 @@
 namespace accent {
 namespace {
 
-// FNV-1a digests of the serial report dumps, recorded before the failure,
-// chain, pre-copy and fuzz families moved onto the shared scenario runner
-// (src/experiments/scenario.h): any change to a simulated number, verdict
-// or key in these reports moves the digest.
-constexpr std::uint64_t kFailureMatrixDigest = 0x365165bd114f6093ull;
-constexpr std::uint64_t kMinprogChainDigest = 0xd0383cf6d7f02a0full;
+// FNV-1a digests of the serial report dumps of the failure matrix and of
+// Minprog's chain grid at seed 42. Every per-run row in them is the shared
+// MechRowToJson row plus its family's own keys (src/experiments/scenario.h),
+// so any change to a simulated number, verdict or key in these reports, or
+// to the shared row, moves the digest.
+constexpr std::uint64_t kFailureMatrixDigest = 0xbcd3be7eb9f9dc10ull;
+constexpr std::uint64_t kMinprogChainDigest = 0x51d9340ff19fb579ull;
 
 // Field-by-field equality for every metric the evaluation reports. Exact
 // (==) on purpose: the engines must agree bit-for-bit, not approximately.
@@ -106,7 +107,7 @@ TEST(ParallelSweep, MatchesSerialSweepUnder1And2And8Threads) {
 
   for (int threads : {1, 2, 8}) {
     const std::vector<TrialResult> parallel =
-        RunStrategySweepParallel(workload, 42, threads);
+        RunTrials(StrategySweepConfigs(workload, 42), threads);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       ExpectTrialResultsIdentical(serial[i], parallel[i],
@@ -161,13 +162,13 @@ TEST(ParallelSweep, ChainSweepIsByteIdenticalAcross1And2And8Threads) {
   // The A -> B -> C chain grid runs three-host testbeds with a mid-trace
   // re-migration and an IOU-chain collapse per trial; the same determinism
   // contract holds: thread count cannot reach any result.
-  const std::vector<ChainTrialConfig> configs = ChainSweepConfigs("Minprog", 42);
-  const std::string serial = ChainSweepToJson(RunChainTrials(configs, 1), {}).Dump(2);
+  const std::vector<FuzzScenario> specs = ChainSweepSpecs("Minprog", 42);
+  const std::string serial = ChainSweepToJson(RunMechTrials(specs, 1), {}).Dump(2);
   EXPECT_NE(serial.find("\"hung\": 0"), std::string::npos);
   EXPECT_EQ(Fnv1aDigest(serial), kMinprogChainDigest)
       << "chain sweep changed: new digest 0x" << std::hex << Fnv1aDigest(serial);
-  EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 2), {}).Dump(2), serial);
-  EXPECT_EQ(ChainSweepToJson(RunChainTrials(configs, 8), {}).Dump(2), serial);
+  EXPECT_EQ(ChainSweepToJson(RunMechTrials(specs, 2), {}).Dump(2), serial);
+  EXPECT_EQ(ChainSweepToJson(RunMechTrials(specs, 8), {}).Dump(2), serial);
 }
 
 TEST(SweepThreads, EnvVarOverridesAndClamps) {

@@ -10,9 +10,10 @@
 namespace accent {
 namespace {
 
-// FNV-1a digest of the serial BENCH_precopy.json dump, recorded before the
-// pre-copy grid moved onto the shared scenario runner.
-constexpr std::uint64_t kPreCopySweepDigest = 0xf1e0fe57ee1d16f6ull;
+// FNV-1a digest of the serial pre-copy report dump at seed 42: its gates,
+// its Pareto rows and one shared MechRowToJson row per cell plus the grid's
+// own keys (src/experiments/scenario.h).
+constexpr std::uint64_t kPreCopySweepDigest = 0x37b505e0ad1ee1faull;
 
 class PreCopyTest : public ::testing::Test {
  protected:
@@ -252,26 +253,31 @@ TEST_F(PreCopyTest, StagnationCutsRoundsWhenWriterOutpacesWire) {
 TEST_F(PreCopyTest, SweepIsThreadCountInvariant) {
   // Cells run in private testbeds, so sweep results — down to per-cell
   // round counts and byte totals — cannot depend on worker scheduling.
-  const PreCopySweepSummary t1 = RunPreCopySweep(42, 1);
-  const PreCopySweepSummary t2 = RunPreCopySweep(42, 2);
-  const PreCopySweepSummary t8 = RunPreCopySweep(42, 8);
-  ASSERT_EQ(t1.cells.size(), t2.cells.size());
-  ASSERT_EQ(t1.cells.size(), t8.cells.size());
-  for (std::size_t i = 0; i < t1.cells.size(); ++i) {
-    for (const PreCopySweepSummary* other : {&t2, &t8}) {
-      const PreCopySweepCellResult& a = t1.cells[i];
-      const PreCopySweepCellResult& b = other->cells[i];
-      EXPECT_EQ(a.cell.workload, b.cell.workload);
-      EXPECT_EQ(a.completed, b.completed);
-      EXPECT_EQ(a.rounds, b.rounds) << a.cell.workload << " cell " << i;
-      EXPECT_EQ(a.downtime.count(), b.downtime.count()) << a.cell.workload;
-      EXPECT_EQ(a.page_bytes, b.page_bytes) << a.cell.workload;
-      EXPECT_EQ(a.wire_bytes, b.wire_bytes) << a.cell.workload;
+  const std::vector<FuzzScenario> specs = PreCopySweepSpecs(42);
+  const std::vector<MechTrial> t1 = RunMechTrials(specs, 1);
+  const std::vector<MechTrial> t2 = RunMechTrials(specs, 2);
+  const std::vector<MechTrial> t8 = RunMechTrials(specs, 8);
+  const Json j1 = PreCopySweepToJson(t1);
+  ASSERT_EQ(t1.size(), t2.size());
+  ASSERT_EQ(t1.size(), t8.size());
+  for (const std::vector<MechTrial>* other : {&t2, &t8}) {
+    const Json other_json = PreCopySweepToJson(*other);
+    for (std::size_t i = 0; i < t1.size(); ++i) {
+      const MechTrial& a = t1[i];
+      const MechTrial& b = (*other)[i];
+      EXPECT_EQ(a.spec.workload, b.spec.workload);
+      EXPECT_EQ(j1.Get("cells").AsArray()[i].Get("completed").AsBool(),
+                other_json.Get("cells").AsArray()[i].Get("completed").AsBool());
+      EXPECT_EQ(a.run.hop1.precopy_rounds, b.run.hop1.precopy_rounds)
+          << a.spec.workload << " cell " << i;
+      EXPECT_EQ(a.run.Downtime().count(), b.run.Downtime().count()) << a.spec.workload;
+      EXPECT_EQ(a.run.PageBytes(), b.run.PageBytes()) << a.spec.workload;
+      EXPECT_EQ(a.run.WireBytes(), b.run.WireBytes()) << a.spec.workload;
     }
   }
-  EXPECT_EQ(t1.completed, t1.cells.size());
-  EXPECT_EQ(t1.hung, 0u);
-  const std::string dump = PreCopySweepToJson(t1).Dump();
+  EXPECT_EQ(j1.Get("completed").AsUint64(), t1.size());
+  EXPECT_EQ(j1.Get("hung").AsUint64(), 0u);
+  const std::string dump = j1.Dump();
   EXPECT_EQ(Fnv1aDigest(dump), kPreCopySweepDigest)
       << "pre-copy sweep changed: new digest 0x" << std::hex << Fnv1aDigest(dump);
 }

@@ -6,6 +6,12 @@
 // interactively with tools/migrate_sim --replay-seed=N.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "src/experiments/chain.h"
+#include "src/experiments/failure_sweep.h"
+#include "src/experiments/precopy.h"
 #include "src/experiments/scenario_fuzz.h"
 #include "src/workloads/workload.h"
 #include "tests/digest.h"
@@ -13,9 +19,10 @@
 namespace accent {
 namespace {
 
-// FNV-1a digest of the serial JSON dump of seeds 1..8: MakeScenario's seed
-// streams and every verdict are pinned.
-constexpr std::uint64_t kCorpusDigest = 0x7d1d48b20ef0a4c1ull;
+// FNV-1a digest of the serial JSON dump of seeds 1..8, each row the judged
+// run's shared MechRowToJson row plus the scenario's oracles: MakeScenario's
+// seed streams, every verdict and every judged run are pinned.
+constexpr std::uint64_t kCorpusDigest = 0x0dd6d4fbb1af8f91ull;
 
 class ScenarioFuzzCorpus : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -52,6 +59,74 @@ TEST(Scenario, ReferenceMatchesEveryLosslessStrategy) {
       EXPECT_EQ(run.checksum, reference) << spec.name << " " << StrategyName(strategy);
     }
   }
+}
+
+std::set<std::string> Keys(const Json& row) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : row.AsObject()) {
+    keys.insert(key);
+  }
+  return keys;
+}
+
+// `row` is MechRowToJson(spec, run, verdict), untouched, plus exactly the
+// keys its family declares.
+void ExpectSharedRowPlus(const Json& row, const FuzzScenario& spec, const MechRun& run,
+                         const MechVerdict& verdict, const std::set<std::string>& declared) {
+  const Json shared = MechRowToJson(spec, run, verdict);
+  std::set<std::string> want = Keys(shared);
+  for (const std::string& key : declared) {
+    EXPECT_TRUE(want.insert(key).second) << key << " is a shared key";
+  }
+  EXPECT_EQ(Keys(row), want);
+  for (const auto& [key, value] : shared.AsObject()) {
+    EXPECT_EQ(row.Get(key).Dump(), value.Dump()) << key;
+  }
+}
+
+// One cell of each family, through the family's own report writer: every
+// per-run row is the one shared row plus that family's declared keys.
+TEST(Scenario, EveryFamilyRowIsTheSharedRowPlusItsDeclaredKeys) {
+  const std::uint64_t reference = ReferenceChecksum("Minprog", 42);
+  for (bool checkpoint_store : {false, true}) {
+    SCOPED_TRACE(checkpoint_store ? "checkpoint" : "failure");
+    const FailureScenario& column = FailureScenarios()[0];  // a one-group matrix's first column
+    const FuzzScenario spec = FailureSpec(column.faults, "Minprog", TransferStrategy::kPureIou,
+                                          42, checkpoint_store);
+    FailureMatrix matrix;
+    matrix.baselines.push_back(RunFailureBaseline(spec, reference));
+    const MechTrial& trial = matrix.trials.emplace_back(
+        RunFailureTrial(spec, column.name, matrix.baselines.back(), reference));
+    ExpectSharedRowPlus(FailureMatrixToJson(matrix).Get("trials").AsArray().at(0), trial.spec,
+                        trial.run, trial.verdict, {"scenario", "slowdown"});
+  }
+
+  const FuzzScenario chain_cell = ChainSweepSpecs("Minprog", 42)[1];
+  const MechTrial chain = RunMechTrials({chain_cell}, 1).front();
+  const MechTrial crash = RunChainCrashTrials({chain_cell}, 1).front();
+  const Json chain_report = ChainSweepToJson({chain}, {crash});
+  ExpectSharedRowPlus(chain_report.Get("trials").AsArray().at(0), chain.spec, chain.run,
+                      chain.verdict, {});
+  ExpectSharedRowPlus(chain_report.Get("crash_trials").AsArray().at(0), crash.spec, crash.run,
+                      crash.verdict, {"crash_at_us", "survived"});
+
+  for (const FuzzScenario& spec : PreCopySweepSpecs(42)) {
+    if (spec.workload == "Minprog" && spec.strategy == TransferStrategy::kPreCopy) {
+      const MechTrial cell = RunMechTrials({spec}, 1).front();
+      ExpectSharedRowPlus(PreCopySweepToJson({cell}).Get("cells").AsArray().at(0), cell.spec,
+                          cell.run, cell.verdict,
+                          {"live", "max_rounds", "target_downtime_ms", "completed"});
+      break;
+    }
+  }
+
+  const FuzzCorpusResult corpus = RunFuzzCorpus(1, 1, 1);
+  const FuzzScenarioResult& fuzz = corpus.results.at(0);
+  ExpectSharedRowPlus(FuzzCorpusToJson(corpus).Get("scenarios").AsArray().at(0), fuzz.scenario,
+                      fuzz.run, fuzz.verdict,
+                      {"backer_balanced", "cache_activity", "checkpoint", "checkpoint_ok",
+                       "checkpoints", "cluster_census_ok", "cluster_hung", "content_cache",
+                       "dedup_ok", "failure", "restores"});
 }
 
 // Scenario construction is a pure function of the seed: the corpus a CI run
