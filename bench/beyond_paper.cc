@@ -23,16 +23,32 @@
 #include "src/experiments/sweep.h"
 #include "src/experiments/testbed.h"
 #include "src/metrics/gates.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
 
-Json TrialRows(const std::vector<TrialResult>& results) {
+// A staged study's runs (RunMechTrials judges each against its workload's
+// unmigrated reference) as paper-grid rows.
+Json TrialRows(const std::vector<MechTrial>& trials) {
   Json rows{Json::Array{}};
-  for (const TrialResult& result : results) {
-    rows.Append(TrialSummaryToJson(result));
+  for (const MechTrial& trial : trials) {
+    rows.Append(PaperRowToJson(trial));
   }
   return rows;
+}
+
+// The staged studies' runs that did not finish with the reference contents,
+// counted from their rows.
+std::uint64_t IntegrityFailures(const Json& report) {
+  std::uint64_t failures = 0;
+  for (const Json* rows :
+       {&report.Get("iou_caching"), &report.Get("prefetch").Get("trials"), &report.Get("memory")}) {
+    for (const Json& row : rows->AsArray()) {
+      failures += row.Get("integrity_ok").AsBool() ? 0 : 1;
+    }
+  }
+  return failures;
 }
 
 // max - min, in microseconds; 0 for an empty list.
@@ -48,20 +64,20 @@ SimDuration::rep Spread(const std::vector<SimDuration>& values) {
 // data as-is. Three rows per workload: pure-IOU with substitution on, off,
 // then pure-copy. The claim: the whole Table 4-5 gap is this one mechanism.
 void IouCachingStudy(Json* report) {
-  std::vector<TrialConfig> configs;
+  std::vector<FuzzScenario> specs;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    configs.push_back({.workload = spec.name, .strategy = TransferStrategy::kPureIou});
-    configs.push_back(
+    specs.push_back({.workload = spec.name, .strategy = TransferStrategy::kPureIou});
+    specs.push_back(
         {.workload = spec.name, .strategy = TransferStrategy::kPureIou, .iou_caching = false});
-    configs.push_back({.workload = spec.name, .strategy = TransferStrategy::kPureCopy});
+    specs.push_back({.workload = spec.name, .strategy = TransferStrategy::kPureCopy});
   }
-  const std::vector<TrialResult> results = RunTrials(configs);
+  const std::vector<MechTrial> results = RunMechTrials(specs);
   std::uint64_t as_copy = 0;
   for (std::size_t i = 0; i < results.size(); i += 3) {
-    const TrialResult& off = results[i + 1];
-    const TrialResult& copy = results[i + 2];
-    as_copy += off.migration.RimasTransferTime() == copy.migration.RimasTransferTime() &&
-               off.bytes_total == copy.bytes_total && off.remote_exec == copy.remote_exec;
+    const MechRun& off = results[i + 1].run;
+    const MechRun& copy = results[i + 2].run;
+    as_copy += off.hop1.RimasTransferTime() == copy.hop1.RimasTransferTime() &&
+               off.WireBytes() == copy.WireBytes() && off.RemoteExec() == copy.RemoteExec();
   }
   (*report)["iou_caching"] = TrialRows(results);
   AddGate(report, "iou_off_costs_as_copy", as_copy, "==", results.size() / 3);
@@ -72,23 +88,24 @@ void IouCachingStudy(Json* report) {
 void PrefetchStudy(Json* report) {
   const std::vector<std::string> workloads = {"PM-Start", "Lisp-Del", "Chess"};
   const std::vector<std::uint32_t> depths = {0, 1, 2, 3, 4, 6, 8, 12, 16};
-  std::vector<TrialConfig> configs;
+  std::vector<FuzzScenario> specs;
   for (const std::string& workload : workloads) {
     for (std::uint32_t prefetch : depths) {
-      configs.push_back(
+      specs.push_back(
           {.workload = workload, .strategy = TransferStrategy::kPureIou, .prefetch = prefetch});
     }
   }
-  const std::vector<TrialResult> results = RunTrials(configs);
+  const std::vector<MechTrial> results = RunMechTrials(specs);
   Json best{Json::Object{}};
   std::uint64_t pf1_wins = 0;
   for (auto first = results.begin(); first != results.end(); first += depths.size()) {
     const auto fastest = std::min_element(first, first + depths.size(),
-                                          [](const TrialResult& a, const TrialResult& b) {
-                                            return a.TransferPlusExec() < b.TransferPlusExec();
+                                          [](const MechTrial& a, const MechTrial& b) {
+                                            return a.run.TransferPlusExec() <
+                                                   b.run.TransferPlusExec();
                                           });
-    best[first->config.workload] = Json(fastest->config.prefetch);
-    pf1_wins += first[1].TransferPlusExec() < first[0].TransferPlusExec();
+    best[first->spec.workload] = Json(fastest->spec.prefetch);
+    pf1_wins += first[1].run.TransferPlusExec() < first[0].run.TransferPlusExec();
   }
   AddGate(report, "prefetch_pf1_beats_pf0", pf1_wins, "==", workloads.size());
   AddGate(report, "prefetch_lisp_del_best_below_pm_start", best.Get("Lisp-Del"), "<",
@@ -101,22 +118,22 @@ void PrefetchStudy(Json* report) {
 // copy-on-reference materialises only what it touches.
 void MemoryStudy(Json* report) {
   const std::vector<std::size_t> frame_counts = {8192, 4096, 2048, 1024, 512};
-  std::vector<TrialConfig> configs;
+  std::vector<FuzzScenario> specs;
   for (std::size_t frames : frame_counts) {
     for (TransferStrategy strategy : {TransferStrategy::kPureCopy, TransferStrategy::kPureIou}) {
-      configs.push_back({.workload = "Lisp-Del", .strategy = strategy, .frames_per_host = frames});
+      specs.push_back({.workload = "Lisp-Del", .strategy = strategy, .frames_per_host = frames});
     }
   }
-  const std::vector<TrialResult> results = RunTrials(configs);
+  const std::vector<MechTrial> results = RunMechTrials(specs);
   Json rows{Json::Array{}};
   std::vector<SimDuration> copy_exec;
   std::vector<SimDuration> iou_exec;
-  for (const TrialResult& result : results) {
-    Json row = TrialSummaryToJson(result);
-    row["frames"] = Json(result.config.frames_per_host);
+  for (const MechTrial& trial : results) {
+    Json row = PaperRowToJson(trial);
+    row["frames"] = Json(trial.spec.frames_per_host);
     rows.Append(std::move(row));
-    (result.config.strategy == TransferStrategy::kPureCopy ? copy_exec : iou_exec)
-        .push_back(result.remote_exec);
+    (trial.spec.strategy == TransferStrategy::kPureCopy ? copy_exec : iou_exec)
+        .push_back(trial.run.RemoteExec());
   }
   std::uint64_t rises = 0;
   for (std::size_t i = 1; i < copy_exec.size(); ++i) {
@@ -450,10 +467,13 @@ int Main(int argc, char** argv) {
   }
   Json report{Json::Object{}};
   report["bench"] = Json("beyond");
-  report["schema_version"] = Json(1);
+  report["schema_version"] = Json(2);
   IouCachingStudy(&report);
   PrefetchStudy(&report);
   MemoryStudy(&report);
+  const std::uint64_t integrity_failures = IntegrityFailures(report);
+  report["integrity_failures"] = Json(integrity_failures);
+  AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
   NetworkStudy(&report);
   IpcStudy(&report);
   PriorityStudy(&report);

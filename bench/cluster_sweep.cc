@@ -56,7 +56,7 @@ int Main(int argc, char** argv) {
   std::printf("cluster big trial: %d hosts, %llu events\n", big.host_count,
               static_cast<unsigned long long>(big_result.events_executed));
   std::uint64_t hung = big_result.hung ? 1 : 0;
-  std::uint64_t integrity_failures = big_result.census_ok ? 0 : 1;
+  std::uint64_t census_failures = big_result.census_ok ? 0 : 1;
 
   // --- policy sweep ---------------------------------------------------------
   struct SweepPoint {
@@ -85,24 +85,24 @@ int Main(int argc, char** argv) {
   Json sweep_rows = Json::Array{};
   for (const ClusterResult& result : sweep_results) {
     hung += result.hung ? 1 : 0;
-    integrity_failures += result.census_ok ? 0 : 1;
+    census_failures += result.census_ok ? 0 : 1;
     sweep_rows.Append(ClusterResultToJson(result));
   }
 
   Json report = Json::Object{};
   report["bench"] = Json("cluster");
-  report["schema_version"] = Json(1);
+  report["schema_version"] = Json(2);
   report["seed"] = Json(args->seed);
   report["hosts"] = Json(big.host_count);
   report["processes_arrived"] = Json(big_result.arrived);
   report["trial_count"] = Json(static_cast<std::uint64_t>(1 + points.size()));
   report["hung"] = Json(hung);
-  report["integrity_failures"] = Json(integrity_failures);
+  report["census_failures"] = Json(census_failures);
   report["big_trial"] = ClusterResultToJson(big_result);
   report["policy_sweep"] = std::move(sweep_rows);
 
   AddGate(&report, "hung", hung, "==", 0);
-  AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
+  AddGate(&report, "census_failures", census_failures, "==", 0);
   return WriteReport(report, args->out);
 }
 

@@ -8,44 +8,38 @@
 // under an identity its bytes do not hash to.
 //
 // Usage: dedup_sweep [--workload NAME] [--seed N] [--repeats N] [--out PATH]
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/experiments/dedup.h"
 #include "src/experiments/metrics_fold.h"
 #include "src/metrics/gates.h"
 #include "src/metrics/registry.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
 
 int Main(int argc, char** argv) {
-  DedupConfig config;
-  std::string out_path = "BENCH_dedup.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc) {
-      config.workload = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      config.repeats = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--workload NAME] [--seed N] [--repeats N] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  std::vector<std::string> workloads;
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+    workloads.push_back(spec.name);
   }
-  config.calibrations = DedupFleetCalibrations(config.host_count);
-
-  config.content_cache = true;
+  const std::optional<ReportArgs> args = ParseReportArgs(
+      argc, argv, "BENCH_dedup.json", {"--workload", "--seed", "--repeats"}, workloads);
+  if (!args) {
+    return 2;
+  }
+  DedupConfig config;
+  config.spec.workload = args->workload;
+  config.spec.seed = args->seed;
+  config.spec.calibrations = DedupFleetCalibrations(config.spec.host_count);
+  config.repeats = args->repeats;
   const DedupResult cached = RunDedupExperiment(config);
 
   DedupConfig baseline_config = config;
-  baseline_config.content_cache = false;
+  baseline_config.spec.content_cache = false;
   const DedupResult baseline = RunDedupExperiment(baseline_config);
 
   const std::uint64_t integrity_failures =
@@ -56,10 +50,10 @@ int Main(int argc, char** argv) {
   Json report = Json::Object{};
   report["bench"] = Json("dedup_sweep");
   report["schema_version"] = Json(1);
-  report["workload"] = Json(config.workload);
-  report["seed"] = Json(config.seed);
+  report["workload"] = Json(config.spec.workload);
+  report["seed"] = Json(config.spec.seed);
   report["repeats"] = Json(config.repeats);
-  report["hosts"] = Json(config.host_count);
+  report["hosts"] = Json(config.spec.host_count);
   report["origin_offload_ratio"] = Json(offload);
   report["wire_bytes_cached"] = Json(cached.wire_bytes);
   report["wire_bytes_baseline"] = Json(baseline.wire_bytes);
@@ -84,7 +78,7 @@ int Main(int argc, char** argv) {
           baseline.offloaded_pages + baseline.cache_hits + baseline.cache_insertions, "==", 0);
   AddGate(&report, "integrity_failures", integrity_failures, "==", 0);
   AddGate(&report, "hung", drained ? 0 : 1, "==", 0);
-  return WriteReport(report, out_path);
+  return WriteReport(report, args->out);
 }
 
 }  // namespace

@@ -6,12 +6,10 @@
 // guarantees are tracked from PR to PR.
 //
 // Usage: fuzz_corpus [--first N] [--seeds N] [--threads N] [--out PATH]
-//   --seeds     corpus size (default 64)
+//   --first     first seed (default 1)
+//   --seeds     corpus size (default 64, at least 1)
 //   --threads   workers (default 0: RunFuzzCorpus picks)
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <optional>
 
 #include "src/base/logging.h"
 #include "src/experiments/scenario_fuzz.h"
@@ -21,24 +19,10 @@ namespace accent {
 namespace {
 
 int Main(int argc, char** argv) {
-  std::uint64_t first = 1;
-  std::uint64_t seeds = 64;
-  int threads = 0;
-  std::string out_path = "BENCH_fuzz.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--first") == 0 && i + 1 < argc) {
-      first = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--first N] [--seeds N] [--threads N] [--out PATH]\n",
-                   argv[0]);
-      return 2;
-    }
+  const std::optional<ReportArgs> args =
+      ParseReportArgs(argc, argv, "BENCH_fuzz.json", {"--first", "--seeds", "--threads"});
+  if (!args) {
+    return 2;
   }
 
   // Failing scenarios log their seed + replay line; make sure they print.
@@ -46,7 +30,14 @@ int Main(int argc, char** argv) {
     Logger::Get().set_level(LogLevel::kError);
   }
 
-  return WriteReport(FuzzCorpusToJson(RunFuzzCorpus(first, seeds, threads)), out_path);
+  Json report = FuzzCorpusToJson(RunFuzzCorpus(args->first, args->seeds, args->threads));
+  // The denominator, counted from the rows written: a corpus that ran fewer
+  // scenarios than asked fails. The gate and its schema bump live here, not
+  // in FuzzCorpusToJson, whose whole dump the corpus digest pins.
+  report["schema_version"] = Json(3);
+  AddGate(&report, "scenario_count", report.Get("scenarios").AsArray().size(), "==",
+          args->seeds);
+  return WriteReport(report, args->out);
 }
 
 }  // namespace

@@ -20,56 +20,61 @@
 #include "src/metrics/gates.h"
 #include "src/metrics/registry.h"
 #include "src/vm/backer.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
 
+// Section 4's grid: seven Table 4-1 programs x PaperGridSpecs' 11 cells.
+constexpr std::uint64_t kPaperGridTrials = 77;
+
 // Figure 4-5 plots Lisp-Del's prefetch-0 traffic in 2.5 s buckets; each is
 // whole 500 ms grid buckets summed, so the figure needs no trials of its own.
 constexpr SimDuration kFigure45Bucket = Ms(2500);
+static_assert(kFigure45Bucket % kTrafficBucket == SimDuration::zero());
 
-Json Figure45Series(const TrialResult& trial) {
-  ACCENT_CHECK(kFigure45Bucket % trial.series_bucket == SimDuration::zero());
-  const std::size_t merge = static_cast<std::size_t>(kFigure45Bucket / trial.series_bucket);
+Json Figure45Series(const MechTrial& trial) {
+  const std::vector<TrafficRecorder::Bucket>& series = trial.run.series;
+  const std::size_t merge = static_cast<std::size_t>(kFigure45Bucket / kTrafficBucket);
   Json buckets{Json::Array{}};
-  for (std::size_t first = 0; first < trial.series.size(); first += merge) {
+  for (std::size_t first = 0; first < series.size(); first += merge) {
     ByteCount fault = 0;
     ByteCount other = 0;
-    for (std::size_t i = first; i < std::min(first + merge, trial.series.size()); ++i) {
-      for (std::size_t k = 0; k < trial.series[i].bytes.size(); ++k) {
+    for (std::size_t i = first; i < std::min(first + merge, series.size()); ++i) {
+      for (std::size_t k = 0; k < series[i].bytes.size(); ++k) {
         (k == static_cast<std::size_t>(TrafficKind::kFaultData) ? fault : other) +=
-            trial.series[i].bytes[k];
+            series[i].bytes[k];
       }
     }
     Json bucket{Json::Object{}};
-    bucket["start_us"] = Json(trial.series[first].start.count());
+    bucket["start_us"] = Json(series[first].start.count());
     bucket["fault_bytes"] = Json(fault);
     bucket["other_bytes"] = Json(other);
     buckets.Append(std::move(bucket));
   }
   Json row{Json::Object{}};
-  row["strategy"] = Json(StrategyName(trial.config.strategy));
-  row["finished_us"] = Json(trial.finished.count());
+  row["strategy"] = Json(StrategyName(trial.spec.strategy));
+  row["finished_us"] = Json(trial.run.finish.count());
   row["buckets"] = std::move(buckets);
   return row;
 }
 
 // The Lisp-Del grid's prefetch-0 pure-IOU, resident-set and pure-copy
 // trials, in the figure's order.
-Json Figure45Block(const std::vector<TrialResult>& lisp_del) {
+Json Figure45Block(const std::vector<MechTrial>& lisp_del) {
   Json block{Json::Object{}};
   block["workload"] = Json("Lisp-Del");
   block["bucket_us"] = Json(kFigure45Bucket.count());
   Json series{Json::Array{}};
   for (TransferStrategy strategy : {TransferStrategy::kPureIou, TransferStrategy::kResidentSet,
                                     TransferStrategy::kPureCopy}) {
-    const auto it = std::find_if(lisp_del.begin(), lisp_del.end(), [&](const TrialResult& r) {
-      return r.config.strategy == strategy && r.config.prefetch == 0;
+    const auto it = std::find_if(lisp_del.begin(), lisp_del.end(), [&](const MechTrial& t) {
+      return t.spec.strategy == strategy && t.spec.prefetch == 0;
     });
     ACCENT_CHECK(it != lisp_del.end()) << " missing Lisp-Del " << StrategyName(strategy);
     series.Append(Figure45Series(*it));
     if (strategy == TransferStrategy::kPureCopy) {
-      block["copy_resumed_us"] = Json(it->migration.resumed.count());
+      block["copy_resumed_us"] = Json(it->run.hop1.resumed.count());
     }
   }
   block["series"] = std::move(series);
@@ -145,21 +150,26 @@ int Main(int argc, char** argv) {
   std::printf("Simulating the paper grid (threads=%d, seed=%llu)\n", threads,
               static_cast<unsigned long long>(seed));
 
-  std::size_t trials = 0;
+  // Every staged run, the calibrated column's included, must finish with
+  // the unmigrated reference's contents.
+  std::uint64_t trials = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t integrity_failures = 0;
   MetricsRegistry metrics;
   Json trial_rows{Json::Array{}};
   Json workloads{Json::Array{}};
   Json figure_4_5;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<TrialResult> results =
-        RunTrials(StrategySweepConfigs(spec.name, seed), threads);
+    const std::vector<MechTrial> results = RunMechTrials(PaperGridSpecs(spec.name, seed), threads);
     const auto t1 = std::chrono::steady_clock::now();
     trials += results.size();
     workloads.Append(Json(spec.name));
-    for (const TrialResult& result : results) {
-      FoldTrialMetrics(result, &metrics);
-      trial_rows.Append(TrialSummaryToJson(result));
+    for (const MechTrial& trial : results) {
+      completed += trial.verdict.outcome == FailureOutcome::kCompleted ? 1 : 0;
+      integrity_failures += trial.verdict.integrity_ok ? 0 : 1;
+      FoldTrialMetrics(trial, &metrics);
+      trial_rows.Append(PaperRowToJson(trial));
     }
     if (spec.name == "Lisp-Del") {
       figure_4_5 = Figure45Block(results);
@@ -176,25 +186,23 @@ int Main(int argc, char** argv) {
   // apart from the grid on purpose: the headline grid and its digests must
   // stay byte-identical.
   const SimDuration rs_zero_scan = Ms(3);
-  std::vector<TrialConfig> rs_configs;
+  std::vector<FuzzScenario> rs_specs;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    TrialConfig config;
-    config.workload = spec.name;
-    config.strategy = TransferStrategy::kResidentSet;
-    config.prefetch = 0;
-    config.seed = seed;
-    config.rs_zero_scan_per_mb = rs_zero_scan;
-    rs_configs.push_back(config);
+    rs_specs.push_back({.seed = seed,
+                        .workload = spec.name,
+                        .strategy = TransferStrategy::kResidentSet,
+                        .rs_zero_scan_per_mb = rs_zero_scan});
   }
-  const std::vector<TrialResult> rs_results = RunTrials(rs_configs, threads);
+  const std::vector<MechTrial> rs_results = RunMechTrials(rs_specs, threads);
   Json rs_rows{Json::Array{}};
-  for (const TrialResult& result : rs_results) {
+  for (const MechTrial& trial : rs_results) {
+    integrity_failures += trial.verdict.integrity_ok ? 0 : 1;
     Json row{Json::Object{}};
-    row["workload"] = Json(result.config.workload);
+    row["workload"] = Json(trial.spec.workload);
     row["rimas_transfer_us"] =
-        Json(static_cast<std::int64_t>(result.migration.RimasTransferTime().count()));
+        Json(static_cast<std::int64_t>(trial.run.hop1.RimasTransferTime().count()));
     row["rs_packaging_extra_us"] =
-        Json(static_cast<std::int64_t>(result.migration.rs_packaging_extra.count()));
+        Json(static_cast<std::int64_t>(trial.run.hop1.rs_packaging_extra.count()));
     rs_rows.Append(std::move(row));
   }
   std::printf("  rs-calibrated column: %zu fresh resident-set trials (%lld us/MB zero scan)\n",
@@ -202,17 +210,21 @@ int Main(int argc, char** argv) {
 
   Json root{Json::Object{}};
   root["bench"] = Json("sweep");
-  root["schema_version"] = Json(3);
+  root["schema_version"] = Json(4);
   root["rs_zero_scan_per_mb_us"] = Json(static_cast<std::int64_t>(rs_zero_scan.count()));
   root["rs_calibrated"] = std::move(rs_rows);
   root["seed"] = Json(seed);
-  root["trial_count"] = Json(static_cast<std::uint64_t>(trials));
+  root["trial_count"] = Json(trials);
+  root["completed"] = Json(completed);
+  root["integrity_failures"] = Json(integrity_failures);
   root["workloads"] = std::move(workloads);
   root["metrics"] = metrics.ToJson();
   root["trials"] = std::move(trial_rows);
   root["figure_4_5"] = std::move(figure_4_5);
   root["fault_anchors"] = FaultAnchors();
-  AddGate(&root, "trial_count", static_cast<std::uint64_t>(trials), ">", 0);
+  AddGate(&root, "trial_count", trials, "==", kPaperGridTrials);
+  AddGate(&root, "completed", completed, "==", trials);
+  AddGate(&root, "integrity_failures", integrity_failures, "==", 0);
   return WriteReport(root, args->out);
 }
 

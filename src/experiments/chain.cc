@@ -15,26 +15,17 @@ bool FinishedAtC(const MechTrial& trial) {
 }  // namespace
 
 std::vector<FuzzScenario> ChainSweepSpecs(const std::string& workload, std::uint64_t seed) {
-  FuzzScenario spec;
-  spec.seed = seed;
-  spec.host_count = 3;
-  spec.workload = workload;
-  spec.dest = 1;
-  spec.remigrate = true;
-  spec.redest = 2;
-  std::vector<FuzzScenario> specs;
-  for (const TrialConfig& trial : StrategySweepConfigs(workload, seed)) {
-    spec.strategy = trial.strategy;
-    spec.prefetch = trial.prefetch;
-    specs.push_back(spec);
-  }
-
+  std::vector<FuzzScenario> specs = PaperGridSpecs(workload, seed);
   // Pre-copy, like pure-copy, leaves no IOUs behind (everything arrives
   // physically by resumption), so one cell per workload suffices and the
   // collapse machinery must find nothing to hand off.
-  spec.strategy = TransferStrategy::kPreCopy;
-  spec.prefetch = 0;
-  specs.push_back(spec);
+  specs.push_back(specs.front());
+  specs.back().strategy = TransferStrategy::kPreCopy;
+  for (FuzzScenario& spec : specs) {
+    spec.host_count = 3;
+    spec.remigrate = true;
+    spec.redest = 2;
+  }
   return specs;
 }
 

@@ -39,10 +39,10 @@ namespace accent {
 inline constexpr SimTime kParkedCrash = SimTime{3'000'000'000'000};  // ~35 days
 
 // The chain grid for one workload on the three-host bed (dest = B,
-// redest = C, re-migrating halfway through the trace remaining at B),
-// mirroring StrategySweepConfigs: pure-copy once (it ignores prefetch), then
-// {pure-IOU, resident-set} x kPaperPrefetchValues, then one pre-copy cell —
-// 12 specs. Single source of truth for grid order.
+// redest = C, re-migrating halfway through the trace remaining at B): the
+// paper grid's cells (PaperGridSpecs, sweep.h), pure-copy once (it ignores
+// prefetch), then {pure-IOU, resident-set} x kPaperPrefetchValues, then one
+// pre-copy cell — 12 specs.
 std::vector<FuzzScenario> ChainSweepSpecs(const std::string& workload, std::uint64_t seed = 42);
 
 // The crash variant of each chain cell in `specs`: the cell first runs with

@@ -41,21 +41,17 @@ std::vector<HostCalibration> DedupFleetCalibrations(int host_count) {
 }
 
 DedupResult RunDedupExperiment(const DedupConfig& config) {
-  ACCENT_EXPECTS(config.host_count >= 2);
+  const FuzzScenario& spec = config.spec;
+  ACCENT_EXPECTS(spec.host_count >= 2);
   ACCENT_EXPECTS(config.repeats >= 1);
 
   // Page contents never depend on migration, the cache plane or
   // calibration, so the unmigrated run pins what every incarnation must
   // observe.
-  const std::uint64_t reference = ReferenceChecksum(config.workload, config.seed);
+  const std::uint64_t reference = ReferenceChecksum(spec.workload, spec.seed);
 
-  TestbedConfig testbed_config;
-  testbed_config.host_count = config.host_count;
-  testbed_config.content_cache = config.content_cache;
-  testbed_config.content_cache_pages = config.content_cache_pages;
-  testbed_config.calibrations = config.calibrations;
-  Testbed bed(testbed_config);
-  bed.SetPrefetch(config.prefetch);
+  Testbed bed(TestbedConfigOf(spec));
+  bed.SetPrefetch(spec.prefetch);
 
   DedupResult result;
   result.config = config;
@@ -72,13 +68,12 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
   ByteCount wire_prev = bed.traffic().TotalBytes();
 
   for (int round = 0; round < config.repeats; ++round) {
-    const int dest = 1 + round % (config.host_count - 1);
+    const int dest = 1 + round % (spec.host_count - 1);
     const PagerStats dest_prev = bed.pager(dest)->stats();
 
     // Same (spec, seed) every round: bit-identical page contents, which is
     // exactly what makes the content addresses collide across incarnations.
-    instances.push_back(
-        BuildWorkload(WorkloadByName(config.workload), bed.host(0), config.seed));
+    instances.push_back(BuildWorkload(WorkloadByName(spec.workload), bed.host(0), spec.seed));
     WorkloadInstance& instance = instances.back();
     Process* proc = instance.process.get();
     bed.manager(0)->RegisterLocal(proc);
@@ -87,7 +82,7 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
     bed.manager(dest)->set_on_insert([&landed](Process* inserted) { landed = inserted; });
 
     bool migrated = false;
-    bed.manager(0)->Migrate(proc, bed.manager(dest)->port(), config.strategy,
+    bed.manager(0)->Migrate(proc, bed.manager(dest)->port(), spec.strategy,
                             [&migrated](const MigrationRecord&) { migrated = true; });
     if (!bed.RunGuarded(kRoundHorizon)) {
       result.drained = false;
@@ -141,17 +136,17 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
 }
 
 Json DedupResultToJson(const DedupResult& result) {
-  const DedupConfig& config = result.config;
+  const FuzzScenario& spec = result.config.spec;
   Json json = Json::Object{};
-  json["workload"] = Json(config.workload);
-  json["strategy"] = Json(StrategyName(config.strategy));
-  json["prefetch"] = Json(static_cast<std::int64_t>(config.prefetch));
-  json["seed"] = Json(config.seed);
-  json["hosts"] = Json(config.host_count);
-  json["repeats"] = Json(config.repeats);
-  json["content_cache"] = Json(config.content_cache);
-  json["content_cache_pages"] = Json(config.content_cache_pages);
-  json["calibrated"] = Json(AnyCalibrated(config.calibrations));
+  json["workload"] = Json(spec.workload);
+  json["strategy"] = Json(StrategyName(spec.strategy));
+  json["prefetch"] = Json(static_cast<std::int64_t>(spec.prefetch));
+  json["seed"] = Json(spec.seed);
+  json["hosts"] = Json(spec.host_count);
+  json["repeats"] = Json(result.config.repeats);
+  json["content_cache"] = Json(spec.content_cache);
+  json["content_cache_pages"] = Json(spec.content_cache_pages);
+  json["calibrated"] = Json(AnyCalibrated(spec.calibrations));
 
   json["drained"] = Json(result.drained);
   json["faulted_pages"] = Json(result.faulted_pages);

@@ -20,31 +20,23 @@
 
 #include "src/base/json.h"
 #include "src/base/types.h"
+#include "src/experiments/scenario.h"
 #include "src/host/calibration.h"
 #include "src/migration/strategy.h"
 
 namespace accent {
 
 struct DedupConfig {
-  std::string workload = "Minprog";
-  TransferStrategy strategy = TransferStrategy::kPureIou;
-  std::uint32_t prefetch = 0;
-  std::uint64_t seed = 42;
-
-  // Fleet shape: host 0 is the origin; migration i lands on host
-  // 1 + (i % (host_count - 1)).
-  int host_count = 4;
+  // The program, its strategy and the fleet: host 0 is the origin;
+  // migration i lands on host 1 + (i % (host_count - 1)), so `dest` and the
+  // wire's fault fields do not apply. The content cache on is the
+  // experiment; off reproduces the classic protocol exactly, the bench's
+  // bytes-on-wire baseline. The bench runs the mildly heterogeneous fleet
+  // from DedupFleetCalibrations so NearestHolder's link-cost ranking is
+  // exercised, not just defaulted.
+  FuzzScenario spec = {
+      .host_count = 4, .strategy = TransferStrategy::kPureIou, .content_cache = true};
   int repeats = 8;
-
-  // Content cache plane. Off reproduces the classic protocol exactly — the
-  // bench uses that as its bytes-on-wire baseline.
-  bool content_cache = true;
-  std::int64_t content_cache_pages = 4096;
-
-  // Per-host calibrations (empty = homogeneous). The bench runs the mildly
-  // heterogeneous fleet from DedupFleetCalibrations so NearestHolder's
-  // link-cost ranking is exercised, not just defaulted.
-  std::vector<HostCalibration> calibrations{};
 };
 
 // One migration of the repeated sequence, all counters as deltas against
@@ -98,8 +90,10 @@ struct DedupResult {
 // distances to compare.
 std::vector<HostCalibration> DedupFleetCalibrations(int host_count);
 
-// Runs the repeated-migration sequence on one testbed. Deterministic per
-// config.
+// Runs the repeated-migration sequence on one testbed, built from the spec
+// as RunMech builds its own (TestbedConfigOf). The rounds share that
+// testbed, and with it one live content cache, so a round is not a spec
+// run. Deterministic per config.
 DedupResult RunDedupExperiment(const DedupConfig& config);
 
 // Canonical JSON for one run (sorted keys, exact integers).

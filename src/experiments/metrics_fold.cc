@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/base/check.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
@@ -15,18 +16,19 @@ const std::vector<double> kSecondsBounds = {0.05, 0.1,  0.25, 0.5, 1.0,
 
 }  // namespace
 
-void FoldTrialMetrics(const TrialResult& result, MetricsRegistry* registry) {
+void FoldTrialMetrics(const MechTrial& trial, MetricsRegistry* registry) {
   ACCENT_EXPECTS(registry != nullptr);
+  const MechRun& run = trial.run;
   registry->Counter("trials").Increment();
-  registry->Counter("messages.total").Add(result.messages_total);
-  registry->Counter("bytes.total").Add(result.bytes_total);
-  registry->Counter("bytes.control").Add(result.bytes_control);
-  registry->Counter("bytes.core").Add(result.bytes_core);
-  registry->Counter("bytes.bulk").Add(result.bytes_bulk);
-  registry->Counter("bytes.fault").Add(result.bytes_fault);
-  registry->Counter("bytes.real_transferred").Add(result.real_bytes_transferred);
+  registry->Counter("messages.total").Add(run.messages);
+  registry->Counter("bytes.total").Add(run.WireBytes());
+  registry->Counter("bytes.control").Add(run.BytesOf(TrafficKind::kControl));
+  registry->Counter("bytes.core").Add(run.BytesOf(TrafficKind::kCoreContext));
+  registry->Counter("bytes.bulk").Add(run.BytesOf(TrafficKind::kBulkData));
+  registry->Counter("bytes.fault").Add(run.BytesOf(TrafficKind::kFaultData));
+  registry->Counter("bytes.real_transferred").Add(RealBytesTransferred(trial.spec, run));
 
-  const PagerStats& pager = result.dest_pager;
+  const PagerStats& pager = run.dest_pager;
   registry->Counter("faults.fillzero").Add(pager.fillzero_faults);
   registry->Counter("faults.disk").Add(pager.disk_faults);
   registry->Counter("faults.cow").Add(pager.cow_faults);
@@ -35,12 +37,11 @@ void FoldTrialMetrics(const TrialResult& result, MetricsRegistry* registry) {
   registry->Counter("faults.prefetched").Add(pager.prefetched_pages);
   registry->Counter("faults.prefetch_hits").Add(pager.prefetch_hits);
 
-  registry->Histogram("downtime_seconds", kSecondsBounds)
-      .Observe(ToSeconds(result.migration.Downtime()));
+  registry->Histogram("downtime_seconds", kSecondsBounds).Observe(ToSeconds(run.Downtime()));
   registry->Histogram("rimas_transfer_seconds", kSecondsBounds)
-      .Observe(ToSeconds(result.migration.RimasTransferTime()));
+      .Observe(ToSeconds(run.hop1.RimasTransferTime()));
   registry->Histogram("netmsg_busy_seconds", kSecondsBounds)
-      .Observe(ToSeconds(result.netmsg_busy));
+      .Observe(ToSeconds(run.netmsg_busy));
 }
 
 void FoldDedupMetrics(const DedupResult& result, MetricsRegistry* registry) {
@@ -54,44 +55,47 @@ void FoldDedupMetrics(const DedupResult& result, MetricsRegistry* registry) {
   registry->Counter("cache.wire_bytes").Add(result.wire_bytes);
 }
 
-Json TrialSummaryToJson(const TrialResult& result) {
-  Json json{Json::Object{}};
-  json["workload"] = Json(result.config.workload);
-  json["strategy"] = Json(StrategyName(result.config.strategy));
-  json["prefetch"] = Json(result.config.prefetch);
-  json["iou_caching"] = Json(result.config.iou_caching);
+Json PaperRowToJson(const MechTrial& trial) {
+  const MechRun& run = trial.run;
+  const WorkloadSpec& spec = WorkloadByName(trial.spec.workload);
+  const auto fraction = [](ByteCount part, ByteCount whole) {
+    return Json(whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole));
+  };
+  const ByteCount real_transferred = RealBytesTransferred(trial.spec, run);
 
-  json["spec_real_bytes"] = Json(result.spec.real_bytes);
-  json["spec_zero_bytes"] = Json(result.spec.zero_bytes);
-  json["spec_total_bytes"] = Json(result.spec.total_bytes());
-  json["spec_resident_bytes"] = Json(result.spec.resident_bytes);
+  Json json = MechRowToJson(trial.spec, run, trial.verdict);
+  json["iou_caching"] = Json(trial.spec.iou_caching);
 
-  const MigrationRecord& m = result.migration;
+  json["spec_real_bytes"] = Json(spec.real_bytes);
+  json["spec_zero_bytes"] = Json(spec.zero_bytes);
+  json["spec_total_bytes"] = Json(spec.total_bytes());
+  json["spec_resident_bytes"] = Json(spec.resident_bytes);
+
+  const MigrationRecord& m = run.hop1;
   json["excise_amap_us"] = Json(m.excise_amap.count());
   json["excise_rimas_us"] = Json(m.excise_rimas.count());
   json["excise_overall_us"] = Json(m.excise_overall.count());
   json["insert_time_us"] = Json(m.insert_time.count());
   json["rimas_transfer_us"] = Json(m.RimasTransferTime().count());
   json["core_transfer_us"] = Json(m.CoreTransferTime().count());
-  json["downtime_us"] = Json(m.Downtime().count());
 
-  json["bytes_total"] = Json(result.bytes_total);
-  json["bytes_control"] = Json(result.bytes_control);
-  json["bytes_core"] = Json(result.bytes_core);
-  json["bytes_bulk"] = Json(result.bytes_bulk);
-  json["bytes_fault"] = Json(result.bytes_fault);
-  json["messages_total"] = Json(result.messages_total);
-  json["real_bytes_transferred"] = Json(result.real_bytes_transferred);
-  json["frac_real_transferred"] = Json(result.FractionOfRealTransferred());
-  json["frac_total_transferred"] = Json(result.FractionOfTotalTransferred());
+  json["bytes_total"] = Json(run.WireBytes());
+  json["bytes_control"] = Json(run.BytesOf(TrafficKind::kControl));
+  json["bytes_core"] = Json(run.BytesOf(TrafficKind::kCoreContext));
+  json["bytes_bulk"] = Json(run.BytesOf(TrafficKind::kBulkData));
+  json["bytes_fault"] = Json(run.BytesOf(TrafficKind::kFaultData));
+  json["messages_total"] = Json(run.messages);
+  json["real_bytes_transferred"] = Json(real_transferred);
+  json["frac_real_transferred"] = fraction(real_transferred, spec.real_bytes);
+  json["frac_total_transferred"] = fraction(real_transferred, spec.total_bytes());
 
-  json["netmsg_busy_us"] = Json(result.netmsg_busy.count());
-  json["remote_exec_us"] = Json(result.remote_exec.count());
-  json["transfer_plus_exec_us"] = Json(result.TransferPlusExec().count());
-  json["dest_imag_faults"] = Json(result.dest_pager.imag_faults);
-  json["dest_imag_pages_fetched"] = Json(result.dest_pager.imag_pages_fetched);
-  json["dest_prefetched_pages"] = Json(result.dest_pager.prefetched_pages);
-  json["dest_prefetch_hits"] = Json(result.dest_pager.prefetch_hits);
+  json["netmsg_busy_us"] = Json(run.netmsg_busy.count());
+  json["remote_exec_us"] = Json(run.RemoteExec().count());
+  json["transfer_plus_exec_us"] = Json(run.TransferPlusExec().count());
+  json["dest_imag_faults"] = Json(run.dest_pager.imag_faults);
+  json["dest_imag_pages_fetched"] = Json(run.dest_pager.imag_pages_fetched);
+  json["dest_prefetched_pages"] = Json(run.dest_pager.prefetched_pages);
+  json["dest_prefetch_hits"] = Json(run.dest_pager.prefetch_hits);
   return json;
 }
 

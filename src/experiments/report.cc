@@ -3,59 +3,71 @@
 #include <sstream>
 
 #include "src/metrics/table.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 
-std::string TrialReport(const TrialResult& r) {
+std::string TrialReport(const MechTrial& trial) {
+  const FuzzScenario& config = trial.spec;
+  const WorkloadSpec& spec = WorkloadByName(config.workload);
+  const MigrationRecord& migration = trial.run.hop1;
+  const PagerStats& dest_pager = trial.run.dest_pager;
+  const ByteCount real_transferred = RealBytesTransferred(config, trial.run);
   std::ostringstream out;
-  out << "Migration trial: " << r.spec.name << ", " << StrategyName(r.config.strategy)
-      << ", prefetch " << r.config.prefetch << ", seed " << r.config.seed << "\n\n";
+  out << "Migration trial: " << spec.name << ", " << StrategyName(config.strategy)
+      << ", prefetch " << config.prefetch << ", seed " << config.seed << "\n\n";
 
-  out << "Address space: Real " << FormatWithCommas(r.spec.real_bytes) << " B, RealZero "
-      << FormatWithCommas(r.spec.zero_bytes) << " B ("
-      << (r.spec.real_regions + r.spec.zero_regions) << " map entries)\n";
-  out << "Resident set:  " << FormatWithCommas(r.spec.resident_bytes) << " B\n\n";
+  out << "Address space: Real " << FormatWithCommas(spec.real_bytes) << " B, RealZero "
+      << FormatWithCommas(spec.zero_bytes) << " B ("
+      << (spec.real_regions + spec.zero_regions) << " map entries)\n";
+  out << "Resident set:  " << FormatWithCommas(spec.resident_bytes) << " B\n\n";
 
   out << "Phases (simulated seconds):\n";
-  out << "  excision          " << FormatSeconds(r.migration.excise_overall) << "   (AMap "
-      << FormatSeconds(r.migration.excise_amap) << ", RIMAS collapse "
-      << FormatSeconds(r.migration.excise_rimas) << ")\n";
-  out << "  RIMAS transfer    " << FormatSeconds(r.migration.RimasTransferTime()) << "\n";
-  out << "  Core transfer     " << FormatSeconds(r.migration.CoreTransferTime()) << "\n";
-  out << "  insertion         " << FormatSeconds(r.migration.insert_time) << "\n";
-  out << "  remote execution  " << FormatSeconds(r.remote_exec) << "\n";
-  out << "  transfer + exec   " << FormatSeconds(r.TransferPlusExec()) << "\n";
-  out << "  downtime          " << FormatSeconds(r.migration.Downtime()) << "\n\n";
+  out << "  excision          " << FormatSeconds(migration.excise_overall) << "   (AMap "
+      << FormatSeconds(migration.excise_amap) << ", RIMAS collapse "
+      << FormatSeconds(migration.excise_rimas) << ")\n";
+  out << "  RIMAS transfer    " << FormatSeconds(migration.RimasTransferTime()) << "\n";
+  out << "  Core transfer     " << FormatSeconds(migration.CoreTransferTime()) << "\n";
+  out << "  insertion         " << FormatSeconds(migration.insert_time) << "\n";
+  out << "  remote execution  " << FormatSeconds(trial.run.RemoteExec()) << "\n";
+  out << "  transfer + exec   " << FormatSeconds(trial.run.TransferPlusExec()) << "\n";
+  out << "  downtime          " << FormatSeconds(migration.Downtime()) << "\n\n";
 
-  if (r.config.strategy == TransferStrategy::kPreCopy) {
-    out << "Pre-copy: " << r.migration.precopy_rounds << " live round"
-        << (r.migration.precopy_rounds == 1 ? "" : "s") << ", "
-        << FormatWithCommas(r.migration.precopy_bytes) << " B shipped while running, "
-        << FormatWithCommas(r.migration.precopy_flash_bytes) << " B in the final flash\n";
+  if (config.strategy == TransferStrategy::kPreCopy) {
+    out << "Pre-copy: " << migration.precopy_rounds << " live round"
+        << (migration.precopy_rounds == 1 ? "" : "s") << ", "
+        << FormatWithCommas(migration.precopy_bytes) << " B shipped while running, "
+        << FormatWithCommas(migration.precopy_flash_bytes) << " B in the final flash\n";
     out << "  WWS estimate    " << FormatWithCommas(static_cast<ByteCount>(
-                                       r.migration.precopy_wws_pages * kPageSize))
+                                       migration.precopy_wws_pages * kPageSize))
         << " B";
-    if (r.config.precopy_target_downtime > SimDuration::zero()) {
-      out << "; predicted final round " << FormatSeconds(r.migration.precopy_predicted_downtime)
-          << " vs SLO " << FormatSeconds(r.config.precopy_target_downtime) << " ("
-          << (r.migration.precopy_slo_met ? "met" : "missed") << ")";
+    if (config.precopy.target_downtime > SimDuration::zero()) {
+      out << "; predicted final round " << FormatSeconds(migration.precopy_predicted_downtime)
+          << " vs SLO " << FormatSeconds(config.precopy.target_downtime) << " ("
+          << (migration.precopy_slo_met ? "met" : "missed") << ")";
     }
     out << "\n\n";
   }
 
-  out << "Traffic: total " << FormatWithCommas(r.bytes_total) << " B (core "
-      << FormatWithCommas(r.bytes_core) << ", bulk " << FormatWithCommas(r.bytes_bulk)
-      << ", fault " << FormatWithCommas(r.bytes_fault) << ", control "
-      << FormatWithCommas(r.bytes_control) << ") in " << r.messages_total << " messages\n";
-  out << "RealMem shipped: " << FormatWithCommas(r.real_bytes_transferred) << " B ("
-      << FormatPercent(r.FractionOfRealTransferred(), 1) << " of RealMem)\n\n";
+  const MechRun& run = trial.run;
+  out << "Traffic: total " << FormatWithCommas(run.WireBytes()) << " B (core "
+      << FormatWithCommas(run.BytesOf(TrafficKind::kCoreContext)) << ", bulk "
+      << FormatWithCommas(run.BytesOf(TrafficKind::kBulkData)) << ", fault "
+      << FormatWithCommas(run.BytesOf(TrafficKind::kFaultData)) << ", control "
+      << FormatWithCommas(run.BytesOf(TrafficKind::kControl)) << ") in " << run.messages
+      << " messages\n";
+  const double fraction =
+      static_cast<double>(real_transferred) / static_cast<double>(spec.real_bytes);
+  out << "RealMem shipped: " << FormatWithCommas(real_transferred) << " B ("
+      << FormatPercent(fraction, 1) << " of RealMem)\n\n";
 
-  out << "Destination faults: imaginary " << r.dest_pager.imag_faults << " (fetched "
-      << r.dest_pager.imag_pages_fetched << ", prefetched " << r.dest_pager.prefetched_pages
-      << ", hits " << r.dest_pager.prefetch_hits << "), zero-fill "
-      << r.dest_pager.fillzero_faults << ", disk " << r.dest_pager.disk_faults << ", cow "
-      << r.dest_pager.cow_faults << ", page-outs " << r.dest_pager.pageouts << "\n";
-  out << "Message handling (both NetMsgServers): " << FormatSeconds(r.netmsg_busy) << " s\n";
+  out << "Destination faults: imaginary " << dest_pager.imag_faults << " (fetched "
+      << dest_pager.imag_pages_fetched << ", prefetched " << dest_pager.prefetched_pages
+      << ", hits " << dest_pager.prefetch_hits << "), zero-fill "
+      << dest_pager.fillzero_faults << ", disk " << dest_pager.disk_faults << ", cow "
+      << dest_pager.cow_faults << ", page-outs " << dest_pager.pageouts << "\n";
+  out << "Message handling (both NetMsgServers): " << FormatSeconds(trial.run.netmsg_busy)
+      << " s\n";
   return out.str();
 }
 
@@ -69,38 +81,43 @@ std::string TrialCsvHeader() {
          "fillzero_faults,disk_faults,netmsg_busy_s";
 }
 
-std::string TrialCsvRow(const TrialResult& r) {
+std::string TrialCsvRow(const MechTrial& trial) {
+  const FuzzScenario& config = trial.spec;
+  const WorkloadSpec& spec = WorkloadByName(config.workload);
+  const MechRun& run = trial.run;
+  const MigrationRecord& m = run.hop1;
+  const PagerStats& pager = run.dest_pager;
   std::ostringstream out;
-  out << r.spec.name << ',' << StrategyName(r.config.strategy) << ',' << r.config.prefetch
-      << ',' << r.config.seed << ',' << r.spec.real_bytes << ',' << r.spec.zero_bytes << ','
-      << r.spec.resident_bytes << ',' << ToSeconds(r.migration.excise_overall) << ','
-      << ToSeconds(r.migration.excise_amap) << ',' << ToSeconds(r.migration.excise_rimas)
-      << ',' << ToSeconds(r.migration.RimasTransferTime()) << ','
-      << ToSeconds(r.migration.CoreTransferTime()) << ','
-      << ToSeconds(r.migration.insert_time) << ',' << ToSeconds(r.remote_exec) << ','
-      << ToSeconds(r.TransferPlusExec()) << ',' << ToSeconds(r.migration.Downtime()) << ','
-      << r.bytes_total << ',' << r.bytes_core << ',' << r.bytes_bulk << ',' << r.bytes_fault
-      << ',' << r.bytes_control << ',' << r.messages_total << ','
-      << r.real_bytes_transferred << ',' << r.dest_pager.imag_faults << ','
-      << r.dest_pager.imag_pages_fetched << ',' << r.dest_pager.prefetched_pages << ','
-      << r.dest_pager.prefetch_hits << ',' << r.dest_pager.fillzero_faults << ','
-      << r.dest_pager.disk_faults << ',' << ToSeconds(r.netmsg_busy);
+  out << spec.name << ',' << StrategyName(config.strategy) << ',' << config.prefetch << ','
+      << config.seed << ',' << spec.real_bytes << ',' << spec.zero_bytes << ','
+      << spec.resident_bytes << ',' << ToSeconds(m.excise_overall) << ','
+      << ToSeconds(m.excise_amap) << ',' << ToSeconds(m.excise_rimas) << ','
+      << ToSeconds(m.RimasTransferTime()) << ',' << ToSeconds(m.CoreTransferTime()) << ','
+      << ToSeconds(m.insert_time) << ',' << ToSeconds(run.RemoteExec()) << ','
+      << ToSeconds(run.TransferPlusExec()) << ',' << ToSeconds(m.Downtime()) << ','
+      << run.WireBytes() << ',' << run.BytesOf(TrafficKind::kCoreContext) << ','
+      << run.BytesOf(TrafficKind::kBulkData) << ',' << run.BytesOf(TrafficKind::kFaultData)
+      << ',' << run.BytesOf(TrafficKind::kControl) << ',' << run.messages << ','
+      << RealBytesTransferred(config, run) << ',' << pager.imag_faults << ','
+      << pager.imag_pages_fetched << ',' << pager.prefetched_pages << ','
+      << pager.prefetch_hits << ',' << pager.fillzero_faults << ',' << pager.disk_faults << ','
+      << ToSeconds(run.netmsg_busy);
   return out.str();
 }
 
-std::string TrialsToCsv(const std::vector<TrialResult>& results) {
+std::string TrialsToCsv(const std::vector<MechTrial>& trials) {
   std::ostringstream out;
   out << TrialCsvHeader() << '\n';
-  for (const TrialResult& result : results) {
-    out << TrialCsvRow(result) << '\n';
+  for (const MechTrial& trial : trials) {
+    out << TrialCsvRow(trial) << '\n';
   }
   return out.str();
 }
 
-std::string SeriesToCsv(const TrialResult& result) {
+std::string SeriesToCsv(const MechRun& run) {
   std::ostringstream out;
   out << "time_s,fault_bytes,other_bytes\n";
-  for (const auto& bucket : result.series) {
+  for (const auto& bucket : run.series) {
     const ByteCount fault = bucket.bytes[static_cast<int>(TrafficKind::kFaultData)];
     ByteCount other = 0;
     for (std::size_t k = 0; k < bucket.bytes.size(); ++k) {

@@ -9,11 +9,12 @@
 // Classify turns a run into the failure-sweep verdict; MechRowToJson writes
 // the three as one report row.
 //
-// The fuzzer (scenario_fuzz.h) draws specs at random. The failure and
-// checkpoint matrices (failure_sweep.h), the chain grid (chain.h) and the
-// pre-copy grid (precopy.h) are grids of specs. Every one of them judges
-// what finished against ReferenceChecksum, the same process run to
-// completion without migrating, and writes each run through MechRowToJson.
+// The fuzzer (scenario_fuzz.h) draws specs at random. The paper's 77-trial
+// grid and its staged ablations (sweep.h), the failure and checkpoint
+// matrices (failure_sweep.h), the chain grid (chain.h) and the pre-copy grid
+// (precopy.h) are grids of specs. Every one of them judges what finished
+// against ReferenceChecksum, the same process run to completion without
+// migrating, and writes each run through MechRowToJson.
 #ifndef SRC_EXPERIMENTS_SCENARIO_H_
 #define SRC_EXPERIMENTS_SCENARIO_H_
 
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/base/json.h"
+#include "src/experiments/testbed.h"
 #include "src/host/calibration.h"
 #include "src/migration/migration_manager.h"
 #include "src/migration/migration_record.h"
@@ -32,9 +34,12 @@
 #include "src/net/traffic.h"
 #include "src/netmsg/netmsgserver.h"
 #include "src/vm/address_space.h"
+#include "src/vm/pager.h"
 #include "src/vm/segment.h"
 
 namespace accent {
+
+struct TrialResult;
 
 // The failure-sweep taxonomy of one run.
 enum class FailureOutcome : int {
@@ -47,11 +52,11 @@ enum class FailureOutcome : int {
 const char* FailureOutcomeName(FailureOutcome outcome);
 
 struct FuzzScenario {
-  std::uint64_t seed = 0;
+  std::uint64_t seed = 42;
 
   // Topology: hosts carry ids 1..host_count; the workload starts on index 0.
   int host_count = 2;
-  std::vector<HostCalibration> calibrations;
+  std::vector<HostCalibration> calibrations{};
 
   // Workload + transfer.
   std::string workload = "Minprog";
@@ -62,7 +67,7 @@ struct FuzzScenario {
   // Content-addressed page cache (drawn independently of the other menus so
   // cache-on and cache-off runs of the same seed share everything else).
   bool content_cache = false;
-  std::int64_t content_cache_pages = 512;
+  std::int64_t content_cache_pages = 4096;
 
   // Durable checkpoint store (docs/INTERNALS.md §16), on its own fork for
   // the same reason: legacy seed streams are untouched. Forced off when
@@ -96,6 +101,19 @@ struct FuzzScenario {
   // The first-hop destination dies for good at this instant (0 = never);
   // unlike the windows above it needs no baseline to place.
   SimTime crash_dest_at{0};
+
+  // The paper's ablation knobs, at the 1987 system's values by default:
+  // NetMsgServer IOU substitution (§2.4), every host's physical frames (a
+  // Perq's ~2 MB), and the resident-set calibration's extra RIMAS packaging
+  // charge per megabyte of zero-fill footprint (costs.rs_zero_scan_per_mb).
+  bool iou_caching = true;
+  std::size_t frames_per_host = 4096;
+  SimDuration rs_zero_scan_per_mb{0};
+
+  // Observability hook (not owned; null for no tracing). Not part of the
+  // scenario: recording never alters the schedule, so Describe() and the
+  // report rows leave it out.
+  Tracer* tracer = nullptr;
 
   bool faulty() const {
     return drop > 0.0 || duplicate > 0.0 || delay > 0.0 || reorder > 0.0 ||
@@ -156,8 +174,15 @@ struct MechRun {
   NetMsgStats netmsg;
   std::uint64_t deliveries_lost = 0;
 
-  // Wire bytes by TrafficKind.
+  // Wire bytes by TrafficKind, the messages that carried them and their
+  // series in kTrafficBucket buckets (Figures 4-3 and 4-5), NetMsgServer
+  // busy time summed over every host (Figure 4-4), and the first-hop
+  // destination's pager (Table 4-3, Figure 4-1's faults).
   std::array<ByteCount, static_cast<std::size_t>(TrafficKind::kKindCount)> wire_bytes{};
+  std::uint64_t messages = 0;
+  std::vector<TrafficRecorder::Bucket> series;
+  SimDuration netmsg_busy{0};
+  PagerStats dest_pager;
 
   // Re-migrating runs only. The collapse at the intermediary (the
   // first-hop destination), and its and the origin's backer requests
@@ -184,20 +209,34 @@ struct MechRun {
   SimDuration RequestToFinish() const {
     return finished ? finish - hop1.requested : SimDuration{0};
   }
+  // First-hop resumption to completion; zero when nothing finished.
+  SimDuration RemoteExec() const { return finished ? finish - hop1.resumed : SimDuration{0}; }
+  // Figure 4-2's summed metric: address-space transfer + remote execution.
+  SimDuration TransferPlusExec() const { return hop1.RimasTransferTime() + RemoteExec(); }
+  ByteCount BytesOf(TrafficKind kind) const { return wire_bytes[static_cast<std::size_t>(kind)]; }
   // Page traffic on the wire: bulk transfer plus fault replies.
   ByteCount PageBytes() const {
-    return wire_bytes[static_cast<std::size_t>(TrafficKind::kBulkData)] +
-           wire_bytes[static_cast<std::size_t>(TrafficKind::kFaultData)];
+    return BytesOf(TrafficKind::kBulkData) + BytesOf(TrafficKind::kFaultData);
   }
   // Every byte on the wire, of every kind.
   ByteCount WireBytes() const;
 };
+
+// The lossless testbed `sc` runs on: its hosts, calibrations, content cache,
+// checkpoint store, ablation knobs and tracer. RunMech adds the wire's
+// faults; the dedup rounds (dedup.h) share one such testbed.
+TestbedConfig TestbedConfigOf(const FuzzScenario& sc);
 
 // Runs `sc` on a private testbed whose wire follows `plan`, drawing verdicts
 // from `fault_seed`; a non-trivial plan switches on the reliable NetMsgServer
 // transport. Never CHECKs completion: every outcome comes back in the
 // MechRun.
 MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed);
+
+// RealMem bytes the first hop moved as page data (Table 4-3): what it
+// shipped at migration time plus every page the destination's imaginary
+// faults fetched, prefetch included.
+ByteCount RealBytesTransferred(const FuzzScenario& sc, const MechRun& run);
 
 // `sc`'s wire recipe as a plan: its drop/duplicate/delay/reorder rates, the
 // permanent destination crash at crash_dest_at, and each window it asks
@@ -240,6 +279,13 @@ std::vector<MechTrial> RunMechTrials(const std::vector<FuzzScenario>& specs, int
 // retry traffic and chain collapse. Every family's row is this plus only
 // the keys that family declares.
 Json MechRowToJson(const FuzzScenario& spec, const MechRun& run, const MechVerdict& verdict);
+
+// The row the golden sweep digest (tests/golden_sweep_test.cc) hashes, one
+// per RunTrial result (trial.h): every field it emits, and every field it
+// deliberately omits, is part of the results contract. Fields added after
+// the seed (pre-copy knobs, the content cache, the checkpoint store) are
+// emitted only when enabled, so the paper grid's rows stay byte-identical.
+Json TrialResultToJson(const TrialResult& result);
 
 // FNV fold over the contents a fault would observe for each planned page,
 // visited in ascending order. Pages owed to a backing chain are resolved

@@ -19,31 +19,20 @@ int SweepThreadCount() {
   return HardwareThreads();
 }
 
-std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
-                                              std::uint64_t seed) {
-  std::vector<TrialConfig> configs;
-  TrialConfig config;
-  config.workload = workload;
-  config.seed = seed;
-
-  config.strategy = TransferStrategy::kPureCopy;
-  config.prefetch = 0;
-  configs.push_back(config);
-
+std::vector<FuzzScenario> PaperGridSpecs(const std::string& workload, std::uint64_t seed) {
+  FuzzScenario spec;
+  spec.workload = workload;
+  spec.seed = seed;
+  std::vector<FuzzScenario> specs = {spec};  // pure-copy, prefetch 0
   for (TransferStrategy strategy :
        {TransferStrategy::kPureIou, TransferStrategy::kResidentSet}) {
     for (std::uint32_t prefetch : kPaperPrefetchValues) {
-      config.strategy = strategy;
-      config.prefetch = prefetch;
-      configs.push_back(config);
+      spec.strategy = strategy;
+      spec.prefetch = prefetch;
+      specs.push_back(spec);
     }
   }
-  return configs;
-}
-
-std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs, int threads) {
-  return ParallelMap(threads, configs.size(),
-                     [&configs](std::size_t i) { return RunTrial(configs[i]); });
+  return specs;
 }
 
 }  // namespace accent

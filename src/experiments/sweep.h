@@ -1,10 +1,10 @@
-// Parallel trial-sweep engine.
+// Parallel trial-sweep engine, and the paper's grid.
 //
 // The paper's evaluation is a grid of fully independent migration trials:
-// each RunTrial builds its own Testbed (private Simulator, hosts, fabric),
+// each RunMech builds its own Testbed (private Simulator, hosts, fabric),
 // so trials share no mutable state and can fan out across cores. The engine
 // preserves the serial contract bit-for-bit: results come back in input
-// order, and every trial's RNG is seeded from its own config, so thread
+// order, and every trial's RNG is seeded from its own spec, so thread
 // count and OS scheduling cannot leak into any metric. A parallel sweep is
 // therefore byte-identical to the serial one (tests/parallel_sweep_test.cc
 // asserts this for 1, 2 and 8 threads).
@@ -19,7 +19,7 @@
 
 #include "src/base/check.h"
 #include "src/base/thread_pool.h"
-#include "src/experiments/trial.h"
+#include "src/experiments/scenario.h"
 
 namespace accent {
 
@@ -48,18 +48,11 @@ auto ParallelMap(int threads, std::size_t count, Fn fn)
   return results;
 }
 
-// The paper's full grid for one workload: pure-copy once (it ignores
-// prefetch), then {pure-IOU, resident-set} x kPaperPrefetchValues.
-// This is the single source of truth for grid order; the serial
-// RunStrategySweep iterates the same list.
-std::vector<TrialConfig> StrategySweepConfigs(const std::string& workload,
-                                              std::uint64_t seed = 42);
-
-// Runs `configs` across up to `threads` worker threads (0 = SweepThreadCount)
-// and returns results in input order. threads <= 1 degrades to the plain
-// serial loop.
-std::vector<TrialResult> RunTrials(const std::vector<TrialConfig>& configs,
-                                   int threads = 0);
+// The paper's full grid for one workload on the lossless two-host testbed:
+// pure-copy once (it ignores prefetch), then {pure-IOU, resident-set} x
+// kPaperPrefetchValues — 11 specs. This is the single source of truth for
+// grid order; the chain grid (chain.h) re-migrates the same cells.
+std::vector<FuzzScenario> PaperGridSpecs(const std::string& workload, std::uint64_t seed = 42);
 
 }  // namespace accent
 

@@ -8,7 +8,7 @@ namespace accent {
 Testbed::Testbed(const TestbedConfig& config)
     : config_(config),
       segments_(&sim_),
-      traffic_(&sim_, config_.traffic_bucket),
+      traffic_(&sim_, kTrafficBucket),
       network_(&sim_, &config_.costs, &traffic_),
       fabric_(&sim_, &config_.costs) {
   ACCENT_EXPECTS(config_.host_count >= 1);
@@ -129,11 +129,6 @@ Testbed::Testbed(const TestbedConfig& config)
 
 Testbed::~Testbed() = default;
 
-HostCalibration Testbed::calibration(int index) const {
-  ACCENT_EXPECTS(index >= 0 && index < static_cast<int>(hosts_.size()));
-  return CalibrationOf(config_.calibrations, static_cast<std::size_t>(index));
-}
-
 HostEnv* Testbed::host(int index) {
   ACCENT_EXPECTS(index >= 0 && index < host_count());
   return hosts_[static_cast<std::size_t>(index)].env.get();
@@ -188,14 +183,6 @@ bool Testbed::RunGuarded(SimDuration limit) {
     ACCENT_LOG(kError) << "testbed:   pending event at t=" << when.count() << "us";
   }
   return false;
-}
-
-SimDuration Testbed::TotalPagerBusy() const {
-  SimDuration total{0};
-  for (const HostParts& parts : hosts_) {
-    total += parts.cpu->BusyTime(CpuWork::kPager);
-  }
-  return total;
 }
 
 }  // namespace accent

@@ -30,12 +30,15 @@
 
 namespace accent {
 
+// Width of the testbed's traffic series: Figure 4-5's resolution is five of
+// these (bench/run_all.cc sums them).
+inline constexpr SimDuration kTrafficBucket = Ms(500);
+
 struct TestbedConfig {
   int host_count = 2;
   // A Perq carried ~2 MB of memory: 4096 frames of 512 bytes.
   std::size_t frames_per_host = 4096;
   CostTable costs{};
-  SimDuration traffic_bucket = Ms(500);
   // NetMsgServer IOU substitution (the paper's system has it on).
   bool iou_caching = true;
 
@@ -94,9 +97,6 @@ class Testbed {
   const CostTable& costs() const { return config_.costs; }
   int host_count() const { return static_cast<int>(hosts_.size()); }
 
-  // This host's calibration; identity when the config carried none.
-  HostCalibration calibration(int index) const;
-
   HostEnv* host(int index);
   MigrationManager* manager(int index);
   NetMsgServer* netmsg(int index);
@@ -128,8 +128,6 @@ class Testbed {
 
   // NetMsgServer busy time summed over all hosts (Figure 4-4's metric).
   SimDuration TotalNetMsgBusy() const;
-  // Pager busy time summed over all hosts.
-  SimDuration TotalPagerBusy() const;
 
  private:
   struct HostParts {

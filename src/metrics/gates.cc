@@ -7,6 +7,7 @@
 #include <system_error>
 #include <fstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/base/check.h"
@@ -150,33 +151,67 @@ int WriteReport(const Json& report, const std::string& path) {
 }
 
 std::optional<ReportArgs> ParseReportArgs(int argc, char** argv,
-                                          const std::string& default_out) {
-  // A whole non-negative number and nothing else: no sign, no space, no
+                                          const std::string& default_out,
+                                          const std::vector<std::string>& flags,
+                                          const std::vector<std::string>& workloads) {
+  // A whole number in [min, max] and nothing else: no sign, no space, no
   // suffix, no overflow.
-  const auto whole = [](std::string_view text, std::uint64_t max, std::uint64_t* value) {
+  const auto whole = [](std::string_view text, std::uint64_t min, std::uint64_t max,
+                        auto* out) {
+    std::uint64_t value = 0;
     const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
-    return !text.empty() && ec == std::errc() && ptr == end && *value <= max;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end || value < min || value > max) {
+      return false;
+    }
+    *out = static_cast<std::remove_pointer_t<decltype(out)>>(value);
+    return true;
   };
+  const auto listed = [](const std::vector<std::string>& list, std::string_view item) {
+    return std::find(list.begin(), list.end(), item) != list.end();
+  };
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kInt = std::numeric_limits<int>::max();
   ReportArgs args;
   args.out = default_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view flag = argv[i];
-    const bool has_value = i + 1 < argc;
-    std::uint64_t value = 0;
-    if (flag == "--seed" && has_value &&
-        whole(argv[i + 1], std::numeric_limits<std::uint64_t>::max(), &value)) {
-      args.seed = value;
-    } else if (flag == "--threads" && has_value &&
-               whole(argv[i + 1], std::numeric_limits<int>::max(), &value)) {
-      args.threads = static_cast<int>(value);
-    } else if (flag == "--out" && has_value) {
-      args.out = argv[i + 1];
-    } else {
-      std::fprintf(stderr, "usage: %s [--seed N] [--threads N] [--out PATH]\n", argv[0]);
+  const auto parse = [&](std::string_view flag, std::string_view value) {
+    if (flag == "--out") {
+      args.out = value;
+      return true;
+    }
+    if (!listed(flags, flag)) {
+      return false;
+    }
+    if (flag == "--seed") {
+      return whole(value, 0, kAny, &args.seed);
+    }
+    if (flag == "--threads") {
+      return whole(value, 0, kInt, &args.threads);
+    }
+    if (flag == "--first") {
+      return whole(value, 0, kAny, &args.first);
+    }
+    if (flag == "--seeds") {
+      return whole(value, 1, kAny, &args.seeds);
+    }
+    if (flag == "--repeats") {
+      return whole(value, 1, kInt, &args.repeats);
+    }
+    if (flag != "--workload" || !listed(workloads, value)) {
+      return false;
+    }
+    args.workload = value;
+    return true;
+  };
+  for (int i = 1; i < argc; i += 2) {
+    if (i + 1 >= argc || !parse(argv[i], argv[i + 1])) {
+      std::string usage = std::string("usage: ") + argv[0];
+      for (const std::string& known : flags) {
+        usage += " [" + known + (known == "--workload" ? " NAME]" : " N]");
+      }
+      std::fprintf(stderr, "%s [--out PATH]\n", usage.c_str());
       return std::nullopt;
     }
-    ++i;
   }
   return args;
 }

@@ -32,21 +32,29 @@ std::optional<bool> EvalGate(const Json& value, const std::string& op, const Jso
 // if the file was written and every gate passes (1 otherwise).
 int WriteReport(const Json& report, const std::string& path);
 
-// The command line of the report binaries that run a seeded grid:
-// [--seed N] [--threads N] [--out PATH].
+// The command line of the report binaries. Every one takes --out PATH; each
+// declares which of the other flags it takes.
 struct ReportArgs {
-  std::uint64_t seed = 42;
-  int threads = 0;  // 0: SweepThreadCount()
-  std::string out;
+  std::uint64_t seed = 42;           // --seed N
+  int threads = 0;                   // --threads N; 0: SweepThreadCount()
+  std::string out;                   // --out PATH
+  std::uint64_t first = 1;           // --first N: the fuzz corpus's first seed
+  std::uint64_t seeds = 64;          // --seeds N: the fuzz corpus's size
+  int repeats = 8;                   // --repeats N: the dedup run's migrations
+  std::string workload = "Minprog";  // --workload NAME: the dedup run's program
 };
 
 // Parses argv[1..argc) over the defaults, `out` defaulting to
-// `default_out`. On an unknown flag, a flag without its value, or a --seed
-// or --threads value that is not a whole non-negative number (--threads at
-// most INT_MAX), prints usage to stderr and returns nullopt; the binary
-// then exits 2.
-std::optional<ReportArgs> ParseReportArgs(int argc, char** argv,
-                                          const std::string& default_out);
+// `default_out`, accepting --out and the `flags` the binary declares (by
+// default --seed and --threads, the seeded grids' pair). A number must be
+// whole and non-negative (--threads and --repeats at most INT_MAX), --seeds
+// and --repeats at least 1, and --workload one of `workloads`. On an
+// undeclared flag, a flag without its value or a value that breaks these
+// rules, prints usage to stderr and returns nullopt; the binary then exits 2.
+std::optional<ReportArgs> ParseReportArgs(
+    int argc, char** argv, const std::string& default_out,
+    const std::vector<std::string>& flags = {"--seed", "--threads"},
+    const std::vector<std::string>& workloads = {});
 
 // The whole check of one report file's text, one line per problem; empty
 // means the report is ok. The text must parse (a non-finite double dumps

@@ -48,6 +48,8 @@ class TrafficRecorder {
   struct Bucket {
     SimTime start{0};
     std::array<ByteCount, static_cast<std::size_t>(TrafficKind::kKindCount)> bytes{};
+
+    bool operator==(const Bucket&) const = default;
   };
   // Time series of byte counts, one bucket per `bucket_width`.
   const std::vector<Bucket>& buckets() const { return buckets_; }

@@ -267,15 +267,24 @@ TEST(Gates, CheckRejectsADedupReportWithoutTopLevelRunKeys) {
                                       "missing hosts"}));
 }
 
-// ParseReportArgs over a literal command line.
-std::optional<ReportArgs> Parse(std::vector<std::string> args) {
+// ParseReportArgs over a literal command line, with the binary's declared
+// flags (by default the seeded grids' --seed and --threads).
+std::optional<ReportArgs> Parse(std::vector<std::string> args,
+                                const std::vector<std::string>& flags = {"--seed", "--threads"},
+                                const std::vector<std::string>& workloads = {}) {
   args.insert(args.begin(), "report");
   std::vector<char*> argv;
   for (std::string& arg : args) {
     argv.push_back(arg.data());
   }
-  return ParseReportArgs(static_cast<int>(argv.size()), argv.data(), "BENCH_x.json");
+  return ParseReportArgs(static_cast<int>(argv.size()), argv.data(), "BENCH_x.json", flags,
+                         workloads);
 }
+
+// fuzz_corpus's and dedup_sweep's declared flags.
+const std::vector<std::string> kFuzzFlags = {"--first", "--seeds", "--threads"};
+const std::vector<std::string> kDedupFlags = {"--workload", "--seed", "--repeats"};
+const std::vector<std::string> kWorkloads = {"Minprog", "Chess"};
 
 TEST(ReportArgs, DefaultsAndEveryFlag) {
   const std::optional<ReportArgs> none = Parse({});
@@ -283,6 +292,10 @@ TEST(ReportArgs, DefaultsAndEveryFlag) {
   EXPECT_EQ(none->seed, 42u);
   EXPECT_EQ(none->threads, 0);
   EXPECT_EQ(none->out, "BENCH_x.json");
+  EXPECT_EQ(none->first, 1u);
+  EXPECT_EQ(none->seeds, 64u);
+  EXPECT_EQ(none->repeats, 8);
+  EXPECT_EQ(none->workload, "Minprog");
 
   const std::optional<ReportArgs> all =
       Parse({"--out", "y.json", "--threads", "0", "--seed", "18446744073709551615"});
@@ -295,33 +308,71 @@ TEST(ReportArgs, DefaultsAndEveryFlag) {
   ASSERT_TRUE(some.has_value());
   EXPECT_EQ(some->seed, 7u);
   EXPECT_EQ(some->threads, 3);
+
+  const std::optional<ReportArgs> fuzz =
+      Parse({"--first", "0", "--seeds", "5", "--threads", "2"}, kFuzzFlags);
+  ASSERT_TRUE(fuzz.has_value());
+  EXPECT_EQ(fuzz->first, 0u);
+  EXPECT_EQ(fuzz->seeds, 5u);
+  EXPECT_EQ(fuzz->threads, 2);
+
+  const std::optional<ReportArgs> dedup = Parse(
+      {"--workload", "Chess", "--seed", "9", "--repeats", "1", "--out", "d.json"}, kDedupFlags,
+      kWorkloads);
+  ASSERT_TRUE(dedup.has_value());
+  EXPECT_EQ(dedup->workload, "Chess");
+  EXPECT_EQ(dedup->seed, 9u);
+  EXPECT_EQ(dedup->repeats, 1);
+  EXPECT_EQ(dedup->out, "d.json");
 }
 
 TEST(ReportArgs, RejectsEveryValueThatIsNotAWholeNonNegativeNumber) {
-  for (const char* flag : {"--seed", "--threads"}) {
+  for (const char* flag : {"--seed", "--threads", "--first", "--seeds", "--repeats"}) {
     for (const char* value : {"abc", "-1", "+1", "", " 1", "1 ", "1x", "0x10", "1.5", "1e3",
                               "18446744073709551616"}) {
       SCOPED_TRACE(std::string(flag) + " '" + value + "'");
       testing::internal::CaptureStderr();
-      EXPECT_FALSE(Parse({flag, value}).has_value());
+      EXPECT_FALSE(Parse({flag, value}, {flag}).has_value());
       EXPECT_NE(testing::internal::GetCapturedStderr().find("usage: report"),
                 std::string::npos);
     }
   }
-  // A thread count must fit an int.
-  EXPECT_TRUE(Parse({"--threads", "2147483647"}).has_value());
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(Parse({"--threads", "2147483648"}).has_value());
-  testing::internal::GetCapturedStderr();
+  // A thread or repeat count must fit an int.
+  for (const char* flag : {"--threads", "--repeats"}) {
+    EXPECT_TRUE(Parse({flag, "2147483647"}, {flag}).has_value()) << flag;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(Parse({flag, "2147483648"}, {flag}).has_value()) << flag;
+    testing::internal::GetCapturedStderr();
+  }
+  // A corpus and a dedup run need at least one scenario and one migration.
+  for (const char* flag : {"--seeds", "--repeats"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(Parse({flag, "0"}, {flag}).has_value()) << flag;
+    testing::internal::GetCapturedStderr();
+  }
 }
 
 TEST(ReportArgs, RejectsUnknownFlagsAndMissingValues) {
   for (const std::vector<std::string>& args :
        std::vector<std::vector<std::string>>{{"--seed"}, {"--threads"}, {"--out"},
-                                             {"--first", "1"}, {"seed", "1"}, {"--seed=1"}}) {
+                                             {"--first", "1"}, {"seed", "1"}, {"--seed=1"},
+                                             {"--seeds", "1"}, {"--repeats", "1"},
+                                             {"--workload", "Minprog"}}) {
     testing::internal::CaptureStderr();
     EXPECT_FALSE(Parse(args).has_value()) << args[0];
     testing::internal::GetCapturedStderr();
+  }
+  // A binary takes only the flags it declares: the corpus has no --seed.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(Parse({"--seed", "1"}, kFuzzFlags).has_value());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "usage: report [--first N] [--seeds N] [--threads N] [--out PATH]\n");
+  // --workload must name a Table 4-1 program.
+  for (const char* name : {"Nope", "", "minprog", "Minprog "}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(Parse({"--workload", name}, kDedupFlags, kWorkloads).has_value()) << name;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "usage: report [--workload NAME] [--seed N] [--repeats N] [--out PATH]\n");
   }
 }
 

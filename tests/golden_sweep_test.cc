@@ -9,14 +9,14 @@
 // in docs/RESULTS.md.
 //
 // The digest is over TrialResultToJson(...).Dump(), the canonical per-trial
-// row (src/experiments/sweep_cache.h).
+// row (src/experiments/scenario.h), of each RunTrial: every trial runs
+// through RunMech.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/experiments/sweep.h"
 #include "src/experiments/sweep_cache.h"
 #include "src/workloads/workload.h"
 #include "tests/digest.h"
@@ -32,11 +32,8 @@ TEST(GoldenSweep, FullGridDigestMatchesPreRefactorValue) {
   std::uint64_t digest = kFnv1aOffsetBasis;
   std::size_t trials = 0;
   for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
-    const std::vector<TrialConfig> configs = StrategySweepConfigs(spec.name);
-    const std::vector<TrialResult> results = RunTrials(configs);
-    ASSERT_EQ(results.size(), configs.size()) << spec.name;
-    for (const TrialResult& result : results) {
-      digest = Fnv1a(digest, TrialResultToJson(result).Dump());
+    for (const TrialConfig& config : StrategySweepConfigs(spec.name)) {
+      digest = Fnv1a(digest, TrialResultToJson(RunTrial(config)).Dump());
       digest = Fnv1a(digest, "\n");
       ++trials;
     }

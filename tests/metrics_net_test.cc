@@ -1,6 +1,9 @@
 // Unit tests for the metrics formatting and the network/traffic substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/experiments/testbed.h"
 #include "src/metrics/table.h"
 #include "src/net/network.h"
@@ -77,6 +80,43 @@ TEST(TrafficRecorder, ResetClearsEverything) {
   recorder.Reset();
   EXPECT_EQ(recorder.TotalBytes(), 0u);
   EXPECT_TRUE(recorder.buckets().empty());
+}
+
+// BENCH_sweep.json's Figure 4-5 series sums five 500 ms buckets of the
+// testbed's series into each 2.5 s bucket (bench/run_all.cc). That equals a
+// 2.5 s recorder of the same byte stream only if every byte lands in the
+// coarse bucket that holds its fine one, bucket edges included.
+TEST(TrafficRecorder, CoarseSeriesIsFineSeriesSummed) {
+  Simulator sim;
+  TrafficRecorder fine(&sim, Ms(500));
+  TrafficRecorder coarse(&sim, Ms(2500));
+  std::vector<SimTime> times = {Ms(2500) - Us(1), Ms(2500), Ms(5000), Ms(7500) + Us(1)};
+  for (std::int64_t k = 0; k < 200; ++k) {
+    times.push_back(SimTime(0) + Ms(137 * k));
+  }
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    sim.ScheduleAt(times[i], [&fine, &coarse, i] {
+      const auto kind = static_cast<TrafficKind>(i % 4);
+      fine.Record(kind, 100 + i);
+      coarse.Record(kind, 100 + i);
+    });
+  }
+  sim.Run();
+
+  const std::vector<TrafficRecorder::Bucket>& f = fine.buckets();
+  const std::vector<TrafficRecorder::Bucket>& c = coarse.buckets();
+  ASSERT_EQ(c.size(), (f.size() + 4) / 5);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(c[i].start, f[5 * i].start);
+    for (std::size_t k = 0; k < c[i].bytes.size(); ++k) {
+      ByteCount sum = 0;
+      for (std::size_t j = 5 * i; j < std::min(5 * i + 5, f.size()); ++j) {
+        sum += f[j].bytes[k];
+      }
+      EXPECT_EQ(c[i].bytes[k], sum) << "bucket " << i << " kind " << k;
+    }
+  }
+  EXPECT_EQ(coarse.TotalBytes(), fine.TotalBytes());
 }
 
 // --- network wire -------------------------------------------------------------

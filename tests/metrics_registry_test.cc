@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "src/experiments/metrics_fold.h"
-#include "src/experiments/trial.h"
+#include "src/experiments/sweep.h"
 #include "src/metrics/registry.h"
 #include "src/metrics/table.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
@@ -48,12 +49,10 @@ TEST(MetricsRegistry, HistogramBucketsAndStats) {
 }
 
 TEST(MetricsRegistry, MergeIsAssociativeWithFold) {
-  TrialConfig config;
-  config.workload = "Minprog";
-  config.strategy = TransferStrategy::kPureIou;
-  const TrialResult iou = RunTrial(config);
-  config.strategy = TransferStrategy::kPureCopy;
-  const TrialResult copy = RunTrial(config);
+  const std::vector<MechTrial> trials =
+      RunMechTrials({{.strategy = TransferStrategy::kPureIou}, {}}, 1);
+  const MechTrial& iou = trials[0];
+  const MechTrial& copy = trials[1];
 
   // Folding both trials into one registry ...
   MetricsRegistry combined;
@@ -116,24 +115,24 @@ TEST(MetricsRegistry, JsonRoundTrip) {
 }
 
 TEST(MetricsRegistry, TrialSummaryCarriesTableFields) {
-  TrialConfig config;
-  config.workload = "Lisp-Del";
-  config.strategy = TransferStrategy::kResidentSet;
-  config.prefetch = 1;
-  const TrialResult result = RunTrial(config);
-  const Json row = TrialSummaryToJson(result);
+  const MechTrial trial = RunMechTrials(
+      {{.workload = "Lisp-Del", .strategy = TransferStrategy::kResidentSet, .prefetch = 1}},
+      1)[0];
+  const MechRun& run = trial.run;
+  const WorkloadSpec& spec = WorkloadByName("Lisp-Del");
+  const Json row = PaperRowToJson(trial);
 
   EXPECT_EQ(row.Get("workload").AsString(), "Lisp-Del");
   EXPECT_EQ(row.Get("strategy").AsString(), "resident-set");
-  EXPECT_EQ(row.Get("spec_resident_bytes").AsUint64(), result.spec.resident_bytes);
-  EXPECT_EQ(row.Get("downtime_us").AsInt64(), result.migration.Downtime().count());
-  EXPECT_EQ(row.Get("rimas_transfer_us").AsInt64(),
-            result.migration.RimasTransferTime().count());
+  EXPECT_EQ(row.Get("spec_resident_bytes").AsUint64(), spec.resident_bytes);
+  EXPECT_EQ(row.Get("downtime_us").AsInt64(), run.hop1.Downtime().count());
+  EXPECT_EQ(row.Get("rimas_transfer_us").AsInt64(), run.hop1.RimasTransferTime().count());
   EXPECT_DOUBLE_EQ(row.Get("frac_real_transferred").AsDouble(),
-                   result.FractionOfRealTransferred());
-  EXPECT_EQ(row.Get("transfer_plus_exec_us").AsInt64(), result.TransferPlusExec().count());
-  EXPECT_GT(result.dest_pager.prefetched_pages, 0u);
-  EXPECT_EQ(row.Get("dest_prefetched_pages").AsUint64(), result.dest_pager.prefetched_pages);
+                   static_cast<double>(RealBytesTransferred(trial.spec, run)) /
+                       static_cast<double>(spec.real_bytes));
+  EXPECT_EQ(row.Get("transfer_plus_exec_us").AsInt64(), run.TransferPlusExec().count());
+  EXPECT_GT(run.dest_pager.prefetched_pages, 0u);
+  EXPECT_EQ(row.Get("dest_prefetched_pages").AsUint64(), run.dest_pager.prefetched_pages);
 }
 
 TEST(TextTable, FormatsAlignedColumns) {

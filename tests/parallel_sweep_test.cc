@@ -1,6 +1,6 @@
 // Determinism contract of the parallel sweep engine: for any thread count,
-// results must be byte-identical — every TrialResult metric field — to the
-// serial sweep. Also covers the ACCENT_SWEEP_THREADS / thread-pool plumbing
+// results must be byte-identical — every reported field — to the serial
+// sweep. Also covers the ACCENT_SWEEP_THREADS / thread-pool plumbing
 // underneath.
 #include <gtest/gtest.h>
 
@@ -13,9 +13,10 @@
 #include "src/base/thread_pool.h"
 #include "src/experiments/chain.h"
 #include "src/experiments/failure_sweep.h"
+#include "src/experiments/metrics_fold.h"
 #include "src/experiments/sweep.h"
-#include "src/experiments/sweep_cache.h"
 #include "src/experiments/trial.h"
+#include "src/workloads/workload.h"
 #include "tests/digest.h"
 
 namespace accent {
@@ -29,90 +30,25 @@ namespace {
 constexpr std::uint64_t kFailureMatrixDigest = 0xbcd3be7eb9f9dc10ull;
 constexpr std::uint64_t kMinprogChainDigest = 0x51d9340ff19fb579ull;
 
-// Field-by-field equality for every metric the evaluation reports. Exact
-// (==) on purpose: the engines must agree bit-for-bit, not approximately.
-void ExpectTrialResultsIdentical(const TrialResult& a, const TrialResult& b,
-                                 const std::string& label) {
-  SCOPED_TRACE(label);
-  // Config echo.
-  EXPECT_EQ(a.config.workload, b.config.workload);
-  EXPECT_EQ(a.config.strategy, b.config.strategy);
-  EXPECT_EQ(a.config.prefetch, b.config.prefetch);
-  EXPECT_EQ(a.config.seed, b.config.seed);
-  EXPECT_EQ(a.config.iou_caching, b.config.iou_caching);
-  EXPECT_EQ(a.config.frames_per_host, b.config.frames_per_host);
-  EXPECT_EQ(a.config.traffic_bucket, b.config.traffic_bucket);
-  // Spec echo.
-  EXPECT_EQ(a.spec.name, b.spec.name);
-  EXPECT_EQ(a.spec.real_bytes, b.spec.real_bytes);
-  EXPECT_EQ(a.spec.zero_bytes, b.spec.zero_bytes);
-  EXPECT_EQ(a.spec.resident_bytes, b.spec.resident_bytes);
-  EXPECT_EQ(a.spec.touched_real_pages, b.spec.touched_real_pages);
-  EXPECT_EQ(a.spec.compute, b.spec.compute);
-  // Migration phases.
-  EXPECT_EQ(a.migration.requested, b.migration.requested);
-  EXPECT_EQ(a.migration.excise_done, b.migration.excise_done);
-  EXPECT_EQ(a.migration.core_sent, b.migration.core_sent);
-  EXPECT_EQ(a.migration.rimas_sent, b.migration.rimas_sent);
-  EXPECT_EQ(a.migration.excise_amap, b.migration.excise_amap);
-  EXPECT_EQ(a.migration.excise_rimas, b.migration.excise_rimas);
-  EXPECT_EQ(a.migration.excise_overall, b.migration.excise_overall);
-  EXPECT_EQ(a.migration.core_arrived, b.migration.core_arrived);
-  EXPECT_EQ(a.migration.rimas_arrived, b.migration.rimas_arrived);
-  EXPECT_EQ(a.migration.insert_time, b.migration.insert_time);
-  EXPECT_EQ(a.migration.resumed, b.migration.resumed);
-  EXPECT_EQ(a.migration.resident_bytes_shipped, b.migration.resident_bytes_shipped);
-  EXPECT_EQ(a.migration.precopy_rounds, b.migration.precopy_rounds);
-  EXPECT_EQ(a.migration.precopy_bytes, b.migration.precopy_bytes);
-  EXPECT_EQ(a.migration.frozen, b.migration.frozen);
-  // Completion and traffic.
-  EXPECT_EQ(a.finished, b.finished);
-  EXPECT_EQ(a.remote_exec, b.remote_exec);
-  EXPECT_EQ(a.bytes_total, b.bytes_total);
-  EXPECT_EQ(a.bytes_control, b.bytes_control);
-  EXPECT_EQ(a.bytes_core, b.bytes_core);
-  EXPECT_EQ(a.bytes_bulk, b.bytes_bulk);
-  EXPECT_EQ(a.bytes_fault, b.bytes_fault);
-  EXPECT_EQ(a.messages_total, b.messages_total);
-  EXPECT_EQ(a.netmsg_busy, b.netmsg_busy);
-  EXPECT_EQ(a.series_bucket, b.series_bucket);
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (std::size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_EQ(a.series[i].start, b.series[i].start) << "bucket " << i;
-    EXPECT_EQ(a.series[i].bytes, b.series[i].bytes) << "bucket " << i;
-  }
-  // Destination pager.
-  EXPECT_EQ(a.dest_pager.resident_hits, b.dest_pager.resident_hits);
-  EXPECT_EQ(a.dest_pager.fillzero_faults, b.dest_pager.fillzero_faults);
-  EXPECT_EQ(a.dest_pager.disk_faults, b.dest_pager.disk_faults);
-  EXPECT_EQ(a.dest_pager.cow_faults, b.dest_pager.cow_faults);
-  EXPECT_EQ(a.dest_pager.imag_faults, b.dest_pager.imag_faults);
-  EXPECT_EQ(a.dest_pager.imag_pages_fetched, b.dest_pager.imag_pages_fetched);
-  EXPECT_EQ(a.dest_pager.prefetched_pages, b.dest_pager.prefetched_pages);
-  EXPECT_EQ(a.dest_pager.prefetch_hits, b.dest_pager.prefetch_hits);
-  EXPECT_EQ(a.dest_pager.pageouts, b.dest_pager.pageouts);
-  EXPECT_EQ(a.dest_pager.address_errors, b.dest_pager.address_errors);
-  EXPECT_EQ(a.dest_pager.failed_fetches, b.dest_pager.failed_fetches);
-  EXPECT_EQ(a.real_bytes_transferred, b.real_bytes_transferred);
-
-  // Belt and braces: the canonical JSON dumps must also match byte for
-  // byte, which covers any field a future PR adds but forgets to list here.
-  EXPECT_EQ(TrialResultToJson(a).Dump(), TrialResultToJson(b).Dump());
-}
-
+// The paper grid through the one runner: every one of the 77 specs' rows,
+// verdict included, and its traffic series come out equal at 1, 2 and 8
+// threads.
 TEST(ParallelSweep, MatchesSerialSweepUnder1And2And8Threads) {
-  const std::string workload = "Minprog";
-  const std::vector<TrialResult> serial = RunStrategySweep(workload);
-  ASSERT_EQ(serial.size(), 11u);  // copy + 2 strategies x 5 prefetch values
-
-  for (int threads : {1, 2, 8}) {
-    const std::vector<TrialResult> parallel =
-        RunTrials(StrategySweepConfigs(workload, 42), threads);
+  std::vector<FuzzScenario> specs;
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+    for (const FuzzScenario& cell : PaperGridSpecs(spec.name)) {
+      specs.push_back(cell);
+    }
+  }
+  ASSERT_EQ(specs.size(), 77u);
+  const std::vector<MechTrial> serial = RunMechTrials(specs, 1);
+  for (int threads : {2, 8}) {
+    const std::vector<MechTrial> parallel = RunMechTrials(specs, threads);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      ExpectTrialResultsIdentical(serial[i], parallel[i],
-                                  "threads=" + std::to_string(threads) + " trial=" +
-                                      std::to_string(i));
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " trial=" + std::to_string(i));
+      EXPECT_EQ(PaperRowToJson(parallel[i]).Dump(), PaperRowToJson(serial[i]).Dump());
+      EXPECT_TRUE(parallel[i].run.series == serial[i].run.series);
     }
   }
 }

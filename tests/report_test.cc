@@ -9,16 +9,12 @@
 namespace accent {
 namespace {
 
-TrialResult SampleTrial() {
-  TrialConfig config;
-  config.workload = "Minprog";
-  config.strategy = TransferStrategy::kPureIou;
-  config.prefetch = 1;
-  return RunTrial(config);
+MechTrial SampleTrial() {
+  return RunMechTrials({{.strategy = TransferStrategy::kPureIou, .prefetch = 1}}, 1)[0];
 }
 
 TEST(Report, HumanReadableContainsKeyFacts) {
-  const TrialResult trial = SampleTrial();
+  const MechTrial trial = SampleTrial();
   const std::string report = TrialReport(trial);
   EXPECT_NE(report.find("Minprog"), std::string::npos);
   EXPECT_NE(report.find("pure-IOU"), std::string::npos);
@@ -28,7 +24,7 @@ TEST(Report, HumanReadableContainsKeyFacts) {
 }
 
 TEST(Report, CsvRowMatchesHeaderArity) {
-  const TrialResult trial = SampleTrial();
+  const MechTrial trial = SampleTrial();
   const std::string header = TrialCsvHeader();
   const std::string row = TrialCsvRow(trial);
   const auto count = [](const std::string& s) {
@@ -39,14 +35,14 @@ TEST(Report, CsvRowMatchesHeaderArity) {
 }
 
 TEST(Report, CsvDocumentOnePlusNRows) {
-  const std::vector<TrialResult> trials = {SampleTrial(), SampleTrial()};
+  const std::vector<MechTrial> trials = {SampleTrial(), SampleTrial()};
   const std::string csv = TrialsToCsv(trials);
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
   EXPECT_EQ(csv.find("workload,"), 0u);
 }
 
 TEST(Report, CsvValuesRoundTrip) {
-  const TrialResult trial = SampleTrial();
+  const MechTrial trial = SampleTrial();
   std::stringstream row(TrialCsvRow(trial));
   std::string field;
   std::getline(row, field, ',');
@@ -62,8 +58,8 @@ TEST(Report, CsvValuesRoundTrip) {
 }
 
 TEST(Report, SeriesCsvSumsToTotals) {
-  const TrialResult trial = SampleTrial();
-  const std::string csv = SeriesToCsv(trial);
+  const MechTrial trial = SampleTrial();
+  const std::string csv = SeriesToCsv(trial.run);
   std::stringstream in(csv);
   std::string line;
   std::getline(in, line);
@@ -79,39 +75,8 @@ TEST(Report, SeriesCsvSumsToTotals) {
     fault += std::stoull(f);
     other += std::stoull(o);
   }
-  EXPECT_EQ(fault, trial.bytes_fault);
-  EXPECT_EQ(fault + other, trial.bytes_total);
-}
-
-// BENCH_sweep.json's Figure 4-5 series sums five 500 ms grid buckets into
-// each 2.5 s bucket. That equals a 2.5 s recorder only if every byte lands in
-// the coarse bucket that holds its fine one, and the bucket width changes
-// nothing else about the trial.
-TEST(Report, CoarseSeriesIsFineSeriesSummed) {
-  for (TransferStrategy strategy : {TransferStrategy::kPureIou, TransferStrategy::kResidentSet,
-                                    TransferStrategy::kPureCopy}) {
-    TrialConfig config;
-    config.workload = "Lisp-Del";
-    config.strategy = strategy;
-    const TrialResult fine = RunTrial(config);
-    config.traffic_bucket = Ms(2500);
-    const TrialResult coarse = RunTrial(config);
-    ASSERT_EQ(fine.series_bucket * 5, coarse.series_bucket);
-    ASSERT_EQ(coarse.series.size(), (fine.series.size() + 4) / 5) << StrategyName(strategy);
-    for (std::size_t i = 0; i < coarse.series.size(); ++i) {
-      EXPECT_EQ(coarse.series[i].start, fine.series[5 * i].start);
-      for (std::size_t k = 0; k < coarse.series[i].bytes.size(); ++k) {
-        ByteCount sum = 0;
-        for (std::size_t j = 5 * i; j < std::min(5 * i + 5, fine.series.size()); ++j) {
-          sum += fine.series[j].bytes[k];
-        }
-        EXPECT_EQ(coarse.series[i].bytes[k], sum)
-            << StrategyName(strategy) << " bucket " << i << " kind " << k;
-      }
-    }
-    EXPECT_EQ(coarse.finished, fine.finished);
-    EXPECT_EQ(coarse.migration.resumed, fine.migration.resumed);
-  }
+  EXPECT_EQ(fault, trial.run.BytesOf(TrafficKind::kFaultData));
+  EXPECT_EQ(fault + other, trial.run.WireBytes());
 }
 
 }  // namespace

@@ -8,11 +8,15 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/experiments/chain.h"
 #include "src/experiments/failure_sweep.h"
+#include "src/experiments/metrics_fold.h"
 #include "src/experiments/precopy.h"
 #include "src/experiments/scenario_fuzz.h"
+#include "src/experiments/sweep.h"
+#include "src/trace/trace.h"
 #include "src/workloads/workload.h"
 #include "tests/digest.h"
 
@@ -127,6 +131,49 @@ TEST(Scenario, EveryFamilyRowIsTheSharedRowPlusItsDeclaredKeys) {
                       {"backer_balanced", "cache_activity", "checkpoint", "checkpoint_ok",
                        "checkpoints", "cluster_census_ok", "cluster_hung", "content_cache",
                        "dedup_ok", "failure", "restores"});
+
+  // A BENCH_sweep.json paper-grid row, and one row of each staged
+  // beyond_paper study: substitution off, a prefetch depth, and a memory
+  // size, whose row bench/beyond_paper.cc extends with `frames`.
+  const std::set<std::string> paper_keys = {
+      "bytes_bulk", "bytes_control", "bytes_core", "bytes_fault", "bytes_total",
+      "core_transfer_us", "dest_imag_faults", "dest_imag_pages_fetched",
+      "dest_prefetch_hits", "dest_prefetched_pages", "excise_amap_us", "excise_overall_us",
+      "excise_rimas_us", "frac_real_transferred", "frac_total_transferred", "insert_time_us",
+      "iou_caching", "messages_total", "netmsg_busy_us", "real_bytes_transferred",
+      "remote_exec_us", "rimas_transfer_us", "spec_real_bytes", "spec_resident_bytes",
+      "spec_total_bytes", "spec_zero_bytes", "transfer_plus_exec_us"};
+  const std::vector<MechTrial> paper =
+      RunMechTrials({PaperGridSpecs("Minprog")[1],
+                     {.strategy = TransferStrategy::kPureIou, .iou_caching = false},
+                     {.strategy = TransferStrategy::kPureIou, .prefetch = 2},
+                     {.frames_per_host = 1024}},
+                    1);
+  for (const MechTrial& trial : paper) {
+    SCOPED_TRACE(trial.spec.Describe());
+    ExpectSharedRowPlus(PaperRowToJson(trial), trial.spec, trial.run, trial.verdict, paper_keys);
+  }
+  Json memory_row = PaperRowToJson(paper[3]);
+  memory_row["frames"] = Json(paper[3].spec.frames_per_host);
+  std::set<std::string> memory_keys = paper_keys;
+  memory_keys.insert("frames");
+  ExpectSharedRowPlus(memory_row, paper[3].spec, paper[3].run, paper[3].verdict, memory_keys);
+}
+
+// The paper's ablation knobs join the spec line only off their defaults, so
+// no spec string of the failure, checkpoint, chain, pre-copy or fuzz reports
+// moves.
+TEST(Scenario, DescribePrintsTheAblationKnobsOnlyOffTheirDefaults) {
+  const std::string plain = FuzzScenario{}.Describe();
+  for (const char* knob : {"iou_caching", "frames", "rs_zero_scan"}) {
+    EXPECT_EQ(plain.find(knob), std::string::npos) << plain;
+  }
+  EXPECT_EQ(FuzzScenario{.iou_caching = false}.Describe(), plain + " iou_caching=off");
+  EXPECT_EQ(FuzzScenario{.frames_per_host = 512}.Describe(), plain + " frames=512");
+  EXPECT_EQ(FuzzScenario{.rs_zero_scan_per_mb = Ms(3)}.Describe(),
+            plain + " rs_zero_scan=3000us/MB");
+  Tracer tracer;
+  EXPECT_EQ(FuzzScenario{.tracer = &tracer}.Describe(), plain);
 }
 
 // Scenario construction is a pure function of the seed: the corpus a CI run

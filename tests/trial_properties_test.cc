@@ -185,12 +185,16 @@ TEST_P(TrialRelationTest, IouTransfersLessAndFasterThanCopy) {
   // With IOU substitution off the NetMsgServer ships pure-IOU's RIMAS data
   // as-is: the trial is pure-copy in every measured column, bytes of
   // RealMem transferred included.
-  config.strategy = TransferStrategy::kPureIou;
-  config.iou_caching = false;
-  TrialResult uncached = RunTrial(config);
-  uncached.config.strategy = TransferStrategy::kPureCopy;
-  uncached.config.iou_caching = true;
-  EXPECT_EQ(TrialSummaryToJson(uncached).Dump(), TrialSummaryToJson(copy).Dump());
+  std::vector<MechTrial> rows = RunMechTrials(
+      {{.workload = GetParam(), .strategy = TransferStrategy::kPureIou, .iou_caching = false},
+       {.workload = GetParam()}},
+      1);
+  MechTrial& uncached = rows[0];
+  EXPECT_EQ(RealBytesTransferred(uncached.spec, uncached.run),
+            RealBytesTransferred(rows[1].spec, rows[1].run));
+  uncached.spec.strategy = TransferStrategy::kPureCopy;
+  uncached.spec.iou_caching = true;
+  EXPECT_EQ(PaperRowToJson(uncached).Dump(), PaperRowToJson(rows[1]).Dump());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, TrialRelationTest,

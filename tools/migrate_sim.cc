@@ -16,9 +16,10 @@
 #include "src/base/logging.h"
 #include "src/experiments/report.h"
 #include "src/experiments/scenario_fuzz.h"
-#include "src/experiments/trial.h"
+#include "src/experiments/sweep.h"
 #include "src/metrics/table.h"
 #include "src/trace/trace.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
@@ -98,8 +99,7 @@ int ReplayScenario(std::uint64_t seed) {
 }
 
 int Run(int argc, char** argv) {
-  TrialConfig config;
-  config.workload = "Minprog";
+  FuzzScenario config;
   config.strategy = TransferStrategy::kPureIou;
   bool series = false;
   bool csv = false;
@@ -141,11 +141,11 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--prefetch", &value)) {
       config.prefetch = static_cast<std::uint32_t>(std::stoul(value));
     } else if (ParseFlag(argv[i], "--precopy-rounds", &value)) {
-      config.precopy_max_rounds = std::stoi(value);
+      config.precopy.max_rounds = std::stoi(value);
     } else if (ParseFlag(argv[i], "--precopy-stop", &value)) {
-      config.precopy_stop_threshold = static_cast<PageIndex>(std::stoul(value));
+      config.precopy.stop_threshold = static_cast<PageIndex>(std::stoul(value));
     } else if (ParseFlag(argv[i], "--target-downtime-ms", &value)) {
-      config.precopy_target_downtime = Ms(std::stoll(value));
+      config.precopy.target_downtime = Ms(std::stoll(value));
     } else if (ParseFlag(argv[i], "--seed", &value)) {
       config.seed = std::stoull(value);
     } else if (ParseFlag(argv[i], "--frames", &value)) {
@@ -187,7 +187,8 @@ int Run(int argc, char** argv) {
   }
 
   if (sweep) {
-    std::printf("%s", TrialsToCsv(RunStrategySweep(config.workload, config.seed)).c_str());
+    std::printf("%s", TrialsToCsv(RunMechTrials(PaperGridSpecs(config.workload, config.seed)))
+                          .c_str());
     return 0;
   }
 
@@ -197,7 +198,7 @@ int Run(int argc, char** argv) {
     config.tracer = &tracer;
   }
 
-  const TrialResult r = RunTrial(config);
+  const MechTrial r = RunMechTrials({config}, 1).front();
   if (!trace_out.empty()) {
     if (!tracer.WriteChromeTraceFile(trace_out)) {
       std::fprintf(stderr, "cannot write trace to '%s'\n", trace_out.c_str());
@@ -206,10 +207,15 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "trace: %zu events -> %s (open in https://ui.perfetto.dev)\n",
                  tracer.size(), trace_out.c_str());
   }
+  if (r.verdict.outcome != FailureOutcome::kCompleted || !r.verdict.integrity_ok) {
+    std::fprintf(stderr, "%s: %s %s\n", r.spec.Describe().c_str(),
+                 FailureOutcomeName(r.verdict.outcome), r.verdict.failure.c_str());
+    return 1;
+  }
   if (csv) {
     std::printf("%s\n%s\n", TrialCsvHeader().c_str(), TrialCsvRow(r).c_str());
     if (series) {
-      std::printf("%s", SeriesToCsv(r).c_str());
+      std::printf("%s", SeriesToCsv(r.run).c_str());
     }
     return 0;
   }
@@ -217,8 +223,8 @@ int Run(int argc, char** argv) {
   std::printf("%s", TrialReport(r).c_str());
 
   if (series) {
-    std::printf("\nTransfer-rate series (bucket %.1f s):\n", ToSeconds(r.series_bucket));
-    for (const auto& bucket : r.series) {
+    std::printf("\nTransfer-rate series (bucket %.1f s):\n", ToSeconds(kTrafficBucket));
+    for (const auto& bucket : r.run.series) {
       ByteCount fault = bucket.bytes[static_cast<int>(TrafficKind::kFaultData)];
       ByteCount total = 0;
       for (ByteCount b : bucket.bytes) {
