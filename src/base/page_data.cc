@@ -1,17 +1,22 @@
 #include "src/base/page_data.h"
 
+#include <bit>
+#include <cstring>
+
 #include "src/base/rng.h"
 
 namespace accent {
+
+// Each word's bytes are stored least significant first, one copy per word.
+static_assert(std::endian::native == std::endian::little,
+              "MakePatternPage copies words in little-endian byte order");
 
 PageData MakePatternPage(std::uint64_t seed) {
   Rng rng(seed);
   PageData page(kPageSize);
   for (ByteCount i = 0; i < kPageSize; i += 8) {
     const std::uint64_t word = rng.Next() | 1;  // never all-zero
-    for (int b = 0; b < 8; ++b) {
-      page[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
-    }
+    std::memcpy(page.data() + i, &word, sizeof word);
   }
   return page;
 }

@@ -12,9 +12,13 @@
 // Mutation is copy-on-write: WriteByte clones the payload only when it is
 // actually shared, so a writer can never be observed by other holders. The
 // use_count-based COW check is only race-free because payloads never cross
-// trial boundaries (each trial owns a private Simulator and all its pages);
-// the copy/alloc counters below are process-global relaxed atomics so
-// parallel sweeps still aggregate correctly.
+// threads. They may cross runs on one thread: a WorkloadImage
+// (src/workloads/workload.h) shares its pattern pages with every run a
+// runner stages from it, one after another on the thread that built it,
+// and the image's own reference keeps each such payload shared, so any
+// run's write clones it rather than writing the image in place. The
+// copy/alloc counters below are process-global relaxed atomics so parallel
+// sweeps still aggregate correctly.
 //
 // Results invariant: every simulated cost in the system derives from sizes
 // and counts, never from payload identity, so sharing versus copying cannot

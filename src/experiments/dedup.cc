@@ -45,10 +45,15 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
   ACCENT_EXPECTS(spec.host_count >= 2);
   ACCENT_EXPECTS(config.repeats >= 1);
 
+  // Same (spec, seed) every round: bit-identical page contents, which is
+  // exactly what makes the content addresses collide across incarnations.
+  // One image serves the reference and every round.
+  const WorkloadImage image = BuildWorkloadImage(WorkloadByName(spec.workload), spec.seed);
+
   // Page contents never depend on migration, the cache plane or
   // calibration, so the unmigrated run pins what every incarnation must
   // observe.
-  const std::uint64_t reference = ReferenceChecksum(spec.workload, spec.seed);
+  const std::uint64_t reference = ReferenceChecksum(spec.workload, spec.seed, &image);
 
   Testbed bed(TestbedConfigOf(spec));
   bed.SetPrefetch(spec.prefetch);
@@ -71,9 +76,8 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
     const int dest = 1 + round % (spec.host_count - 1);
     const PagerStats dest_prev = bed.pager(dest)->stats();
 
-    // Same (spec, seed) every round: bit-identical page contents, which is
-    // exactly what makes the content addresses collide across incarnations.
-    instances.push_back(BuildWorkload(WorkloadByName(spec.workload), bed.host(0), spec.seed));
+    instances.push_back(
+        BuildWorkload(WorkloadByName(spec.workload), bed.host(0), spec.seed, &image));
     WorkloadInstance& instance = instances.back();
     Process* proc = instance.process.get();
     bed.manager(0)->RegisterLocal(proc);

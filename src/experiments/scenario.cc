@@ -108,7 +108,8 @@ TestbedConfig TestbedConfigOf(const FuzzScenario& sc) {
   return config;
 }
 
-MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed) {
+MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed,
+                const WorkloadImage* image) {
   TestbedConfig config = TestbedConfigOf(sc);
   config.fault_plan = plan;
   config.fault_seed = fault_seed;
@@ -119,7 +120,8 @@ MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fau
   }
 
   MechRun run;
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(sc.workload), bed.host(0), sc.seed);
+  WorkloadInstance instance =
+      BuildWorkload(WorkloadByName(sc.workload), bed.host(0), sc.seed, image);
   Process* proc = instance.process.get();
   const PortId owned_port = bed.fabric().AllocatePort(bed.host(0)->id, nullptr, "proc-owned");
   proc->AttachReceiveRight(owned_port);
@@ -643,9 +645,10 @@ std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& 
 
 // BuildWorkload is bit-deterministic per (spec, seed), so any later run
 // must reproduce these page contents.
-std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed) {
+std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed,
+                                const WorkloadImage* image) {
   Testbed bed;
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed);
+  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed, image);
   bool finished = false;
   std::uint64_t checksum = 0;
   // Folded at kTerminate, the hook RunMech observes too.

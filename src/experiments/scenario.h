@@ -40,6 +40,7 @@
 namespace accent {
 
 struct TrialResult;
+struct WorkloadImage;
 
 // The failure-sweep taxonomy of one run.
 enum class FailureOutcome : int {
@@ -229,9 +230,11 @@ TestbedConfig TestbedConfigOf(const FuzzScenario& sc);
 
 // Runs `sc` on a private testbed whose wire follows `plan`, drawing verdicts
 // from `fault_seed`; a non-trivial plan switches on the reliable NetMsgServer
-// transport. Never CHECKs completion: every outcome comes back in the
-// MechRun.
-MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed);
+// transport. The process is staged from `image` when given (built for
+// sc.workload and sc.seed; workload.h). Never CHECKs completion: every
+// outcome comes back in the MechRun.
+MechRun RunMech(const FuzzScenario& sc, const FaultPlan& plan, std::uint64_t fault_seed,
+                const WorkloadImage* image = nullptr);
 
 // RealMem bytes the first hop moved as page data (Table 4-3): what it
 // shipped at migration time plus every page the destination's imaginary
@@ -298,8 +301,10 @@ std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& 
 // host 0 of a default lossless testbed and run to completion there, never
 // migrated, folded with ObservableChecksum at its kTerminate. Migration
 // must leave page contents exactly as this run leaves them, whatever the
-// strategy, topology, calibration or faults.
-std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed);
+// strategy, topology, calibration or faults. Staged from `image` when
+// given, as RunMech is.
+std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed,
+                                const WorkloadImage* image = nullptr);
 
 }  // namespace accent
 

@@ -123,14 +123,19 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   result.scenario = scenario;
   std::ostringstream failure;
 
+  // The reference, the baseline and the faulty run stage the same process,
+  // so they share one image of its pages.
+  const WorkloadImage image =
+      BuildWorkloadImage(WorkloadByName(scenario.workload), scenario.seed);
+
   // Content reference: page contents never depend on migration, topology,
   // calibration or faults, so the process run unmigrated at home pins them.
-  const std::uint64_t reference = ReferenceChecksum(scenario.workload, scenario.seed);
+  const std::uint64_t reference = ReferenceChecksum(scenario.workload, scenario.seed, &image);
 
   // Lossless baseline on the scenario's own topology + calibrations:
   // supplies the phase boundaries crash/partition windows anchor to, and
   // proves the scenario completes when the wire behaves.
-  MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed);
+  MechRun baseline = RunMech(scenario, FaultPlan{}, scenario.seed, &image);
   if (!baseline.drained || !baseline.hop1_done || baseline.hop1.aborted ||
       !baseline.finished) {
     result.outcome = FailureOutcome::kHung;
@@ -146,7 +151,7 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   }
 
   result.run = scenario.faulty() ? RunMech(scenario, PlantFaults(scenario, baseline),
-                                           SplitMix64(scenario.seed ^ 0xfa071ull))
+                                           SplitMix64(scenario.seed ^ 0xfa071ull), &image)
                                  : baseline;
   const MechRun& run = result.run;
   result.remigrated = run.remigrate_fired;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -70,7 +71,10 @@ std::vector<MemoryRegion> BuildRimasRegions(const AddressSpace& space) {
 }
 
 struct InsertPlan {
-  std::map<PageIndex, const PageRef*> data_pages;
+  // Shipped pages, one run per Data region, sorted into address order: the
+  // message's regions are disjoint but not sorted (MergeStagedPages appends
+  // staged pre-copy runs after the RIMAS's own regions).
+  std::vector<const MemoryRegion*> data_regions;
   std::vector<const MemoryRegion*> iou_regions;
 };
 
@@ -194,13 +198,18 @@ void InsertProcess(HostEnv* env, Message core, Message rimas,
 
     InsertPlan plan;
     for (const MemoryRegion& region : rimas_msg.regions) {
-      if (region.mem_class == MemClass::kReal) {
-        for (PageIndex i = 0; i < region.page_count(); ++i) {
-          plan.data_pages[PageOf(region.base) + i] = &region.pages[i];
-        }
+      if (region.mem_class == MemClass::kReal && !region.pages.empty()) {
+        plan.data_regions.push_back(&region);
       } else if (region.mem_class == MemClass::kImag) {
         plan.iou_regions.push_back(&region);
       }
+    }
+    std::sort(plan.data_regions.begin(), plan.data_regions.end(),
+              [](const MemoryRegion* a, const MemoryRegion* b) { return a->base < b->base; });
+    for (std::size_t i = 1; i < plan.data_regions.size(); ++i) {
+      ACCENT_CHECK(plan.data_regions[i - 1]->base + plan.data_regions[i - 1]->size <=
+                   plan.data_regions[i]->base)
+          << " RIMAS data regions overlap at " << plan.data_regions[i]->base;
     }
 
     auto space = std::make_unique<AddressSpace>(SpaceId(env->sim->AllocateId()), env->id);
@@ -247,34 +256,53 @@ void InsertProcess(HostEnv* env, Message core, Message rimas,
       }
     };
 
+    // Installs the shipped pages of `region` in [begin, end) as one run.
+    // Frames are taken page by page in address order: which frames the
+    // arrivals evict, and so the overflow writes, depend on that order.
+    auto install_run = [&](const MemoryRegion& region, Addr begin, Addr end) {
+      const PageIndex first = PageOf(begin);
+      const PageIndex count = PageOf(end) - first;
+      space->InstallRun(first, std::span<const PageRef>(region.pages).subspan(
+                                   PageOf(begin - region.base), count));
+      for (PageIndex page = first; page < first + count; ++page) {
+        auto eviction = env->memory->Insert(space->id(), page, /*dirty=*/true);
+        if (eviction.has_value() && eviction->dirty) {
+          env->disk->Write(1, nullptr);  // arriving context overflows memory
+        }
+      }
+    };
+
+    auto next_data = plan.data_regions.begin();
     core_msg.amap.ForEach([&](const AMap::Interval& iv) {
       switch (iv.value) {
         case MemClass::kRealZero:
           space->Validate(iv.begin, iv.end);
           return;
         case MemClass::kReal: {
-          // Validate as the foundation, then install shipped pages and map
-          // the owed remainder imaginary.
+          // Validate as the foundation, then install the shipped runs and
+          // map the owed pages between them imaginary.
           space->Validate(iv.begin, iv.end);
-          PageIndex page = PageOf(iv.begin);
-          const PageIndex end = PageOf(iv.end);
-          while (page < end) {
-            auto found = plan.data_pages.find(page);
-            if (found != plan.data_pages.end()) {
-              space->InstallPage(page, *found->second);
-              auto eviction = env->memory->Insert(space->id(), page, /*dirty=*/true);
-              if (eviction.has_value() && eviction->dirty) {
-                env->disk->Write(1, nullptr);  // arriving context overflows memory
-              }
-              ++page;
-              continue;
+          Addr cursor = iv.begin;
+          while (next_data != plan.data_regions.end() &&
+                 (*next_data)->base + (*next_data)->size <= cursor) {
+            ++next_data;  // what is left of it lies outside every Real interval
+          }
+          while (cursor < iv.end) {
+            if (next_data == plan.data_regions.end() || (*next_data)->base >= iv.end) {
+              map_imaginary_run(cursor, iv.end);
+              break;
             }
-            PageIndex run_end = page + 1;
-            while (run_end < end && plan.data_pages.count(run_end) == 0) {
-              ++run_end;
+            const MemoryRegion& region = **next_data;
+            if (region.base > cursor) {
+              map_imaginary_run(cursor, region.base);
+              cursor = region.base;
             }
-            map_imaginary_run(PageBase(page), PageBase(run_end));
-            page = run_end;
+            const Addr stop = std::min(iv.end, region.base + region.size);
+            install_run(region, cursor, stop);
+            cursor = stop;
+            if (stop == region.base + region.size) {
+              ++next_data;
+            }
           }
           return;
         }

@@ -131,6 +131,19 @@ void AddressSpace::InstallPage(PageIndex page, PageRef data) {
   dirty_since_mark_.Mark(page);  // new private contents since the mark
 }
 
+void AddressSpace::InstallRun(PageIndex first, std::span<const PageRef> pages) {
+  const Addr begin = PageBase(first);
+  const Addr end = PageBase(first + pages.size());
+  CheckPageAligned(begin, end);
+  ACCENT_EXPECTS(amap_.RangeAvoids(begin, end, MemClass::kBad))
+      << " installing into unmapped pages [" << first << "," << PageOf(end) << ")";
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    private_pages_.Store(first + i, pages[i]);
+    dirty_since_mark_.Mark(first + i);
+  }
+  amap_.Set(begin, end, MemClass::kReal);
+}
+
 bool AddressSpace::NeedsCopyOnWrite(PageIndex page) const {
   if (HasPrivatePage(page)) {
     return false;

@@ -21,6 +21,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/base/interval_map.h"
@@ -91,6 +92,10 @@ class AddressSpace {
   // Installs page contents materialised by the pager (zero-fill, COW copy,
   // imaginary fetch, migration insert) and reclassifies the page RealMem.
   void InstallPage(PageIndex page, PageRef data);
+
+  // InstallPage for the consecutive pages from `first`, sharing `pages`'
+  // payloads, with one reclassification for the whole run.
+  void InstallRun(PageIndex first, std::span<const PageRef> pages);
 
   bool HasPrivatePage(PageIndex page) const { return private_pages_.Contains(page); }
 

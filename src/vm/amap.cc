@@ -1,5 +1,6 @@
 #include "src/vm/amap.h"
 
+#include <optional>
 #include <vector>
 
 namespace accent {
@@ -15,8 +16,16 @@ const char* MemClassName(MemClass mem_class) {
 }
 
 void AMap::Set(Addr begin, Addr end, MemClass mem_class) {
+  ACCENT_EXPECTS(begin < end);
   if (mem_class == MemClass::kBad) {
     map_.Erase(begin, end);
+    return;
+  }
+  // Already that class throughout (a pager install on a page that is
+  // already RealMem): splitting and re-merging would rebuild the same
+  // intervals.
+  const std::optional<Interval> covering = map_.FindInterval(begin);
+  if (covering.has_value() && covering->value == mem_class && end <= covering->end) {
     return;
   }
   map_.Assign(begin, end, mem_class);

@@ -37,7 +37,7 @@ class AMap {
   using Interval = IntervalMap<MemClass>::Interval;
 
   // Records [begin, end) as `mem_class`. kBad erases the range instead
-  // (absence == BadMem).
+  // (absence == BadMem). A range already of that class is left untouched.
   void Set(Addr begin, Addr end, MemClass mem_class);
 
   // Accessibility of a single address.

@@ -21,6 +21,41 @@ std::vector<PageIndex> SplitPages(PageIndex total, std::uint32_t parts) {
   return sizes;
 }
 
+// `pages` pages from VA page `first`.
+struct Region {
+  PageIndex first = 0;
+  PageIndex pages = 0;
+};
+
+// The address-space layout: Real and RealZero regions alternate from
+// kLayoutBase. A round with no Real region leaves a one-page BadMem hole
+// so its zero region does not coalesce with the previous one (the region
+// counts model process-map complexity and must be exact).
+struct Layout {
+  std::vector<Region> real;
+  std::vector<Region> zero;
+};
+
+Layout LayOut(const WorkloadSpec& spec) {
+  const std::vector<PageIndex> real_sizes = SplitPages(spec.real_pages(), spec.real_regions);
+  const std::vector<PageIndex> zero_sizes = SplitPages(spec.zero_pages(), spec.zero_regions);
+  Layout layout;
+  PageIndex cursor = PageOf(kLayoutBase);
+  for (std::size_t i = 0; i < std::max(real_sizes.size(), zero_sizes.size()); ++i) {
+    if (i < real_sizes.size()) {
+      layout.real.push_back({cursor, real_sizes[i]});
+      cursor += real_sizes[i];
+    } else {
+      ++cursor;
+    }
+    if (i < zero_sizes.size()) {
+      layout.zero.push_back({cursor, zero_sizes[i]});
+      cursor += zero_sizes[i];
+    }
+  }
+  return layout;
+}
+
 }  // namespace
 
 std::uint64_t WorkloadPageSeed(std::uint64_t pattern_seed, PageIndex page) {
@@ -150,57 +185,58 @@ const WorkloadSpec& WorkloadByName(const std::string& name) {
   return unreachable;
 }
 
-WorkloadInstance BuildWorkload(const WorkloadSpec& spec, HostEnv* env, std::uint64_t seed) {
+WorkloadImage BuildWorkloadImage(const WorkloadSpec& spec, std::uint64_t seed) {
+  WorkloadImage image{spec.name, seed, {}};
+  image.pages.reserve(spec.real_pages());
+  for (const Region& region : LayOut(spec).real) {
+    for (PageIndex page = region.first; page < region.first + region.pages; ++page) {
+      image.pages.emplace_back(MakePatternPage(WorkloadPageSeed(seed, page)));
+    }
+  }
+  return image;
+}
+
+WorkloadInstance BuildWorkload(const WorkloadSpec& spec, HostEnv* env, std::uint64_t seed,
+                               const WorkloadImage* image) {
   ACCENT_EXPECTS(env != nullptr && env->complete());
   ACCENT_EXPECTS(spec.real_pages() >= spec.touched_real_pages);
   ACCENT_EXPECTS(spec.resident_pages() >= spec.resident_touched_overlap);
   ACCENT_EXPECTS(spec.touched_real_pages >= spec.resident_touched_overlap);
+  // A caller's image is shared; one built here is moved in.
+  WorkloadImage own_image = image != nullptr ? WorkloadImage{} : BuildWorkloadImage(spec, seed);
+  const WorkloadImage& source = image != nullptr ? *image : own_image;
+  ACCENT_CHECK(source.workload == spec.name && source.seed == seed)
+      << " staging " << spec.name << " seed " << seed << " from the image of "
+      << source.workload << " seed " << source.seed;
+  ACCENT_CHECK_EQ(source.pages.size(), spec.real_pages());
 
   Rng rng(seed ^ 0xacce27f0acce27f0ull);
   WorkloadInstance instance;
   instance.spec = spec;
-  instance.pattern_seed = seed;
 
   // --- lay out the address space: alternating Real / RealZero regions ----
   auto space = std::make_unique<AddressSpace>(SpaceId(env->sim->AllocateId()), env->id);
-  Segment* image = env->segments->CreateReal(spec.real_bytes, "image:" + spec.name);
+  Segment* image_segment = env->segments->CreateReal(spec.real_bytes, "image:" + spec.name);
+  for (PageIndex i = 0; i < source.pages.size(); ++i) {
+    image_segment->StorePage(i, image != nullptr ? source.pages[i] : std::move(own_image.pages[i]));
+  }
 
-  const std::vector<PageIndex> real_sizes = SplitPages(spec.real_pages(), spec.real_regions);
-  const std::vector<PageIndex> zero_sizes = SplitPages(spec.zero_pages(), spec.zero_regions);
-  std::vector<PageIndex> zero_front_pages;  // sample of zero pages for traces
-
-  Addr cursor = kLayoutBase;
+  const Layout layout = LayOut(spec);
   ByteCount image_offset = 0;
-  const std::size_t rounds = std::max(real_sizes.size(), zero_sizes.size());
-  for (std::size_t i = 0; i < rounds; ++i) {
-    if (i < real_sizes.size()) {
-      const ByteCount bytes = real_sizes[i] * kPageSize;
-      space->MapReal(cursor, cursor + bytes, image, image_offset, /*copy_on_write=*/false);
-      for (PageIndex p = 0; p < real_sizes[i]; ++p) {
-        const PageIndex va_page = PageOf(cursor) + p;
-        instance.real_page_list.push_back(va_page);
-        image->StorePage(PageOf(image_offset) + p,
-                         MakePatternPage(WorkloadPageSeed(seed, va_page)));
-      }
-      cursor += bytes;
-      image_offset += bytes;
+  for (const Region& region : layout.real) {
+    space->MapReal(PageBase(region.first), PageBase(region.first + region.pages), image_segment,
+                   image_offset, /*copy_on_write=*/false);
+    for (PageIndex p = 0; p < region.pages; ++p) {
+      instance.real_page_list.push_back(region.first + p);
     }
-    if (i < zero_sizes.size()) {
-      if (i >= real_sizes.size()) {
-        // No real region this round: leave a one-page BadMem hole so this
-        // zero region does not coalesce with the previous one (the region
-        // counts model process-map complexity and must be exact).
-        cursor += kPageSize;
-      }
-      const ByteCount bytes = zero_sizes[i] * kPageSize;
-      space->Validate(cursor, cursor + bytes);
-      if (zero_front_pages.size() < spec.zero_touches + 64) {
-        for (PageIndex p = 0; p < zero_sizes[i] &&
-                              zero_front_pages.size() < spec.zero_touches + 64; ++p) {
-          zero_front_pages.push_back(PageOf(cursor) + p);
-        }
-      }
-      cursor += bytes;
+    image_offset += region.pages * kPageSize;
+  }
+  std::vector<PageIndex> zero_front_pages;  // sample of zero pages for traces
+  for (const Region& region : layout.zero) {
+    space->Validate(PageBase(region.first), PageBase(region.first + region.pages));
+    for (PageIndex p = 0; p < region.pages && zero_front_pages.size() < spec.zero_touches + 64;
+         ++p) {
+      zero_front_pages.push_back(region.first + p);
     }
   }
   ACCENT_ENSURES(space->RealBytes() == spec.real_bytes);

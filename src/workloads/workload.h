@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/page_ref.h"
 #include "src/base/types.h"
 #include "src/proc/host_env.h"
 #include "src/proc/process.h"
@@ -82,12 +83,32 @@ struct WorkloadInstance {
   std::vector<PageIndex> real_page_list;   // ascending VA pages of RealMem
   std::vector<PageIndex> resident_pages;   // staged resident set
   std::set<PageIndex> planned_touches;     // real pages the trace will touch
-  std::uint64_t pattern_seed = 0;          // page-content seed base
 };
 
+// The RealMem contents a (workload, seed) is staged with: one pattern page
+// per RealMem page, in image order (page i of the program image segment is
+// the i-th page of real_page_list). Every run staged from one (workload,
+// seed) stores these same bytes, so a runner that stages it several times
+// builds the image once and each BuildWorkload shares its payloads. The
+// image holds its own reference to every payload, so a run that writes a
+// page clones it first (copy-on-write) and the image stays as built. An
+// image stays on the thread that built it: payloads are shared across the
+// runs of one thread, never across threads.
+struct WorkloadImage {
+  std::string workload;
+  std::uint64_t seed = 0;
+  std::vector<PageRef> pages;
+};
+
+// The image `spec` is staged with under `seed`.
+WorkloadImage BuildWorkloadImage(const WorkloadSpec& spec, std::uint64_t seed);
+
 // Builds `spec` on `env`. `seed` controls every random choice; the same
-// (spec, seed) yields a bit-identical instance.
-WorkloadInstance BuildWorkload(const WorkloadSpec& spec, HostEnv* env, std::uint64_t seed);
+// (spec, seed) yields a bit-identical instance. The RealMem pages come from
+// `image`, which must have been built for (spec, seed); without one,
+// BuildWorkload builds its own.
+WorkloadInstance BuildWorkload(const WorkloadSpec& spec, HostEnv* env, std::uint64_t seed,
+                               const WorkloadImage* image = nullptr);
 
 // Deterministic content seed for a workload's real page (integrity checks).
 std::uint64_t WorkloadPageSeed(std::uint64_t pattern_seed, PageIndex page);

@@ -129,6 +129,19 @@ TEST(PageData, PatternPagesAreDeterministic) {
   EXPECT_EQ(MakePatternPage(42).size(), kPageSize);
 }
 
+// Every integrity verdict compares two runs of the same generator, so a
+// changed generator would pass them all: the bytes themselves are pinned.
+// FNV-1a-64 from its offset basis over every byte of 1000 pattern pages.
+TEST(PageData, PatternPageBytesArePinned) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    for (std::uint8_t byte : MakePatternPage(k * 0x9e3779b97f4a7c15ull)) {
+      hash = (hash ^ byte) * 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(hash, 0x2e7d1164ced35781ull) << std::hex << "0x" << hash;
+}
+
 TEST(PageData, ZeroPageReadsAsZero) {
   PageData zero;
   for (ByteCount i = 0; i < kPageSize; i += 37) {

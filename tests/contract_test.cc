@@ -63,6 +63,17 @@ TEST(ContractDeathTest, TraceMustEndWithTerminate) {
   EXPECT_DEATH(builder.Build(), "must end with Terminate");
 }
 
+TEST(ContractDeathTest, BuildWorkloadRejectsAnImageOfAnotherStaging) {
+  Testbed bed;
+  const WorkloadSpec& minprog = WorkloadByName("Minprog");
+  const WorkloadImage other_seed = BuildWorkloadImage(minprog, 43);
+  const WorkloadImage other_workload = BuildWorkloadImage(WorkloadByName("Chess"), 42);
+  EXPECT_DEATH(BuildWorkload(minprog, bed.host(0), 42, &other_seed),
+               "from the image of Minprog seed 43");
+  EXPECT_DEATH(BuildWorkload(minprog, bed.host(0), 42, &other_workload),
+               "from the image of Chess seed 42");
+}
+
 TEST(ContractDeathTest, ProcessCannotBeExcisedWhileRunning) {
   Testbed bed;
   auto space = std::make_unique<AddressSpace>(SpaceId(bed.sim().AllocateId()),

@@ -3,6 +3,9 @@
 // position and every memory class.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "src/experiments/testbed.h"
 #include "src/proc/excise.h"
 
@@ -179,6 +182,92 @@ TEST_F(ExciseInsertTest, ImaginaryMappingsSurviveReExcision) {
   EXPECT_EQ(inserted->space()->ClassOf(33 * kPageSize), MemClass::kImag);
   const auto target = inserted->space()->ImagTargetOf(33 * kPageSize);
   EXPECT_EQ(target.backer_offset, 33 * kPageSize);
+}
+
+// A RIMAS whose Real interval interleaves shipped runs with owed pages, one
+// shipped zero page, and one staged pre-copy run appended after every other
+// region (out of address order, as MergeStagedPages leaves it), inserted
+// into a destination whose six frames are full, four of them dirty:
+// arriving pages evict dirty frames, so the disk writes and the surviving
+// resident set pin the order pages reach physical memory. The expected
+// values are what a page-by-page install produces.
+TEST(InsertRuns, InterleavedAndStagedRunsInstallInPageOrder) {
+  TestbedConfig config;
+  config.frames_per_host = 6;
+  Testbed bed(config);
+  HostEnv* dest = bed.host(1);
+  const SpaceId bystander(bed.sim().AllocateId());
+  for (PageIndex p = 0; p < 6; ++p) {
+    dest->memory->Insert(bystander, 1000 + p, /*dirty=*/p % 3 != 0);
+  }
+
+  AMap amap;
+  amap.Set(PageBase(16), PageBase(48), MemClass::kReal);
+  amap.Set(PageBase(48), PageBase(64), MemClass::kRealZero);
+  amap.Set(PageBase(64), PageBase(72), MemClass::kReal);
+  amap.Set(PageBase(80), PageBase(88), MemClass::kImag);
+
+  Message core;
+  core.op = MsgOp::kMigrateCore;
+  core.amap = amap;
+  core.has_amap = true;
+  CoreBody body;
+  body.proc = ProcId(bed.sim().AllocateId());
+  body.name = "runs";
+  body.trace = TraceBuilder().Compute(Ms(1)).Terminate().Build();
+  core.body = body;
+
+  const PortId backer = bed.netmsg(0)->backing_port();
+  auto data = [](PageIndex first, PageIndex count) {
+    std::vector<PageRef> pages;
+    for (PageIndex p = first; p < first + count; ++p) {
+      pages.push_back(p == 25 ? PageRef{} : PageRef(MakePatternPage(p)));
+    }
+    return MemoryRegion::Data(PageBase(first), std::move(pages));
+  };
+  auto owed = [backer](PageIndex first, PageIndex end) {
+    return MemoryRegion::Iou(PageBase(first), PageBase(end) - PageBase(first),
+                             IouRef{backer, SegmentId(4242), PageBase(first)});
+  };
+  Message rimas;
+  rimas.op = MsgOp::kMigrateRimas;
+  rimas.body = RimasBody{body.proc};
+  rimas.regions = {data(16, 4), owed(20, 24), data(24, 2), owed(26, 40), owed(44, 46),
+                   data(46, 2), data(64, 8),  owed(80, 88), data(40, 4)};
+
+  std::unique_ptr<Process> inserted;
+  InsertProcess(dest, std::move(core), std::move(rimas),
+                [&](std::unique_ptr<Process> p, InsertResult) { inserted = std::move(p); });
+  bed.sim().Run();
+  ASSERT_NE(inserted, nullptr);
+  const AddressSpace& space = *inserted->space();
+
+  std::vector<std::tuple<PageIndex, PageIndex, MemClass>> intervals;
+  space.amap().ForEach([&](const AMap::Interval& iv) {
+    intervals.emplace_back(PageOf(iv.begin), PageOf(iv.end), iv.value);
+  });
+  const std::vector<std::tuple<PageIndex, PageIndex, MemClass>> want_intervals = {
+      {16, 20, MemClass::kReal}, {20, 24, MemClass::kImag},     {24, 26, MemClass::kReal},
+      {26, 40, MemClass::kImag}, {40, 44, MemClass::kReal},     {44, 46, MemClass::kImag},
+      {46, 48, MemClass::kReal}, {48, 64, MemClass::kRealZero}, {64, 72, MemClass::kReal},
+      {80, 88, MemClass::kImag}};
+  EXPECT_EQ(intervals, want_intervals);
+
+  const std::vector<PageIndex> want_dirty = {16, 17, 18, 19, 24, 25, 40, 41, 42, 43, 46, 47,
+                                             64, 65, 66, 67, 68, 69, 70, 71};
+  EXPECT_EQ(space.DirtyPages(), want_dirty);
+  EXPECT_EQ(dest->memory->ResidentCount(space.id()), 6u);
+  EXPECT_EQ(dest->memory->PagesOf(space.id()), (std::vector<PageIndex>{66, 67, 68, 69, 70, 71}));
+  EXPECT_EQ(dest->memory->ResidentCount(bystander), 0u);
+  EXPECT_EQ(dest->disk->writes_completed(), 18u);
+
+  for (PageIndex p : want_dirty) {
+    ASSERT_TRUE(space.HasPrivatePage(p)) << "page " << p;
+    EXPECT_EQ(space.ReadPage(p), p == 25 ? PageData{} : MakePatternPage(p)) << "page " << p;
+  }
+  EXPECT_FALSE(space.HasPrivatePage(20));
+  EXPECT_EQ(space.ImagTargetOf(PageBase(33)).backer_offset, PageBase(33));
+  EXPECT_EQ(space.ImagTargetOf(PageBase(45)).backer_offset, PageBase(45));
 }
 
 TEST_F(ExciseInsertTest, ExciseTimingsFollowCostModel) {

@@ -8,8 +8,10 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/page_ref.h"
 #include "src/experiments/chain.h"
 #include "src/experiments/failure_sweep.h"
 #include "src/experiments/metrics_fold.h"
@@ -63,6 +65,71 @@ TEST(Scenario, ReferenceMatchesEveryLosslessStrategy) {
       EXPECT_EQ(run.checksum, reference) << spec.name << " " << StrategyName(strategy);
     }
   }
+}
+
+// The staged images' bytes and the traces that write them, pinned per
+// program: every other integrity check compares two runs of the same code.
+TEST(Scenario, ReferenceChecksumsArePinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"Minprog", 0x9d9a9b0854adb698ull},  {"Lisp-T", 0x4283768ac95b26baull},
+      {"Lisp-Del", 0xb70e0f5541a139e3ull}, {"PM-Start", 0xa12397d47bc7ceacull},
+      {"PM-Mid", 0x30023b4318158b05ull},   {"PM-End", 0xf84bdaa6ba1ccc26ull},
+      {"Chess", 0x4470b78d935bd8f4ull}};
+  ASSERT_EQ(pinned.size(), RepresentativeWorkloads().size());
+  for (const auto& [workload, checksum] : pinned) {
+    EXPECT_EQ(ReferenceChecksum(workload, 42), checksum) << workload;
+  }
+}
+
+// One image serves the reference run and, for a pure-copy and a pure-IOU
+// Lisp-Del spec, a lossless baseline and a lossy run; all of them write
+// pages. Every run reports exactly what its unshared twin reports, every
+// write clones a shared payload instead of writing the image in place, and
+// the image's payloads die with it.
+TEST(WorkloadImage, SharedImageChangesNoRunAndIsNeverWrittenInPlace) {
+  constexpr std::uint64_t kSeed = 42;
+  const WorkloadSpec& spec = WorkloadByName("Lisp-Del");
+  const std::uint64_t reference = ReferenceChecksum(spec.name, kSeed);
+  const std::uint64_t live_before = ReadPageCounters().live_payloads();
+  {
+    const WorkloadImage image = BuildWorkloadImage(spec, kSeed);
+    ASSERT_EQ(image.pages.size(), spec.real_pages());
+    std::uint64_t cow_breaks = ReadPageCounters().cow_breaks;
+    EXPECT_EQ(ReferenceChecksum(spec.name, kSeed, &image), reference);
+    EXPECT_GT(ReadPageCounters().cow_breaks, cow_breaks);
+
+    for (TransferStrategy strategy : {TransferStrategy::kPureCopy, TransferStrategy::kPureIou}) {
+      SCOPED_TRACE(StrategyName(strategy));
+      FuzzScenario sc;
+      sc.seed = kSeed;
+      sc.workload = spec.name;
+      sc.strategy = strategy;
+      sc.drop = 0.02;
+      sc.duplicate = 0.02;
+      const MechRun baseline = RunMech(sc, FaultPlan{}, kSeed, &image);
+      cow_breaks = ReadPageCounters().cow_breaks;
+      const MechRun lossy = RunMech(sc, PlantFaults(sc, baseline), kSeed + 1, &image);
+      EXPECT_GT(ReadPageCounters().cow_breaks, cow_breaks);
+      const MechRun unshared_baseline = RunMech(sc, FaultPlan{}, kSeed);
+      const MechRun unshared_lossy = RunMech(sc, PlantFaults(sc, baseline), kSeed + 1);
+
+      for (const auto& [shared, unshared] : {std::pair{&baseline, &unshared_baseline},
+                                             std::pair{&lossy, &unshared_lossy}}) {
+        ASSERT_TRUE(shared->finished);
+        EXPECT_EQ(shared->checksum, reference);
+        EXPECT_EQ(MechRowToJson(sc, *shared, Classify(*shared, reference)).Dump(),
+                  MechRowToJson(sc, *unshared, Classify(*unshared, reference)).Dump());
+      }
+    }
+
+    Testbed bed;
+    const WorkloadInstance staged = BuildWorkload(spec, bed.host(0), kSeed, &image);
+    for (std::size_t i = 0; i < image.pages.size(); ++i) {
+      ASSERT_EQ(image.pages[i], MakePatternPage(WorkloadPageSeed(kSeed, staged.real_page_list[i])))
+          << "image page " << i;
+    }
+  }
+  EXPECT_EQ(ReadPageCounters().live_payloads(), live_before);
 }
 
 std::set<std::string> Keys(const Json& row) {
