@@ -6,7 +6,7 @@
 // cheapest-to-move process (the dispersal-aware metric of section 6) to
 // the idlest host, using pure-IOU transfer so relocation is nearly free.
 // The same jobs are then run without migration: the balanced cluster
-// finishes its makespan ~1.7x sooner.
+// finishes its makespan ~1.6x sooner.
 //
 //   $ ./build/examples/load_balancer
 #include <cstdio>

@@ -6,6 +6,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/base/check.h"
@@ -115,12 +116,12 @@ struct Trial {
   Network& net;
   std::vector<std::unique_ptr<Host>>& hosts;
   Coordinator& coord;
-  std::uint64_t event_budget = 0;
+  std::uint64_t event_budget;
   // Per-host calibrations, identity-filled when the config carried none;
-  // `calibrated` gates every heterogeneity-aware branch so the homogeneous
-  // row keeps the legacy arithmetic expression for expression.
+  // `calibrated` (AnyCalibrated) switches the victim rank to
+  // RelocationCost, so the homogeneous row keeps the anchor metric.
   std::vector<HostCalibration> cals;
-  bool calibrated = false;
+  bool calibrated;
 
   Host& coord_host() const { return *hosts[0]; }
   const HostCalibration& CalOf(int index) const {
@@ -360,43 +361,17 @@ struct Trial {
       sim.Stop();
       return;
     }
-    const auto [min_it, max_it] =
-        std::minmax_element(coord.last_runnable.begin(), coord.last_runnable.end());
-    if (!coord.governor.Observe(*max_it - *min_it)) {
-      return;
+    const std::optional<HostPair> pair =
+        coord.governor.Decide(coord.last_runnable, coord.busy, cals);
+    if (!pair) {
+      return;  // balanced, inside hysteresis, or the pressure sits on tasked hosts
     }
-    // Pick the busiest source and idlest target not already tasked; first
-    // index wins ties so the choice is canonical.
-    int src = -1;
-    int dst = -1;
-    for (std::size_t i = 0; i < coord.last_runnable.size(); ++i) {
-      if (coord.busy[i]) {
-        continue;
-      }
-      if (src < 0 || coord.last_runnable[i] > coord.last_runnable[static_cast<std::size_t>(src)]) {
-        src = static_cast<int>(i);
-      }
-      // First index wins runnable ties — except that on a calibrated row a
-      // strictly faster CPU takes the destination slot at equal load
-      // (identity multipliers compare equal, so the homogeneous choice is
-      // untouched).
-      if (dst < 0 || coord.last_runnable[i] < coord.last_runnable[static_cast<std::size_t>(dst)] ||
-          (coord.last_runnable[i] == coord.last_runnable[static_cast<std::size_t>(dst)] &&
-           CalOf(static_cast<int>(i)).cpu_multiplier > CalOf(dst).cpu_multiplier)) {
-        dst = static_cast<int>(i);
-      }
-    }
-    if (src < 0 || dst < 0 || src == dst ||
-        coord.last_runnable[static_cast<std::size_t>(src)] -
-                coord.last_runnable[static_cast<std::size_t>(dst)] <
-            coord.governor.threshold()) {
-      return;  // pressure sits on already-tasked hosts; keep the streak
-    }
-    coord.busy[static_cast<std::size_t>(src)] = true;
-    coord.busy[static_cast<std::size_t>(dst)] = true;
-    coord.governor.OnMigrationFired();
-    Host* source = hosts[static_cast<std::size_t>(src)].get();
-    Host* target = hosts[static_cast<std::size_t>(dst)].get();
+    const std::size_t src = pair->source;
+    const std::size_t dst = pair->target;
+    coord.busy[src] = true;
+    coord.busy[dst] = true;
+    Host* source = hosts[src].get();
+    Host* target = hosts[dst].get();
     if (src == 0) {
       OnDirective(*source, *target);
       return;
@@ -424,59 +399,33 @@ struct Trial {
 
   // ---- migration data plane ----------------------------------------------
 
-  // The strategy one migration out of `source` actually uses: the policy's,
-  // unless the source is diskless and the policy would leave owed pages
-  // anchored there — a store it cannot serve — in which case the transfer
-  // degrades to pure-copy. Pre-copy, like pure-copy, ships every page
-  // physically and owes nothing, so a diskless source runs it unchanged.
-  TransferStrategy EffectiveStrategy(const Host& source) const {
-    const TransferStrategy strategy = config.policy.strategy;
-    if (CalOf(source.index).diskless && (strategy == TransferStrategy::kPureIou ||
-                                         strategy == TransferStrategy::kResidentSet)) {
-      return TransferStrategy::kPureCopy;
-    }
-    return strategy;
+  // The strategy one migration out of `source` actually uses. The fleet
+  // models no checkpoint store.
+  TransferStrategy StrategyOf(const Host& source) const {
+    return EffectiveStrategy(config.policy.strategy, CalOf(source.index),
+                             /*checkpoint_store=*/false);
   }
 
-  // Runs at the source: pick the cheapest victim and start the
-  // transfer. Homogeneous rows rank by the dispersal-aware anchor metric
-  // (bytes anchored locally); calibrated rows rank by the full
-  // MigrationCostModel::RelocationCost — excise at the source's speed, wire
-  // at the source's link, insert at the *destination's* speed — so a slow
-  // destination inflates every candidate's estimate.
+  // Runs at the source: rank the candidates no pull reply is in flight to
+  // by the shared VictimRank and start the transfer of the cheapest.
   void OnDirective(Host& source, Host& target) {
-    const TransferStrategy strategy = EffectiveStrategy(source);
-    ClusterProc* victim = nullptr;
-    ByteCount best_anchor = 0;
-    SimDuration best_cost{0};
+    std::vector<ClusterProc*> eligible;
+    std::vector<MigrationCostModel::Footprint> footprints;
     for (const auto& [pid, p] : source.active) {
-      if (p->pull_outstanding) {
-        continue;  // a pull reply is already in flight to this host
-      }
-      if (calibrated) {
-        const SimDuration cost = MigrationCostModel::RelocationCost(
-            costs, strategy, p->fp, CalOf(source.index), CalOf(target.index));
-        if (victim == nullptr || cost < best_cost) {
-          victim = p;
-          best_cost = cost;
-        }
-        continue;
-      }
-      const ByteCount anchor =
-          AnchorBytes(static_cast<ByteCount>(p->fp.real_pages) * kPageSize,
-                      static_cast<ByteCount>(p->fp.resident_pages) * kPageSize,
-                      config.policy.dispersal_weight);
-      if (victim == nullptr || anchor < best_anchor) {
-        victim = p;
-        best_anchor = anchor;
+      if (!p->pull_outstanding) {
+        eligible.push_back(p);
+        footprints.push_back(p->fp);
       }
     }
-    if (victim == nullptr) {
+    const VictimRank rank{costs, StrategyOf(source), config.policy.dispersal_weight, calibrated,
+                          CalOf(source.index), CalOf(target.index)};
+    const std::optional<std::size_t> victim = rank.Pick(footprints);
+    if (!victim) {
       ++source.directives_unfilled;
       NotifyMigrationDone(source.index, target.index, /*migrated=*/false, source);
       return;
     }
-    StartMigration(source, target, victim);
+    StartMigration(source, target, eligible[*victim]);
   }
 
   void StartMigration(Host& source, Host& target, ClusterProc* p) {
@@ -486,7 +435,7 @@ struct Trial {
     ++p->epoch;
     ++source.outbound_started;
 
-    const TransferStrategy strategy = EffectiveStrategy(source);
+    const TransferStrategy strategy = StrategyOf(source);
     if (strategy != config.policy.strategy) {
       ++source.diskless_copy_forced;
     }
@@ -502,7 +451,7 @@ struct Trial {
     const int backing = p->owed_pages > 0 ? p->backing : source.index;
     const std::int64_t owed = std::max(p->owed_pages, new_owed);
     if (owed > 0 && backing >= 0 && CalOf(backing).diskless) {
-      // EffectiveStrategy prevents fresh anchors and chain collapse keeps
+      // StrategyOf prevents fresh anchors and chain collapse keeps
       // old ones, so this never fires; the counter is the run's proof.
       ++source.diskless_backing_anchors;
     }
@@ -674,13 +623,11 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
   coord.last_runnable.assign(static_cast<std::size_t>(config.host_count), 0);
   coord.busy.assign(static_cast<std::size_t>(config.host_count), false);
 
-  Trial trial{config, costs, sim, net, hosts, coord};
-  trial.event_budget = config.max_events != 0 ? config.max_events : AutoEventBudget(config);
-  trial.cals.assign(static_cast<std::size_t>(config.host_count), HostCalibration{});
-  for (std::size_t i = 0; i < config.calibrations.size(); ++i) {
-    trial.cals[i] = config.calibrations[i];
-  }
-  trial.calibrated = AnyCalibrated(config.calibrations);
+  std::vector<HostCalibration> cals = config.calibrations;
+  cals.resize(static_cast<std::size_t>(config.host_count));  // identity-fills a homogeneous row
+  Trial trial{config, costs, sim, net, hosts, coord,
+              config.max_events != 0 ? config.max_events : AutoEventBudget(config),
+              std::move(cals), AnyCalibrated(config.calibrations)};
 
   // --- setup --------------------------------------------------------------
   for (auto& host_ptr : hosts) {

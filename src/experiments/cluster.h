@@ -14,14 +14,15 @@
 //
 // Control plane: host index 0 doubles as the balancer coordinator. Every
 // host ships periodic load reports over the wire (kControl); the
-// coordinator applies the shared ImbalanceGovernor (threshold +
-// hysteresis) to the freshest spread, picks the busiest source and idlest
-// target it has not already tasked, and sends the source a migration
-// directive. The source picks its cheapest victim by the dispersal-aware
-// AnchorBytes metric, freezes it, excises, ships Core + RIMAS, and the
-// destination inserts and reports completion. IOU strategies leave owed
-// pages behind, repaid lazily in fixed page-pull batches (kFaultData
-// request/reply) while the process runs at its new home.
+// coordinator decides through the placement rule LoadBalancerPolicy shares
+// (src/policy/load_balancer.h): the ImbalanceGovernor (threshold +
+// hysteresis) weighs the freshest spread, PickHostPair names the busiest
+// source and idlest target it has not already tasked, and the source gets
+// a migration directive. The source ranks its candidates by VictimRank,
+// freezes the cheapest, excises, ships Core + RIMAS, and the destination
+// inserts and reports completion. IOU strategies leave owed pages behind,
+// repaid lazily in fixed page-pull batches (kFaultData request/reply)
+// while the process runs at its new home.
 //
 // Determinism: every stochastic draw flows through per-host Rng streams,
 // all cross-host interaction rides Network::Transmit, the trial runs on
@@ -90,11 +91,12 @@ struct ClusterConfig {
   // default — is the homogeneous row, byte-identical to the uncalibrated
   // engine; otherwise the vector must cover every host. Calibrations bend
   // the same formulas everywhere: slices stretch by the host's CPU speed,
-  // excise/insert run at the source's/destination's speed, wire legs ride
-  // the sender's link, victim scoring switches to the end-to-end
-  // RelocationCost (so a slow destination inflates every candidate), and a
-  // diskless source degrades owed-page strategies to pure-copy rather than
-  // anchor backing it cannot serve.
+  // excise/insert run at the source's/destination's speed, and wire legs
+  // ride the sender's link. The shared placement rule reads them too: a
+  // faster CPU wins the destination at equal load, VictimRank switches to
+  // the end-to-end RelocationCost, and EffectiveStrategy degrades
+  // owed-page strategies off a diskless source to pure-copy rather than
+  // anchor backing it cannot serve (the fleet models no checkpoint store).
   std::vector<HostCalibration> calibrations{};
 
   // Steady-state detection: consecutive `steady_windows` windows of

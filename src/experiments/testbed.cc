@@ -89,7 +89,6 @@ Testbed::Testbed(const TestbedConfig& config)
     parts.env->pager = parts.pager.get();
     parts.env->netmsg = parts.netmsg.get();
     parts.env->segments = &segments_;
-    parts.env->diskless = cal.diskless;
     parts.env->calibration = cal;
 
     parts.manager = std::make_unique<MigrationManager>(parts.env.get());
@@ -106,11 +105,11 @@ Testbed::Testbed(const TestbedConfig& config)
     if (config_.checkpoint_host > 0) {
       ACCENT_EXPECTS(config_.checkpoint_host <= config_.host_count);
       store_index = config_.checkpoint_host - 1;
-      ACCENT_CHECK(!hosts_[static_cast<std::size_t>(store_index)].env->diskless)
+      ACCENT_CHECK(!hosts_[static_cast<std::size_t>(store_index)].env->calibration.diskless)
           << " checkpoint store pinned to a diskless host";
     } else {
       for (int i = 0; i < config_.host_count; ++i) {
-        if (!hosts_[static_cast<std::size_t>(i)].env->diskless) {
+        if (!hosts_[static_cast<std::size_t>(i)].env->calibration.diskless) {
           store_index = i;
           break;
         }

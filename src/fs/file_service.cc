@@ -24,7 +24,7 @@ FileServer::FileServer(HostEnv* env)
 
 void FileServer::Start() {
   ACCENT_EXPECTS(!port_.valid()) << " file server started twice";
-  ACCENT_CHECK(!env_->diskless)
+  ACCENT_CHECK(!env_->calibration.diskless)
       << " host " << env_->id << " is diskless and cannot anchor file backing";
   port_ = env_->fabric->AllocatePort(env_->id, this, "file-server");
   backer_.Start();

@@ -1,14 +1,13 @@
-// Analytic mirror of the migration cost formulas.
+// The migration cost formulas, in one place.
 //
-// The mechanistic testbed (src/proc/excise.cc, migration_manager.cc)
-// charges excision, insertion and payload costs event by event against a
-// fully-materialised AddressSpace. The fleet-scale cluster layer
-// (src/experiments/cluster.cc) simulates hundreds of hosts and thousands
-// of processes, where materialising every address space would drown the
-// point of the experiment; it instead describes each process by a small
-// Footprint and charges the *same formulas* through these helpers. Keeping
-// the arithmetic in one place ties the fleet model to the calibrated
-// two-Perq one: a constant retuned in costs.h moves both.
+// The mechanistic testbed charges excision and insertion event by event
+// (src/proc/excise.cc), pricing each live process by its FootprintOf. The
+// fleet-scale cluster layer (src/experiments/cluster.cc) simulates
+// hundreds of hosts and thousands of processes, where materialising every
+// address space would drown the point of the experiment; it describes each
+// process by a drawn Footprint instead. Both charge these helpers, so the
+// fleet model and the calibrated two-Perq one share one set of formulas: a
+// constant retuned in costs.h moves both.
 #ifndef SRC_MIGRATION_COST_MODEL_H_
 #define SRC_MIGRATION_COST_MODEL_H_
 
@@ -29,16 +28,22 @@ struct MigrationCostModel {
     std::int64_t resident_pages = 0;  // the in-core working set
   };
 
+  // Excision phase 1: AMap construction, the walk of process + system maps.
+  static SimDuration ExciseAmapCost(const CostTable& costs, const Footprint& fp) {
+    return costs.amap_base + costs.amap_per_map_entry * fp.map_entries +
+           costs.amap_per_real_page * fp.real_pages;
+  }
+
+  // Excision phase 2: collapse of process memory into the RIMAS chunk.
+  static SimDuration ExciseRimasCost(const CostTable& costs, const Footprint& fp) {
+    return costs.rimas_base + costs.rimas_per_map_entry * fp.map_entries +
+           costs.rimas_per_resident_page * fp.resident_pages;
+  }
+
   // Excision: AMap construction + RIMAS collapse + port/PCB packaging
-  // (the three phases of ExciseProcess, summed).
+  // (the three phases ExciseProcess charges, summed).
   static SimDuration ExciseCost(const CostTable& costs, const Footprint& fp) {
-    const SimDuration amap = costs.amap_base +
-                             costs.amap_per_map_entry * fp.map_entries +
-                             costs.amap_per_real_page * fp.real_pages;
-    const SimDuration rimas = costs.rimas_base +
-                              costs.rimas_per_map_entry * fp.map_entries +
-                              costs.rimas_per_resident_page * fp.resident_pages;
-    return amap + rimas + costs.excise_other;
+    return ExciseAmapCost(costs, fp) + ExciseRimasCost(costs, fp) + costs.excise_other;
   }
 
   // Insertion at the destination; `data_pages` is the count shipped

@@ -613,8 +613,7 @@ void MigrationManager::RunPreCopyRound(Process* proc, PortId dest_manager,
       AbortMigration(proc->id(), "process terminated before pre-copy freeze");
       return;
     }
-    AddressSpace* space_at_ack = proc->space();
-    const std::size_t dirty = space_at_ack->dirty_count();
+    const std::size_t dirty = proc->space()->dirty_count();
     PreCopyProgress& progress = precopy_progress_[proc->id().value];
     // Writable working set: an EWMA over per-round dirty counts. Recent
     // rounds dominate, so a phase change (a Lisp GC kicking in, a scan
@@ -643,17 +642,11 @@ void MigrationManager::RunPreCopyRound(Process* proc, PortId dest_manager,
     bool slo_met = false;
     bool stagnated = false;
     if (config.target_downtime > SimDuration::zero()) {
-      MigrationCostModel::Footprint fp;
-      fp.map_entries = static_cast<std::int64_t>(space_at_ack->map_entries());
-      fp.real_pages =
-          static_cast<std::int64_t>(space_at_ack->RealBytes() / kPageSize);
-      fp.resident_pages = static_cast<std::int64_t>(
-          env_->memory->PagesOf(space_at_ack->id()).size());
       // The destination's calibration is unknown at the source; predicting
       // with a nominal (identity) destination keeps the predictor local.
       const SimDuration predicted = MigrationCostModel::PreCopyCostOn(
-          *env_->costs, fp, static_cast<std::int64_t>(dirty), env_->calibration,
-          HostCalibration{});
+          *env_->costs, FootprintOf(*proc), static_cast<std::int64_t>(dirty),
+          env_->calibration, HostCalibration{});
       rec.precopy_predicted_downtime = predicted;
       slo_met = predicted <= config.target_downtime;
       rec.precopy_slo_met = slo_met;

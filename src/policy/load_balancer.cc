@@ -6,10 +6,84 @@
 
 namespace accent {
 
-ByteCount AnchorBytes(ByteCount real_bytes, ByteCount resident_bytes,
-                      double dispersal_weight) {
-  return real_bytes +
+std::optional<HostPair> PickHostPair(const std::vector<int>& runnable,
+                                     const std::vector<bool>& tasked,
+                                     const std::vector<HostCalibration>& calibrations,
+                                     int threshold) {
+  ACCENT_EXPECTS(tasked.size() == runnable.size() && calibrations.size() == runnable.size());
+  std::optional<std::size_t> src;
+  std::optional<std::size_t> dst;
+  for (std::size_t i = 0; i < runnable.size(); ++i) {
+    if (tasked[i]) {
+      continue;
+    }
+    if (!src || runnable[i] > runnable[*src]) {
+      src = i;
+    }
+    if (!dst || runnable[i] < runnable[*dst] ||
+        (runnable[i] == runnable[*dst] &&
+         calibrations[i].cpu_multiplier > calibrations[*dst].cpu_multiplier)) {
+      dst = i;
+    }
+  }
+  if (!src || *src == *dst || runnable[*src] - runnable[*dst] < threshold) {
+    return std::nullopt;
+  }
+  return HostPair{*src, *dst};
+}
+
+std::optional<HostPair> ImbalanceGovernor::Decide(
+    const std::vector<int>& runnable, const std::vector<bool>& tasked,
+    const std::vector<HostCalibration>& calibrations) {
+  const auto [min_it, max_it] = std::minmax_element(runnable.begin(), runnable.end());
+  if (*max_it - *min_it < threshold_) {
+    streak_ = 0;  // pressure relieved: re-arm the hysteresis
+    return std::nullopt;
+  }
+  if (++streak_ <= hysteresis_) {
+    return std::nullopt;  // a transient imbalance still inside hysteresis
+  }
+  const std::optional<HostPair> pair = PickHostPair(runnable, tasked, calibrations, threshold_);
+  if (pair) {
+    streak_ = 0;  // each migration must re-earn its hysteresis
+  }
+  return pair;
+}
+
+TransferStrategy EffectiveStrategy(TransferStrategy requested, const HostCalibration& source,
+                                   bool checkpoint_store) {
+  if (!checkpoint_store && source.diskless &&
+      (requested == TransferStrategy::kPureIou || requested == TransferStrategy::kResidentSet)) {
+    return TransferStrategy::kPureCopy;
+  }
+  return requested;
+}
+
+ByteCount AnchorBytes(const MigrationCostModel::Footprint& fp, double dispersal_weight) {
+  const auto resident_bytes = static_cast<ByteCount>(fp.resident_pages) * kPageSize;
+  return static_cast<ByteCount>(fp.real_pages) * kPageSize +
          static_cast<ByteCount>(dispersal_weight * static_cast<double>(resident_bytes));
+}
+
+std::int64_t VictimRank::Score(const MigrationCostModel::Footprint& fp) const {
+  if (calibrated) {
+    return MigrationCostModel::RelocationCost(costs, strategy, fp, source, target).count();
+  }
+  return static_cast<std::int64_t>(AnchorBytes(fp, dispersal_weight));
+}
+
+std::optional<std::size_t> VictimRank::Pick(
+    std::span<const MigrationCostModel::Footprint> candidates) const {
+  std::optional<std::size_t> best;
+  std::int64_t best_score = 0;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::int64_t score = Score(candidates[i]);
+    if (!best || score < best_score) {
+      best = i;
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 LoadBalancerPolicy::LoadBalancerPolicy(Simulator* sim, const PolicyConfig& config)
@@ -22,33 +96,26 @@ LoadBalancerPolicy::LoadBalancerPolicy(Simulator* sim, const PolicyConfig& confi
 }
 
 void LoadBalancerPolicy::AddHost(HostEnv* env, MigrationManager* manager) {
-  AddHost(env, manager, HostCalibration{});
-}
-
-void LoadBalancerPolicy::AddHost(HostEnv* env, MigrationManager* manager,
-                                 const HostCalibration& calibration) {
   ACCENT_EXPECTS(env != nullptr && manager != nullptr);
-  ACCENT_EXPECTS(!running_) << " hosts must join before Start()";
-  calibration.Validate();
-  nodes_.push_back(Node{env, manager, calibration});
+  ACCENT_EXPECTS(!started_) << " hosts must join before Start()";
+  nodes_.push_back(Node{env, manager});
 }
 
 void LoadBalancerPolicy::Start() {
   ACCENT_EXPECTS(nodes_.size() >= 2) << " balancing needs at least two hosts";
-  running_ = true;
+  started_ = true;
+  for (const Node& node : nodes_) {
+    calibrations_.push_back(node.env->calibration);
+  }
+  tasked_.assign(nodes_.size(), false);
   ScheduleNextSample();
 }
 
 void LoadBalancerPolicy::ScheduleNextSample() {
   sim_.ScheduleAfter(config_.sample_period, [this]() {
-    if (!running_) {
-      return;
-    }
     Sample();
     if (AnyRunnable()) {
-      ScheduleNextSample();
-    } else {
-      running_ = false;  // all work drained: stop so the simulation can end
+      ScheduleNextSample();  // otherwise all work drained: stop so the simulation can end
     }
   });
 }
@@ -59,105 +126,61 @@ bool LoadBalancerPolicy::AnyRunnable() const {
       return true;
     }
   }
-  return migration_in_flight_;
+  return std::find(tasked_.begin(), tasked_.end(), true) != tasked_.end();
 }
 
-std::vector<HostLoad> LoadBalancerPolicy::SampleLoads() const {
-  std::vector<HostLoad> loads;
+std::vector<int> LoadBalancerPolicy::SampleLoads() const {
+  std::vector<int> loads;
   loads.reserve(nodes_.size());
   for (const Node& node : nodes_) {
-    HostLoad load;
-    load.host = node.env->id;
-    load.runnable = static_cast<int>(node.manager->RunnableLocalProcesses().size());
-    const SimTime available = node.env->cpu->available_at();
-    load.cpu_backlog = available > sim_.Now() ? available - sim_.Now() : SimDuration::zero();
-    loads.push_back(load);
+    loads.push_back(static_cast<int>(node.manager->RunnableLocalProcesses().size()));
   }
   return loads;
 }
 
-ByteCount LoadBalancerPolicy::LocalAnchorBytes(const Process& process,
-                                               double dispersal_weight) {
-  const AddressSpace& space = *process.space();
-  // RealMem is served locally (memory or disk); ImagMem is owed elsewhere
-  // and moves for free. Resident frames are the hot set that pure-IOU would
-  // re-fault remotely; dispersal_weight sets how heavily they count on top
-  // of their RealMem contribution (1.0 = double, the historical default).
-  const ByteCount resident =
-      process.env()->memory->ResidentCount(space.id()) * kPageSize;
-  return AnchorBytes(space.RealBytes(), resident, dispersal_weight);
-}
-
 Process* LoadBalancerPolicy::PickCandidate(const MigrationManager& manager,
-                                           double dispersal_weight) {
-  Process* best = nullptr;
-  ByteCount best_anchor = 0;
-  for (Process* proc : manager.RunnableLocalProcesses()) {
-    const ByteCount anchor = LocalAnchorBytes(*proc, dispersal_weight);
-    if (best == nullptr || anchor < best_anchor) {
-      best = proc;
-      best_anchor = anchor;
-    }
+                                           const VictimRank& rank) {
+  const std::vector<Process*> runnable = manager.RunnableLocalProcesses();
+  std::vector<MigrationCostModel::Footprint> footprints;
+  footprints.reserve(runnable.size());
+  for (const Process* proc : runnable) {
+    footprints.push_back(FootprintOf(*proc));
   }
-  return best;
+  const std::optional<std::size_t> best = rank.Pick(footprints);
+  return best ? runnable[*best] : nullptr;
 }
 
 void LoadBalancerPolicy::Sample() {
   ++samples_;
-  if (migration_in_flight_ && config_.one_migration_per_sample) {
+  const std::optional<HostPair> pair = governor_.Decide(SampleLoads(), tasked_, calibrations_);
+  if (!pair) {
     return;
   }
-  // loads[i] describes nodes_[i] (SampleLoads walks nodes_ in order).
-  // First index wins ties on runnable — matching the historical
-  // max_element/min_element behaviour exactly — except that at equal
-  // runnable load a strictly faster-CPU host takes the destination slot
-  // (a no-op when every calibration is identity).
-  std::vector<HostLoad> loads = SampleLoads();
-  std::size_t busiest = 0;
-  std::size_t idlest = 0;
-  for (std::size_t i = 1; i < loads.size(); ++i) {
-    if (loads[i].runnable > loads[busiest].runnable) {
-      busiest = i;
-    }
-    if (loads[i].runnable < loads[idlest].runnable ||
-        (loads[i].runnable == loads[idlest].runnable &&
-         nodes_[i].calibration.cpu_multiplier >
-             nodes_[idlest].calibration.cpu_multiplier)) {
-      idlest = i;
-    }
-  }
-  if (!governor_.Observe(loads[busiest].runnable - loads[idlest].runnable)) {
-    return;  // balanced, or a transient imbalance still inside hysteresis
-  }
-
-  Node* source = &nodes_[busiest];
-  Node* target = &nodes_[idlest];
-
-  Process* candidate = PickCandidate(*source->manager, config_.dispersal_weight);
-  if (candidate == nullptr) {
-    return;
-  }
-  // A diskless source cannot anchor copy-on-reference backing: pages owed
-  // by an IOU would have no local store to be served from. Ship everything.
-  // Pre-copy already ships everything physically (rounds + final flash) and
-  // leaves no debt, so it runs unchanged from a diskless source. With a
-  // durable checkpoint store configured, the excised image is checkpointed
-  // remotely before the transfer, so owed pages survive the source and the
-  // degradation is unnecessary.
-  TransferStrategy strategy = config_.strategy;
-  if (!config_.checkpoint_store && source->calibration.diskless &&
-      (strategy == TransferStrategy::kPureIou ||
-       strategy == TransferStrategy::kResidentSet)) {
-    strategy = TransferStrategy::kPureCopy;
+  const std::size_t src = pair->source;
+  const std::size_t dst = pair->target;
+  Node& source = nodes_[src];
+  Node& target = nodes_[dst];
+  const TransferStrategy strategy = EffectiveStrategy(
+      config_.strategy, calibrations_[src], source.manager->checkpoint_store().valid());
+  // The busiest host runs at least `threshold` processes: never empty.
+  Process* candidate = PickCandidate(
+      *source.manager,
+      VictimRank{*source.env->costs, strategy, config_.dispersal_weight,
+                 AnyCalibrated(calibrations_), calibrations_[src], calibrations_[dst]});
+  ACCENT_CHECK(candidate != nullptr);
+  if (strategy != config_.strategy) {
     ++diskless_copy_forced_;
   }
-  ACCENT_LOG(kInfo) << "policy: moving " << candidate->name() << " from " << source->env->id
-                    << " to " << target->env->id;
+  ACCENT_LOG(kInfo) << "policy: moving " << candidate->name() << " from " << source.env->id
+                    << " to " << target.env->id;
   ++migrations_triggered_;
-  migration_in_flight_ = true;
-  governor_.OnMigrationFired();
-  source->manager->Migrate(candidate, target->manager->port(), strategy,
-                           [this](const MigrationRecord&) { migration_in_flight_ = false; });
+  tasked_[src] = true;
+  tasked_[dst] = true;
+  source.manager->Migrate(candidate, target.manager->port(), strategy,
+                          [this, src, dst](const MigrationRecord&) {
+                            tasked_[src] = false;
+                            tasked_[dst] = false;
+                          });
 }
 
 }  // namespace accent

@@ -96,23 +96,24 @@ const MemoryRegion* IouRegionCovering(const InsertPlan& plan, Addr addr) {
 
 }  // namespace
 
+MigrationCostModel::Footprint FootprintOf(const Process& proc) {
+  const AddressSpace& space = *proc.space();
+  MigrationCostModel::Footprint fp;
+  fp.map_entries = static_cast<std::int64_t>(space.map_entries());
+  fp.real_pages = static_cast<std::int64_t>(space.RealBytes() / kPageSize);
+  fp.resident_pages = static_cast<std::int64_t>(proc.env()->memory->ResidentCount(space.id()));
+  return fp;
+}
+
 void ExciseProcess(Process* proc, std::function<void(ExciseResult)> done) {
   ACCENT_EXPECTS(proc != nullptr && done != nullptr);
   ACCENT_EXPECTS(proc->state() == ProcState::kSuspended || proc->state() == ProcState::kReady)
       << " ExciseProcess requires a quiescent process";
   HostEnv* env = proc->env();
-  const CostTable& costs = *env->costs;
-  AddressSpace* space = proc->space();
-  ACCENT_CHECK(space != nullptr);
-
-  const auto entries = static_cast<std::int64_t>(space->map_entries());
-  const auto real_pages = static_cast<std::int64_t>(space->RealBytes() / kPageSize);
-  const auto resident = static_cast<std::int64_t>(env->memory->ResidentCount(space->id()));
-
-  const SimDuration amap_cost =
-      costs.amap_base + costs.amap_per_map_entry * entries + costs.amap_per_real_page * real_pages;
-  const SimDuration rimas_cost = costs.rimas_base + costs.rimas_per_map_entry * entries +
-                                 costs.rimas_per_resident_page * resident;
+  ACCENT_CHECK(proc->space() != nullptr);
+  const MigrationCostModel::Footprint fp = FootprintOf(*proc);
+  const SimDuration amap_cost = MigrationCostModel::ExciseAmapCost(*env->costs, fp);
+  const SimDuration rimas_cost = MigrationCostModel::ExciseRimasCost(*env->costs, fp);
 
   auto result = std::make_shared<ExciseResult>();
   const SimTime start = env->sim->Now();
@@ -175,7 +176,6 @@ void InsertProcess(HostEnv* env, Message core, Message rimas,
   ACCENT_EXPECTS(env != nullptr && env->complete() && done != nullptr);
   ACCENT_EXPECTS(core.op == MsgOp::kMigrateCore && core.has_amap);
   ACCENT_EXPECTS(rimas.op == MsgOp::kMigrateRimas);
-  const CostTable& costs = *env->costs;
 
   ByteCount data_bytes = 0;
   for (const MemoryRegion& region : rimas.regions) {
@@ -183,10 +183,9 @@ void InsertProcess(HostEnv* env, Message core, Message rimas,
       data_bytes += region.size;
     }
   }
-  const auto entries = static_cast<std::int64_t>(core.amap.entry_count());
-  const auto data_pages = static_cast<std::int64_t>(data_bytes / kPageSize);
-  const SimDuration cost = costs.insert_base + costs.insert_per_map_entry * entries +
-                           costs.insert_per_resident_page * data_pages;
+  const SimDuration cost = MigrationCostModel::InsertCost(
+      *env->costs, static_cast<std::int64_t>(core.amap.entry_count()),
+      static_cast<std::int64_t>(data_bytes / kPageSize));
 
   const SimTime start = env->sim->Now();
   auto state = std::make_shared<std::pair<Message, Message>>(std::move(core), std::move(rimas));

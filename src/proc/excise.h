@@ -16,9 +16,10 @@
 // IOU ranges imaginary), re-homes the port rights and leaves the process
 // ready to resume exactly where it stopped.
 //
-// Both primitives charge the calibrated Table 4-4 costs: AMap construction
-// (base + per-map-entry + per-RealMem-page) and address-space collapse /
-// reconstruction (base + per-entry + per-resident-page).
+// Both primitives charge the calibrated Table 4-4 costs through
+// MigrationCostModel (src/migration/cost_model.h): excision its AMap and
+// RIMAS terms of the process's FootprintOf, insertion its InsertCost of the
+// shipped pages.
 #ifndef SRC_PROC_EXCISE_H_
 #define SRC_PROC_EXCISE_H_
 
@@ -27,6 +28,7 @@
 #include <string>
 
 #include "src/ipc/message.h"
+#include "src/migration/cost_model.h"
 #include "src/proc/host_env.h"
 #include "src/proc/process.h"
 #include "src/proc/trace.h"
@@ -54,6 +56,12 @@ struct ExciseResult {
   SimDuration rimas_time{0};
   SimDuration overall_time{0};
 };
+
+// What the cost formulas need to know about a live process: its validated
+// map entries, RealMem pages and resident frames on its host. Excision,
+// the pre-copy downtime predictor and LoadBalancerPolicy's victim rank all
+// price a live process through it.
+MigrationCostModel::Footprint FootprintOf(const Process& proc);
 
 // Excises `proc` (must be quiescent: suspended or never started). `done`
 // fires when the kernel trap completes, with both context messages built.

@@ -31,12 +31,11 @@ struct HostEnv {
   Pager* pager = nullptr;
   NetMsgServer* netmsg = nullptr;     // null on isolated single-host setups
   SegmentTable* segments = nullptr;   // shared per simulation
-  // HostCalibration::diskless: this machine pages across the wire and must
-  // never anchor local backing (FileServer::Start refuses to run here).
-  bool diskless = false;
   // This host's deviation from the shared CostTable (identity by default).
-  // The pre-copy SLO predictor reads it; CPU/wire charging is already
-  // applied by the subsystems themselves.
+  // The pre-copy SLO predictor and LoadBalancerPolicy read it; CPU/wire
+  // charging is already applied by the subsystems themselves. A diskless
+  // host pages across the wire and must never anchor local backing
+  // (FileServer::Start refuses to run here).
   HostCalibration calibration{};
 
   bool complete() const {

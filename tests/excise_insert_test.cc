@@ -3,11 +3,13 @@
 // position and every memory class.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "src/experiments/testbed.h"
 #include "src/proc/excise.h"
+#include "src/workloads/workload.h"
 
 namespace accent {
 namespace {
@@ -271,13 +273,44 @@ TEST(InsertRuns, InterleavedAndStagedRunsInstallInPageOrder) {
 }
 
 TEST_F(ExciseInsertTest, ExciseTimingsFollowCostModel) {
-  auto proc = BuildProcess();
-  ExciseResult excised = Excise(proc.get());
-  EXPECT_GT(excised.amap_time.count(), 0);
-  EXPECT_GT(excised.rimas_time.count(), 0);
-  EXPECT_GE(excised.overall_time, excised.amap_time + excised.rimas_time);
-  // Small process: under a second, like Minprog in Table 4-4.
-  EXPECT_LT(ToSeconds(excised.overall_time), 1.0);
+  // On an idle host every phase runs the moment it is submitted, so each
+  // measured time is exactly the MigrationCostModel term that was charged.
+  for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+    SCOPED_TRACE(spec.name);
+    Testbed idle;
+    const CostTable& costs = *idle.host(0)->costs;
+    WorkloadInstance instance = BuildWorkload(spec, idle.host(0), 42);
+    const MigrationCostModel::Footprint fp = FootprintOf(*instance.process);
+
+    std::optional<ExciseResult> excised;
+    ExciseProcess(instance.process.get(), [&](ExciseResult r) { excised = std::move(r); });
+    idle.sim().Run();
+    ASSERT_TRUE(excised.has_value());
+    EXPECT_EQ(excised->amap_time, MigrationCostModel::ExciseAmapCost(costs, fp));
+    EXPECT_EQ(excised->rimas_time, MigrationCostModel::ExciseRimasCost(costs, fp));
+    EXPECT_EQ(excised->overall_time, MigrationCostModel::ExciseCost(costs, fp));
+    if (spec.name == "Minprog") {
+      EXPECT_LT(ToSeconds(excised->overall_time), 1.0);  // Table 4-4's smallest excision
+    }
+
+    const auto entries = static_cast<std::int64_t>(excised->core.amap.entry_count());
+    std::int64_t shipped = 0;
+    for (const MemoryRegion& region : excised->rimas.regions) {
+      if (region.mem_class == MemClass::kReal) {
+        shipped += static_cast<std::int64_t>(region.size / kPageSize);
+      }
+    }
+    std::unique_ptr<Process> inserted;
+    InsertResult insert;
+    InsertProcess(idle.host(1), std::move(excised->core), std::move(excised->rimas),
+                  [&](std::unique_ptr<Process> p, InsertResult r) {
+                    inserted = std::move(p);
+                    insert = r;
+                  });
+    idle.sim().Run();
+    ASSERT_NE(inserted, nullptr);
+    EXPECT_EQ(insert.insert_time, MigrationCostModel::InsertCost(costs, entries, shipped));
+  }
 }
 
 }  // namespace
