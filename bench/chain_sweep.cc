@@ -19,6 +19,9 @@
 namespace accent {
 namespace {
 
+// Seven Table 4-1 programs x ChainSweepSpecs' 12 cells.
+constexpr std::uint64_t kChainTrials = 84;
+
 int Main(int argc, char** argv) {
   const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_chain.json");
   if (!args) {
@@ -45,6 +48,7 @@ int Main(int argc, char** argv) {
   Json report = ChainSweepToJson(RunMechTrials(specs, args->threads),
                                  RunChainCrashTrials(crash_specs, args->threads));
   report["seed"] = Json(args->seed);
+  AddGate(&report, "trial_count", report.Get("trial_count"), "==", kChainTrials);
   return WriteReport(report, args->out);
 }
 

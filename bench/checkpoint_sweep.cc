@@ -15,6 +15,10 @@
 namespace accent {
 namespace {
 
+// The failure matrix's cells: seven Table 4-1 programs x four strategies x
+// four fault columns.
+constexpr std::uint64_t kCheckpointMatrixTrials = 112;
+
 int Main(int argc, char** argv) {
   const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_checkpoint.json");
   if (!args) {
@@ -39,6 +43,7 @@ int Main(int argc, char** argv) {
   report["unsurvivable_pure_iou_source_crash"] = Json(unsurvivable);
   AddGate(&report, "unsurvivable_pure_iou_source_crash", unsurvivable, "==", 0);
   AddGate(&report, "terminal_faults", report.Get("terminal_faults"), "==", 0);
+  AddGate(&report, "trial_count", report.Get("trial_count"), "==", kCheckpointMatrixTrials);
   return WriteReport(report, args->out);
 }
 

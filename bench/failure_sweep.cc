@@ -15,6 +15,9 @@
 namespace accent {
 namespace {
 
+// The matrix: seven Table 4-1 programs x four strategies x four fault columns.
+constexpr std::uint64_t kFailureMatrixTrials = 112;
+
 int Main(int argc, char** argv) {
   const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_failure.json");
   if (!args) {
@@ -23,6 +26,7 @@ int Main(int argc, char** argv) {
 
   Json report = FailureMatrixToJson(RunFailureMatrix(args->seed, args->threads));
   report["seed"] = Json(args->seed);
+  AddGate(&report, "trial_count", report.Get("trial_count"), "==", kFailureMatrixTrials);
   return WriteReport(report, args->out);
 }
 

@@ -15,6 +15,10 @@
 namespace accent {
 namespace {
 
+// Seven Table 4-1 programs x (three paper strategies + nine pre-copy
+// round-cap x SLO cells).
+constexpr std::uint64_t kPreCopyTrials = 84;
+
 int Main(int argc, char** argv) {
   const std::optional<ReportArgs> args = ParseReportArgs(argc, argv, "BENCH_precopy.json");
   if (!args) {
@@ -24,6 +28,7 @@ int Main(int argc, char** argv) {
   Json report =
       PreCopySweepToJson(RunMechTrials(PreCopySweepSpecs(args->seed), args->threads));
   report["seed"] = Json(args->seed);
+  AddGate(&report, "trial_count", report.Get("trial_count"), "==", kPreCopyTrials);
   return WriteReport(report, args->out);
 }
 

@@ -2,18 +2,32 @@
 // values, with automatic splitting and coalescing.
 //
 // This is the backbone of Accent's sparse 4 GB address spaces and of
-// Accessibility Maps: validating gigabytes of zero-fill memory costs one map
-// node, and accessibility queries over ranges walk only the mapped intervals.
+// Accessibility Maps: validating gigabytes of zero-fill memory costs one
+// interval, and accessibility queries over ranges walk only the mapped
+// intervals.
 //
-// Invariants (checked in debug paths, relied upon everywhere):
+// The intervals live in one sorted vector. A query is one binary search; an
+// Assign or Erase is one binary search plus one splice that replaces the
+// intervals it overlaps or touches with at most three (a left remnant, the
+// new interval, a right remnant).
+//
+// Invariants (relied upon everywhere):
 //   - intervals are non-empty, pairwise disjoint, sorted by begin;
 //   - no two adjacent intervals with equal values (they are coalesced).
+// So the intervals are a function of the mapped bytes alone, whatever order
+// of Assign and Erase produced them.
+//
+// Pointers from Find/FindMutable, and the Interval references ForEach hands
+// its callback, last only until the next Assign, Erase or Clear; a ForEach or
+// ForEachIn callback must not mutate the map it walks.
 #ifndef SRC_BASE_INTERVAL_MAP_H_
 #define SRC_BASE_INTERVAL_MAP_H_
 
-#include <map>
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/base/check.h"
 #include "src/base/types.h"
@@ -29,58 +43,84 @@ class IntervalMap {
     V value{};
 
     ByteCount size() const { return end - begin; }
+    friend bool operator==(const Interval&, const Interval&) = default;
   };
 
   // Sets [begin, end) to `value`, overwriting any previous mappings there.
   void Assign(Addr begin, Addr end, V value) {
     ACCENT_EXPECTS(begin < end);
-    SplitAt(begin);
-    SplitAt(end);
-    // Remove fully-covered intervals.
-    auto it = map_.lower_bound(begin);
-    while (it != map_.end() && it->first < end) {
-      it = map_.erase(it);
+    std::size_t lo = FirstEndingAfter(begin);
+    if (lo < items_.size() && items_[lo].begin <= begin && end <= items_[lo].end &&
+        items_[lo].value == value) {
+      return;  // already that value throughout
     }
-    map_.emplace(begin, Node{end, std::move(value)});
-    CoalesceAround(begin);
-    CoalesceAround(end);
+    // [lo, hi): the intervals overlapping [begin, end) or touching its ends.
+    if (lo > 0 && items_[lo - 1].end == begin) {
+      --lo;
+    }
+    std::size_t hi = lo;
+    while (hi < items_.size() && items_[hi].begin <= end) {
+      ++hi;
+    }
+    // The remnants of [lo, hi) outside [begin, end) survive, unless they
+    // hold `value`: then the new interval absorbs them.
+    const Interval* left = lo < hi && items_[lo].begin < begin ? &items_[lo] : nullptr;
+    const Interval* right = lo < hi && items_[hi - 1].end > end ? &items_[hi - 1] : nullptr;
+    Interval pieces[3];
+    std::size_t count = 0;
+    if (left != nullptr && left->value != value) {
+      pieces[count++] = Interval{left->begin, begin, left->value};
+    }
+    pieces[count++] = Interval{left != nullptr && left->value == value ? left->begin : begin,
+                               right != nullptr && right->value == value ? right->end : end,
+                               value};
+    if (right != nullptr && right->value != value) {
+      pieces[count++] = Interval{end, right->end, right->value};
+    }
+    Splice(lo, hi, pieces, count);
   }
 
   // Removes all mappings intersecting [begin, end).
   void Erase(Addr begin, Addr end) {
     ACCENT_EXPECTS(begin < end);
-    SplitAt(begin);
-    SplitAt(end);
-    auto it = map_.lower_bound(begin);
-    while (it != map_.end() && it->first < end) {
-      it = map_.erase(it);
+    const std::size_t lo = FirstEndingAfter(begin);
+    std::size_t hi = lo;
+    while (hi < items_.size() && items_[hi].begin < end) {
+      ++hi;
     }
+    if (lo == hi) {
+      return;
+    }
+    Interval pieces[2];
+    std::size_t count = 0;
+    if (items_[lo].begin < begin) {
+      pieces[count++] = Interval{items_[lo].begin, begin, items_[lo].value};
+    }
+    if (items_[hi - 1].end > end) {
+      pieces[count++] = Interval{end, items_[hi - 1].end, items_[hi - 1].value};
+    }
+    Splice(lo, hi, pieces, count);
   }
 
-  void Clear() { map_.clear(); }
+  void Clear() { items_.clear(); }
 
   // Returns the value covering `addr`, or nullptr if unmapped.
   const V* Find(Addr addr) const {
-    auto it = FindNode(addr);
-    return it == map_.end() ? nullptr : &it->second.value;
+    const std::size_t i = FirstEndingAfter(addr);
+    return i < items_.size() && items_[i].begin <= addr ? &items_[i].value : nullptr;
   }
 
   V* FindMutable(Addr addr) {
-    auto it = map_.upper_bound(addr);
-    if (it == map_.begin()) {
-      return nullptr;
-    }
-    --it;
-    return addr < it->second.end ? &it->second.value : nullptr;
+    return const_cast<V*>(std::as_const(*this).Find(addr));
   }
 
   // Returns the full interval covering `addr`, if any.
   std::optional<Interval> FindInterval(Addr addr) const {
-    auto it = FindNode(addr);
-    if (it == map_.end()) {
-      return std::nullopt;
+    const std::size_t i = FirstEndingAfter(addr);
+    if (i < items_.size() && items_[i].begin <= addr) {
+      return items_[i];
     }
-    return Interval{it->first, it->second.end, it->second.value};
+    return std::nullopt;
   }
 
   // Invokes fn(Interval) for every mapped interval intersecting
@@ -88,16 +128,10 @@ class IntervalMap {
   template <typename Fn>
   void ForEachIn(Addr begin, Addr end, Fn fn) const {
     ACCENT_EXPECTS(begin <= end);
-    auto it = map_.upper_bound(begin);
-    if (it != map_.begin()) {
-      --it;
-      if (it->second.end <= begin) {
-        ++it;
-      }
-    }
-    for (; it != map_.end() && it->first < end; ++it) {
-      Interval clipped{std::max(it->first, begin), std::min(it->second.end, end),
-                       it->second.value};
+    for (std::size_t i = FirstEndingAfter(begin); i < items_.size() && items_[i].begin < end;
+         ++i) {
+      const Interval& iv = items_[i];
+      Interval clipped{std::max(iv.begin, begin), std::min(iv.end, end), iv.value};
       if (clipped.begin < clipped.end) {
         fn(clipped);
       }
@@ -106,8 +140,8 @@ class IntervalMap {
 
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (const auto& [begin, node] : map_) {
-      fn(Interval{begin, node.end, node.value});
+    for (const Interval& iv : items_) {
+      fn(iv);
     }
   }
 
@@ -115,74 +149,53 @@ class IntervalMap {
   bool Covers(Addr begin, Addr end) const {
     ACCENT_EXPECTS(begin <= end);
     Addr cursor = begin;
-    bool gap = false;
-    ForEachIn(begin, end, [&](const Interval& iv) {
-      if (iv.begin != cursor) {
-        gap = true;
+    for (std::size_t i = FirstEndingAfter(begin); cursor < end && i < items_.size(); ++i) {
+      if (items_[i].begin > cursor) {
+        return false;
       }
-      cursor = iv.end;
-    });
-    return !gap && cursor == end;
+      cursor = items_[i].end;
+    }
+    return cursor >= end;
   }
 
-  bool empty() const { return map_.empty(); }
-  std::size_t interval_count() const { return map_.size(); }
+  bool empty() const { return items_.empty(); }
+  std::size_t interval_count() const { return items_.size(); }
 
   // Sum of mapped interval lengths.
   ByteCount TotalBytes() const {
     ByteCount total = 0;
-    for (const auto& [begin, node] : map_) {
-      total += node.end - begin;
+    for (const Interval& iv : items_) {
+      total += iv.size();
     }
     return total;
   }
 
+  friend bool operator==(const IntervalMap&, const IntervalMap&) = default;
+
  private:
-  struct Node {
-    Addr end;
-    V value;
-  };
-
-  using MapType = std::map<Addr, Node>;
-
-  typename MapType::const_iterator FindNode(Addr addr) const {
-    auto it = map_.upper_bound(addr);
-    if (it == map_.begin()) {
-      return map_.end();
-    }
-    --it;
-    return addr < it->second.end ? it : map_.end();
+  // Index of the first interval ending after `addr` (the one covering it,
+  // or else the first to its right); items_.size() if none.
+  std::size_t FirstEndingAfter(Addr addr) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(items_.begin(), items_.end(), addr,
+                         [](Addr a, const Interval& iv) { return a < iv.end; }) -
+        items_.begin());
   }
 
-  // Ensures no interval spans `addr`: a crossing interval is split in two.
-  void SplitAt(Addr addr) {
-    auto it = map_.upper_bound(addr);
-    if (it == map_.begin()) {
-      return;
+  // Replaces items_[lo, hi) with pieces[0, count).
+  void Splice(std::size_t lo, std::size_t hi, Interval* pieces, std::size_t count) {
+    const auto at = static_cast<std::ptrdiff_t>(lo);
+    const auto had = static_cast<std::ptrdiff_t>(hi - lo);
+    const auto has = static_cast<std::ptrdiff_t>(count);
+    if (has < had) {
+      items_.erase(items_.begin() + at + has, items_.begin() + at + had);
+    } else if (has > had) {
+      items_.insert(items_.begin() + at + had, count - (hi - lo), Interval{});
     }
-    --it;
-    if (it->first < addr && addr < it->second.end) {
-      Node right{it->second.end, it->second.value};
-      it->second.end = addr;
-      map_.emplace(addr, std::move(right));
-    }
+    std::move(pieces, pieces + count, items_.begin() + at);
   }
 
-  // Merges the interval ending/starting at `boundary` with its left
-  // neighbour when values compare equal.
-  void CoalesceAround(Addr boundary) {
-    auto right = map_.lower_bound(boundary);
-    if (right == map_.end() || right == map_.begin()) {
-      return;
-    }
-    auto left = std::prev(right);
-    if (left->second.end == right->first && left->second.value == right->second.value) {
-      left->second.end = right->second.end;
-      map_.erase(right);
-    }
-  }
-
-  MapType map_;
+  std::vector<Interval> items_;
 };
 
 }  // namespace accent

@@ -130,7 +130,7 @@ class InlineEvent {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity];
+  alignas(std::max_align_t) unsigned char storage_[kInlineCapacity]{};
   const Ops* ops_ = nullptr;
 };
 

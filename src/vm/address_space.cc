@@ -16,10 +16,9 @@ void CheckPageAligned(Addr begin, Addr end) {
 
 void AddressSpace::Validate(Addr begin, Addr end) {
   CheckPageAligned(begin, end);
-  ACCENT_EXPECTS(amap_.RangeAvoids(begin, end, MemClass::kRealZero) &&
-                 amap_.RangeAvoids(begin, end, MemClass::kReal) &&
-                 amap_.RangeAvoids(begin, end, MemClass::kImag))
-      << " validating over an existing mapping";
+  bool mapped = false;  // BadMem throughout is absence from the AMap
+  amap_.ForEachIn(begin, end, [&](const AMap::Interval&) { mapped = true; });
+  ACCENT_EXPECTS(!mapped) << " validating over an existing mapping";
   mappings_.Assign(begin, end, MappingValue{nullptr, begin, 0, false});
   amap_.Set(begin, end, MemClass::kRealZero);
 }

@@ -1,8 +1,5 @@
 #include "src/vm/amap.h"
 
-#include <optional>
-#include <vector>
-
 namespace accent {
 
 const char* MemClassName(MemClass mem_class) {
@@ -19,13 +16,6 @@ void AMap::Set(Addr begin, Addr end, MemClass mem_class) {
   ACCENT_EXPECTS(begin < end);
   if (mem_class == MemClass::kBad) {
     map_.Erase(begin, end);
-    return;
-  }
-  // Already that class throughout (a pager install on a page that is
-  // already RealMem): splitting and re-merging would rebuild the same
-  // intervals.
-  const std::optional<Interval> covering = map_.FindInterval(begin);
-  if (covering.has_value() && covering->value == mem_class && end <= covering->end) {
     return;
   }
   map_.Assign(begin, end, mem_class);
@@ -59,20 +49,6 @@ ByteCount AMap::BytesOf(MemClass mem_class) const {
   return total;
 }
 
-bool operator==(const AMap& a, const AMap& b) {
-  std::vector<AMap::Interval> av;
-  std::vector<AMap::Interval> bv;
-  a.ForEach([&](const AMap::Interval& iv) { av.push_back(iv); });
-  b.ForEach([&](const AMap::Interval& iv) { bv.push_back(iv); });
-  if (av.size() != bv.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < av.size(); ++i) {
-    if (av[i].begin != bv[i].begin || av[i].end != bv[i].end || av[i].value != bv[i].value) {
-      return false;
-    }
-  }
-  return true;
-}
+bool operator==(const AMap& a, const AMap& b) { return a.map_ == b.map_; }
 
 }  // namespace accent

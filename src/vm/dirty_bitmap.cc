@@ -69,27 +69,20 @@ bool DirtyBitmap::Test(PageIndex page) const {
 }
 
 void DirtyBitmap::EraseRange(PageIndex first, PageIndex end) {
-  if (first >= end || runs_.empty()) {
+  if (first >= end) {
     return;
   }
-  std::vector<Run> kept;
-  kept.reserve(runs_.size());
-  for (Run& run : runs_) {
-    const PageIndex run_begin = run.first_word * kWordBits;
-    const PageIndex run_end = run.end_word() * kWordBits;
-    if (run_end <= first || run_begin >= end) {
-      kept.push_back(std::move(run));
-      continue;
-    }
-    for (PageIndex word = run.first_word; word < run.end_word(); ++word) {
-      std::uint64_t& slot = run.words[word - run.first_word];
-      if (slot == 0) {
-        continue;
-      }
+  const PageIndex first_word = WordOf(first);
+  const PageIndex end_word = WordOf(end - 1) + 1;
+  std::size_t drop_begin = 0;  // the emptied runs, contiguous: [drop_begin, drop_end)
+  std::size_t drop_end = 0;
+  for (std::size_t index = RunIndexFor(first_word);
+       index < runs_.size() && runs_[index].first_word < end_word; ++index) {
+    Run& run = runs_[index];
+    const PageIndex lo = std::max(first_word, run.first_word);
+    const PageIndex hi = std::min(end_word, run.end_word());
+    for (PageIndex word = lo; word < hi; ++word) {
       const PageIndex word_base = word * kWordBits;
-      if (word_base + kWordBits <= first || word_base >= end) {
-        continue;  // word lies entirely outside the erased range
-      }
       std::uint64_t mask = ~0ull;
       if (first > word_base) {
         mask &= ~0ull << (first - word_base);
@@ -97,31 +90,44 @@ void DirtyBitmap::EraseRange(PageIndex first, PageIndex end) {
       if (end < word_base + kWordBits) {
         mask &= (1ull << (end - word_base)) - 1;
       }
-      const std::uint64_t cleared = slot & mask;
-      count_ -= static_cast<std::size_t>(__builtin_popcountll(cleared));
+      std::uint64_t& slot = run.words[word - run.first_word];
+      count_ -= static_cast<std::size_t>(__builtin_popcountll(slot & mask));
       slot &= ~mask;
     }
-    // Re-split around all-zero words so runs stay tight.
-    PageIndex word = run.first_word;
-    while (word < run.end_word()) {
-      while (word < run.end_word() && run.words[word - run.first_word] == 0) {
-        ++word;
+    // Only the erased range's first and last words can keep bits, so the
+    // words this emptied form one block [zero_from, zero_to).
+    const auto window = run.words.begin() + static_cast<std::ptrdiff_t>(lo - run.first_word);
+    const auto window_end = window + static_cast<std::ptrdiff_t>(hi - lo);
+    const auto zero_from = std::find(window, window_end, 0ull);
+    if (zero_from == window_end) {
+      continue;
+    }
+    const auto zero_to =
+        std::find_if(zero_from, window_end, [](std::uint64_t slot) { return slot != 0; });
+    const PageIndex zero_end = run.first_word + static_cast<PageIndex>(zero_to - run.words.begin());
+    const bool keep_left = zero_from != run.words.begin();
+    const bool keep_right = zero_to != run.words.end();
+    if (keep_left && keep_right) {
+      // The range fell inside this one run: split it around the block.
+      Run right{zero_end, std::vector<std::uint64_t>(zero_to, run.words.end())};
+      run.words.erase(zero_from, run.words.end());
+      runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(index + 1), std::move(right));
+      return;
+    }
+    if (keep_left) {
+      run.words.erase(zero_from, run.words.end());
+    } else if (keep_right) {
+      run.words.erase(run.words.begin(), zero_to);
+      run.first_word = zero_end;
+    } else {
+      if (drop_begin == drop_end) {
+        drop_begin = index;
       }
-      if (word == run.end_word()) {
-        break;
-      }
-      Run piece;
-      piece.first_word = word;
-      while (word < run.end_word() && run.words[word - run.first_word] != 0) {
-        piece.words.push_back(run.words[word - run.first_word]);
-        ++word;
-      }
-      kept.push_back(std::move(piece));
+      drop_end = index + 1;
     }
   }
-  std::sort(kept.begin(), kept.end(),
-            [](const Run& a, const Run& b) { return a.first_word < b.first_word; });
-  runs_ = std::move(kept);
+  runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(drop_begin),
+              runs_.begin() + static_cast<std::ptrdiff_t>(drop_end));
 }
 
 std::vector<PageIndex> DirtyBitmap::ToVector() const {

@@ -29,6 +29,8 @@ class DirtyBitmap {
   bool Test(PageIndex page) const;
 
   // Clears every page in [first, end) (unmap / remap supersedes dirtiness).
+  // Touches only the runs the range overlaps, and allocates only to split
+  // one run in two.
   void EraseRange(PageIndex first, PageIndex end);
 
   void Clear() {
@@ -55,7 +57,9 @@ class DirtyBitmap {
   // Index of the first run with end_word() > word; runs_.size() if none.
   std::size_t RunIndexFor(PageIndex word) const;
 
-  std::vector<Run> runs_;  // sorted by first_word; disjoint; never empty
+  // Sorted by first_word; every word non-zero, so runs are exactly the
+  // maximal stretches of dirty words and never touch.
+  std::vector<Run> runs_;
   std::size_t count_ = 0;
 };
 

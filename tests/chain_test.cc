@@ -164,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(Strategies, ChainStrategyTest,
                          ::testing::Values(TransferStrategy::kPureCopy,
                                            TransferStrategy::kPureIou,
                                            TransferStrategy::kResidentSet),
-                         [](const ::testing::TestParamInfo<TransferStrategy>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<TransferStrategy>& param_info) {
+                           switch (param_info.param) {
                              case TransferStrategy::kPureCopy:
                                return "PureCopy";
                              case TransferStrategy::kPureIou:

@@ -2,8 +2,11 @@
 // brute-force byte-level reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <tuple>
+#include <vector>
 
 #include "src/base/interval_map.h"
 #include "src/base/rng.h"
@@ -174,9 +177,34 @@ class ReferenceModel {
   }
   ByteCount TotalBytes() const { return bytes_.size(); }
 
+  // What ForEachIn(b, e) must report: the maximal stretches of mapped bytes
+  // holding one value, clipped to [b, e).
+  std::vector<Map::Interval> Pieces(Addr b, Addr e) const {
+    std::vector<Map::Interval> pieces;
+    for (auto it = bytes_.lower_bound(b); it != bytes_.end() && it->first < e; ++it) {
+      const auto [a, v] = *it;
+      if (!pieces.empty() && pieces.back().end == a && pieces.back().value == v) {
+        ++pieces.back().end;
+      } else {
+        pieces.push_back(Map::Interval{a, a + 1, v});
+      }
+    }
+    return pieces;
+  }
+
  private:
   std::map<Addr, int> bytes_;
 };
+
+using Span = std::tuple<Addr, Addr, int>;
+
+std::vector<Span> Spans(const std::vector<Map::Interval>& intervals) {
+  std::vector<Span> spans;
+  for (const Map::Interval& iv : intervals) {
+    spans.emplace_back(iv.begin, iv.end, iv.value);
+  }
+  return spans;
+}
 
 class IntervalMapProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -187,9 +215,18 @@ TEST_P(IntervalMapProperty, MatchesByteLevelModelUnderRandomOps) {
   constexpr Addr kSpace = 256;
 
   for (int step = 0; step < 400; ++step) {
-    const Addr b = rng.NextBelow(kSpace - 1);
-    const Addr e = b + 1 + rng.NextBelow(kSpace - b - 1) ;
+    Addr b = rng.NextBelow(kSpace - 1);
+    Addr e = b + 1 + rng.NextBelow(kSpace - b - 1);
     const int v = static_cast<int>(rng.NextBelow(3));
+    if (!map.empty() && rng.NextBool(0.2)) {
+      // Aim at the first or the last interval: exactly it, or from its
+      // begin, or up to its end.
+      const std::vector<Map::Interval> all = Collect(map);
+      const Map::Interval& edge = rng.NextBool(0.5) ? all.front() : all.back();
+      const std::uint64_t shape = rng.NextBelow(3);
+      b = shape == 2 ? std::min(b, edge.end - 1) : edge.begin;
+      e = shape == 1 ? std::max(e, edge.begin + 1) : edge.end;
+    }
     if (rng.NextBool(0.7)) {
       map.Assign(b, e, v);
       model.Assign(b, e, v);
@@ -208,6 +245,37 @@ TEST_P(IntervalMapProperty, MatchesByteLevelModelUnderRandomOps) {
       }
     }
     ASSERT_EQ(map.TotalBytes(), model.TotalBytes());
+
+    // The intervals are the model's maximal one-value stretches, and
+    // FindInterval returns the one around an address.
+    const std::vector<Map::Interval> whole = model.Pieces(0, kSpace);
+    ASSERT_EQ(Spans(Collect(map)), Spans(whole)) << "step " << step;
+    for (Addr a = 0; a < kSpace; ++a) {
+      const std::optional<Map::Interval> got = map.FindInterval(a);
+      const auto want = std::find_if(whole.begin(), whole.end(), [&](const Map::Interval& iv) {
+        return iv.begin <= a && a < iv.end;
+      });
+      ASSERT_EQ(got.has_value(), want != whole.end()) << "addr " << a << " step " << step;
+      if (got.has_value()) {
+        ASSERT_EQ(Spans({*got}), Spans({*want})) << "addr " << a << " step " << step;
+      }
+    }
+
+    // Random windows: ForEachIn's clipped pieces and Covers.
+    for (int window = 0; window < 8; ++window) {
+      const Addr wb = rng.NextBelow(kSpace);
+      const Addr we = wb + rng.NextBelow(kSpace - wb + 1);
+      std::vector<Map::Interval> seen;
+      map.ForEachIn(wb, we, [&](const Map::Interval& iv) { seen.push_back(iv); });
+      ASSERT_EQ(Spans(seen), Spans(model.Pieces(wb, we)))
+          << "window [" << wb << "," << we << ") step " << step;
+      bool covered = true;
+      for (Addr a = wb; a < we; ++a) {
+        covered = covered && model.Find(a).has_value();
+      }
+      ASSERT_EQ(map.Covers(wb, we), covered)
+          << "window [" << wb << "," << we << ") step " << step;
+    }
 
     // Structural invariants: sorted, disjoint, non-empty, coalesced.
     Addr prev_end = 0;

@@ -90,10 +90,10 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MigrationStrategyTest,
                          ::testing::Values(TransferStrategy::kPureCopy,
                                            TransferStrategy::kPureIou,
                                            TransferStrategy::kResidentSet),
-                         [](const auto& info) {
-                           return std::string(StrategyName(info.param)) == "pure-copy"
+                         [](const auto& param_info) {
+                           return std::string(StrategyName(param_info.param)) == "pure-copy"
                                       ? "PureCopy"
-                                      : StrategyName(info.param) == std::string("pure-IOU")
+                                      : StrategyName(param_info.param) == std::string("pure-IOU")
                                             ? "PureIou"
                                             : "ResidentSet";
                          });

@@ -65,8 +65,8 @@ TEST_P(PrefetchSweepTest, RemoteExecutionNeverWorseWithSinglePagePrefetch) {
 INSTANTIATE_TEST_SUITE_P(AllRepresentatives, PrefetchSweepTest,
                          ::testing::Values("Minprog", "Lisp-T", "Lisp-Del", "PM-Start",
                                            "PM-Mid", "PM-End", "Chess"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') {
                                c = '_';

@@ -200,8 +200,8 @@ TEST_P(TrialRelationTest, IouTransfersLessAndFasterThanCopy) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, TrialRelationTest,
                          ::testing::Values("Minprog", "Lisp-T", "Lisp-Del", "PM-Start",
                                            "PM-Mid", "PM-End", "Chess"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') {
                                c = '_';

@@ -128,8 +128,8 @@ TEST_P(WorkloadParamTest, RealPagesCarryPatternData) {
 INSTANTIATE_TEST_SUITE_P(AllRepresentatives, WorkloadParamTest,
                          ::testing::Values("Minprog", "Lisp-T", "Lisp-Del", "PM-Start",
                                            "PM-Mid", "PM-End", "Chess"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') {
                                c = '_';
