@@ -18,11 +18,7 @@ void Logger::Write(LogLevel level, const std::string& msg) {
     case LogLevel::kTrace: tag = "T"; break;
     case LogLevel::kNone: return;
   }
-  if (clock_) {
-    std::fprintf(stderr, "[%s %10.6fs] %s\n", tag, ToSeconds(clock_()), msg.c_str());
-  } else {
-    std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
-  }
+  std::fprintf(stderr, "[%s] %s\n", tag, msg.c_str());
 }
 
 }  // namespace accent

@@ -1,16 +1,12 @@
 // Minimal leveled logging for the simulator.
 //
 // Logging is off by default (benchmarks must stay quiet); tests and examples
-// can raise the level. Messages are prefixed with the simulated time when a
-// clock source has been registered, which makes event traces readable.
+// can raise the level. Messages go to stderr prefixed with their level.
 #ifndef SRC_BASE_LOGGING_H_
 #define SRC_BASE_LOGGING_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
-
-#include "src/base/types.h"
 
 namespace accent {
 
@@ -29,15 +25,11 @@ class Logger {
   void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
 
-  // Registers a source for simulated-time prefixes (nullptr to clear).
-  void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
-
   bool Enabled(LogLevel level) const { return level <= level_; }
   void Write(LogLevel level, const std::string& msg);
 
  private:
   LogLevel level_ = LogLevel::kNone;
-  std::function<SimTime()> clock_;
 };
 
 namespace log_internal {

@@ -24,7 +24,6 @@ Testbed::Testbed(const TestbedConfig& config)
     page_directory_ = std::make_unique<PageDirectory>(config_.costs.wire_latency);
   }
   const bool faulty = config_.fault_plan.enabled();
-  const bool reliable = faulty || config_.reliable_transport;
   if (faulty) {
     fault_ = std::make_unique<FaultInjector>(config_.fault_plan, config_.fault_seed);
     network_.set_fault_injector(fault_.get());
@@ -73,7 +72,7 @@ Testbed::Testbed(const TestbedConfig& config)
                   MigrationCostModel::WireCost(config_.costs, kPageSize, cal).count()));
     }
     parts.netmsg->set_iou_caching(config_.iou_caching);
-    if (reliable) {
+    if (faulty) {
       parts.netmsg->set_reliable(true);
       parts.pager->set_fetch_timeout_enabled(true);
     }

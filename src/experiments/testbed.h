@@ -46,11 +46,11 @@ struct TestbedConfig {
   // wire and switches every host to the reliable NetMsgServer transport
   // (lossy delivery without retransmission would simply wedge). The
   // default — empty plan, reliable off — leaves the lossless event
-  // schedule bit-identical to the seed.
+  // schedule bit-identical to the seed. A plan holding only a crash parked
+  // past the run (chain.h's kParkedCrash) gives a lossless wire with the
+  // reliable transport and failure handling on.
   FaultPlan fault_plan{};
   std::uint64_t fault_seed = 42;
-  // Force the reliable transport even with a trivial plan (protocol tests).
-  bool reliable_transport = false;
 
   // Content-addressed cluster page service (docs/INTERNALS.md §15). Off by
   // default: no PageService is constructed, no hashes are ever computed and

@@ -50,21 +50,55 @@ std::vector<Process*> MigrationManager::RunnableLocalProcesses() const {
   return runnable;
 }
 
-std::unique_ptr<Process> MigrationManager::ReleaseAdopted(ProcId proc) {
-  auto it = std::find_if(adopted_.begin(), adopted_.end(),
-                         [proc](const std::unique_ptr<Process>& p) { return p->id() == proc; });
-  ACCENT_EXPECTS(it != adopted_.end()) << " process " << proc << " was not adopted here";
-  std::unique_ptr<Process> released = std::move(*it);
-  adopted_.erase(it);
-  return released;
+namespace {
+
+// Splits the RIMAS's Real regions by `keep` (ascending): each maximal run of
+// kept pages stays a Data region, in order among the other regions, and
+// every other Real page moves to `rest` in address order, or is dropped
+// when `rest` is null.
+void PartitionRealRuns(Message* rimas, const std::vector<PageIndex>& keep,
+                       std::vector<std::pair<PageIndex, PageRef>>* rest) {
+  const auto kept = [&keep](PageIndex page) {
+    return std::binary_search(keep.begin(), keep.end(), page);
+  };
+  std::vector<MemoryRegion> regions;
+  for (MemoryRegion& region : rimas->regions) {
+    if (region.mem_class != MemClass::kReal) {
+      regions.push_back(std::move(region));
+      continue;
+    }
+    const PageIndex first = PageOf(region.base);
+    PageIndex i = 0;
+    while (i < region.page_count()) {
+      if (!kept(first + i)) {
+        if (rest != nullptr) {
+          rest->emplace_back(first + i, std::move(region.pages[i]));
+        }
+        ++i;
+        continue;
+      }
+      const PageIndex run_start = i;
+      std::vector<PageRef> pages;
+      while (i < region.page_count() && kept(first + i)) {
+        pages.push_back(std::move(region.pages[i]));
+        ++i;
+      }
+      regions.push_back(MemoryRegion::Data(region.base + run_start * kPageSize, std::move(pages)));
+    }
+  }
+  rimas->regions = std::move(regions);
 }
 
+}  // namespace
+
 void MigrationManager::ApplyStrategy(Message* rimas, TransferStrategy strategy,
-                                     const std::vector<PageIndex>& resident_pages,
-                                     ByteCount zero_bytes, MigrationRecord* record) {
+                                     const std::vector<PageIndex>& keep, ByteCount zero_bytes,
+                                     MigrationRecord* record) {
   switch (strategy) {
     case TransferStrategy::kPureCopy:
-      // Guarantee physical delivery of every RealMem page (section 2.4).
+    case TransferStrategy::kPreCopy:
+      // Guarantee physical delivery of every RealMem page (section 2.4);
+      // pre-copy's flash, like pure-copy, leaves no residual dependency.
       rimas->no_ious = true;
       return;
     case TransferStrategy::kPureIou:
@@ -74,48 +108,16 @@ void MigrationManager::ApplyStrategy(Message* rimas, TransferStrategy strategy,
       return;
     case TransferStrategy::kResidentSet:
       break;
-    case TransferStrategy::kPreCopy:
-      // Pre-copy never reaches here: Migrate dispatches it to the round
-      // loop, which builds its own dirty-only RIMAS at freeze time.
-      ACCENT_CHECK(false) << " pre-copy does not route through ApplyStrategy";
-      return;
   }
 
   // Resident-set: keep resident pages as physical data, hand everything
   // else to the local NetMsgServer as a single VA-indexed backed object.
-  const std::set<PageIndex> resident(resident_pages.begin(), resident_pages.end());
-  std::vector<MemoryRegion> kept;
   std::vector<std::pair<PageIndex, PageRef>> owed;
-  Addr owed_lo = kAddressSpaceLimit;
-  Addr owed_hi = 0;
-
-  for (MemoryRegion& region : rimas->regions) {
-    if (region.mem_class != MemClass::kReal) {
-      kept.push_back(std::move(region));
-      continue;
-    }
-    const PageIndex first = PageOf(region.base);
-    PageIndex i = 0;
-    while (i < region.page_count()) {
-      if (resident.count(first + i) != 0) {
-        // Collect a resident run.
-        std::vector<PageRef> pages;
-        const PageIndex run_start = i;
-        while (i < region.page_count() && resident.count(first + i) != 0) {
-          pages.push_back(std::move(region.pages[i]));
-          ++i;
-        }
-        kept.push_back(MemoryRegion::Data(region.base + run_start * kPageSize, std::move(pages)));
-        continue;
-      }
-      owed_lo = std::min(owed_lo, region.base + i * kPageSize);
-      owed_hi = std::max(owed_hi, region.base + (i + 1) * kPageSize);
-      owed.emplace_back(first + i, std::move(region.pages[i]));
-      ++i;
-    }
-  }
-
+  PartitionRealRuns(rimas, keep, &owed);
   if (!owed.empty()) {
+    // The RIMAS lists its regions in address order, so `owed` is ascending.
+    const Addr owed_lo = PageBase(owed.front().first);
+    const Addr owed_hi = PageBase(owed.back().first) + kPageSize;
     std::vector<PageHashEntry> rider = env_->netmsg->PublishIouPages(owed, owed_lo);
     IouRef iou =
         env_->netmsg->AdoptPages(std::move(owed), "rs-owed:" + record->name, record->proc);
@@ -124,15 +126,10 @@ void MigrationManager::ApplyStrategy(Message* rimas, TransferStrategy strategy,
     iou.offset = owed_lo;
     MemoryRegion iou_region = MemoryRegion::Iou(owed_lo, owed_hi - owed_lo, iou);
     iou_region.page_hashes = std::move(rider);
-    kept.push_back(std::move(iou_region));
+    rimas->regions.push_back(std::move(iou_region));
   }
-  rimas->regions = std::move(kept);
   rimas->no_ious = true;  // what remains physical must stay physical
-  for (const MemoryRegion& region : rimas->regions) {
-    if (region.mem_class == MemClass::kReal) {
-      record->resident_bytes_shipped += region.size;
-    }
-  }
+  record->resident_bytes_shipped = rimas->DataBytes();
   // Partitioning the RIMAS means walking the whole validated map, including
   // the untouched zero-fill expanses Lisp processes validate at birth — the
   // cost Table 4-5's measured resident-set column carries but a pure page
@@ -146,55 +143,238 @@ void MigrationManager::Migrate(Process* proc, PortId dest_manager, TransferStrat
                                MigrateDone done) {
   ACCENT_EXPECTS(proc != nullptr && done != nullptr);
   ACCENT_EXPECTS(proc->env() == env_) << " process is not on this manager's host";
+  const bool precopy = strategy == TransferStrategy::kPreCopy;
+  ACCENT_EXPECTS(!precopy || precopy_config_.max_rounds >= 1);
 
-  if (strategy == TransferStrategy::kPreCopy) {
-    MigratePreCopy(proc, dest_manager, precopy_config_, std::move(done));
-    return;
-  }
-
-  MigrationRecord record;
-  record.proc = proc->id();
-  record.name = proc->name();
-  record.strategy = strategy;
-  record.requested = env_->sim->Now();
-  outbound_[proc->id().value] = record;
-  done_[proc->id().value] = std::move(done);
+  Outbound& out = outbound_[proc->id().value];
+  out = Outbound{};
+  out.phase = precopy ? Phase::kLive : Phase::kFreezing;
+  out.proc = proc;
+  out.dest_manager = dest_manager;
+  out.done = std::move(done);
+  out.config = precopy_config_;
+  out.record.proc = proc->id();
+  out.record.name = proc->name();
+  out.record.strategy = strategy;
+  out.record.requested = env_->sim->Now();
   ArmAbortTimer(proc->id());
 
   if (Tracer* tracer = env_->sim->tracer()) {
-    tracer->Instant(env_->id, TraceLane::kMigration, "migrate:request",
-                    record.requested,
-                    {{"proc", Json(record.proc.value)},
-                     {"workload", Json(record.name)},
-                     {"strategy", Json(StrategyName(strategy))},
-                     {"dest_manager", Json(dest_manager.value)}});
+    TraceArgs args{{"proc", Json(out.record.proc.value)},
+                   {"workload", Json(out.record.name)},
+                   {"strategy", Json(StrategyName(strategy))},
+                   {"dest_manager", Json(dest_manager.value)}};
+    if (precopy) {
+      args.push_back({"max_rounds", Json(out.config.max_rounds)});
+      args.push_back({"target_downtime_us", Json(out.config.target_downtime.count())});
+    }
+    tracer->Instant(env_->id, TraceLane::kMigration, "migrate:request", out.record.requested,
+                    std::move(args));
   }
 
-  proc->RequestSuspend([this, proc, dest_manager, strategy]() {
-    // Sample the resident set and the zero-fill footprint now: excision
-    // destroys residency and takes the space away.
-    std::vector<PageIndex> resident = env_->memory->PagesOf(proc->space()->id());
-    const ByteCount zero_bytes = proc->space()->RealZeroBytes();
+  if (!precopy) {
+    Freeze(&out);
+    return;
+  }
+  proc->space()->MarkAllClean();
+  proc->space()->ArmWriteTracking();
+  SendRound(&out);
+}
 
-    ExciseProcess(proc, [this, proc, dest_manager, strategy, zero_bytes,
-                         resident = std::move(resident)](ExciseResult excised) {
-      MigrationRecord& rec = outbound_.at(proc->id().value);
-      rec.excise_amap = excised.amap_time;
-      rec.excise_rimas = excised.rimas_time;
-      rec.excise_overall = excised.overall_time;
-      rec.excise_done = env_->sim->Now();
+void MigrationManager::SendRound(Outbound* out) {
+  AddressSpace* space = out->proc->space();
+  MigrationRecord& record = out->record;
+  // Round 0 snapshots everything; later rounds re-ship what was dirtied
+  // while the previous round was in flight.
+  const int round = record.precopy_rounds++;
+  const std::vector<PageIndex> pages = round == 0 ? space->RealPages() : space->DirtyPages();
+  space->MarkAllClean();
 
-      if (checkpoint_store_.valid()) {
-        // Checkpoint the pre-strategy image: ApplyStrategy moves owed pages
-        // out of these regions, so the durable copy must be cut first.
-        CheckpointExcised(proc->id(), excised, resident, strategy);
+  PreCopyRoundBody body;
+  body.proc = record.proc;
+  body.round = round;
+  body.reply_port = port_;
+
+  Message msg;
+  msg.dest = out->dest_manager;
+  msg.op = MsgOp::kUser;
+  msg.no_ious = true;  // snapshots must arrive physically
+  msg.traffic = TrafficKind::kBulkData;
+  msg.inline_bytes = 32;
+  msg.body = body;
+  // Contiguous runs become regions.
+  std::size_t i = 0;
+  while (i < pages.size()) {
+    std::size_t j = i + 1;
+    while (j < pages.size() && pages[j] == pages[j - 1] + 1) {
+      ++j;
+    }
+    std::vector<PageRef> data;
+    data.reserve(j - i);
+    for (std::size_t k = i; k < j; ++k) {
+      data.push_back(space->ReadPage(pages[k]));
+    }
+    msg.regions.push_back(MemoryRegion::Data(PageBase(pages[i]), std::move(data)));
+    i = j;
+  }
+  record.precopy_bytes += msg.DataBytes();
+  out->round_pages = pages.size();
+  out->round_start = env_->sim->Now();
+
+  // Round handling: dirty-bitmap harvest + run construction on top of the
+  // RIMAS-style descriptor work. The next step waits for the receiver's
+  // ack (flow control: the V system's network overruns came from the lack
+  // of exactly this).
+  env_->cpu->Submit(CpuWork::kMigration,
+                    env_->costs->migration_rimas_handling + env_->costs->precopy_round_control,
+                    [this, msg = std::move(msg)]() mutable {
+                      Result<void> sent = env_->fabric->Send(env_->id, std::move(msg));
+                      ACCENT_CHECK(sent.ok()) << sent.error().message;
+                    });
+}
+
+void MigrationManager::OnRoundAcked(const PreCopyAckBody& ack) {
+  auto it = outbound_.find(ack.proc.value);
+  if (it == outbound_.end() || it->second.phase != Phase::kLive ||
+      it->second.record.precopy_rounds != ack.round + 1) {
+    // No round waits for this ack: its migration aborted while the round
+    // was in flight.
+    ACCENT_LOG(kInfo) << "dropping pre-copy ack for " << ack.proc << " round " << ack.round;
+    return;
+  }
+  Outbound& out = it->second;
+  Process* proc = out.proc;
+  if (proc->done() || proc->faulted()) {
+    // The process ran to completion (or died) at the source while the
+    // round was in flight; there is nothing left worth freezing.
+    AbortMigration(ack.proc, "process terminated before pre-copy freeze");
+    return;
+  }
+  MigrationRecord& rec = out.record;
+  const PreCopyConfig& config = out.config;
+  const int round = ack.round;
+  const std::size_t dirty = proc->space()->dirty_count();
+  // Writable working set: an EWMA over per-round dirty counts. Recent
+  // rounds dominate, so a phase change (a Lisp GC kicking in, a scan
+  // wrapping around) re-steers the estimate within a round or two.
+  rec.precopy_wws_pages = round == 0
+                              ? static_cast<double>(dirty)
+                              : 0.5 * rec.precopy_wws_pages + 0.5 * static_cast<double>(dirty);
+
+  if (Tracer* tracer = env_->sim->tracer()) {
+    // Rounds are strictly sequential (ack flow control) and each next
+    // round starts at the instant the previous ack lands, so these spans
+    // tile the live-transfer phase exactly (docs/OBSERVABILITY.md).
+    tracer->Complete(env_->id, TraceLane::kMigration, "precopy:round", out.round_start,
+                     env_->sim->Now() - out.round_start,
+                     {{"round", Json(round)},
+                      {"pages", Json(static_cast<std::uint64_t>(out.round_pages))},
+                      {"dirty_at_ack", Json(static_cast<std::uint64_t>(dirty))},
+                      {"wws_pages", Json(rec.precopy_wws_pages)}});
+  }
+
+  const bool out_of_rounds = round + 1 >= config.max_rounds;
+  const bool converged = dirty <= config.stop_threshold;
+  bool slo_met = false;
+  bool stagnated = false;
+  if (config.target_downtime > SimDuration::zero()) {
+    // The destination's calibration is unknown at the source; predicting
+    // with a nominal (identity) destination keeps the predictor local.
+    const SimDuration predicted = MigrationCostModel::PreCopyCostOn(
+        *env_->costs, FootprintOf(*proc), static_cast<std::int64_t>(dirty),
+        env_->calibration, HostCalibration{});
+    rec.precopy_predicted_downtime = predicted;
+    slo_met = predicted <= config.target_downtime;
+    rec.precopy_slo_met = slo_met;
+    // A round that failed to shrink the dirty set cannot meet the SLO
+    // later either — the process rewrites its working set faster than
+    // the wire drains it. Further rounds only waste bytes.
+    stagnated = round > 0 && dirty >= out.prev_dirty;
+  }
+  out.prev_dirty = dirty;
+
+  if (out_of_rounds || converged || slo_met || stagnated) {
+    Freeze(&out);
+    return;
+  }
+  SendRound(&out);
+}
+
+void MigrationManager::Freeze(Outbound* out) {
+  // The entry outlives this phase: an abort while freezing only flags the
+  // record, and OnExcised finishes it.
+  out->phase = Phase::kFreezing;
+  out->proc->RequestSuspend([this, out]() {
+    Process* proc = out->proc;
+    MigrationRecord& record = out->record;
+    // Sample what the strategy needs now: excision destroys residency and
+    // takes the space away.
+    std::vector<PageIndex> keep;
+    ByteCount zero_bytes = 0;
+    if (record.strategy == TransferStrategy::kResidentSet) {
+      keep = env_->memory->PagesOf(proc->space()->id());
+      zero_bytes = proc->space()->RealZeroBytes();
+    } else if (record.strategy == TransferStrategy::kPreCopy) {
+      record.frozen = env_->sim->Now();
+      proc->space()->DisarmWriteTracking();  // the excise harvests the final set
+      if (Tracer* tracer = env_->sim->tracer()) {
+        tracer->Instant(env_->id, TraceLane::kMigration, "precopy:frozen", record.frozen,
+                        {{"proc", Json(record.proc.value)},
+                         {"rounds", Json(record.precopy_rounds)},
+                         {"dirty_pages",
+                          Json(static_cast<std::uint64_t>(proc->space()->dirty_count()))}});
       }
-      ApplyStrategy(&excised.rimas, strategy, resident, zero_bytes, &rec);
-      RecordChainOrigin(proc->id(), dest_manager, excised.rimas);
-
-      SendExcisedContext(proc->id(), dest_manager, std::move(excised));
+      // Pages dirtied since the last acknowledged round must travel in the
+      // RIMAS; everything else is already staged at the destination.
+      keep = proc->space()->DirtyPages();
+    }
+    ExciseProcess(proc, [this, out, keep = std::move(keep), zero_bytes](ExciseResult excised) {
+      OnExcised(out, keep, zero_bytes, std::move(excised));
     });
   });
+}
+
+void MigrationManager::OnExcised(Outbound* out, const std::vector<PageIndex>& keep,
+                                 ByteCount zero_bytes, ExciseResult excised) {
+  MigrationRecord& rec = out->record;
+  rec.excise_amap = excised.amap_time;
+  rec.excise_rimas = excised.rimas_time;
+  rec.excise_overall = excised.overall_time;
+  rec.excise_done = env_->sim->Now();
+
+  if (rec.aborted) {
+    // The abort landed while the process was being frozen and excised:
+    // nothing has left this host, so roll back with the image just cut.
+    out->rollback_core = std::move(excised.core);
+    out->rollback_rimas = std::move(excised.rimas);
+    RollBack(rec.proc);
+    return;
+  }
+  if (checkpoint_store_.valid()) {
+    // Checkpoint the pre-strategy image: the strategy and pre-copy's dirty
+    // filter move pages out of these regions, so the durable copy must be
+    // cut first.
+    CheckpointExcised(excised, keep, &rec);
+  }
+  ApplyStrategy(&excised.rimas, rec.strategy, keep, zero_bytes, &rec);
+  RecordChainOrigin(rec.proc, out->dest_manager, excised.rimas);
+  if (failure_handling_enabled()) {
+    // Keep the authoritative context until the transfer-complete handshake:
+    // rollback re-inserts these exact messages (the copies share page
+    // payloads; fault-injection testbeds only). Pre-copy's is the full
+    // image: its staged clean pages live at the destination, so the
+    // filtered flash RIMAS alone could not rebuild the process here.
+    out->rollback_core = excised.core;
+    out->rollback_rimas = excised.rimas;
+  }
+  if (rec.strategy == TransferStrategy::kPreCopy) {
+    // The flash carries only the dirty pages; the clean ones are staged.
+    PartitionRealRuns(&excised.rimas, keep, nullptr);
+    excised.rimas.body = RimasBody{rec.proc, /*precopy_flash=*/true};
+    rec.precopy_flash_bytes = excised.rimas.DataBytes();
+  }
+  out->phase = Phase::kSent;
+  SendExcisedContext(out, std::move(excised));
 }
 
 void MigrationManager::ArmAbortTimer(ProcId proc) {
@@ -203,10 +383,10 @@ void MigrationManager::ArmAbortTimer(ProcId proc) {
   }
   // The requested timestamp identifies this attempt: a later re-migration
   // of the same (rolled-back) process must not be killed by a stale timer.
-  const SimTime attempt = outbound_.at(proc.value).requested;
+  const SimTime attempt = outbound_.at(proc.value).record.requested;
   env_->sim->ScheduleAfter(env_->costs->migration_abort_timeout, [this, proc, attempt]() {
     auto it = outbound_.find(proc.value);
-    if (it != outbound_.end() && it->second.requested == attempt) {
+    if (it != outbound_.end() && it->second.record.requested == attempt) {
       AbortMigration(proc, "transfer-complete handshake timed out");
     }
   });
@@ -225,69 +405,56 @@ void MigrationManager::ArmPendingTimeout(ProcId proc, PendingInsert* pending) {
     ACCENT_LOG(kInfo) << "tearing down half-arrived context for " << proc
                       << " (peer presumed gone)";
     pending_.erase(it);
-    staged_.erase(proc.value);
   });
 }
 
 void MigrationManager::AbortMigration(ProcId proc, const std::string& reason) {
-  auto record_it = outbound_.find(proc.value);
-  if (record_it == outbound_.end()) {
+  auto it = outbound_.find(proc.value);
+  if (it == outbound_.end() || it->second.record.aborted) {
     return;  // already completed or aborted
   }
-  MigrationRecord record = record_it->second;
-  record.aborted = true;
-  record.aborted_at = env_->sim->Now();
-  record.abort_reason = reason;
-  outbound_.erase(record_it);
-  precopy_ack_waiters_.erase(proc.value);
-  precopy_progress_.erase(proc.value);
+  Outbound& out = it->second;
+  out.record.aborted = true;
+  out.record.aborted_at = env_->sim->Now();
+  out.record.abort_reason = reason;
   // An aborted re-migration never collapses: the rollback reinstates the
   // process here and this host legitimately remains its backer.
   chain_.erase(proc.value);
   ACCENT_LOG(kInfo) << "aborting migration of " << proc << ": " << reason;
   if (Tracer* tracer = env_->sim->tracer()) {
-    tracer->Instant(env_->id, TraceLane::kMigration, "migrate:abort",
-                    record.aborted_at,
+    tracer->Instant(env_->id, TraceLane::kMigration, "migrate:abort", out.record.aborted_at,
                     {{"proc", Json(proc.value)}, {"reason", Json(reason)}});
   }
 
-  MigrateDone done;
-  auto done_it = done_.find(proc.value);
-  if (done_it != done_.end()) {
-    done = std::move(done_it->second);
-    done_.erase(done_it);
-  }
-
-  auto context_it = outbound_context_.find(proc.value);
-  if (context_it == outbound_context_.end()) {
-    // Not yet excised (e.g. a pre-copy round failed before the freeze):
-    // the process never stopped running here. Nothing to restore, but a
-    // pre-copy attempt leaves tracking armed — disarm it.
-    auto local_it = local_.find(proc.value);
-    if (local_it != local_.end() && local_it->second->space() != nullptr) {
-      local_it->second->space()->DisarmWriteTracking();
+  switch (out.phase) {
+    case Phase::kLive: {
+      // The process never stopped running here. Nothing to restore, but
+      // the rounds left write tracking armed — disarm it.
+      out.proc->space()->DisarmWriteTracking();
+      Outbound live = std::move(outbound_.extract(it).mapped());
+      live.record.rolled_back = true;
+      live.done(live.record);
+      return;
     }
-    record.rolled_back = true;
-    if (done != nullptr) {
-      done(record);
-    }
-    return;
+    case Phase::kFreezing:
+      return;  // OnExcised rolls back with the image it cuts
+    case Phase::kSent:
+      // The authoritative context was retained until the handshake.
+      ACCENT_CHECK(failure_handling_enabled()) << " no rollback image for " << proc;
+      RollBack(proc);
+      return;
   }
+}
 
-  // Source-side rollback: the authoritative context copies were retained
-  // until the handshake, so InsertProcess can rebuild the process exactly
-  // as it was excised — resident-set/IOU strategies left the owed pages in
-  // the *local* NetMsgServer cache, which keeps serving them here.
-  OutboundContext context = std::move(context_it->second);
-  outbound_context_.erase(context_it);
-  InsertProcess(env_, std::move(context.core), std::move(context.rimas),
-                [this, record, done = std::move(done)](std::unique_ptr<Process> process,
-                                                       InsertResult result) mutable {
-                  Process* raw = process.get();
-                  adopted_.push_back(std::move(process));
-                  RegisterLocal(raw);
-                  InstallRestoreFaultHook(raw);
-                  raw->Start();
+void MigrationManager::RollBack(ProcId proc) {
+  // InsertProcess rebuilds the process exactly as it was excised —
+  // resident-set/IOU strategies left the owed pages in the *local*
+  // NetMsgServer cache, which keeps serving them here.
+  Outbound out = std::move(outbound_.extract(proc.value).mapped());
+  InsertProcess(env_, std::move(out.rollback_core), std::move(out.rollback_rimas),
+                [this, record = out.record, done = std::move(out.done)](
+                    std::unique_ptr<Process> process, InsertResult result) mutable {
+                  Process* raw = Adopt(std::move(process));
                   if (on_insert_ != nullptr) {
                     on_insert_(raw);
                   }
@@ -300,10 +467,17 @@ void MigrationManager::AbortMigration(ProcId proc, const std::string& reason) {
                         {{"proc", Json(record.proc.value)},
                          {"insert_us", Json(result.insert_time.count())}});
                   }
-                  if (done != nullptr) {
-                    done(record);
-                  }
+                  done(record);
                 });
+}
+
+Process* MigrationManager::Adopt(std::unique_ptr<Process> process) {
+  Process* raw = process.get();
+  adopted_.push_back(std::move(process));
+  RegisterLocal(raw);
+  InstallRestoreFaultHook(raw);
+  raw->Start();
+  return raw;
 }
 
 void MigrationManager::HandleDeadLetter(const Message& msg) {
@@ -347,54 +521,46 @@ void MigrationManager::HandleDeadLetter(const Message& msg) {
   ACCENT_LOG(kInfo) << "unhandled dead letter: " << MsgOpName(msg.op);
 }
 
-void MigrationManager::SendExcisedContext(ProcId proc, PortId dest_manager,
-                                          ExciseResult excised) {
+void MigrationManager::SendExcisedContext(Outbound* out, ExciseResult excised) {
   // The RIMAS message goes first so lazy transfers aren't queued behind the
   // Core/AMap stream; its manager handling is charged up front and is the
   // floor of Table 4-5's ~0.16 s pure-IOU transfers. The heavier
   // per-migration control work is charged at the destination manager
   // (command processing around the Core message, §4.3.2's ~1 s).
-  {
+  MigrationRecord& record = out->record;
+  if (Tracer* tracer = env_->sim->tracer()) {
     // The excise phase span: downtime start (freeze for pre-copy, request
     // otherwise) to the ExciseProcess trap returning.
-    MigrationRecord& record = outbound_.at(proc.value);
-    if (Tracer* tracer = env_->sim->tracer()) {
-      const SimTime phase_start =
-          record.frozen > SimTime{0} ? record.frozen : record.requested;
-      tracer->Complete(env_->id, TraceLane::kMigration, "migrate:excise",
-                       phase_start, record.excise_done - phase_start,
-                       {{"proc", Json(record.proc.value)},
-                        {"amap_us", Json(record.excise_amap.count())},
-                        {"rimas_us", Json(record.excise_rimas.count())}});
-    }
+    const SimTime phase_start = record.frozen > SimTime{0} ? record.frozen : record.requested;
+    tracer->Complete(env_->id, TraceLane::kMigration, "migrate:excise", phase_start,
+                     record.excise_done - phase_start,
+                     {{"proc", Json(record.proc.value)},
+                      {"amap_us", Json(record.excise_amap.count())},
+                      {"rimas_us", Json(record.excise_rimas.count())}});
   }
-  outbound_.at(proc.value).rimas_sent = env_->sim->Now();
+  record.rimas_sent = env_->sim->Now();
   // Tag the RIMAS with its process so any cache objects the NetMsgServer
   // path adopts en route (IOU substitution) are recorded against it — the
   // handle a later chain collapse evacuates them by. Metadata only.
+  const ProcId proc = record.proc;
   excised.rimas.cache_owner = proc;
-  if (failure_handling_enabled()) {
-    // Keep the authoritative copy until the transfer-complete handshake:
-    // rollback re-inserts these exact messages. Deep copies (page data and
-    // all) — made only on fault-injection testbeds. try_emplace: pre-copy
-    // already stored its full-image context before the dirty filter, and the
-    // filtered flash RIMAS on the wire is not a valid rollback image.
-    outbound_context_.try_emplace(proc.value,
-                                  OutboundContext{excised.core, excised.rimas});
-  }
-  const SimDuration rimas_handling = env_->costs->migration_rimas_handling +
-                                     outbound_.at(proc.value).rs_packaging_extra;
-  env_->cpu->Submit(CpuWork::kMigration, rimas_handling,
-                    [this, proc, dest_manager, excised = std::move(excised)]() mutable {
-    MigrationRecord& rec = outbound_.at(proc.value);
-    excised.rimas.dest = dest_manager;
+  const SimTime attempt = record.requested;
+  env_->cpu->Submit(CpuWork::kMigration,
+                    env_->costs->migration_rimas_handling + record.rs_packaging_extra,
+                    [this, proc, attempt, excised = std::move(excised)]() mutable {
+    auto it = outbound_.find(proc.value);
+    if (it == outbound_.end() || it->second.record.requested != attempt) {
+      return;  // aborted while queued: the rollback re-inserted the context
+    }
+    Outbound& sending = it->second;
+    excised.rimas.dest = sending.dest_manager;
     excised.rimas.reply_port = port_;
     Result<void> rimas_sent = env_->fabric->Send(env_->id, std::move(excised.rimas));
     ACCENT_CHECK(rimas_sent.ok()) << rimas_sent.error().message;
 
-    excised.core.dest = dest_manager;
+    excised.core.dest = sending.dest_manager;
     excised.core.reply_port = port_;
-    rec.core_sent = env_->sim->Now();
+    sending.record.core_sent = env_->sim->Now();
     Result<void> core_sent = env_->fabric->Send(env_->id, std::move(excised.core));
     ACCENT_CHECK(core_sent.ok()) << core_sent.error().message;
 
@@ -529,230 +695,6 @@ void MigrationManager::FinishCollapseIfDone(ProcId proc) {
   }
 }
 
-void MigrationManager::MigratePreCopy(Process* proc, PortId dest_manager,
-                                      const PreCopyConfig& config, MigrateDone done) {
-  ACCENT_EXPECTS(proc != nullptr && done != nullptr);
-  ACCENT_EXPECTS(proc->env() == env_) << " process is not on this manager's host";
-  ACCENT_EXPECTS(config.max_rounds >= 1);
-
-  MigrationRecord record;
-  record.proc = proc->id();
-  record.name = proc->name();
-  record.strategy = TransferStrategy::kPreCopy;
-  record.requested = env_->sim->Now();
-  outbound_[proc->id().value] = record;
-  done_[proc->id().value] = std::move(done);
-  ArmAbortTimer(proc->id());
-
-  if (Tracer* tracer = env_->sim->tracer()) {
-    tracer->Instant(env_->id, TraceLane::kMigration, "migrate:request",
-                    record.requested,
-                    {{"proc", Json(record.proc.value)},
-                     {"workload", Json(record.name)},
-                     {"strategy", Json(StrategyName(record.strategy))},
-                     {"dest_manager", Json(dest_manager.value)},
-                     {"max_rounds", Json(config.max_rounds)},
-                     {"target_downtime_us", Json(config.target_downtime.count())}});
-  }
-
-  precopy_progress_[proc->id().value] = PreCopyProgress{};
-  proc->space()->MarkAllClean();
-  proc->space()->ArmWriteTracking();
-  RunPreCopyRound(proc, dest_manager, config, 0);
-}
-
-void MigrationManager::RunPreCopyRound(Process* proc, PortId dest_manager,
-                                       PreCopyConfig config, int round) {
-  AddressSpace* space = proc->space();
-  // Round 0 snapshots everything; later rounds re-ship what was dirtied
-  // while the previous round was in flight.
-  const std::vector<PageIndex> pages = round == 0 ? space->RealPages() : space->DirtyPages();
-  space->MarkAllClean();
-
-  MigrationRecord& record = outbound_.at(proc->id().value);
-  ++record.precopy_rounds;
-
-  PreCopyRoundBody body;
-  body.proc = proc->id();
-  body.round = round;
-  body.reply_port = port_;
-
-  Message msg;
-  msg.dest = dest_manager;
-  msg.op = MsgOp::kUser;
-  msg.no_ious = true;  // snapshots must arrive physically
-  msg.traffic = TrafficKind::kBulkData;
-  msg.inline_bytes = 32;
-  msg.body = body;
-  // Contiguous runs become regions.
-  std::size_t i = 0;
-  while (i < pages.size()) {
-    std::size_t j = i + 1;
-    while (j < pages.size() && pages[j] == pages[j - 1] + 1) {
-      ++j;
-    }
-    std::vector<PageRef> data;
-    data.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) {
-      data.push_back(space->ReadPage(pages[k]));
-    }
-    msg.regions.push_back(MemoryRegion::Data(PageBase(pages[i]), std::move(data)));
-    i = j;
-  }
-  record.precopy_bytes += msg.DataBytes();
-  const std::size_t shipped_pages = pages.size();
-  const SimTime round_start = env_->sim->Now();
-
-  // Continue when the receiver acknowledges this round (flow control: the
-  // V system's network overruns came from the lack of exactly this).
-  precopy_ack_waiters_[proc->id().value] = [this, proc, dest_manager, config, round,
-                                            shipped_pages, round_start]() {
-    if (proc->done() || proc->faulted()) {
-      // The process ran to completion (or died) at the source while the
-      // round was in flight; there is nothing left worth freezing.
-      AbortMigration(proc->id(), "process terminated before pre-copy freeze");
-      return;
-    }
-    const std::size_t dirty = proc->space()->dirty_count();
-    PreCopyProgress& progress = precopy_progress_[proc->id().value];
-    // Writable working set: an EWMA over per-round dirty counts. Recent
-    // rounds dominate, so a phase change (a Lisp GC kicking in, a scan
-    // wrapping around) re-steers the estimate within a round or two.
-    progress.wws_pages = round == 0
-                             ? static_cast<double>(dirty)
-                             : 0.5 * progress.wws_pages + 0.5 * static_cast<double>(dirty);
-
-    MigrationRecord& rec = outbound_.at(proc->id().value);
-    rec.precopy_wws_pages = progress.wws_pages;
-
-    if (Tracer* tracer = env_->sim->tracer()) {
-      // Rounds are strictly sequential (ack flow control) and each next
-      // round starts at the instant the previous ack lands, so these spans
-      // tile the live-transfer phase exactly (docs/OBSERVABILITY.md).
-      tracer->Complete(env_->id, TraceLane::kMigration, "precopy:round",
-                       round_start, env_->sim->Now() - round_start,
-                       {{"round", Json(round)},
-                        {"pages", Json(static_cast<std::uint64_t>(shipped_pages))},
-                        {"dirty_at_ack", Json(static_cast<std::uint64_t>(dirty))},
-                        {"wws_pages", Json(progress.wws_pages)}});
-    }
-
-    const bool out_of_rounds = round + 1 >= config.max_rounds;
-    const bool converged = dirty <= config.stop_threshold;
-    bool slo_met = false;
-    bool stagnated = false;
-    if (config.target_downtime > SimDuration::zero()) {
-      // The destination's calibration is unknown at the source; predicting
-      // with a nominal (identity) destination keeps the predictor local.
-      const SimDuration predicted = MigrationCostModel::PreCopyCostOn(
-          *env_->costs, FootprintOf(*proc), static_cast<std::int64_t>(dirty),
-          env_->calibration, HostCalibration{});
-      rec.precopy_predicted_downtime = predicted;
-      slo_met = predicted <= config.target_downtime;
-      rec.precopy_slo_met = slo_met;
-      // A round that failed to shrink the dirty set cannot meet the SLO
-      // later either — the process rewrites its working set faster than
-      // the wire drains it. Further rounds only waste bytes.
-      stagnated = round > 0 && dirty >= progress.prev_dirty;
-    }
-    progress.prev_dirty = dirty;
-
-    if (out_of_rounds || converged || slo_met || stagnated) {
-      FreezeAndFinishPreCopy(proc, dest_manager);
-      return;
-    }
-    RunPreCopyRound(proc, dest_manager, config, round + 1);
-  };
-
-  // Round handling: dirty-bitmap harvest + run construction on top of the
-  // RIMAS-style descriptor work.
-  env_->cpu->Submit(CpuWork::kMigration,
-                    env_->costs->migration_rimas_handling + env_->costs->precopy_round_control,
-                    [this, msg = std::move(msg)]() mutable {
-                      Result<void> sent = env_->fabric->Send(env_->id, std::move(msg));
-                      ACCENT_CHECK(sent.ok()) << sent.error().message;
-                    });
-}
-
-void MigrationManager::FreezeAndFinishPreCopy(Process* proc, PortId dest_manager) {
-  proc->RequestSuspend([this, proc, dest_manager]() {
-    MigrationRecord& record = outbound_.at(proc->id().value);
-    record.frozen = env_->sim->Now();
-    proc->space()->DisarmWriteTracking();  // the excise harvests the final set
-    precopy_progress_.erase(proc->id().value);
-    if (Tracer* tracer = env_->sim->tracer()) {
-      tracer->Instant(env_->id, TraceLane::kMigration, "precopy:frozen",
-                      record.frozen,
-                      {{"proc", Json(proc->id().value)},
-                       {"rounds", Json(record.precopy_rounds)},
-                       {"dirty_pages",
-                        Json(static_cast<std::uint64_t>(proc->space()->dirty_count()))}});
-    }
-    // Pages dirtied since the last acknowledged round must travel in the
-    // RIMAS; everything else is already staged at the destination.
-    const std::vector<PageIndex> dirty_list = proc->space()->DirtyPages();
-    const std::set<PageIndex> dirty(dirty_list.begin(), dirty_list.end());
-
-    ExciseProcess(proc, [this, proc, dest_manager, dirty](ExciseResult excised) {
-      MigrationRecord& rec = outbound_.at(proc->id().value);
-      rec.excise_amap = excised.amap_time;
-      rec.excise_rimas = excised.rimas_time;
-      rec.excise_overall = excised.overall_time;
-      rec.excise_done = env_->sim->Now();
-
-      if (checkpoint_store_.valid()) {
-        // Full image: the dirty filter below strips staged pages from the
-        // wire message, but the durable copy must stand alone.
-        CheckpointExcised(proc->id(), excised, {}, TransferStrategy::kPreCopy);
-      }
-
-      if (failure_handling_enabled()) {
-        // A destination crash rolls the process back by re-inserting this
-        // context locally, so it must hold the complete image — the staged
-        // clean pages live at the (now dead) destination, not here. Stored
-        // before the dirty filter strips them from the wire message.
-        outbound_context_[proc->id().value] =
-            OutboundContext{excised.core, excised.rimas};
-      }
-
-      // Keep only dirty pages in the Data regions; clean pages are staged.
-      std::vector<MemoryRegion> kept;
-      for (MemoryRegion& region : excised.rimas.regions) {
-        if (region.mem_class != MemClass::kReal) {
-          kept.push_back(std::move(region));
-          continue;
-        }
-        const PageIndex first = PageOf(region.base);
-        PageIndex i = 0;
-        while (i < region.page_count()) {
-          if (dirty.count(first + i) == 0) {
-            ++i;
-            continue;
-          }
-          const PageIndex run_start = i;
-          std::vector<PageRef> data;
-          while (i < region.page_count() && dirty.count(first + i) != 0) {
-            data.push_back(std::move(region.pages[i]));
-            ++i;
-          }
-          kept.push_back(
-              MemoryRegion::Data(region.base + run_start * kPageSize, std::move(data)));
-        }
-      }
-      excised.rimas.regions = std::move(kept);
-      excised.rimas.no_ious = true;
-      for (const MemoryRegion& region : excised.rimas.regions) {
-        if (region.mem_class == MemClass::kReal) {
-          rec.precopy_flash_bytes += region.size;
-        }
-      }
-      RecordChainOrigin(proc->id(), dest_manager, excised.rimas);
-
-      SendExcisedContext(proc->id(), dest_manager, std::move(excised));
-    });
-  });
-}
-
 void MigrationManager::HandleMessage(Message msg) {
   switch (msg.op) {
     case MsgOp::kMigrateCore: {
@@ -793,8 +735,8 @@ void MigrationManager::HandleMessage(Message msg) {
     }
     case MsgOp::kMigrateComplete: {
       const auto& body = msg.BodyAs<MigrateCompleteBody>();
-      auto record_it = outbound_.find(body.proc.value);
-      if (record_it == outbound_.end()) {
+      auto it = outbound_.find(body.proc.value);
+      if (it == outbound_.end() || it->second.phase != Phase::kSent) {
         // A completion for a migration this side already aborted: the
         // context got through after all and the process now runs on both
         // sides. The abort judged the peer unreachable for good and it
@@ -804,13 +746,12 @@ void MigrationManager::HandleMessage(Message msg) {
                            << " — peer inserted after this side aborted";
         return;
       }
-      MigrationRecord record = record_it->second;
+      Outbound sent = std::move(outbound_.extract(it).mapped());  // drops the rollback copy
+      MigrationRecord& record = sent.record;
       record.core_arrived = body.core_arrived;
       record.rimas_arrived = body.rimas_arrived;
       record.insert_time = body.insert_time;
       record.resumed = body.resumed;
-      outbound_.erase(record_it);
-      outbound_context_.erase(body.proc.value);  // handshake done; drop the copy
 
       if (Tracer* tracer = env_->sim->tracer()) {
         // The three phase spans tile the downtime exactly: excise (emitted
@@ -833,15 +774,11 @@ void MigrationManager::HandleMessage(Message msg) {
                          {"downtime_us", Json(record.Downtime().count())}});
       }
 
-      auto done_it = done_.find(body.proc.value);
-      ACCENT_CHECK(done_it != done_.end());
-      MigrateDone done = std::move(done_it->second);
-      done_.erase(done_it);
       // The process runs at the destination; if this excise found a remote
       // chain origin, evacuate our cached backing now (section 2.2's "until
       // all references die out" shortened to "until the chain collapses").
       StartChainCollapse(body.proc);
-      done(record);
+      sent.done(record);
       return;
     }
     case MsgOp::kRebindIou: {
@@ -901,11 +838,7 @@ void MigrationManager::HandleMessage(Message msg) {
         return;
       }
       if (const auto* ack = std::any_cast<PreCopyAckBody>(&msg.body)) {
-        auto it = precopy_ack_waiters_.find(ack->proc.value);
-        ACCENT_CHECK(it != precopy_ack_waiters_.end()) << " stray pre-copy ack";
-        auto waiter = std::move(it->second);
-        precopy_ack_waiters_.erase(it);
-        waiter();
+        OnRoundAcked(*ack);
         return;
       }
       if (const auto* put_ack = std::any_cast<FsCheckpointPutAck>(&msg.body)) {
@@ -933,7 +866,7 @@ void MigrationManager::HandleMessage(Message msg) {
 
 void MigrationManager::HandlePreCopyRound(Message msg) {
   const auto& body = msg.BodyAs<PreCopyRoundBody>();
-  std::map<PageIndex, PageRef>& staging = staged_[body.proc.value];
+  std::map<PageIndex, PageRef>& staging = pending_[body.proc.value].staged;
   for (MemoryRegion& region : msg.regions) {
     if (region.mem_class != MemClass::kReal) {
       continue;
@@ -957,14 +890,7 @@ void MigrationManager::HandlePreCopyRound(Message msg) {
   ACCENT_CHECK(sent.ok()) << sent.error().message;
 }
 
-void MigrationManager::MergeStagedPages(Message* rimas, ProcId proc) {
-  auto it = staged_.find(proc.value);
-  if (it == staged_.end()) {
-    return;
-  }
-  std::map<PageIndex, PageRef> staging = std::move(it->second);
-  staged_.erase(it);
-
+void MigrationManager::MergeStagedPages(Message* rimas, std::map<PageIndex, PageRef> staging) {
   // Final-round RIMAS pages are fresher than staged ones.
   std::set<PageIndex> fresh;
   for (const MemoryRegion& region : rimas->regions) {
@@ -996,11 +922,11 @@ void MigrationManager::MergeStagedPages(Message* rimas, ProcId proc) {
   }
 }
 
-void MigrationManager::CheckpointExcised(ProcId proc, const ExciseResult& excised,
-                                         const std::vector<PageIndex>& resident,
-                                         TransferStrategy strategy) {
+void MigrationManager::CheckpointExcised(const ExciseResult& excised,
+                                         const std::vector<PageIndex>& keep,
+                                         MigrationRecord* record) {
   FsCheckpointPut put;
-  put.request_id = proc.value;
+  put.request_id = record->proc.value;
   put.reply_port = port_;
   put.core = excised.core.BodyAs<CoreBody>();
   // Rights ride in the body as a manifest, NOT on Message.rights: the live
@@ -1011,12 +937,11 @@ void MigrationManager::CheckpointExcised(ProcId proc, const ExciseResult& excise
   // at insert time, so the re-install set follows the strategy: full-image
   // strategies arrive all-physical, resident-set arrives with exactly the
   // resident pages physical, pure-IOU arrives fully lazy.
-  switch (strategy) {
+  switch (record->strategy) {
     case TransferStrategy::kPureIou:
       break;
     case TransferStrategy::kResidentSet:
-      put.materialize = resident;
-      std::sort(put.materialize.begin(), put.materialize.end());
+      put.materialize = keep;  // the resident set, ascending
       break;
     case TransferStrategy::kPureCopy:
     case TransferStrategy::kPreCopy:
@@ -1036,15 +961,14 @@ void MigrationManager::CheckpointExcised(ProcId proc, const ExciseResult& excise
   msg.regions = excised.rimas.regions;  // PageRef shares, not byte copies
   msg.body = std::move(put);
 
-  MigrationRecord& rec = outbound_.at(proc.value);
-  rec.checkpointed = true;
-  rec.checkpoint_bytes = msg.WireSize(*env_->costs);
+  record->checkpointed = true;
+  record->checkpoint_bytes = msg.WireSize(*env_->costs);
   ++checkpoints_sent_;
   if (Tracer* tracer = env_->sim->tracer()) {
     tracer->Instant(env_->id, TraceLane::kMigration, "ckpt:put", env_->sim->Now(),
-                    {{"proc", Json(proc.value)},
-                     {"strategy", Json(StrategyName(strategy))},
-                     {"bytes", Json(rec.checkpoint_bytes)}});
+                    {{"proc", Json(record->proc.value)},
+                     {"strategy", Json(StrategyName(record->strategy))},
+                     {"bytes", Json(record->checkpoint_bytes)}});
   }
   // Fire-and-forget: the put is insurance, never on the migration's critical
   // path. The store's ack is observability only.
@@ -1077,7 +1001,6 @@ void MigrationManager::RequestRestore(Process* proc) {
     return;
   }
   restore_pending_.insert(key);
-  ++restores_requested_;
   if (Tracer* tracer = env_->sim->tracer()) {
     tracer->Instant(env_->id, TraceLane::kMigration, "ckpt:restore-request",
                     env_->sim->Now(), {{"proc", Json(key)}});
@@ -1141,14 +1064,10 @@ void MigrationManager::HandleCheckpointReply(Message msg) {
   const std::uint64_t version = reply.version;
   InsertProcess(env_, std::move(core), std::move(rimas),
                 [this, version](std::unique_ptr<Process> process, InsertResult result) {
-                  Process* raw = process.get();
                   // The faulted husk stays in adopted_ (excised husks do
-                  // too); RegisterLocal repoints the live entry at the new
-                  // incarnation.
-                  adopted_.push_back(std::move(process));
-                  RegisterLocal(raw);
-                  InstallRestoreFaultHook(raw);
-                  raw->Start();
+                  // too); Adopt's RegisterLocal repoints the live entry at
+                  // the new incarnation.
+                  Process* raw = Adopt(std::move(process));
                   ++restores_completed_;
                   if (Tracer* tracer = env_->sim->tracer()) {
                     tracer->Instant(env_->id, TraceLane::kMigration, "ckpt:restored",
@@ -1171,18 +1090,16 @@ void MigrationManager::MaybeInsert(ProcId proc) {
   }
   PendingInsert pending = std::move(it->second);
   pending_.erase(it);
-  MergeStagedPages(&pending.rimas, proc);
+  if (pending.rimas.BodyAs<RimasBody>().precopy_flash) {
+    MergeStagedPages(&pending.rimas, std::move(pending.staged));
+  }
 
   InsertProcess(env_, std::move(pending.core), std::move(pending.rimas),
                 [this, pending_core_arrived = pending.core_arrived,
                  pending_rimas_arrived = pending.rimas_arrived,
                  reply_port = pending.reply_port](std::unique_ptr<Process> process,
                                                   InsertResult result) {
-                  Process* raw = process.get();
-                  adopted_.push_back(std::move(process));
-                  RegisterLocal(raw);
-                  InstallRestoreFaultHook(raw);
-                  raw->Start();
+                  Process* raw = Adopt(std::move(process));
 
                   MigrateCompleteBody body;
                   body.proc = raw->id();

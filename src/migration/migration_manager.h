@@ -1,14 +1,18 @@
 // The MigrationManager process (section 3.2).
 //
 // One runs on every participating host. Given a process and a destination,
-// it quiesces the process, excises its context with ExciseProcess, applies
-// the configured transfer strategy to the RIMAS message —
+// it runs one pipeline for every strategy: pre-copy first ships
+// acknowledged live rounds while the process keeps running; then the
+// manager quiesces the process, excises its context with ExciseProcess,
+// applies the transfer strategy to the RIMAS message —
 //   pure-copy:     NoIOUs set; every RealMem page ships now;
 //   pure-IOU:      NoIOUs clear; the intermediary NetMsgServer caches the
 //                  data en route and becomes its backer;
 //   resident-set:  resident pages ship physically, the non-resident
-//                  remainder is adopted by the local NetMsgServer as IOUs —
-// sends both context messages to the peer manager, which rebuilds the
+//                  remainder is adopted by the local NetMsgServer as IOUs;
+//   pre-copy:      NoIOUs set; only the pages dirtied since the last
+//                  acknowledged round ship, the rest is staged already —
+// and sends both context messages to the peer manager, which rebuilds the
 // process with InsertProcess and resumes it. The peer reports the
 // destination-side timings back in a kMigrateComplete message.
 #ifndef SRC_MIGRATION_MIGRATION_MANAGER_H_
@@ -124,24 +128,18 @@ class MigrationManager : public Receiver {
   std::vector<Process*> RunnableLocalProcesses() const;
 
   // Migrates `proc` to the MigrationManager listening on `dest_manager`.
-  // `done` fires on this host when the peer confirms resumption.
-  // kPreCopy dispatches to MigratePreCopy with the manager's default
-  // PreCopyConfig (set_precopy_config), so every layer that selects
-  // strategies by enum — trials, failure matrix, chains, the fuzzer,
-  // remote kMigrateRequest commands — gets pre-copy for free.
+  // `done` fires once on this host: when the peer confirms resumption, or
+  // when the migration aborts. kPreCopy is the iterative pre-copy baseline
+  // under the manager's PreCopyConfig (set_precopy_config): the address
+  // space is snapshot and shipped while the process keeps executing,
+  // dirtied pages re-ship each acknowledged round, and only then is the
+  // process frozen and excised, its RIMAS carrying just the final dirty
+  // pages. Downtime shrinks; total bytes grow (section 5's trade-off).
   void Migrate(Process* proc, PortId dest_manager, TransferStrategy strategy, MigrateDone done);
 
-  // Default round/SLO knobs used when Migrate is called with kPreCopy.
+  // Round/SLO knobs for migrations started with kPreCopy.
   void set_precopy_config(const PreCopyConfig& config) { precopy_config_ = config; }
   const PreCopyConfig& precopy_config() const { return precopy_config_; }
-
-  // Migrates `proc` with the iterative pre-copy baseline: the address space
-  // is snapshot and shipped while the process keeps executing; dirtied
-  // pages re-ship each acknowledged round; only then is the process frozen
-  // and excised, its RIMAS carrying just the final dirty pages. Downtime
-  // shrinks; total bytes grow (section 5's trade-off).
-  void MigratePreCopy(Process* proc, PortId dest_manager, const PreCopyConfig& config,
-                      MigrateDone done);
 
   // Fires whenever a process is inserted (arrives) at this host.
   void set_on_insert(std::function<void(Process*)> fn) { on_insert_ = std::move(fn); }
@@ -163,29 +161,32 @@ class MigrationManager : public Receiver {
   void set_checkpoint_store(PortId store) { checkpoint_store_ = store; }
   PortId checkpoint_store() const { return checkpoint_store_; }
   std::uint64_t checkpoints_sent() const { return checkpoints_sent_; }
-  std::uint64_t restores_requested() const { return restores_requested_; }
   std::uint64_t restores_completed() const { return restores_completed_; }
 
   // Aborts an outbound migration that can no longer complete (dead-lettered
-  // context, transfer-complete handshake timeout). If the process was
-  // already excised, the retained authoritative context is re-inserted
-  // locally and the process restarted — source-side rollback. The done
-  // callback fires with record.aborted set. No-op if the migration already
-  // completed or aborted.
+  // context, transfer-complete handshake timeout), acting by its phase. A
+  // live pre-copy process never stopped: tracking is disarmed and it runs
+  // on. A process being frozen and excised is rolled back by the excise
+  // continuation, with the image it cuts. A sent process is rolled back
+  // from the retained authoritative context: re-inserted locally and
+  // restarted. The done callback fires with record.aborted and
+  // record.rolled_back set. No-op if the migration already completed or
+  // aborted.
   void AbortMigration(ProcId proc, const std::string& reason);
 
-  // Processes that migrated here (owned until they migrate away again).
+  // Processes that migrated here, rolled back or were restored here.
   const std::vector<std::unique_ptr<Process>>& adopted() const { return adopted_; }
-
-  // Releases ownership of an adopted process (e.g. to migrate it onward).
-  std::unique_ptr<Process> ReleaseAdopted(ProcId proc);
 
   // Receiver: core/rimas/complete/request messages.
   void HandleMessage(Message msg) override;
   const char* receiver_name() const override { return "migration-manager"; }
 
  private:
+  // Destination side of one inbound migration: pre-copy's staged round
+  // pages (newer rounds overwrite older copies), then the two context
+  // messages.
   struct PendingInsert {
+    std::map<PageIndex, PageRef> staged;
     Message core;
     bool have_core = false;
     SimTime core_arrived{0};
@@ -196,12 +197,30 @@ class MigrationManager : public Receiver {
     bool timeout_armed = false;  // destination teardown timer scheduled
   };
 
-  // Deep copies of the two context messages, kept at the source until the
-  // kMigrateComplete handshake so an abort can restore the process
-  // (fault-injection runs only — lossless runs never copy).
-  struct OutboundContext {
-    Message core;
-    Message rimas;
+  // Source side of one outbound migration, from the request to the peer's
+  // kMigrateComplete or the abort. Its phase says what an abort must undo.
+  enum class Phase {
+    kLive,      // pre-copy rounds in flight; the process still runs
+    kFreezing,  // suspending and excising; no image to re-insert yet
+    kSent,      // excised; the context is queued or on the wire
+  };
+  struct Outbound {
+    Phase phase = Phase::kFreezing;
+    Process* proc = nullptr;
+    PortId dest_manager;
+    MigrationRecord record;
+    MigrateDone done;
+    // Pre-copy: its knobs, the round in flight (pages shipped, start) and
+    // the previous round's dirty count for the stagnation cutoff.
+    PreCopyConfig config;
+    std::size_t round_pages = 0;
+    SimTime round_start{0};
+    std::size_t prev_dirty = 0;
+    // The context as excised, strategy applied but not pre-copy's dirty
+    // filter, kept until the handshake so an abort can restore the process
+    // (fault-injection runs only).
+    Message rollback_core;
+    Message rollback_rimas;
   };
 
   // Failure handling is active only when the local NetMsgServer runs the
@@ -213,13 +232,29 @@ class MigrationManager : public Receiver {
   void ArmAbortTimer(ProcId proc);
   void ArmPendingTimeout(ProcId proc, PendingInsert* pending);
 
-  // Applies the strategy to the excised RIMAS message. `resident_pages` is
-  // the resident set sampled at suspension time; `zero_bytes` the space's
-  // RealZero footprint (resident-set packaging walks those fill-zero maps,
-  // costs.rs_zero_scan_per_mb per megabyte).
+  // The outbound pipeline. SendRound ships a pre-copy round; at its ack
+  // OnRoundAcked sends another or freezes. Freeze suspends the process,
+  // samples `keep` (the Real pages that stay data in the RIMAS: the
+  // resident set for resident-set, the dirty set for pre-copy) and
+  // `zero_bytes` (resident-set's RealZero footprint), and excises it.
+  // OnExcised checkpoints, applies the strategy, keeps the rollback copy,
+  // filters pre-copy's flash down to `keep` and sends.
+  void SendRound(Outbound* out);
+  void OnRoundAcked(const PreCopyAckBody& ack);
+  void Freeze(Outbound* out);
+  void OnExcised(Outbound* out, const std::vector<PageIndex>& keep, ByteCount zero_bytes,
+                 ExciseResult excised);
   void ApplyStrategy(Message* rimas, TransferStrategy strategy,
-                     const std::vector<PageIndex>& resident_pages, ByteCount zero_bytes,
+                     const std::vector<PageIndex>& keep, ByteCount zero_bytes,
                      MigrationRecord* record);
+
+  // Source-side rollback: retires the migration, re-inserts its rollback
+  // image here, restarts the process and reports the abort.
+  void RollBack(ProcId proc);
+
+  // Takes a process InsertProcess rebuilt here: owns, registers, arms the
+  // restore hook and starts it.
+  Process* Adopt(std::unique_ptr<Process> process);
 
   // Chain-collapse internals (see RebindIouBody). RecordChainOrigin scans a
   // freshly-excised RIMAS for remote migration-cache backers; StartChainCollapse
@@ -235,20 +270,21 @@ class MigrationManager : public Receiver {
   // image to the store; RequestRestore asks for the latest version after a
   // terminal dead-backer fault; HandleCheckpointReply re-incarnates;
   // InstallRestoreFaultHook arms the crash trigger on an inserted process.
-  void CheckpointExcised(ProcId proc, const ExciseResult& excised,
-                         const std::vector<PageIndex>& resident, TransferStrategy strategy);
+  void CheckpointExcised(const ExciseResult& excised, const std::vector<PageIndex>& keep,
+                         MigrationRecord* record);
   void RequestRestore(Process* proc);
   void HandleCheckpointReply(Message msg);
   void InstallRestoreFaultHook(Process* proc);
 
-  // Hands the two context messages to the IPC system (RIMAS first).
-  void SendExcisedContext(ProcId proc, PortId dest_manager, ExciseResult excised);
+  // Hands the two context messages to the IPC system (RIMAS first) after
+  // the manager's RIMAS handling; sends nothing if the migration aborted
+  // meanwhile.
+  void SendExcisedContext(Outbound* out, ExciseResult excised);
 
-  // Pre-copy internals.
-  void RunPreCopyRound(Process* proc, PortId dest_manager, PreCopyConfig config, int round);
-  void FreezeAndFinishPreCopy(Process* proc, PortId dest_manager);
+  // Destination side of pre-copy: stages a round's pages and acks it;
+  // merges the staged pages under the flash RIMAS.
   void HandlePreCopyRound(Message msg);
-  void MergeStagedPages(Message* rimas, ProcId proc);
+  static void MergeStagedPages(Message* rimas, std::map<PageIndex, PageRef> staging);
 
   // Per-process chain state at the intermediary, recorded when a re-excise
   // finds imaginary segments backed by a remote migration cache.
@@ -266,26 +302,10 @@ class MigrationManager : public Receiver {
   CollapseDone on_collapse_;
   std::map<std::uint64_t, ChainState> chain_;  // keyed by ProcId
   std::uint64_t chains_collapsed_ = 0;
-  std::map<std::uint64_t, Process*> local_;          // registered local processes
-  std::map<std::uint64_t, PendingInsert> pending_;   // keyed by ProcId
-  std::map<std::uint64_t, MigrationRecord> outbound_;  // awaiting completion
-  std::map<std::uint64_t, OutboundContext> outbound_context_;  // for rollback
-  std::map<std::uint64_t, MigrateDone> done_;
+  std::map<std::uint64_t, Process*> local_;         // registered local processes
+  std::map<std::uint64_t, PendingInsert> pending_;  // inbound, keyed by ProcId
+  std::map<std::uint64_t, Outbound> outbound_;      // outbound, keyed by ProcId
   std::vector<std::unique_ptr<Process>> adopted_;
-
-  // Pre-copy state. Staging lives at the destination; continuations wait
-  // for round acknowledgements at the source.
-  std::map<std::uint64_t, std::map<PageIndex, PageRef>> staged_;
-  std::map<std::uint64_t, std::function<void()>> precopy_ack_waiters_;
-
-  // Source-side per-round progress: the writable-working-set estimate (an
-  // EWMA of per-round dirty counts) and the previous round's dirty count
-  // for the stagnation cutoff. Keyed by ProcId; erased at freeze/abort.
-  struct PreCopyProgress {
-    double wws_pages = 0.0;
-    std::size_t prev_dirty = 0;
-  };
-  std::map<std::uint64_t, PreCopyProgress> precopy_progress_;
   PreCopyConfig precopy_config_{};
 
   // Checkpoint/restart state. `restore_pending_` dedups in-flight restore
@@ -296,7 +316,6 @@ class MigrationManager : public Receiver {
   std::set<std::uint64_t> restore_pending_;
   std::map<std::uint64_t, std::uint64_t> restored_version_;
   std::uint64_t checkpoints_sent_ = 0;
-  std::uint64_t restores_requested_ = 0;
   std::uint64_t restores_completed_ = 0;
 };
 

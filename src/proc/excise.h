@@ -47,6 +47,10 @@ struct CoreBody {
 // Typed body of the RIMAS message.
 struct RimasBody {
   ProcId proc;
+  // Set on pre-copy's flash: the destination merges the round pages it
+  // staged beneath it. Any other RIMAS discards them, as left over from an
+  // aborted pre-copy attempt.
+  bool precopy_flash = false;
 };
 
 struct ExciseResult {

@@ -45,7 +45,6 @@ class AddressSpace {
 
   SpaceId id() const { return id_; }
   HostId host() const { return host_; }
-  void set_host(HostId host) { host_ = host; }
 
   // --- layout -----------------------------------------------------------------
   // Validates [begin, end) as zero-filled memory (RealZeroMem). The range

@@ -5,6 +5,7 @@
 // dump instead of timing out the test binary.
 #include <gtest/gtest.h>
 
+#include "src/experiments/chain.h"
 #include "src/experiments/failure_sweep.h"
 #include "src/experiments/testbed.h"
 #include "src/vm/backer.h"
@@ -234,6 +235,86 @@ TEST(MigrationRollback, DestinationCrashMidInsertRollsBackSource) {
   ASSERT_NE(local, nullptr);
   EXPECT_TRUE(local->done()) << "rolled-back process never ran at the source";
   EXPECT_EQ(local->env()->id, bed.host(0)->id);
+}
+
+// What an abort-timer test observes of one Lisp-Del pure-copy migration.
+struct TimedMigration {
+  bool drained = false;
+  int done_calls = 0;
+  MigrationRecord record;
+  bool finished_at_source = false;  // an incarnation ran to completion on host 0
+  std::size_t dest_adopted = 0;
+};
+
+// Migrates Lisp-Del (seed 42) by pure-copy on a bed whose fault plan holds
+// only a destination crash parked past the run: the wire is lossless, but
+// failure handling (abort timers, rollback images) is on. The abort timer
+// fires `abort_timeout` after the request.
+TimedMigration MigrateLispDel(SimDuration abort_timeout) {
+  TestbedConfig config;
+  config.costs.migration_abort_timeout = abort_timeout;
+  config.fault_plan.crashes.push_back(CrashWindow{HostId(2), kParkedCrash, kFaultForever});
+  Testbed bed(config);
+
+  WorkloadInstance instance = BuildWorkload(WorkloadByName("Lisp-Del"), bed.host(0), 42);
+  Process* proc = instance.process.get();
+  bed.manager(0)->RegisterLocal(proc);
+  Process* local = nullptr;
+  bed.manager(0)->set_on_insert([&local](Process* inserted) { local = inserted; });
+
+  TimedMigration result;
+  bed.manager(0)->Migrate(proc, bed.manager(1)->port(), TransferStrategy::kPureCopy,
+                          [&result](const MigrationRecord& r) {
+                            ++result.done_calls;
+                            result.record = r;
+                          });
+  result.drained = bed.RunGuarded();
+  result.finished_at_source =
+      local != nullptr && local->done() && local->env()->id == bed.host(0)->id;
+  result.dest_adopted = bed.manager(1)->adopted().size();
+  return result;
+}
+
+// The request-to-excise_done window of the undisturbed migration.
+SimDuration LispDelExciseWindow() {
+  const TimedMigration undisturbed = MigrateLispDel(Sec(600.0));
+  EXPECT_TRUE(undisturbed.drained);
+  EXPECT_FALSE(undisturbed.record.aborted);
+  return undisturbed.record.excise_done - undisturbed.record.requested;
+}
+
+void ExpectRolledBackOnce(const TimedMigration& run) {
+  EXPECT_TRUE(run.drained);
+  EXPECT_EQ(run.done_calls, 1);
+  EXPECT_TRUE(run.record.aborted);
+  EXPECT_TRUE(run.record.rolled_back);
+  EXPECT_EQ(run.record.abort_reason, "transfer-complete handshake timed out");
+  EXPECT_GT(run.record.rollback_insert.count(), 0);
+  EXPECT_TRUE(run.finished_at_source);
+  EXPECT_EQ(run.dest_adopted, 0u);
+}
+
+TEST(MigrationRollback, AbortWhileFreezingRollsBackTheImageJustCut) {
+  // The timer fires halfway through excision: the process is suspended and
+  // being cut, so nothing can be re-inserted yet. The excise continuation
+  // finishes the abort with the image it cut, and nothing is sent.
+  const SimDuration window = LispDelExciseWindow();
+  ASSERT_GT(window, Sec(1.0));
+  const TimedMigration run = MigrateLispDel(window / 2);
+  ExpectRolledBackOnce(run);
+  EXPECT_EQ(run.record.rimas_sent, SimTime{0});
+}
+
+TEST(MigrationRollback, AbortWithTheSendQueuedSendsNothing) {
+  // The timer fires 50 ms into the 110 ms RIMAS-handling CPU item that
+  // precedes the send: the abort re-inserts the retained context, and the
+  // queued send, finding its migration gone, must not ship it as well.
+  const SimDuration window = LispDelExciseWindow();
+  ASSERT_LT(Ms(50), CostTable{}.migration_rimas_handling);
+  const TimedMigration run = MigrateLispDel(window + Ms(50));
+  ExpectRolledBackOnce(run);
+  EXPECT_GT(run.record.rimas_sent, SimTime{0});
+  EXPECT_EQ(run.record.core_sent, SimTime{0});
 }
 
 }  // namespace

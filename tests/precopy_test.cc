@@ -3,6 +3,7 @@
 // byte overhead, and full data integrity including mid-round writes.
 #include <gtest/gtest.h>
 
+#include "src/experiments/chain.h"
 #include "src/experiments/precopy.h"
 #include "src/experiments/testbed.h"
 #include "tests/digest.h"
@@ -44,16 +45,44 @@ class PreCopyTest : public ::testing::Test {
     MigrationRecord record;
     bool done = false;
     bed->manager(0)->RegisterLocal(proc);
-    bed->manager(0)->MigratePreCopy(proc, bed->manager(1)->port(), config,
-                                    [&](const MigrationRecord& r) {
-                                      record = r;
-                                      done = true;
-                                    });
+    bed->manager(0)->set_precopy_config(config);
+    bed->manager(0)->Migrate(proc, bed->manager(1)->port(), TransferStrategy::kPreCopy,
+                             [&](const MigrationRecord& r) {
+                               record = r;
+                               done = true;
+                             });
     bed->sim().Run();
     EXPECT_TRUE(done);
     return record;
   }
+
+  // Starts `proc`, migrates it by pre-copy at 0.5 s and drains the bed;
+  // `done` must fire exactly once.
+  MigrationRecord MigrateLive(Testbed* bed, Process* proc) {
+    proc->Start();
+    bed->sim().RunUntil(Ms(500));
+    MigrationRecord record;
+    int done_calls = 0;
+    bed->manager(0)->RegisterLocal(proc);
+    bed->manager(0)->Migrate(proc, bed->manager(1)->port(), TransferStrategy::kPreCopy,
+                             [&](const MigrationRecord& r) {
+                               record = r;
+                               ++done_calls;
+                             });
+    EXPECT_TRUE(bed->RunGuarded());
+    EXPECT_EQ(done_calls, 1);
+    return record;
+  }
 };
+
+// A bed whose fault plan holds only `crash` for the destination: with the
+// crash parked past the run (chain.h's kParkedCrash) the wire is lossless,
+// yet failure handling (abort timers, dead letters, rollback) is on.
+TestbedConfig DestCrashBed(SimTime crash) {
+  TestbedConfig config;
+  config.fault_plan.crashes.push_back(CrashWindow{HostId(2), crash, kFaultForever});
+  return config;
+}
 
 TEST_F(PreCopyTest, MigratesWithIntactData) {
   Testbed bed;
@@ -294,6 +323,87 @@ TEST_F(PreCopyTest, RoundsAreAcknowledgedFlowControl) {
   EXPECT_EQ(record.precopy_rounds, 4);
   // Each round shipped something; bytes grow beyond one image copy.
   EXPECT_GT(record.precopy_bytes, 64u * kPageSize);
+}
+
+TEST_F(PreCopyTest, AbortWithRoundInFlightDropsTheLateAck) {
+  // The abort timer fires while round 0's 64 pages are still on the wire.
+  // The process never stopped, so the abort only disarms tracking; the
+  // round's ack, landing later with no round waiting for it, is dropped.
+  TestbedConfig config = DestCrashBed(kParkedCrash);
+  config.costs.migration_abort_timeout = Ms(500);
+  Testbed bed(config);
+  auto proc = BuildWriter(&bed, 40, Ms(200));
+  const MigrationRecord record = MigrateLive(&bed, proc.get());
+  EXPECT_TRUE(record.aborted);
+  EXPECT_TRUE(record.rolled_back);
+  EXPECT_EQ(record.abort_reason, "transfer-complete handshake timed out");
+  EXPECT_EQ(record.precopy_rounds, 1);
+  EXPECT_TRUE(proc->done());
+  EXPECT_EQ(proc->env()->id, bed.host(0)->id);
+  EXPECT_TRUE(bed.manager(1)->adopted().empty());
+}
+
+TEST_F(PreCopyTest, AbortedRoundsDoNotLeakIntoTheNextMigration) {
+  // A live pre-copy attempt is aborted with round 0 in flight; its pages
+  // are staged at the destination anyway, as of 0.5 s. The writer runs on,
+  // and at 6 s migrates by pure-IOU to the same host, whose RIMAS carries no
+  // Real data: the stale round must not be merged beneath it.
+  Testbed bed(DestCrashBed(kParkedCrash));
+  auto proc = BuildWriter(&bed, 80, Ms(200));
+  proc->Start();
+  bed.sim().RunUntil(Ms(500));
+  bed.manager(0)->RegisterLocal(proc.get());
+  int aborted_done_calls = 0;
+  bed.manager(0)->Migrate(proc.get(), bed.manager(1)->port(), TransferStrategy::kPreCopy,
+                          [&](const MigrationRecord& r) {
+                            EXPECT_TRUE(r.aborted);
+                            ++aborted_done_calls;
+                          });
+  bed.sim().RunUntil(Ms(1000));
+  bed.manager(0)->AbortMigration(proc->id(), "test abort");
+  bed.sim().RunUntil(Sec(6.0));
+  EXPECT_EQ(aborted_done_calls, 1);
+
+  MigrationRecord record;
+  bed.manager(0)->Migrate(proc.get(), bed.manager(1)->port(), TransferStrategy::kPureIou,
+                          [&](const MigrationRecord& r) { record = r; });
+  ASSERT_TRUE(bed.RunGuarded());
+  EXPECT_FALSE(record.aborted);
+  ASSERT_EQ(bed.manager(1)->adopted().size(), 1u);
+  Process* remote = bed.manager(1)->adopted()[0].get();
+  EXPECT_TRUE(remote->done());
+  std::map<PageIndex, std::uint8_t> last_write;
+  for (const TraceOp& op : *remote->trace()) {
+    if (op.kind == TraceOp::Kind::kTouch && op.write) {
+      last_write[PageOf(op.addr)] = op.value;
+    }
+  }
+  // A page the remote never touched is still owed to the source's cache;
+  // every page it holds must carry its last write.
+  for (const auto& [page, value] : last_write) {
+    if (remote->space()->ClassOf(PageBase(page)) != MemClass::kImag) {
+      EXPECT_EQ(PageByteAt(remote->space()->ReadPage(page), 100), value) << "page " << page;
+    }
+  }
+}
+
+TEST_F(PreCopyTest, UndeliverableRoundAbortsBeforeTheFreeze) {
+  // The destination dies for good 0.1 s into the migration, so round 0
+  // dead-letters once its retries run out. The process was never frozen:
+  // the abort disarms write tracking and it finishes where it started.
+  Testbed bed(DestCrashBed(Ms(600)));
+  auto proc = BuildWriter(&bed, 40, Ms(200));
+  const MigrationRecord record = MigrateLive(&bed, proc.get());
+  EXPECT_TRUE(record.aborted);
+  EXPECT_TRUE(record.rolled_back);
+  EXPECT_EQ(record.abort_reason, "pre-copy round undeliverable");
+  EXPECT_EQ(record.frozen, SimTime{0});
+  for (PageIndex p = 0; p < 64; ++p) {
+    EXPECT_FALSE(proc->space()->WriteIsTracked(PageBase(p))) << "page " << p;
+  }
+  EXPECT_TRUE(proc->done());
+  EXPECT_EQ(proc->env()->id, bed.host(0)->id);
+  EXPECT_TRUE(bed.manager(1)->adopted().empty());
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Tracing subsystem: Chrome-trace export shape, determinism, the
 // migration-phase tiling invariant, and the zero-perturbation guarantee
-// (a traced trial must serialise byte-identically to an untraced one).
+// (a traced trial must serialise byte-identically to an untraced one), and
+// a pin on the event order and span args of six traced migrations.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/experiments/failure_sweep.h"
+#include "src/experiments/precopy.h"
 #include "src/experiments/sweep_cache.h"
 #include "src/experiments/trial.h"
 #include "src/trace/trace.h"
+#include "tests/digest.h"
 
 namespace accent {
 namespace {
@@ -146,6 +150,70 @@ TEST(Tracer, TracingIsInert) {
   tracer.set_verbose(true);
   const std::string verbose = TrialResultToJson(RunTrial(config)).Dump();
   EXPECT_EQ(untraced, verbose);
+}
+
+// FNV-1a fold of the non-verbose Chrome-trace dumps of six migrations: one
+// per strategy on PM-Start with the checkpoint store on, the live Chess
+// pre-copy cell of the pre-copy grid (4 rounds, no SLO; it runs two), and
+// the failure matrix's Minprog pure-IOU dest_crash cell (it aborts and
+// rolls back). The golden and report digests pin results only; this pins
+// which events fire, in what order, with what args.
+constexpr std::uint64_t kMigrationTraceDigest = 0xcbdc1a41eb0dd43cull;
+
+TEST(Tracer, MigrationTracesArePinned) {
+  Tracer tracer;
+  std::uint64_t digest = kFnv1aOffsetBasis;
+  const auto fold = [&tracer, &digest] {
+    EXPECT_GT(tracer.size(), 0u);
+    digest = Fnv1a(digest, tracer.DumpChromeTrace());
+    tracer.Clear();
+  };
+
+  for (TransferStrategy strategy : {TransferStrategy::kPureCopy, TransferStrategy::kPureIou,
+                                    TransferStrategy::kResidentSet, TransferStrategy::kPreCopy}) {
+    FuzzScenario spec;
+    spec.workload = "PM-Start";
+    spec.strategy = strategy;
+    spec.checkpoint = true;
+    spec.tracer = &tracer;
+    const MechRun run = RunMech(spec, FaultPlan{}, spec.seed);
+    EXPECT_TRUE(run.hop1_done && !run.hop1.aborted) << StrategyName(strategy);
+    EXPECT_TRUE(run.hop1.checkpointed) << StrategyName(strategy);
+    fold();
+  }
+
+  int live_cells = 0;
+  for (FuzzScenario spec : PreCopySweepSpecs(42)) {
+    if (spec.workload != "Chess" || spec.strategy != TransferStrategy::kPreCopy ||
+        spec.precopy.max_rounds != 4 || spec.precopy.target_downtime != SimDuration{0}) {
+      continue;
+    }
+    ++live_cells;
+    EXPECT_GT(spec.live_migrate_at, SimDuration{0});
+    spec.tracer = &tracer;
+    const MechRun run = RunMech(spec, PlantFaults(spec, MechRun{}), spec.seed);
+    EXPECT_EQ(run.hop1.precopy_rounds, 2);
+    fold();
+  }
+  EXPECT_EQ(live_cells, 1);
+
+  const std::uint64_t reference = ReferenceChecksum("Minprog", 42);
+  const MechRun baseline =
+      RunFailureBaseline(FailureSpec({}, "Minprog", TransferStrategy::kPureIou, 42), reference);
+  for (const FailureScenario& column : FailureScenarios()) {
+    if (column.name != "dest_crash") {
+      continue;
+    }
+    FuzzScenario spec = FailureSpec(column.faults, "Minprog", TransferStrategy::kPureIou, 42);
+    spec.tracer = &tracer;
+    const MechTrial trial = RunFailureTrial(spec, column.name, baseline, reference);
+    EXPECT_TRUE(trial.run.hop1.aborted);
+    EXPECT_TRUE(trial.verdict.rolled_back);
+    fold();
+  }
+
+  EXPECT_EQ(digest, kMigrationTraceDigest)
+      << "migration traces changed: new digest 0x" << std::hex << digest;
 }
 
 // Verbose mode strictly adds events (per-fragment, per-dispatch detail).
