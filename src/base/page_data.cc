@@ -7,9 +7,11 @@
 
 namespace accent {
 
-// Each word's bytes are stored least significant first, one copy per word.
+// Each word's bytes are stored least significant first, one copy per word,
+// and both digests load words the same way; PageHash values are pinned
+// (tests/page_service_test.cc) to little-endian words.
 static_assert(std::endian::native == std::endian::little,
-              "MakePatternPage copies words in little-endian byte order");
+              "pattern pages and page digests copy words in little-endian byte order");
 
 PageData MakePatternPage(std::uint64_t seed) {
   Rng rng(seed);
@@ -21,17 +23,21 @@ PageData MakePatternPage(std::uint64_t seed) {
   return page;
 }
 
-std::uint64_t PageIntegrityChecksum(const PageData& page) {
+namespace {
+
+// The bytes an empty PageData (the zero page) reads as.
+constexpr std::uint8_t kZeroBytes[kPageSize] = {};
+
+const std::uint8_t* BytesOf(const PageData& page) {
   ACCENT_EXPECTS(page.empty() || page.size() == kPageSize);
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (ByteCount i = 0; i < kPageSize; ++i) {
-    const std::uint8_t byte = page.empty() ? 0 : page[i];
-    hash = (hash ^ byte) * 0x100000001b3ull;
-  }
-  return hash;
+  return page.empty() ? kZeroBytes : page.data();
 }
 
-namespace {
+std::uint64_t WordAt(const std::uint8_t* bytes, ByteCount offset) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes + offset, sizeof word);
+  return word;
+}
 
 // fmix64 from murmur3: full avalanche over one 64-bit lane.
 inline std::uint64_t Mix64(std::uint64_t k) {
@@ -45,8 +51,29 @@ inline std::uint64_t Mix64(std::uint64_t k) {
 
 }  // namespace
 
+std::uint64_t PageIntegrityChecksum(const PageData& page) {
+  const std::uint8_t* bytes = BytesOf(page);
+  // Word i feeds lane i % 4, so the four multiply chains overlap. A step
+  // is bijective in its lane and in its word, so changing one word always
+  // changes that lane's final state, and the fold is bijective in each
+  // lane given the others, so the change always reaches the checksum.
+  std::uint64_t lanes[4] = {0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full,
+                            0x165667b19e3779f9ull, 0x27d4eb2f165667c5ull};
+  for (ByteCount i = 0; i < kPageSize; i += sizeof lanes) {
+    for (int lane = 0; lane < 4; ++lane) {
+      const std::uint64_t h = (lanes[lane] ^ WordAt(bytes, i + 8 * lane)) * 0xff51afd7ed558ccdull;
+      lanes[lane] = h ^ (h >> 29);
+    }
+  }
+  std::uint64_t sum = Mix64(lanes[0]);
+  for (int lane = 1; lane < 4; ++lane) {
+    sum = Mix64(sum ^ lanes[lane]);
+  }
+  return sum;
+}
+
 PageHash ComputePageHash(const PageData& page) {
-  ACCENT_EXPECTS(page.empty() || page.size() == kPageSize);
+  const std::uint8_t* bytes = BytesOf(page);
   // Two independently-seeded murmur-style lanes over the 64-bit words of
   // the page. Each lane mixes the word with its position before folding,
   // so permuted contents (common under MakePatternPage mutations) never
@@ -54,12 +81,7 @@ PageHash ComputePageHash(const PageData& page) {
   std::uint64_t h1 = 0x9e3779b97f4a7c15ull;
   std::uint64_t h2 = 0xc2b2ae3d27d4eb4full;
   for (ByteCount i = 0; i < kPageSize; i += 8) {
-    std::uint64_t word = 0;
-    if (!page.empty()) {
-      for (int b = 0; b < 8; ++b) {
-        word |= static_cast<std::uint64_t>(page[i + b]) << (8 * b);
-      }
-    }
+    const std::uint64_t word = WordAt(bytes, i);
     h1 = Mix64(h1 ^ Mix64(word + i));
     h2 = Mix64(h2 + word) ^ (i * 0x100000001b3ull);
   }

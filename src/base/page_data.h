@@ -18,21 +18,27 @@ namespace accent {
 
 using PageData = std::vector<std::uint8_t>;  // empty == zero page, else kPageSize bytes
 
-// Deterministic non-zero page contents derived from `seed`.
+// Deterministic non-zero page contents derived from `seed`: 64 words, none
+// of them zero. PageRef::Pattern (src/base/page_ref.h) defers the call to
+// the page's first read.
 PageData MakePatternPage(std::uint64_t seed);
 
-// Weak 64-bit FNV-1a over the page (zero pages hash as kPageSize zero
-// bytes). This is an *integrity tripwire* — cheap corruption detection in
-// tests and oracles — and must never be used as content identity: at 64
-// bits of linear mixing it is trivially forgeable. Content identity is
-// PageHash below; the distinct names keep the two apart at call sites.
+// Weak 64-bit checksum over the page's 64-bit words (zero pages sum as
+// kPageSize zero bytes): four independent multiply-xorshift lanes folded
+// by an avalanche mix. This is an *integrity tripwire* — cheap corruption
+// detection in tests and oracles — and must never be used as content
+// identity: 64 bits with no collision resistance are forgeable. Content
+// identity is PageHash below; the distinct names keep the two apart at
+// call sites. Its values are never serialized: every verdict compares two
+// values computed by one process.
 std::uint64_t PageIntegrityChecksum(const PageData& page);
 
 // Strong 128-bit content identity for the cluster page service. Two pages
 // with equal hashes are treated as byte-identical across hosts, so the
 // hash must be collision-resistant against the simulator's page universe
-// (MakePatternPage streams + mutations); a murmur3-style mix per 64-bit
-// lane gives full avalanche, unlike the integrity checksum above.
+// (MakePatternPage streams + mutations); every word passes through a
+// full-avalanche murmur3 mix, where the integrity checksum above only
+// multiplies and shifts until its final fold.
 struct PageHash {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -47,7 +53,9 @@ struct PageHash {
 };
 
 // Hashes the page contents (zero pages hash as kPageSize zero bytes, so
-// an empty PageData and a materialised all-zero page agree).
+// an empty PageData and a materialised all-zero page agree). The values
+// are pinned (tests/page_service_test.cc): PageHash keys order the content
+// cache and the page directory.
 PageHash ComputePageHash(const PageData& page);
 
 // The interned hash of the all-zero page: ComputePageHash({}) computed

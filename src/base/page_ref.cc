@@ -13,6 +13,7 @@ std::atomic<std::uint64_t> g_payload_frees{0};
 std::atomic<std::uint64_t> g_page_bytes_copied{0};
 std::atomic<std::uint64_t> g_payload_shares{0};
 std::atomic<std::uint64_t> g_cow_breaks{0};
+std::atomic<std::uint64_t> g_pattern_pages_materialized{0};
 
 const PageData& EmptyPage() {
   static const PageData empty;
@@ -21,16 +22,23 @@ const PageData& EmptyPage() {
 
 }  // namespace
 
-// Every payload allocation routes through here so the matching release is
-// counted by the deleter — allocs minus frees is the live-payload gauge the
+// Every payload allocation routes through here and every payload counts
+// its own release, so allocs minus frees is the live-payload gauge the
 // leak oracles read. A fresh payload always starts with a cold hash memo,
 // including clones of an already-hashed payload (COW breaks change bytes).
-std::shared_ptr<PageRef::Payload> PageRef::MakePayload(PageData bytes) {
+std::shared_ptr<PageRef::Payload> PageRef::MakePayload(PageData bytes, std::uint64_t pattern_seed) {
   g_payload_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::shared_ptr<Payload>(new Payload(std::move(bytes)), [](Payload* payload) {
-    g_payload_frees.fetch_add(1, std::memory_order_relaxed);
-    delete payload;
-  });
+  return std::make_shared<Payload>(std::move(bytes), pattern_seed);
+}
+
+PageRef::Payload::~Payload() { g_payload_frees.fetch_add(1, std::memory_order_relaxed); }
+
+PageData& PageRef::Payload::Materialized() {
+  if (bytes.empty()) {
+    bytes = MakePatternPage(pattern_seed);
+    g_pattern_pages_materialized.fetch_add(1, std::memory_order_relaxed);
+  }
+  return bytes;
 }
 
 PageCounterSnapshot ReadPageCounters() {
@@ -40,6 +48,7 @@ PageCounterSnapshot ReadPageCounters() {
   snap.page_bytes_copied = g_page_bytes_copied.load(std::memory_order_relaxed);
   snap.payload_shares = g_payload_shares.load(std::memory_order_relaxed);
   snap.cow_breaks = g_cow_breaks.load(std::memory_order_relaxed);
+  snap.pattern_pages_materialized = g_pattern_pages_materialized.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -49,6 +58,7 @@ void ResetPageCounters() {
   g_page_bytes_copied.store(0, std::memory_order_relaxed);
   g_payload_shares.store(0, std::memory_order_relaxed);
   g_cow_breaks.store(0, std::memory_order_relaxed);
+  g_pattern_pages_materialized.store(0, std::memory_order_relaxed);
 }
 
 PageRef::PageRef(PageData bytes) {
@@ -56,6 +66,12 @@ PageRef::PageRef(PageData bytes) {
   if (!bytes.empty()) {
     data_ = MakePayload(std::move(bytes));
   }
+}
+
+PageRef PageRef::Pattern(std::uint64_t seed) {
+  PageRef page;
+  page.data_ = MakePayload(PageData{}, seed);
+  return page;
 }
 
 PageRef::PageRef(const PageRef& other) {
@@ -73,11 +89,11 @@ PageRef& PageRef::operator=(const PageRef& other) {
   return *this;
 }
 
-const PageData& PageRef::Bytes() const { return data_ ? data_->bytes : EmptyPage(); }
+const PageData& PageRef::Bytes() const { return data_ ? data_->Materialized() : EmptyPage(); }
 
 std::uint8_t PageRef::ByteAt(ByteCount offset) const {
   ACCENT_EXPECTS(offset < kPageSize);
-  return data_ ? data_->bytes[offset] : 0;
+  return data_ ? data_->Materialized()[offset] : 0;
 }
 
 void PageRef::WriteByte(ByteCount offset, std::uint8_t value) {
@@ -90,12 +106,14 @@ void PageRef::WriteByte(ByteCount offset, std::uint8_t value) {
   } else if (data_.use_count() > 1) {
     // Copy-on-write: another holder shares this payload, clone before the
     // first diverging write (the old data plane copied eagerly instead).
-    data_ = MakePayload(data_->bytes);
+    // The shared payload materialises first, for its other holders too.
+    data_ = MakePayload(data_->Materialized());
     g_page_bytes_copied.fetch_add(kPageSize, std::memory_order_relaxed);
     g_cow_breaks.fetch_add(1, std::memory_order_relaxed);
   } else {
     // Sole holder mutating in place: any memoized content hash is stale.
-    data_->hash_ready.store(false, std::memory_order_relaxed);
+    data_->Materialized();
+    data_->hash_ready = false;
   }
   data_->bytes[offset] = value;
 }
@@ -104,17 +122,11 @@ PageHash PageRef::Hash() const {
   if (data_ == nullptr) {
     return ZeroPageHash();
   }
-  PageHash hash;
-  if (data_->hash_ready.load(std::memory_order_acquire)) {
-    hash.lo = data_->hash_lo.load(std::memory_order_relaxed);
-    hash.hi = data_->hash_hi.load(std::memory_order_relaxed);
-    return hash;
+  if (!data_->hash_ready) {
+    data_->hash = ComputePageHash(data_->Materialized());
+    data_->hash_ready = true;
   }
-  hash = ComputePageHash(data_->bytes);
-  data_->hash_lo.store(hash.lo, std::memory_order_relaxed);
-  data_->hash_hi.store(hash.hi, std::memory_order_relaxed);
-  data_->hash_ready.store(true, std::memory_order_release);
-  return hash;
+  return data_->hash;
 }
 
 PageData PageRef::Clone() const {
@@ -122,7 +134,7 @@ PageData PageRef::Clone() const {
     return PageData{};
   }
   g_page_bytes_copied.fetch_add(kPageSize, std::memory_order_relaxed);
-  return data_->bytes;
+  return data_->Materialized();
 }
 
 }  // namespace accent

@@ -1,5 +1,6 @@
 #include "src/experiments/lifecycle.h"
 
+#include "src/base/page_ref.h"
 #include "src/base/rng.h"
 #include "src/experiments/testbed.h"
 
@@ -19,7 +20,7 @@ LifecycleResult RunLifecycle(const LifecycleConfig& config) {
                                               bed.host(0)->id);
   Segment* image = bed.segments().CreateReal(config.image_pages * kPageSize, "pasmac-image");
   for (PageIndex p = 0; p < config.image_pages; ++p) {
-    image->StorePage(p, MakePatternPage(config.seed * 1000 + p));
+    image->StorePage(p, PageRef::Pattern(config.seed * 1000 + p));
   }
   const Addr image_base = 0;
   const Addr zero_base = config.image_pages * kPageSize;
@@ -111,7 +112,7 @@ LifecycleResult RunLifecycle(const LifecycleConfig& config) {
       continue;  // untouched owed page
     }
     const PageRef page = remote->space()->ReadPage(p);  // shared lookup, no copy
-    const PageData want = MakePatternPage(config.seed * 1000 + p);
+    const PageRef want = PageRef::Pattern(config.seed * 1000 + p);
     if (p % 4 == 3) {
       ACCENT_CHECK(PageByteAt(page, 9) == static_cast<std::uint8_t>(p));
       ACCENT_CHECK(PageByteAt(page, 10) == PageByteAt(want, 10));

@@ -290,10 +290,12 @@ Json MechRowToJson(const FuzzScenario& spec, const MechRun& run, const MechVerdi
 // emitted only when enabled, so the paper grid's rows stay byte-identical.
 Json TrialResultToJson(const TrialResult& result);
 
-// FNV fold over the contents a fault would observe for each planned page,
-// visited in ascending order. Pages owed to a backing chain are resolved
-// through their backer object via the segment table, so the fold verifies
-// that collapses moved bytes, not just references.
+// FNV fold of each planned page's index and the PageIntegrityChecksum of
+// the contents a fault would observe there, visited in ascending order;
+// its values are compared within one process and never serialized. Pages
+// owed to a backing chain are resolved through their backer object via
+// the segment table, so the fold verifies that collapses moved bytes, not
+// just references.
 std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
                                  const std::set<PageIndex>& touches);
 

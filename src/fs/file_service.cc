@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/base/logging.h"
+#include "src/base/page_ref.h"
 #include "src/trace/trace.h"
 
 namespace accent {
@@ -36,7 +37,7 @@ Segment* FileServer::CreateFile(const std::string& name, ByteCount size, std::ui
   Segment* segment = env_->segments->CreateReal(size, "file:" + name);
   if (seed != 0) {
     for (PageIndex p = 0; p < segment->page_count(); ++p) {
-      segment->StorePage(p, MakePatternPage(seed + p));
+      segment->StorePage(p, PageRef::Pattern(seed + p));
     }
   }
   files_[name] = segment;

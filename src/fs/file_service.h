@@ -142,8 +142,9 @@ class FileServer : public Receiver {
   HostId host() const { return env_->id; }
 
   // Creates a file of `size` bytes filled from `seed` (deterministic
-  // pattern; page p carries MakePatternPage(seed + p)). Zero seed leaves
-  // the file sparse (all zeroes).
+  // pattern; page p reads as MakePatternPage(seed + p), generated on its
+  // first read by PageRef::Pattern). Zero seed leaves the file sparse (all
+  // zeroes).
   Segment* CreateFile(const std::string& name, ByteCount size, std::uint64_t seed);
 
   Segment* Find(const std::string& name) const;

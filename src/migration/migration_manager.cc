@@ -145,9 +145,10 @@ void MigrationManager::Migrate(Process* proc, PortId dest_manager, TransferStrat
   ACCENT_EXPECTS(proc->env() == env_) << " process is not on this manager's host";
   const bool precopy = strategy == TransferStrategy::kPreCopy;
   ACCENT_EXPECTS(!precopy || precopy_config_.max_rounds >= 1);
+  ACCENT_EXPECTS(outbound_.count(proc->id().value) == 0)
+      << " process " << proc->id().value << " already has an outbound migration";
 
   Outbound& out = outbound_[proc->id().value];
-  out = Outbound{};
   out.phase = precopy ? Phase::kLive : Phase::kFreezing;
   out.proc = proc;
   out.dest_manager = dest_manager;

@@ -125,9 +125,14 @@ class MigrationManager : public Receiver {
   void RegisterLocal(Process* proc);
 
   // Registered processes currently runnable on this host (policy input).
+  // A process under live pre-copy still counts: it keeps running here
+  // until it is frozen. LoadBalancerPolicy does not pick it again only
+  // because its source host stays tasked until `done` fires; Migrate
+  // itself refuses a process that already has an outbound migration.
   std::vector<Process*> RunnableLocalProcesses() const;
 
   // Migrates `proc` to the MigrationManager listening on `dest_manager`.
+  // Precondition: `proc` has no outbound migration in flight from here.
   // `done` fires once on this host: when the peer confirms resumption, or
   // when the migration aborts. kPreCopy is the iterative pre-copy baseline
   // under the manager's PreCopyConfig (set_precopy_config): the address

@@ -190,7 +190,7 @@ WorkloadImage BuildWorkloadImage(const WorkloadSpec& spec, std::uint64_t seed) {
   image.pages.reserve(spec.real_pages());
   for (const Region& region : LayOut(spec).real) {
     for (PageIndex page = region.first; page < region.first + region.pages; ++page) {
-      image.pages.emplace_back(MakePatternPage(WorkloadPageSeed(seed, page)));
+      image.pages.push_back(PageRef::Pattern(WorkloadPageSeed(seed, page)));
     }
   }
   return image;

@@ -87,13 +87,17 @@ struct WorkloadInstance {
 
 // The RealMem contents a (workload, seed) is staged with: one pattern page
 // per RealMem page, in image order (page i of the program image segment is
-// the i-th page of real_page_list). Every run staged from one (workload,
-// seed) stores these same bytes, so a runner that stages it several times
-// builds the image once and each BuildWorkload shares its payloads. The
-// image holds its own reference to every payload, so a run that writes a
-// page clones it first (copy-on-write) and the image stays as built. An
-// image stays on the thread that built it: payloads are shared across the
-// runs of one thread, never across threads.
+// the i-th page of real_page_list). Each page is a PageRef::Pattern that
+// generates its bytes on its first read, so building and staging an image
+// generates none, and a run generates only the pages it reads: the planned
+// touches a process writes or ObservableChecksum folds. Every run staged
+// from one (workload, seed) stores these same pages, so a runner that
+// stages it several times builds the image once, each BuildWorkload shares
+// its payloads, and a page one run materialised stays materialised for
+// the next. The image holds its own reference to every payload, so a run
+// that writes a page clones it first (copy-on-write) and the image stays
+// as built. An image stays on the thread that built it: payloads are
+// shared across the runs of one thread, never across threads.
 struct WorkloadImage {
   std::string workload;
   std::uint64_t seed = 0;

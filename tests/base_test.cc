@@ -1,6 +1,7 @@
 // Unit tests for base utilities: types, rng, page data, result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/base/page_data.h"
@@ -153,6 +154,34 @@ TEST(PageData, ZeroPageReadsAsZero) {
 TEST(PageData, ChecksumDistinguishesContents) {
   EXPECT_NE(PageIntegrityChecksum(MakePatternPage(1)), PageIntegrityChecksum(MakePatternPage(2)));
   EXPECT_EQ(PageIntegrityChecksum(PageData{}), PageIntegrityChecksum(PageData(kPageSize, 0)));
+}
+
+// The integrity checksum must see any single corruption: each of the 4,096
+// one-bit flips of a page gives its own value, none the original's, and
+// swapping any two of its 64 words changes the value.
+TEST(PageData, ChecksumSeesEveryBitFlipAndWordSwap) {
+  const PageData page = MakePatternPage(77);
+  const std::uint64_t original = PageIntegrityChecksum(page);
+  std::set<std::uint64_t> flipped;
+  for (ByteCount bit = 0; bit < kPageSize * 8; ++bit) {
+    PageData corrupt = page;
+    corrupt[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    flipped.insert(PageIntegrityChecksum(corrupt));
+  }
+  EXPECT_EQ(flipped.size(), kPageSize * 8);
+  EXPECT_EQ(flipped.count(original), 0u);
+
+  int swaps = 0;
+  for (ByteCount a = 0; a < kPageSize; a += 8) {
+    for (ByteCount b = a + 8; b < kPageSize; b += 8) {
+      PageData swapped = page;
+      std::swap_ranges(swapped.begin() + a, swapped.begin() + a + 8, swapped.begin() + b);
+      ASSERT_NE(swapped, page);
+      EXPECT_NE(PageIntegrityChecksum(swapped), original) << "words " << a / 8 << ", " << b / 8;
+      ++swaps;
+    }
+  }
+  EXPECT_EQ(swaps, 2016);
 }
 
 TEST(PageData, WriteMaterialisesZeroPage) {

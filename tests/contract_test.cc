@@ -74,6 +74,25 @@ TEST(ContractDeathTest, BuildWorkloadRejectsAnImageOfAnotherStaging) {
                "from the image of Chess seed 42");
 }
 
+// Live pre-copy keeps the process running at home, so it is still
+// runnable there; a second Migrate would replace the first attempt, whose
+// `done` would then never fire.
+TEST(ContractDeathTest, MigrateRejectsAProcessAlreadyMigrating) {
+  Testbed bed;
+  WorkloadInstance instance = BuildWorkload(WorkloadByName("Lisp-Del"), bed.host(0), 42);
+  Process* proc = instance.process.get();
+  MigrationManager* manager = bed.manager(0);
+  manager->RegisterLocal(proc);
+  proc->Start();
+  manager->Migrate(proc, bed.manager(1)->port(), TransferStrategy::kPreCopy,
+                   [](const MigrationRecord&) {});
+  bed.sim().RunUntil(Ms(100));
+  ASSERT_EQ(manager->RunnableLocalProcesses(), std::vector<Process*>{proc});
+  EXPECT_DEATH(manager->Migrate(proc, bed.manager(1)->port(), TransferStrategy::kPureIou,
+                                [](const MigrationRecord&) {}),
+               "already has an outbound migration");
+}
+
 TEST(ContractDeathTest, ProcessCannotBeExcisedWhileRunning) {
   Testbed bed;
   auto space = std::make_unique<AddressSpace>(SpaceId(bed.sim().AllocateId()),

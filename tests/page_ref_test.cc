@@ -98,6 +98,85 @@ TEST(PageRefTest, ExclusiveWriteDoesNotClone) {
   EXPECT_EQ(counters.page_bytes_copied, 0u);
 }
 
+// Every reader of a pattern ref sees MakePatternPage(seed), and each fresh
+// ref materialises exactly once, on its first read.
+TEST(PageRefTest, PatternReadsAsItsPageThroughEveryReader) {
+  const PageData want = MakePatternPage(11);
+  const std::uint64_t before = ReadPageCounters().pattern_pages_materialized;
+  const PageRef unread = PageRef::Pattern(11);
+  EXPECT_FALSE(unread.IsZero());
+  EXPECT_EQ(ReadPageCounters().pattern_pages_materialized, before);
+
+  EXPECT_EQ(PageRef::Pattern(11).Bytes(), want);
+  for (ByteCount offset : {ByteCount{0}, ByteCount{7}, ByteCount{300}, kPageSize - 1}) {
+    EXPECT_EQ(PageRef::Pattern(11).ByteAt(offset), want[offset]) << "offset " << offset;
+    EXPECT_EQ(PageByteAt(PageRef::Pattern(11), offset), want[offset]) << "offset " << offset;
+  }
+  EXPECT_EQ(PageRef::Pattern(11).Hash(), ComputePageHash(want));
+  EXPECT_EQ(PageRef::Pattern(11).IntegrityChecksum(), PageIntegrityChecksum(want));
+  EXPECT_EQ(PageIntegrityChecksum(PageRef::Pattern(11)), PageIntegrityChecksum(want));
+  EXPECT_EQ(PageRef::Pattern(11).Clone(), want);
+  EXPECT_TRUE(PageRef::Pattern(11) == want);
+  EXPECT_TRUE(PageRef::Pattern(11) == PageRef(want));
+  EXPECT_TRUE(PageRef(want) == PageRef::Pattern(11));
+  EXPECT_TRUE(PageRef::Pattern(11) == PageRef::Pattern(11));
+  EXPECT_FALSE(PageRef::Pattern(11) == PageRef::Pattern(12));
+  // 1 + 8 + 1 + 2 + 1 + 1 + 1 + 1 + 2 + 2 fresh refs read above.
+  EXPECT_EQ(ReadPageCounters().pattern_pages_materialized - before, 20u);
+
+  // A second read of one ref generates nothing more.
+  const std::uint64_t once = ReadPageCounters().pattern_pages_materialized;
+  EXPECT_EQ(unread.ByteAt(5), want[5]);
+  EXPECT_EQ(unread.Bytes(), want);
+  EXPECT_EQ(ReadPageCounters().pattern_pages_materialized - once, 1u);
+}
+
+// A write through one of two holders of an unmaterialised pattern clones
+// it like any shared payload; the other holder still reads the pattern.
+TEST(PageRefTest, WriteToSharedPatternClonesIt) {
+  ResetPageCounters();
+  const PageData want = MakePatternPage(21);
+  PageRef a = PageRef::Pattern(21);
+  PageRef b = a;
+  b.WriteByte(100, static_cast<std::uint8_t>(want[100] ^ 0xff));
+  const PageCounterSnapshot counters = ReadPageCounters();
+  EXPECT_EQ(counters.cow_breaks, 1u);
+  EXPECT_EQ(counters.page_bytes_copied, kPageSize);
+  EXPECT_EQ(counters.payload_allocs, 2u);
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_EQ(a.Bytes(), want) << "writer must not be visible to sharers";
+  PageData written = want;
+  written[100] ^= 0xff;
+  EXPECT_EQ(b.Bytes(), written);
+  EXPECT_EQ(b.Hash(), ComputePageHash(written));
+}
+
+// A sole holder's write needs no clone: an unmaterialised pattern
+// materialises in place, and a write drops the memoized hash.
+TEST(PageRefTest, SoleHolderWriteMaterialisesInPlaceAndDropsTheHashMemo) {
+  ResetPageCounters();
+  const PageData want = MakePatternPage(31);
+  PageRef a = PageRef::Pattern(31);
+  a.WriteByte(9, static_cast<std::uint8_t>(want[9] ^ 0x10));
+  PageCounterSnapshot counters = ReadPageCounters();
+  EXPECT_EQ(counters.payload_allocs, 1u);
+  EXPECT_EQ(counters.pattern_pages_materialized, 1u);
+  EXPECT_EQ(counters.cow_breaks, 0u);
+  EXPECT_EQ(counters.page_bytes_copied, 0u);
+  PageData written = want;
+  written[9] ^= 0x10;
+  EXPECT_EQ(a.Bytes(), written);
+
+  EXPECT_EQ(a.Hash(), ComputePageHash(written));
+  a.WriteByte(10, static_cast<std::uint8_t>(want[10] ^ 0x20));
+  written[10] ^= 0x20;
+  EXPECT_EQ(a.Hash(), ComputePageHash(written)) << "the memo must not outlive a write";
+  counters = ReadPageCounters();
+  EXPECT_EQ(counters.payload_allocs, 1u);
+  EXPECT_EQ(counters.pattern_pages_materialized, 1u);
+}
+
 // Data-plane regression gate on the copy-heaviest cell of the paper grid,
 // the PM-Mid pure-copy trial. The only payload bytes the host copies are
 // copy-on-write breaks, and every refcount share stands for a kPageSize

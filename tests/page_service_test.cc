@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,24 @@ TEST(PageHashProperty, EqualPayloadsHashEqually) {
   EXPECT_EQ(PageRef{}.Hash(), ZeroPageHash());
   EXPECT_EQ(ComputePageHash(PageData{}), ZeroPageHash());
   EXPECT_EQ(ComputePageHash(PageData(kPageSize, 0)), ZeroPageHash());
+}
+
+// PageHash keys order the content cache and the page directory, so the
+// digest's values are part of every dedup result and must not move with
+// how the digest loads its words.
+TEST(PageHashProperty, ValuesArePinned) {
+  const PageHash zero = ComputePageHash(PageData{});
+  EXPECT_EQ(zero.lo, 0xe3f6b597ed52742aull);
+  EXPECT_EQ(zero.hi, 0x1bf180d93a80c70bull);
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> pinned = {
+      {0x9375429d1a497c9eull, 0x49baa14e8d24be4full},
+      {0x194d76b6221c926eull, 0xf46753d681947e8dull},
+      {0xb31637a7157811a7ull, 0xbcba4d6e7cc05923ull}};
+  for (std::uint64_t seed = 1; seed <= pinned.size(); ++seed) {
+    const PageHash hash = ComputePageHash(MakePatternPage(seed));
+    EXPECT_EQ(hash.lo, pinned[seed - 1].first) << "seed " << seed;
+    EXPECT_EQ(hash.hi, pinned[seed - 1].second) << "seed " << seed;
+  }
 }
 
 TEST(PageHashProperty, DistinctPayloadsHashDistinctly) {
@@ -66,13 +86,13 @@ TEST(PageHashProperty, DistinctPayloadsHashDistinctly) {
 // ---------------------------------------------------------------------------
 // The deliberate collision: integrity checksums are never dedup identity.
 //
-// A full 64-bit FNV collision costs a 2^32 birthday search — outside any
-// unit-test budget — but the weakness scales linearly: colliding the
-// checksum truncated to k bits costs ~2^(k/2) work. Mining a 32-bit
-// collision here takes milliseconds, which is exactly why a linearly-mixed
-// 64-bit checksum must never name content: its collision margin is mineable
-// dust next to the avalanche-mixed 128-bit PageHash, and the cache enforces
-// that by re-verifying bytes against the full PageHash at every insertion.
+// A full 64-bit checksum collision costs a 2^32 birthday search — outside
+// any unit-test budget — but the margin scales with the bits kept:
+// colliding the checksum truncated to k bits costs ~2^(k/2) work. Mining a
+// 32-bit collision here takes milliseconds, which is exactly why a 64-bit
+// integrity checksum must never name content: its collision margin is
+// mineable dust next to the 128-bit PageHash, and the cache enforces that
+// by re-verifying bytes against the full PageHash at every insertion.
 TEST(DeliberateCollision, MinedChecksumCollisionNeverAliasesDedupIdentity) {
   std::unordered_map<std::uint32_t, std::uint64_t> low_bits_seen;
   std::uint64_t seed_a = 0;

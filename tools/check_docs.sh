@@ -10,7 +10,10 @@
 #   4. every inline `Type::member` (or `Type::member()`) span names a member
 #      that still exists: it appears in the body of Type's struct, class or
 #      enum declaration, or is spelled `Type::member`, somewhere in the code
-#      (so docs can't name removed fields, methods or enumerators).
+#      (so docs can't name removed fields, methods or enumerators);
+#   5. every inline `Suite.Name` span (both parts capitalised, as gtest
+#      names are) names a TEST, TEST_F or TEST_P in tests/*.cc (so docs
+#      can't cite renamed or deleted tests as evidence).
 #
 # Usage: check_docs.sh <repo-root> [render_results-binary]
 set -euo pipefail
@@ -98,6 +101,20 @@ for doc in "${DOCS[@]}"; do
     status=1
   done < <(printf '%s\n' "$spans" |
              grep -E '^[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*(\(\))?$' || true)
+
+  # 5. Tests: `Suite.Name` spans must name a test that still exists.
+  while IFS= read -r span; do
+    [ -n "$span" ] || continue
+    suite=${span%%.*}
+    name=${span#*.}
+    if grep -qE "^TEST(_F|_P)?\([[:space:]]*${suite}[[:space:]]*,[[:space:]]*${name}[[:space:]]*\)" \
+           tests/*.cc; then
+      continue
+    fi
+    lines=$(grep -nF -- "\`$span\`" "$doc" | cut -d: -f1 | paste -sd, -)
+    echo "check_docs: $doc:$lines cites missing test '$span'" >&2
+    status=1
+  done < <(printf '%s\n' "$spans" | grep -E '^[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*$' || true)
 done
 
 # 3. RESULTS.md freshness against the render template.
