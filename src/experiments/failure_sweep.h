@@ -53,9 +53,10 @@ FuzzScenario FailureSpec(const FuzzScenario& faults, const std::string& workload
                          TransferStrategy strategy, std::uint64_t seed,
                          bool checkpoint_store = false);
 
-// The lossless, unreliable baseline of `spec`'s group: the paper's original
-// fire-and-forget path, so slowdowns charge the retry protocol too. CHECKs
-// that it completes and folds `reference`.
+// The lossless, unreliable baseline of `spec`'s group: the paper's
+// fire-and-forget transport (acks and retry timers off), so slowdowns
+// charge the retry protocol too. CHECKs that it completes and folds
+// `reference`.
 MechRun RunFailureBaseline(const FuzzScenario& spec, std::uint64_t reference);
 
 // One cell: `spec`'s faults planted at `baseline`'s phase boundaries,

@@ -130,11 +130,12 @@ struct CostTable {
   // --- Failure handling (lossy-wire experiments only) -----------------------
   // Like the reliable-transport knobs these are consulted only when a
   // testbed enables fault injection. A source manager that has not seen
-  // kMigrateComplete after migration_abort_timeout rolls the process back;
-  // a destination holding half a context (core XOR rimas) for
-  // migration_pending_timeout tears the pending insert down; a pager
-  // fetch unanswered after pager_fetch_timeout fails the access (terminal
-  // IOU fault — the owed memory is unrecoverable).
+  // kMigrateComplete after migration_abort_timeout rolls the process back,
+  // and a destination drops pre-copy rounds staged with no context that
+  // long after the latest one; a destination holding half a context (core
+  // XOR rimas) for migration_pending_timeout tears the pending insert
+  // down; a pager fetch unanswered after pager_fetch_timeout fails the
+  // access (terminal IOU fault — the owed memory is unrecoverable).
   SimDuration migration_abort_timeout = Sec(600.0);
   SimDuration migration_pending_timeout = Sec(300.0);
   SimDuration pager_fetch_timeout = Sec(120.0);

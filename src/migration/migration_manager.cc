@@ -409,6 +409,31 @@ void MigrationManager::ArmPendingTimeout(ProcId proc, PendingInsert* pending) {
   });
 }
 
+void MigrationManager::ArmStagingTimeout(ProcId proc, PendingInsert* pending) {
+  if (!failure_handling_enabled()) {
+    return;
+  }
+  // Staged rounds arrive before any context, so ArmPendingTimeout never
+  // covers them. The source's abort timer ends every attempt within
+  // migration_abort_timeout of its request, which came before this round;
+  // so once that long has passed since the latest round with no context
+  // here, the attempt is over. The shorter migration_pending_timeout would
+  // not do: one long round can outlast it, and staged pages dropped
+  // mid-migration leave the flash RIMAS short of pages InsertProcess needs.
+  const SimTime round = env_->sim->Now();
+  pending->last_round = round;
+  env_->sim->ScheduleAfter(env_->costs->migration_abort_timeout, [this, proc, round]() {
+    auto it = pending_.find(proc.value);
+    if (it == pending_.end() || it->second.last_round != round || it->second.have_core ||
+        it->second.have_rimas) {
+      return;  // inserted, staged again since, or left to ArmPendingTimeout
+    }
+    ACCENT_LOG(kInfo) << "dropping staged pre-copy rounds for " << proc
+                      << " (attempt presumed over)";
+    pending_.erase(it);
+  });
+}
+
 void MigrationManager::AbortMigration(ProcId proc, const std::string& reason) {
   auto it = outbound_.find(proc.value);
   if (it == outbound_.end() || it->second.record.aborted) {
@@ -867,16 +892,17 @@ void MigrationManager::HandleMessage(Message msg) {
 
 void MigrationManager::HandlePreCopyRound(Message msg) {
   const auto& body = msg.BodyAs<PreCopyRoundBody>();
-  std::map<PageIndex, PageRef>& staging = pending_[body.proc.value].staged;
+  PendingInsert& pending = pending_[body.proc.value];
   for (MemoryRegion& region : msg.regions) {
     if (region.mem_class != MemClass::kReal) {
       continue;
     }
     const PageIndex first = PageOf(region.base);
     for (PageIndex i = 0; i < region.page_count(); ++i) {
-      staging[first + i] = std::move(region.pages[i]);
+      pending.staged[first + i] = std::move(region.pages[i]);
     }
   }
+  ArmStagingTimeout(body.proc, &pending);
 
   PreCopyAckBody ack;
   ack.proc = body.proc;

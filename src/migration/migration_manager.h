@@ -182,6 +182,9 @@ class MigrationManager : public Receiver {
   // Processes that migrated here, rolled back or were restored here.
   const std::vector<std::unique_ptr<Process>>& adopted() const { return adopted_; }
 
+  // Inbound migrations with staged rounds or context waiting here.
+  std::size_t pending_inserts() const { return pending_.size(); }
+
   // Receiver: core/rimas/complete/request messages.
   void HandleMessage(Message msg) override;
   const char* receiver_name() const override { return "migration-manager"; }
@@ -192,6 +195,7 @@ class MigrationManager : public Receiver {
   // messages.
   struct PendingInsert {
     std::map<PageIndex, PageRef> staged;
+    SimTime last_round{0};  // the latest staged round's arrival
     Message core;
     bool have_core = false;
     SimTime core_arrived{0};
@@ -236,6 +240,7 @@ class MigrationManager : public Receiver {
   void HandleDeadLetter(const Message& msg);
   void ArmAbortTimer(ProcId proc);
   void ArmPendingTimeout(ProcId proc, PendingInsert* pending);
+  void ArmStagingTimeout(ProcId proc, PendingInsert* pending);
 
   // The outbound pipeline. SendRound ships a pre-copy round; at its ack
   // OnRoundAcked sends another or freezes. Freeze suspends the process,

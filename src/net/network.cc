@@ -60,28 +60,16 @@ void Network::Transmit(HostId from, HostId to, ByteCount bytes, TrafficKind kind
   const auto serialize = SimDuration(static_cast<std::int64_t>(
       static_cast<double>(bytes) / bytes_per_sec * 1e6));
 
+  // The shared bus serialises every transmission on its one medium; a
+  // switched sender queues only behind its own private egress port.
+  SimTime* busy = &wire_busy_until_;
   if (model_ == WireModel::kSwitched) {
-    // Private egress port: the sender's own transmissions queue behind
-    // each other, never behind another host's.
-    ACCENT_CHECK(from.value >= 1 && from.value <= egress_busy_until_.size())
-        << " host " << from << " has no egress port";
-    SimTime& busy = egress_busy_until_[static_cast<std::size_t>(from.value - 1)];
-    const SimTime start = std::max(sim_.Now(), busy);
-    busy = start + serialize;
-    const SimTime arrival = busy + latency;
-    if (Tracer* tracer = sim_.tracer()) {
-      tracer->Complete(from, TraceLane::kWire, "wire:tx", start, arrival - start,
-                       {{"to", Json(to.value)},
-                        {"bytes", Json(bytes)},
-                        {"kind", Json(TrafficKindName(kind))}});
-    }
-    sim_.ScheduleAt(arrival, std::move(deliver));
-    return;
+    ACCENT_CHECK(link < egress_busy_until_.size()) << " host " << from << " has no egress port";
+    busy = &egress_busy_until_[link];
   }
-
-  const SimTime start = std::max(sim_.Now(), wire_busy_until_);
-  wire_busy_until_ = start + serialize;
-  const SimTime arrival = wire_busy_until_ + latency;
+  const SimTime start = std::max(sim_.Now(), *busy);
+  *busy = start + serialize;
+  const SimTime arrival = *busy + latency;
 
   if (Tracer* tracer = sim_.tracer()) {
     tracer->Complete(from, TraceLane::kWire, "wire:tx", start, arrival - start,

@@ -53,7 +53,6 @@ void NetMsgServer::Start() {
 IouRef NetMsgServer::AdoptPages(std::vector<std::pair<PageIndex, PageRef>> pages,
                                 const std::string& name, ProcId owner) {
   ACCENT_EXPECTS(!pages.empty());
-  ++cached_objects_;
   // Migration cache objects are indexed by virtual address, so the object
   // spans the whole 4 GB space; only the adopted pages consume storage.
   IouRef iou = backer_.BackSparsePages(kAddressSpaceLimit, std::move(pages), name);
@@ -155,6 +154,11 @@ bool NetMsgServer::SubstituteIous(Message* msg) {
   return true;
 }
 
+CpuPriority NetMsgServer::PriorityOf(TrafficKind kind) const {
+  return costs_.fault_priority_lane && kind == TrafficKind::kFaultData ? CpuPriority::kHigh
+                                                                        : CpuPriority::kNormal;
+}
+
 void NetMsgServer::ForwardToRemote(HostId dest_host, Message msg) {
   ACCENT_EXPECTS(dest_host != host_);
   NetMsgServer* peer = directory_.Find(dest_host);
@@ -164,7 +168,6 @@ void NetMsgServer::ForwardToRemote(HostId dest_host, Message msg) {
   ++stats_.messages_forwarded;
 
   const ByteCount wire = msg.WireSize(costs_);
-  const ByteCount frag_payload = costs_.netmsg_fragment_bytes;
   const std::uint64_t fragments = NetMsgFragmentCount(costs_, wire);
 
   if (Tracer* tracer = sim_.tracer()) {
@@ -177,292 +180,180 @@ void NetMsgServer::ForwardToRemote(HostId dest_host, Message msg) {
                      {"reliable", Json(reliable_)}});
   }
 
-  Cpu* cpu = fabric_.CpuOf(host_);
-  const CpuPriority priority =
-      costs_.fault_priority_lane && msg.traffic == TrafficKind::kFaultData
-          ? CpuPriority::kHigh
-          : CpuPriority::kNormal;
-  // Per-message protocol work happens once, up front.
-  cpu->Submit(CpuWork::kNetMsgServer, costs_.netmsg_per_message, nullptr, priority);
-
-  if (reliable_) {
-    ForwardReliable(peer, std::move(msg), priority);
-    return;
-  }
-
-  struct Shipment {
-    Message msg;
-    HostId dest;
-  };
-  auto shipment = std::make_shared<Shipment>(Shipment{std::move(msg), dest_host});
-  // Transfer ids are disambiguated by sender so reassembly state at the
-  // receiver never collides across peers.
-  const std::uint64_t transfer = (host_.value << 48) | next_transfer_id_++;
-
-  ByteCount remaining = wire;
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const ByteCount bytes = std::min<ByteCount>(frag_payload, remaining);
-    remaining -= bytes;
-    const bool final_fragment = (i + 1 == fragments);
-    ++stats_.fragments_sent;
-
-    const SimDuration handle =
-        costs_.netmsg_per_fragment + costs_.netmsg_per_byte * static_cast<std::int64_t>(bytes);
-    cpu->Submit(CpuWork::kNetMsgServer, handle,
-                [this, peer, shipment, transfer, bytes, final_fragment]() {
-                  const TrafficKind kind = shipment->msg.traffic;
-                  if (Tracer* tracer = sim_.tracer();
-                      tracer != nullptr && tracer->verbose()) {
-                    tracer->Instant(host_, TraceLane::kNetMsg,
-                                    "netmsg:frag-send", sim_.Now(),
-                                    {{"transfer", Json(transfer)},
-                                     {"bytes", Json(bytes)}});
-                  }
-                  network_.Transmit(host_, shipment->dest, bytes, kind,
-                                    [peer, shipment, transfer, bytes, final_fragment]() {
-                                      Message payload;
-                                      if (final_fragment) {
-                                        payload = std::move(shipment->msg);
-                                      }
-                                      peer->OnFragmentArrived(transfer, bytes, final_fragment,
-                                                              std::move(payload));
-                                    });
-                },
-                priority);
-  }
-}
-
-void NetMsgServer::OnFragmentArrived(std::uint64_t transfer, ByteCount bytes,
-                                     bool final_fragment, Message msg) {
-  ++stats_.fragments_received;
-  Reassembly& assembly = reassembly_[transfer];
-  assembly.bytes += bytes;
-  ++assembly.fragments;
-  if (!final_fragment) {
-    return;
-  }
-
-  if (Tracer* tracer = sim_.tracer()) {
-    tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:delivered", sim_.Now(),
-                    {{"transfer", Json(transfer)},
-                     {"bytes", Json(assembly.bytes)},
-                     {"fragments", Json(assembly.fragments)}});
-  }
-
-  // The whole message has arrived: charge this node's handling in one piece
-  // and deliver.
-  const SimDuration handle =
-      NetMsgDeliveryCost(costs_, assembly.fragments, assembly.bytes);
-  reassembly_.erase(transfer);
-  ++stats_.messages_delivered;
-  const CpuPriority priority =
-      costs_.fault_priority_lane && msg.traffic == TrafficKind::kFaultData
-          ? CpuPriority::kHigh
-          : CpuPriority::kNormal;
-  fabric_.CpuOf(host_)->Submit(CpuWork::kNetMsgServer, handle,
-                               [this, msg = std::move(msg)]() mutable {
-                                 fabric_.DeliverAt(host_, std::move(msg));
-                               },
-                               priority);
-}
-
-// --- reliable transport ----------------------------------------------------
-
-void NetMsgServer::ForwardReliable(NetMsgServer* peer, Message msg, CpuPriority priority) {
-  const ByteCount wire = msg.WireSize(costs_);
-  const ByteCount frag_payload = costs_.netmsg_fragment_bytes;
-  const std::uint64_t fragments = NetMsgFragmentCount(costs_, wire);
-
-  auto transfer = std::make_shared<OutboundTransfer>();
+  auto transfer = std::make_shared<Transfer>();
+  transfer->sender = this;
+  transfer->receiver = peer;
+  // Transfer ids are disambiguated by sender so traces never confuse two
+  // peers' transfers.
+  transfer->id = (host_.value << 48) | next_transfer_id_++;
   transfer->kind = msg.traffic;
-  transfer->msg = std::move(msg);
-  transfer->dest = peer->host();
-  transfer->transfer = (host_.value << 48) | next_transfer_id_++;
-  transfer->priority = priority;
+  transfer->reliable = reliable_;
+  transfer->fragments.resize(fragments);
   ByteCount remaining = wire;
-  for (std::uint64_t i = 0; i < fragments; ++i) {
-    const ByteCount bytes = std::min<ByteCount>(frag_payload, remaining);
-    remaining -= bytes;
-    transfer->frag_bytes.push_back(bytes);
+  for (Fragment& fragment : transfer->fragments) {
+    fragment.bytes = std::min<ByteCount>(costs_.netmsg_fragment_bytes, remaining);
+    remaining -= fragment.bytes;
   }
-  transfer->acked.assign(fragments, false);
-  transfer->retries.assign(fragments, 0);
-  outbound_[transfer->transfer] = transfer;
+  transfer->msg = std::move(msg);
 
+  // Per-message protocol work happens once, up front.
+  fabric_.CpuOf(host_)->Submit(CpuWork::kNetMsgServer, costs_.netmsg_per_message, nullptr,
+                               PriorityOf(transfer->kind));
   for (std::size_t i = 0; i < fragments; ++i) {
-    SendFragment(peer, transfer, i, /*retransmit=*/false);
+    SendFragment(transfer, i, /*retransmit=*/false);
   }
 }
 
-void NetMsgServer::SendFragment(NetMsgServer* peer, std::shared_ptr<OutboundTransfer> transfer,
-                                std::size_t index, bool retransmit) {
-  const ByteCount bytes = transfer->frag_bytes[index];
+void NetMsgServer::SendFragment(const std::shared_ptr<Transfer>& transfer, std::size_t index,
+                                bool retransmit) {
+  const Fragment& fragment = transfer->fragments[index];
   ++stats_.fragments_sent;
   if (retransmit) {
     ++stats_.fragments_retransmitted;
-    stats_.retransmit_bytes += bytes;
+    stats_.retransmit_bytes += fragment.bytes;
   }
   if (Tracer* tracer = sim_.tracer();
       tracer != nullptr && (retransmit || tracer->verbose())) {
     tracer->Instant(host_, TraceLane::kNetMsg,
                     retransmit ? "netmsg:retransmit" : "netmsg:frag-send",
                     sim_.Now(),
-                    {{"transfer", Json(transfer->transfer)},
+                    {{"transfer", Json(transfer->id)},
                      {"index", Json(static_cast<std::uint64_t>(index))},
-                     {"bytes", Json(bytes)},
-                     {"retry", Json(transfer->retries[index])}});
+                     {"bytes", Json(fragment.bytes)},
+                     {"retry", Json(fragment.retries)}});
   }
-  const SimDuration handle =
-      costs_.netmsg_per_fragment + costs_.netmsg_per_byte * static_cast<std::int64_t>(bytes);
+  const SimDuration handle = costs_.netmsg_per_fragment +
+                             costs_.netmsg_per_byte * static_cast<std::int64_t>(fragment.bytes);
   fabric_.CpuOf(host_)->Submit(
       CpuWork::kNetMsgServer, handle,
-      [this, peer, transfer, index, bytes]() {
-        if (transfer->dead || transfer->acked[index]) {
+      [this, transfer, index]() {
+        const Fragment& queued = transfer->fragments[index];
+        if (transfer->dead || queued.acked) {
           return;  // acked (or abandoned) while queued on the CPU
         }
-        network_.Transmit(host_, transfer->dest, bytes, transfer->kind,
-                          [this, peer, transfer, index, bytes]() {
-                            peer->OnReliableFragment(this, transfer, index, bytes);
-                          });
-        ArmRetryTimer(peer, transfer, index);
+        network_.Transmit(host_, transfer->receiver->host(), queued.bytes, transfer->kind,
+                          [transfer, index]() { transfer->receiver->OnFragment(transfer, index); });
+        if (transfer->reliable) {
+          ArmRetryTimer(transfer, index);
+        }
       },
-      transfer->priority);
+      PriorityOf(transfer->kind));
 }
 
-void NetMsgServer::ArmRetryTimer(NetMsgServer* peer, std::shared_ptr<OutboundTransfer> transfer,
-                                 std::size_t index) {
+void NetMsgServer::ArmRetryTimer(const std::shared_ptr<Transfer>& transfer, std::size_t index) {
   SimDuration rto = costs_.netmsg_rto_initial;
-  for (std::uint32_t i = 0; i < transfer->retries[index] && rto < costs_.netmsg_rto_max; ++i) {
+  for (std::uint32_t i = 0;
+       i < transfer->fragments[index].retries && rto < costs_.netmsg_rto_max; ++i) {
     rto += rto;  // exponential backoff
   }
   rto = std::min(rto, costs_.netmsg_rto_max);
-  sim_.ScheduleAfter(rto, [this, peer, transfer, index]() {
-    if (transfer->dead || transfer->acked[index]) {
+  sim_.ScheduleAfter(rto, [this, transfer, index]() {
+    Fragment& fragment = transfer->fragments[index];
+    if (transfer->dead || fragment.acked) {
       return;
     }
-    if (transfer->retries[index] >= costs_.netmsg_max_retries) {
+    if (fragment.retries >= costs_.netmsg_max_retries) {
       DeadLetterTransfer(transfer);
       return;
     }
-    ++transfer->retries[index];
-    SendFragment(peer, transfer, index, /*retransmit=*/true);
+    ++fragment.retries;
+    SendFragment(transfer, index, /*retransmit=*/true);
   });
 }
 
-void NetMsgServer::OnReliableFragment(NetMsgServer* sender,
-                                      std::shared_ptr<OutboundTransfer> transfer,
-                                      std::size_t index, ByteCount bytes) {
+void NetMsgServer::OnFragment(const std::shared_ptr<Transfer>& transfer, std::size_t index) {
   ++stats_.fragments_received;
-  const std::uint64_t id = transfer->transfer;
-  // Every arrival is acknowledged, duplicates included: the sender may be
-  // retrying because the previous ack was the casualty.
-  SendAck(sender, id, index);
-  Tracer* tracer = sim_.tracer();
-  if (completed_transfers_.count(id) != 0 ||
-      !inbound_[id].received.insert(index).second) {
-    ++stats_.duplicates_suppressed;
-    if (tracer != nullptr && tracer->verbose()) {
-      tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:dup-suppressed",
-                      sim_.Now(),
-                      {{"transfer", Json(id)},
-                       {"index", Json(static_cast<std::uint64_t>(index))}});
+  Fragment& fragment = transfer->fragments[index];
+  if (transfer->reliable) {
+    // Every arrival is acknowledged, duplicates included: the sender may be
+    // retrying because the previous ack was the casualty.
+    SendAck(transfer, index);
+    if (fragment.seen) {
+      ++stats_.duplicates_suppressed;
+      if (Tracer* tracer = sim_.tracer(); tracer != nullptr && tracer->verbose()) {
+        tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:dup-suppressed", sim_.Now(),
+                        {{"transfer", Json(transfer->id)},
+                         {"index", Json(static_cast<std::uint64_t>(index))}});
+      }
+      return;
     }
-    return;
+    fragment.seen = true;
   }
-  InboundReliable& inbound = inbound_[id];
-  inbound.bytes += bytes;
-  if (inbound.received.size() < transfer->frag_bytes.size()) {
+  transfer->received_bytes += fragment.bytes;
+  if (++transfer->received < transfer->fragments.size()) {
     return;
   }
 
-  // Complete: claim the payload (the sender's copy is no longer needed —
-  // any retransmissions still in flight will be suppressed above), charge
-  // this node's handling in one piece and deliver.
-  completed_transfers_.insert(id);
-  const std::uint64_t fragments = transfer->frag_bytes.size();
-  const ByteCount total_bytes = inbound.bytes;
-  if (tracer != nullptr) {
+  // Complete: claim the payload (any retransmissions still in flight are
+  // suppressed above), charge this node's handling in one piece and
+  // deliver.
+  if (Tracer* tracer = sim_.tracer()) {
     tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:delivered", sim_.Now(),
-                    {{"transfer", Json(id)},
-                     {"bytes", Json(total_bytes)},
-                     {"fragments", Json(fragments)}});
+                    {{"transfer", Json(transfer->id)},
+                     {"bytes", Json(transfer->received_bytes)},
+                     {"fragments", Json(transfer->received)}});
   }
-  inbound_.erase(id);
   transfer->delivered = true;
-  Message msg = std::move(transfer->msg);
   ++stats_.messages_delivered;
-  const SimDuration handle = NetMsgDeliveryCost(costs_, fragments, total_bytes);
-  const CpuPriority priority =
-      costs_.fault_priority_lane && msg.traffic == TrafficKind::kFaultData
-          ? CpuPriority::kHigh
-          : CpuPriority::kNormal;
+  const SimDuration handle =
+      NetMsgDeliveryCost(costs_, transfer->received, transfer->received_bytes);
   fabric_.CpuOf(host_)->Submit(CpuWork::kNetMsgServer, handle,
-                               [this, msg = std::move(msg)]() mutable {
+                               [this, msg = std::move(transfer->msg)]() mutable {
                                  fabric_.DeliverAt(host_, std::move(msg));
                                },
-                               priority);
+                               PriorityOf(transfer->kind));
 }
 
-void NetMsgServer::SendAck(NetMsgServer* sender, std::uint64_t transfer, std::size_t index) {
+void NetMsgServer::SendAck(const std::shared_ptr<Transfer>& transfer, std::size_t index) {
   ++stats_.acks_sent;
   if (Tracer* tracer = sim_.tracer();
       tracer != nullptr && tracer->verbose()) {
     tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:ack-send", sim_.Now(),
-                    {{"transfer", Json(transfer)},
+                    {{"transfer", Json(transfer->id)},
                      {"index", Json(static_cast<std::uint64_t>(index))}});
   }
   // Acks are tiny driver-level frames: they ride the (faulty) wire but
   // charge no NetMsgServer CPU, and are never themselves retried — the
   // sender's retransmission timer covers their loss.
-  network_.Transmit(host_, sender->host(), costs_.netmsg_ack_bytes, TrafficKind::kControl,
-                    [sender, transfer, index]() { sender->OnFragmentAck(transfer, index); });
+  network_.Transmit(host_, transfer->sender->host(), costs_.netmsg_ack_bytes,
+                    TrafficKind::kControl,
+                    [transfer, index]() { transfer->sender->OnFragmentAck(transfer, index); });
 }
 
-void NetMsgServer::OnFragmentAck(std::uint64_t transfer, std::size_t index) {
+void NetMsgServer::OnFragmentAck(const std::shared_ptr<Transfer>& transfer, std::size_t index) {
   ++stats_.acks_received;
   if (Tracer* tracer = sim_.tracer();
       tracer != nullptr && tracer->verbose()) {
     tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:ack-recv", sim_.Now(),
-                    {{"transfer", Json(transfer)},
+                    {{"transfer", Json(transfer->id)},
                      {"index", Json(static_cast<std::uint64_t>(index))}});
   }
-  auto it = outbound_.find(transfer);
-  if (it == outbound_.end()) {
-    return;  // duplicate ack for a finished transfer
-  }
-  OutboundTransfer& record = *it->second;
-  if (record.acked[index]) {
-    return;
-  }
-  record.acked[index] = true;
-  if (++record.acked_count == record.frag_bytes.size()) {
-    outbound_.erase(it);
-  }
+  transfer->fragments[index].acked = true;
 }
 
-void NetMsgServer::DeadLetterTransfer(std::shared_ptr<OutboundTransfer> transfer) {
+void NetMsgServer::DeadLetterTransfer(const std::shared_ptr<Transfer>& transfer) {
   if (transfer->dead) {
     return;
   }
   transfer->dead = true;
-  outbound_.erase(transfer->transfer);
   if (transfer->delivered) {
     // Two-generals: every fragment arrived but the acks were lost. The
     // receiver owns the message; this is a success, not a failure.
-    ACCENT_LOG(kDebug) << "transfer " << transfer->transfer
+    ACCENT_LOG(kDebug) << "transfer " << transfer->id
                        << " acks lost but payload delivered; not dead-lettering";
     return;
   }
   ++stats_.transfers_dead_lettered;
   const Message& msg = transfer->msg;
+  const HostId dest = transfer->receiver->host();
   if (Tracer* tracer = sim_.tracer()) {
     tracer->Instant(host_, TraceLane::kNetMsg, "netmsg:dead-letter", sim_.Now(),
-                    {{"transfer", Json(transfer->transfer)},
+                    {{"transfer", Json(transfer->id)},
                      {"op", Json(MsgOpName(msg.op))},
-                     {"dest", Json(transfer->dest.value)}});
+                     {"dest", Json(dest.value)}});
   }
-  ACCENT_LOG(kInfo) << "dead-lettering " << MsgOpName(msg.op) << " transfer "
-                    << transfer->transfer << " to " << transfer->dest;
+  ACCENT_LOG(kInfo) << "dead-lettering " << MsgOpName(msg.op) << " transfer " << transfer->id
+                    << " to " << dest;
 
   if (msg.op == MsgOp::kImagReadRequest) {
     // The unreachable peer owes this host memory it will never deliver:

@@ -26,7 +26,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,8 +60,9 @@ std::uint64_t NetMsgFragmentCount(const CostTable& costs, ByteCount wire_bytes);
 
 // CPU charged for handling a complete message of `fragments` fragments
 // totalling `bytes`: the per-message protocol work plus per-fragment and
-// per-byte costs. Both delivery paths (fire-and-forget and reliable) and
-// the cluster model's analytic delivery charge use this one formula.
+// per-byte costs. The receiving NetMsgServer charges it once per delivered
+// message, and the cluster model's analytic delivery charge uses the same
+// formula.
 SimDuration NetMsgDeliveryCost(const CostTable& costs, std::uint64_t fragments,
                                ByteCount bytes);
 
@@ -100,12 +100,13 @@ class NetMsgServer : public RemoteTransport {
   void set_iou_caching(bool enabled) { iou_caching_ = enabled; }
   bool iou_caching() const { return iou_caching_; }
 
-  // Switches outbound transfers to the reliable protocol: per-fragment
-  // sequence numbers, receiver-side duplicate suppression, per-fragment
-  // acknowledgements and timeout-driven retransmission with capped
-  // exponential backoff (costs.netmsg_rto_*). Off by default — the
-  // lossless paper runs use the original fire-and-forget path and stay
-  // bit-identical. Enable together with a Network fault injector.
+  // Switches outbound transfers to the reliable protocol. Every message
+  // takes the same fragment, send and reassemble path either way; reliable
+  // mode adds three steps to it: a retry timer per sent fragment
+  // (retransmission with capped exponential backoff, costs.netmsg_rto_*),
+  // an ack for every arrival, and duplicate suppression by fragment index.
+  // Off by default, so lossless runs carry no acks and no timers; the
+  // testbed turns it on together with a Network fault injector.
   void set_reliable(bool enabled) { reliable_ = enabled; }
   bool reliable() const { return reliable_; }
 
@@ -163,43 +164,43 @@ class NetMsgServer : public RemoteTransport {
 
   static bool EligibleForSubstitution(const Message& msg);
 
-  // Receiving side: one inbound fragment of `transfer`; `msg` rides with
-  // the final one. Reassembly is store-and-forward: the receiving server's
-  // per-byte handling runs once the message is complete, which serialises
-  // the two nodes' CPU work the way the measured system behaved.
-  void OnFragmentArrived(std::uint64_t transfer, ByteCount bytes, bool final_fragment,
-                         Message msg);
-
-  // --- reliable transport ------------------------------------------------
-  // One in-flight reliable transfer on the sending side. The message stays
-  // here — the authoritative copy — until every fragment is acknowledged;
-  // the receiver claims it (sets `delivered`) when reassembly completes, so
-  // a dead-letter verdict reached purely through lost acks is downgraded
-  // to success (the two-generals case: data arrived, receipts didn't).
-  struct OutboundTransfer {
+  // One message in flight, shared by both ends: the sender builds it and
+  // sends its fragments, the receiver counts arrivals into it and claims
+  // `msg` when reassembly completes. Reassembly is store-and-forward: the
+  // receiving server's per-byte handling runs once the message is complete,
+  // which serialises the two nodes' CPU work the way the measured system
+  // behaved. A fragment's retries, acked and seen change only in reliable
+  // mode; `delivered` downgrades a dead-letter verdict reached purely
+  // through lost acks to success (the two-generals case: data arrived,
+  // receipts didn't).
+  struct Fragment {
+    ByteCount bytes = 0;
+    std::uint32_t retries = 0;
+    bool acked = false;
+    bool seen = false;  // arrived at the receiver
+  };
+  struct Transfer {
     Message msg;
-    HostId dest;
-    std::uint64_t transfer = 0;
+    NetMsgServer* sender = nullptr;
+    NetMsgServer* receiver = nullptr;
+    std::uint64_t id = 0;
     TrafficKind kind = TrafficKind::kControl;
-    CpuPriority priority = CpuPriority::kNormal;
-    std::vector<ByteCount> frag_bytes;
-    std::vector<bool> acked;
-    std::vector<std::uint32_t> retries;
-    std::uint64_t acked_count = 0;
+    bool reliable = false;
+    std::vector<Fragment> fragments;
+    std::uint64_t received = 0;  // distinct fragments arrived
+    ByteCount received_bytes = 0;
     bool delivered = false;  // receiver completed reassembly
     bool dead = false;       // dead-lettered; stop retrying
   };
 
-  void ForwardReliable(NetMsgServer* peer, Message msg, CpuPriority priority);
-  void SendFragment(NetMsgServer* peer, std::shared_ptr<OutboundTransfer> transfer,
-                    std::size_t index, bool retransmit);
-  void ArmRetryTimer(NetMsgServer* peer, std::shared_ptr<OutboundTransfer> transfer,
-                     std::size_t index);
-  void OnReliableFragment(NetMsgServer* sender, std::shared_ptr<OutboundTransfer> transfer,
-                          std::size_t index, ByteCount bytes);
-  void SendAck(NetMsgServer* sender, std::uint64_t transfer, std::size_t index);
-  void OnFragmentAck(std::uint64_t transfer, std::size_t index);
-  void DeadLetterTransfer(std::shared_ptr<OutboundTransfer> transfer);
+  CpuPriority PriorityOf(TrafficKind kind) const;
+  void SendFragment(const std::shared_ptr<Transfer>& transfer, std::size_t index,
+                    bool retransmit);
+  void ArmRetryTimer(const std::shared_ptr<Transfer>& transfer, std::size_t index);
+  void OnFragment(const std::shared_ptr<Transfer>& transfer, std::size_t index);
+  void SendAck(const std::shared_ptr<Transfer>& transfer, std::size_t index);
+  void OnFragmentAck(const std::shared_ptr<Transfer>& transfer, std::size_t index);
+  void DeadLetterTransfer(const std::shared_ptr<Transfer>& transfer);
 
   HostId host_;
   Simulator& sim_;
@@ -210,28 +211,13 @@ class NetMsgServer : public RemoteTransport {
   SegmentBacker backer_;
   PageService* page_service_ = nullptr;
   bool iou_caching_ = true;
-  std::uint64_t cached_objects_ = 0;
+  bool reliable_ = false;
   // Cache objects adopted on behalf of a migrating process, keyed by
   // ProcId: the chain-collapse handoff evacuates these when the process
   // re-migrates away from this host.
   std::map<std::uint64_t, std::vector<IouRef>> cache_objects_by_proc_;
   std::uint64_t next_transfer_id_ = 1;
-  struct Reassembly {
-    ByteCount bytes = 0;
-    std::uint64_t fragments = 0;
-  };
-  std::map<std::uint64_t, Reassembly> reassembly_;  // keyed by transfer id
-
-  // Reliable-mode state.
-  bool reliable_ = false;
   DeadLetterHandler dead_letter_;
-  std::map<std::uint64_t, std::shared_ptr<OutboundTransfer>> outbound_;
-  struct InboundReliable {
-    std::set<std::size_t> received;  // fragment indices seen so far
-    ByteCount bytes = 0;
-  };
-  std::map<std::uint64_t, InboundReliable> inbound_;   // keyed by transfer id
-  std::set<std::uint64_t> completed_transfers_;        // fully reassembled
   NetMsgStats stats_;
 };
 

@@ -1,8 +1,11 @@
-// NetMsgServer tests: fragmentation/reassembly, IOU substitution (section
-// 2.4), the NoIOUs bit, adopted-object backing, and cost structure.
+// NetMsgServer tests: fragmentation/reassembly on both transports, IOU
+// substitution (section 2.4), the NoIOUs bit, adopted-object backing, cost
+// structure, and the reliable transport's two-generals case.
 #include <gtest/gtest.h>
 
+#include "src/experiments/chain.h"
 #include "src/experiments/testbed.h"
+#include "src/trace/trace.h"
 
 namespace accent {
 namespace {
@@ -12,27 +15,50 @@ struct Sink : Receiver {
   void HandleMessage(Message msg) override { received.push_back(std::move(msg)); }
 };
 
+Message DataMessage(PortId dest, int pages, MsgOp op = MsgOp::kUser) {
+  Message msg;
+  msg.dest = dest;
+  msg.op = op;
+  std::vector<PageData> data;
+  for (int i = 0; i < pages; ++i) {
+    data.push_back(MakePatternPage(static_cast<std::uint64_t>(i) + 1));
+  }
+  msg.regions.push_back(MemoryRegion::Data(0, std::move(data)));
+  return msg;
+}
+
+// A bed whose fault plan holds only a crash of `host` from `at` on. Any
+// fault plan switches every NetMsgServer to the reliable transport; with
+// the crash parked past the run (chain.h's kParkedCrash) the wire stays
+// lossless.
+TestbedConfig CrashBed(HostId host, SimTime at) {
+  TestbedConfig config;
+  config.fault_plan.crashes.push_back(CrashWindow{host, at, kFaultForever});
+  return config;
+}
+
 class NetMsgTest : public ::testing::Test {
  protected:
+  explicit NetMsgTest(const TestbedConfig& config = {}) : bed(config) {}
+
   PortId RemotePort() { return bed.fabric().AllocatePort(bed.host(1)->id, &sink, "remote"); }
 
-  Message DataMessage(PortId dest, int pages, MsgOp op = MsgOp::kUser) {
-    Message msg;
-    msg.dest = dest;
-    msg.op = op;
-    std::vector<PageData> data;
-    for (int i = 0; i < pages; ++i) {
-      data.push_back(MakePatternPage(static_cast<std::uint64_t>(i) + 1));
-    }
-    msg.regions.push_back(MemoryRegion::Data(0, std::move(data)));
-    return msg;
-  }
+  // The fragmenting and reassembly checks, run on both transports.
+  void LargeMessagesFragment();
+  void StoreAndForwardSerialisesCpuPhases();
+  void InterleavedTransfersReassembleIndependently();
 
   Testbed bed;
   Sink sink;
 };
 
-TEST_F(NetMsgTest, LargeMessagesFragment) {
+// The reliable transport (acks and retry timers on) over a lossless wire.
+class NetMsgReliableTest : public NetMsgTest {
+ protected:
+  NetMsgReliableTest() : NetMsgTest(CrashBed(HostId(2), kParkedCrash)) {}
+};
+
+void NetMsgTest::LargeMessagesFragment() {
   const PortId port = RemotePort();
   Message msg = DataMessage(port, 100, MsgOp::kUser);
   msg.no_ious = true;  // keep the data physical for this test
@@ -47,6 +73,9 @@ TEST_F(NetMsgTest, LargeMessagesFragment) {
   // Payload integrity after reassembly.
   EXPECT_EQ(sink.received[0].regions.at(0).pages.at(37), MakePatternPage(38));
 }
+
+TEST_F(NetMsgTest, LargeMessagesFragment) { LargeMessagesFragment(); }
+TEST_F(NetMsgReliableTest, LargeMessagesFragment) { LargeMessagesFragment(); }
 
 TEST_F(NetMsgTest, SubstitutesIousForEligibleRealRegions) {
   const PortId port = RemotePort();
@@ -136,7 +165,7 @@ TEST_F(NetMsgTest, AdoptPagesCreatesVaIndexedBackedObject) {
   EXPECT_TRUE(bed.netmsg(0)->backer().Owns(iou.segment));
 }
 
-TEST_F(NetMsgTest, StoreAndForwardSerialisesCpuPhases) {
+void NetMsgTest::StoreAndForwardSerialisesCpuPhases() {
   // The receiver's per-byte handling must start only after the last
   // fragment: end-to-end time ~ 2x one node's processing, not ~1x.
   const PortId port = RemotePort();
@@ -151,7 +180,12 @@ TEST_F(NetMsgTest, StoreAndForwardSerialisesCpuPhases) {
   EXPECT_GT(elapsed, 1.8 * one_side);
 }
 
-TEST_F(NetMsgTest, InterleavedTransfersReassembleIndependently) {
+TEST_F(NetMsgTest, StoreAndForwardSerialisesCpuPhases) { StoreAndForwardSerialisesCpuPhases(); }
+TEST_F(NetMsgReliableTest, StoreAndForwardSerialisesCpuPhases) {
+  StoreAndForwardSerialisesCpuPhases();
+}
+
+void NetMsgTest::InterleavedTransfersReassembleIndependently() {
   const PortId port = RemotePort();
   // Two large messages from both directions at once.
   Sink sink0;
@@ -167,6 +201,59 @@ TEST_F(NetMsgTest, InterleavedTransfersReassembleIndependently) {
   ASSERT_EQ(sink0.received.size(), 1u);
   EXPECT_EQ(sink.received[0].regions.at(0).pages.size(), 64u);
   EXPECT_EQ(sink0.received[0].regions.at(0).pages.size(), 48u);
+}
+
+TEST_F(NetMsgTest, InterleavedTransfersReassembleIndependently) {
+  InterleavedTransfersReassembleIndependently();
+}
+TEST_F(NetMsgReliableTest, InterleavedTransfersReassembleIndependently) {
+  InterleavedTransfersReassembleIndependently();
+}
+
+TEST_F(NetMsgReliableTest, AcksLostAfterDeliveryAreNotADeadLetter) {
+  // The two-generals case: the message's only fragment reaches the
+  // receiver, then the sender's host goes down for good, so every ack and
+  // every retransmission is lost. The sender's retries run out, but the
+  // receiver already holds the message: it is delivered once and the
+  // sender's verdict is downgraded from dead letter to success.
+  auto send = [](Testbed* on, Sink* to) {
+    const PortId port = on->fabric().AllocatePort(on->host(1)->id, to, "remote");
+    Message msg = DataMessage(port, 10);
+    msg.no_ious = true;
+    ASSERT_TRUE(on->fabric().Send(on->host(0)->id, std::move(msg)).ok());
+  };
+
+  // A probe on the lossless fixture bed finds the frame's wire span.
+  Tracer tracer;
+  bed.sim().set_tracer(&tracer);
+  send(&bed, &sink);
+  bed.sim().Run();
+  bed.sim().set_tracer(nullptr);
+  ASSERT_EQ(bed.netmsg(0)->stats().fragments_sent, 1u);
+  const TraceEvent* frame = nullptr;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.name == "wire:tx" && event.host == bed.host(0)->id) {
+      frame = &event;
+      break;
+    }
+  }
+  ASSERT_NE(frame, nullptr);
+
+  Testbed crashed(CrashBed(bed.host(0)->id, frame->ts + frame->dur / 2));
+  Sink receiver;
+  int dead_letters = 0;
+  crashed.netmsg(0)->set_dead_letter_handler([&dead_letters](const Message&) { ++dead_letters; });
+  send(&crashed, &receiver);
+  crashed.sim().Run();
+
+  ASSERT_EQ(receiver.received.size(), 1u);
+  EXPECT_EQ(receiver.received[0].regions.at(0).pages.at(9), MakePatternPage(10));
+  const NetMsgStats& sender = crashed.netmsg(0)->stats();
+  EXPECT_EQ(sender.fragments_retransmitted, crashed.costs().netmsg_max_retries);
+  EXPECT_EQ(sender.acks_received, 0u);
+  EXPECT_EQ(sender.transfers_dead_lettered, 0u);
+  EXPECT_EQ(dead_letters, 0);
+  EXPECT_EQ(crashed.netmsg(1)->stats().messages_delivered, 1u);
 }
 
 }  // namespace

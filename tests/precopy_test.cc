@@ -56,6 +56,26 @@ class PreCopyTest : public ::testing::Test {
     return record;
   }
 
+  // Every image page of `remote` is present and correct: the written byte
+  // of each touched page reflects the *last* write to it, wherever it
+  // happened, and unwritten bytes still match the original pattern.
+  void ExpectIntactImage(Process* remote) {
+    std::map<PageIndex, std::uint8_t> last_write;
+    for (const TraceOp& op : *remote->trace()) {
+      if (op.kind == TraceOp::Kind::kTouch && op.write) {
+        last_write[PageOf(op.addr)] = op.value;
+      }
+    }
+    for (PageIndex p = 0; p < 64; ++p) {
+      const PageRef page = remote->space()->ReadPage(p);
+      auto it = last_write.find(p);
+      if (it != last_write.end()) {
+        EXPECT_EQ(PageByteAt(page, 100), it->second) << "page " << p;
+      }
+      EXPECT_EQ(PageByteAt(page, 7), PageByteAt(MakePatternPage(p + 1), 7)) << "page " << p;
+    }
+  }
+
   // Starts `proc`, migrates it by pre-copy at 0.5 s and drains the bed;
   // `done` must fire exactly once.
   MigrationRecord MigrateLive(Testbed* bed, Process* proc) {
@@ -94,25 +114,7 @@ TEST_F(PreCopyTest, MigratesWithIntactData) {
   ASSERT_EQ(bed.manager(1)->adopted().size(), 1u);
   Process* remote = bed.manager(1)->adopted()[0].get();
   EXPECT_TRUE(remote->done());
-
-  // Every image page is present and correct — the written byte of each
-  // touched page reflects the *last* write to it, wherever it happened.
-  const Trace& trace = *remote->trace();
-  std::map<PageIndex, std::uint8_t> last_write;
-  for (const TraceOp& op : trace) {
-    if (op.kind == TraceOp::Kind::kTouch && op.write) {
-      last_write[PageOf(op.addr)] = op.value;
-    }
-  }
-  for (PageIndex p = 0; p < 64; ++p) {
-    const PageRef page = remote->space()->ReadPage(p);
-    auto it = last_write.find(p);
-    if (it != last_write.end()) {
-      EXPECT_EQ(PageByteAt(page, 100), it->second) << "page " << p;
-    }
-    // Unwritten bytes of the image still match the original pattern.
-    EXPECT_EQ(PageByteAt(page, 7), PageByteAt(MakePatternPage(p + 1), 7)) << "page " << p;
-  }
+  ExpectIntactImage(remote);
   EXPECT_GE(record.precopy_rounds, 1);
 }
 
@@ -385,6 +387,60 @@ TEST_F(PreCopyTest, AbortedRoundsDoNotLeakIntoTheNextMigration) {
       EXPECT_EQ(PageByteAt(remote->space()->ReadPage(page), 100), value) << "page " << page;
     }
   }
+}
+
+TEST_F(PreCopyTest, StagedRoundsOfAnAbortedAttemptExpire) {
+  // A live attempt aborted with round 0 in flight still stages that round
+  // at the destination, where no context will follow. The staged entry is
+  // dropped once migration_abort_timeout has passed since the round.
+  Testbed bed(DestCrashBed(kParkedCrash));
+  auto proc = BuildWriter(&bed, 40, Ms(200));
+  proc->Start();
+  bed.sim().RunUntil(Ms(500));
+  bed.manager(0)->RegisterLocal(proc.get());
+  int done_calls = 0;
+  bed.manager(0)->Migrate(proc.get(), bed.manager(1)->port(), TransferStrategy::kPreCopy,
+                          [&](const MigrationRecord&) { ++done_calls; });
+  bed.sim().RunUntil(Ms(1000));
+  bed.manager(0)->AbortMigration(proc->id(), "test abort");
+  bed.sim().RunUntil(Sec(60.0));
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_EQ(bed.manager(1)->pending_inserts(), 1u);  // the round is staged
+  ASSERT_TRUE(bed.RunGuarded());
+  EXPECT_EQ(bed.manager(1)->pending_inserts(), 0u);
+  EXPECT_TRUE(bed.manager(1)->adopted().empty());
+}
+
+TEST_F(PreCopyTest, ShortPendingTimeoutSparesLiveStagedRounds) {
+  // The half-arrived-context teardown (migration_pending_timeout) is set
+  // longer than the gap between the two context messages, so it cannot
+  // fire between them, but shorter than the time from the freeze to the
+  // first context's arrival. Every staged round is older than the freeze,
+  // so rounds expiring by that timeout would be gone before any context
+  // came; they must not be, and the migration completes intact.
+  Testbed probe(DestCrashBed(kParkedCrash));
+  auto probe_proc = BuildWriter(&probe, 40, Ms(200));
+  const MigrationRecord undisturbed = MigrateLive(&probe, probe_proc.get());
+  ASSERT_FALSE(undisturbed.aborted);
+  const SimTime first_context = std::min(undisturbed.core_arrived, undisturbed.rimas_arrived);
+  const SimDuration context_gap =
+      std::max(undisturbed.core_arrived, undisturbed.rimas_arrived) - first_context;
+  const SimDuration freeze_to_context = first_context - undisturbed.frozen;
+  ASSERT_LT(context_gap, freeze_to_context);
+
+  TestbedConfig config = DestCrashBed(kParkedCrash);
+  config.costs.migration_pending_timeout = (context_gap + freeze_to_context) / 2;
+  Testbed bed(config);
+  auto proc = BuildWriter(&bed, 40, Ms(200));
+  const MigrationRecord record = MigrateLive(&bed, proc.get());
+  EXPECT_FALSE(record.aborted);
+  EXPECT_EQ(record.precopy_rounds, undisturbed.precopy_rounds);
+  EXPECT_LT(config.costs.migration_pending_timeout, record.frozen - record.requested);
+  ASSERT_EQ(bed.manager(1)->adopted().size(), 1u);
+  Process* remote = bed.manager(1)->adopted()[0].get();
+  EXPECT_TRUE(remote->done());
+  ExpectIntactImage(remote);
+  EXPECT_EQ(bed.manager(1)->pending_inserts(), 0u);
 }
 
 TEST_F(PreCopyTest, UndeliverableRoundAbortsBeforeTheFreeze) {

@@ -13,7 +13,11 @@
 #      (so docs can't name removed fields, methods or enumerators);
 #   5. every inline `Suite.Name` span (both parts capitalised, as gtest
 #      names are) names a TEST, TEST_F or TEST_P in tests/*.cc (so docs
-#      can't cite renamed or deleted tests as evidence).
+#      can't cite renamed or deleted tests as evidence);
+#   6. every inline span that is one identifier, UpperCamelCase with two or
+#      more capitals or a k-prefixed enumerator, appears as a whole word in
+#      the code or the tests (so docs can't name removed types, functions
+#      or enumerators).
 #
 # Usage: check_docs.sh <repo-root> [render_results-binary]
 set -euo pipefail
@@ -115,6 +119,18 @@ for doc in "${DOCS[@]}"; do
     echo "check_docs: $doc:$lines cites missing test '$span'" >&2
     status=1
   done < <(printf '%s\n' "$spans" | grep -E '^[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*$' || true)
+
+  # 6. Identifiers: a span that is one name must still be spelled somewhere.
+  while IFS= read -r span; do
+    [ -n "$span" ] || continue
+    if grep -rqwF -- "$span" "${CODE_DIRS[@]}" tests; then
+      continue
+    fi
+    lines=$(grep -nF -- "\`$span\`" "$doc" | cut -d: -f1 | paste -sd, -)
+    echo "check_docs: $doc:$lines names unknown identifier '$span'" >&2
+    status=1
+  done < <(printf '%s\n' "$spans" |
+             grep -E '^([A-Z][A-Za-z0-9]*[A-Z][A-Za-z0-9]*|k[A-Z][A-Za-z0-9]*)$' || true)
 done
 
 # 3. RESULTS.md freshness against the render template.
