@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/base/check.h"
@@ -54,6 +55,25 @@ struct ClusterProc {
   std::uint64_t epoch = 0;
 };
 
+// A run-long series of events at non-decreasing times: one host's
+// arrivals or report ticks, or the coordinator's sample or steady ticks.
+// Setup reserves its sequence numbers in one block, where scheduling the
+// whole series up front would have taken them, and only its next event is
+// queued, so every event keeps the (time, seq) key it would have had.
+struct Series {
+  std::span<const SimTime> times;
+  std::uint64_t first_seq = 0;
+  std::size_t next = 0;  // index of the first event not yet queued
+};
+
+// A pending quantum slice: it runs OnSlice(proc, epoch) at `when`.
+struct PendingSlice {
+  SimTime when{0};
+  std::uint64_t seq = 0;
+  ClusterProc* proc = nullptr;
+  std::uint64_t epoch = 0;
+};
+
 struct Host {
   int index = 0;
   HostId id;
@@ -64,6 +84,13 @@ struct Host {
   std::map<std::uint64_t, ClusterProc*> active;
   int runnable = 0;
   std::uint64_t next_local_pid = 0;
+
+  std::vector<SimTime> arrival_times;  // the whole run's, drawn at setup
+  Series arrivals;
+  Series reports;
+  // Pending slices in (when, seq) order; only the front is in the queue.
+  // Stale ones (see ClusterProc::epoch) stay until they fire.
+  std::deque<PendingSlice> slices;
 
   // Census + data-plane counters (merged in index order after the run).
   std::uint64_t arrived = 0;
@@ -141,10 +168,36 @@ struct Trial {
     // wall-clock (ScaleCpu is the identity at multiplier 1.0).
     const SimDuration stretch = ScaleCpu(p->slice_len * std::max(1, host.runnable),
                                          CalOf(host.index).cpu_multiplier);
+    const SimTime when = sim.Now() + stretch;
+    const std::uint64_t seq = sim.ReserveSeqs(1);
+    if (!host.slices.empty() && when < host.slices.back().when) {
+      // Lands before the host's latest pending slice (a short last slice,
+      // or a drop in runnable since that one). A sorted insert could
+      // displace the queued front, and the queue has no cancel, so this
+      // one goes into the queue directly.
+      Host* h = &host;
+      ClusterProc* proc = p;
+      const std::uint64_t epoch = p->epoch;
+      sim.ScheduleAt(when, seq, [this, h, proc, epoch]() { OnSlice(*h, proc, epoch); });
+      return;
+    }
+    host.slices.push_back(PendingSlice{when, seq, p, p->epoch});
+    if (host.slices.size() == 1) {
+      QueueFrontSlice(host);
+    }
+  }
+
+  void QueueFrontSlice(Host& host) {
+    const PendingSlice& front = host.slices.front();
     Host* h = &host;
-    ClusterProc* proc = p;
-    const std::uint64_t epoch = p->epoch;
-    sim.ScheduleAfter(stretch, [this, h, proc, epoch]() { OnSlice(*h, proc, epoch); });
+    sim.ScheduleAt(front.when, front.seq, [this, h]() {
+      const PendingSlice slice = h->slices.front();
+      h->slices.pop_front();
+      if (!h->slices.empty()) {
+        QueueFrontSlice(*h);
+      }
+      OnSlice(*h, slice.proc, slice.epoch);
+    });
   }
 
   void OnSlice(Host& host, ClusterProc* p, std::uint64_t epoch) {
@@ -290,6 +343,29 @@ struct Trial {
                        }
                      });
                    });
+    });
+  }
+
+  // ---- lazily queued series ----------------------------------------------
+
+  // Reserves the sequence numbers of every event in `times` and queues the
+  // first; each runs `fire` once its successor is queued.
+  template <typename Fire>
+  void StartSeries(Series& series, std::span<const SimTime> times, Fire fire) {
+    series.times = times;
+    series.first_seq = sim.ReserveSeqs(times.size());
+    QueueNext(series, fire);
+  }
+
+  template <typename Fire>
+  void QueueNext(Series& series, Fire fire) {
+    if (series.next == series.times.size()) {
+      return;
+    }
+    const std::size_t i = series.next++;
+    sim.ScheduleAt(series.times[i], series.first_seq + i, [this, &series, fire]() {
+      QueueNext(series, fire);
+      fire();
     });
   }
 
@@ -551,6 +627,16 @@ struct Trial {
   }
 };
 
+// period, 2 x period, ... while before `duration`.
+std::vector<SimTime> Ticks(SimDuration period, SimDuration duration) {
+  ACCENT_EXPECTS(period > SimDuration::zero());
+  std::vector<SimTime> times;
+  for (SimTime when = period; when < duration; when += period) {
+    times.push_back(when);
+  }
+  return times;
+}
+
 SimDuration Percentile(std::vector<SimDuration>& values, double q) {
   if (values.empty()) {
     return SimDuration{0};
@@ -630,10 +716,13 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
               std::move(cals), AnyCalibrated(config.calibrations)};
 
   // --- setup --------------------------------------------------------------
+  // Every series takes its block of sequence numbers here, in this order:
+  // each host's arrivals, then its report ticks; then the initial slices,
+  // the sample ticks and the steady ticks.
+  const std::vector<SimTime> report_times = Ticks(config.report_period, config.duration);
   for (auto& host_ptr : hosts) {
     Host& host = *host_ptr;
-    // Poisson arrival times for the whole run, pre-scheduled.
-    std::vector<SimTime> arrivals;
+    // Poisson arrival times for the whole run.
     SimTime t{0};
     while (true) {
       const double u = host.rng.NextDouble();
@@ -642,16 +731,11 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
       if (t >= config.duration) {
         break;
       }
-      arrivals.push_back(t);
+      host.arrival_times.push_back(t);
     }
     Host* h = &host;
-    for (SimTime when : arrivals) {
-      sim.ScheduleAt(when, [&trial, h]() { trial.OnArrival(*h); });
-    }
-    for (SimTime when = config.report_period; when < config.duration;
-         when += config.report_period) {
-      sim.ScheduleAt(when, [&trial, h]() { trial.OnReportTick(*h); });
-    }
+    trial.StartSeries(host.arrivals, host.arrival_times, [&trial, h]() { trial.OnArrival(*h); });
+    trial.StartSeries(host.reports, report_times, [&trial, h]() { trial.OnReportTick(*h); });
     for (int i = 0; i < config.initial_processes_per_host; ++i) {
       trial.SpawnProc(host);
     }
@@ -664,14 +748,12 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
       trial.ScheduleSlice(host, p);
     }
   }
-  for (SimTime when = config.policy.sample_period; when < config.duration;
-       when += config.policy.sample_period) {
-    sim.ScheduleAt(when, [&trial]() { trial.OnSampleTick(); });
-  }
-  for (SimTime when = config.steady_window; when < config.duration;
-       when += config.steady_window) {
-    sim.ScheduleAt(when, [&trial]() { trial.OnSteadyTick(); });
-  }
+  const std::vector<SimTime> sample_times = Ticks(config.policy.sample_period, config.duration);
+  const std::vector<SimTime> steady_times = Ticks(config.steady_window, config.duration);
+  Series sample_ticks;
+  Series steady_ticks;
+  trial.StartSeries(sample_ticks, sample_times, [&trial]() { trial.OnSampleTick(); });
+  trial.StartSeries(steady_ticks, steady_times, [&trial]() { trial.OnSteadyTick(); });
 
   // --- run -----------------------------------------------------------------
   sim.RunUntil(config.duration);
@@ -681,6 +763,22 @@ ClusterResult RunClusterTrial(const ClusterConfig& config) {
                       << " events (budget " << trial.event_budget << ")";
     for (SimTime when : sim.PendingEventTimes(8)) {
       ACCENT_LOG(kError) << "cluster:   next pending event at " << when.count() << "us";
+    }
+    // The queue holds only each host's front slice; the rest wait in the
+    // hosts' deques.
+    std::size_t waiting = 0;
+    std::optional<SimTime> earliest;
+    for (const auto& host_ptr : hosts) {
+      const std::deque<PendingSlice>& slices = host_ptr->slices;
+      if (slices.size() > 1) {
+        waiting += slices.size() - 1;
+        earliest = std::min(earliest.value_or(SimTime::max()), slices[1].when);
+      }
+    }
+    if (earliest) {
+      ACCENT_LOG(kError) << "cluster:   " << waiting
+                         << " slices wait behind their hosts' queued fronts, the earliest at "
+                         << earliest->count() << "us";
     }
   }
 

@@ -6,9 +6,9 @@
 // lets a balancer drive migrations for the whole run instead of firing one
 // and stopping. Hosts are modelled at fleet granularity: a process is a
 // CPU demand plus a MigrationCostModel::Footprint, scheduled by a
-// processor-sharing approximation (each resident process holds one pending
-// quantum-slice event whose length stretches with the host's runnable
-// count). Migration costs, payload sizes and the copy-on-reference debt
+// processor-sharing approximation (each resident process has one pending
+// quantum slice whose length stretches with the host's runnable count).
+// Migration costs, payload sizes and the copy-on-reference debt
 // all come from the same calibrated formulas the two-Perq testbed charges
 // (src/migration/cost_model.h), so the fleet inherits the paper's numbers.
 //
@@ -24,12 +24,20 @@
 // repaid lazily in fixed page-pull batches (kFaultData request/reply)
 // while the process runs at its new home.
 //
+// Event queue: the trial keeps only each host's next event of each kind in
+// the one Simulator queue. A host's arrivals (drawn at setup) and report
+// ticks, and the coordinator's sample and steady ticks, each queue their
+// successor as they fire; a host's pending slices wait in time order
+// behind the one queued front. Each event runs under the sequence number
+// it would have taken had the whole run been scheduled up front
+// (Simulator::ReserveSeqs), so same-instant ties break exactly as before.
+//
 // Determinism: every stochastic draw flows through per-host Rng streams,
 // all cross-host interaction rides Network::Transmit, the trial runs on
 // the one serial Simulator loop, and end-of-run aggregation walks hosts in
 // index order. A trial's ClusterResult — and its canonical JSON — is
 // therefore a pure function of its config (tests/cluster_test.cc pins
-// four of them).
+// six of them).
 #ifndef SRC_EXPERIMENTS_CLUSTER_H_
 #define SRC_EXPERIMENTS_CLUSTER_H_
 

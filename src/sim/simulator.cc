@@ -17,7 +17,7 @@ Simulator::Simulator() {
   free_slots_.reserve(kInitialQueueCapacity);
 }
 
-void Simulator::ScheduleAt(SimTime when, InlineEvent fn) {
+void Simulator::Push(SimTime when, std::uint64_t seq, InlineEvent&& fn) {
   ACCENT_CHECK(static_cast<bool>(fn)) << " scheduling an empty event";
   ACCENT_CHECK(when >= now_) << " scheduling into the past: when=" << when.count()
                              << "us now=" << now_.count() << "us";
@@ -33,7 +33,17 @@ void Simulator::ScheduleAt(SimTime when, InlineEvent fn) {
     slots_.push_back(std::move(fn));
   }
   queue_.emplace_back();
-  SiftUp(queue_.size() - 1, Key{when, next_seq_++, slot});
+  SiftUp(queue_.size() - 1, Key{when, seq, slot});
+}
+
+void Simulator::ScheduleAt(SimTime when, InlineEvent fn) {
+  Push(when, next_seq_++, std::move(fn));
+}
+
+void Simulator::ScheduleAt(SimTime when, std::uint64_t seq, InlineEvent fn) {
+  ACCENT_CHECK(seq < next_seq_) << " scheduling under an unreserved sequence number: seq="
+                                << seq << " next=" << next_seq_;
+  Push(when, seq, std::move(fn));
 }
 
 // Moves parents down into the hole at `hole` until `key` fits there.

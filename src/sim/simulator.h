@@ -7,6 +7,16 @@
 // keeps trials deterministic. One queue serves every simulation: the
 // two-host testbeds, the sweeps and the fleet-scale cluster trials.
 //
+// Same-instant order is sequence-number order, and an event normally takes
+// the next number when it is scheduled. A caller that knows a series of
+// future events can instead reserve their numbers up front (ReserveSeqs)
+// and schedule each event later under its own number. It then runs exactly
+// where it would have run had it been scheduled at the reservation, as long
+// as it is queued before anything that sorts after it runs. A series at
+// non-decreasing times meets that by queueing each event as its predecessor
+// fires, and the queue holds only the series' next event. The fleet keeps
+// its arrivals, ticks and slices this way (src/experiments/cluster.cc).
+//
 // Hot-path notes: the queue is a 4-ary min-heap of 24-byte keys
 // {when, seq, slot}; sifting moves only keys. Each key's callable, a
 // small-buffer-optimised InlineEvent (not a heap-allocated std::function),
@@ -39,6 +49,19 @@ class Simulator {
   // Schedules `fn` at absolute simulated time `when` (>= Now()). Accepts any
   // void() callable; small captures are stored inline (see event.h).
   void ScheduleAt(SimTime when, InlineEvent fn);
+
+  // Reserves `count` consecutive sequence numbers and returns the first.
+  // Each must later be used by at most one ScheduleAt(when, seq, fn) call.
+  std::uint64_t ReserveSeqs(std::uint64_t count) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  // Schedules `fn` at `when` (>= Now()) under `seq`, a number ReserveSeqs
+  // handed out: among events at `when` it runs where an event scheduled at
+  // the reservation would have run.
+  void ScheduleAt(SimTime when, std::uint64_t seq, InlineEvent fn);
 
   // Schedules `fn` after `delay` of simulated time.
   void ScheduleAfter(SimDuration delay, InlineEvent fn) {
@@ -96,6 +119,7 @@ class Simulator {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
+  void Push(SimTime when, std::uint64_t seq, InlineEvent&& fn);
   void SiftUp(std::size_t hole, Key key);
   void SiftDown(Key key);
   void RunOne();

@@ -1,5 +1,5 @@
 // Full-stack contract of the fleet-scale cluster layer (RunClusterTrial):
-// pinned digests of five trials' canonical JSON, census integrity under
+// pinned digests of six trials' canonical JSON, census integrity under
 // continuous churn, balancer policy effects, the strategy-dependent
 // downtime ordering the paper predicts, steady-state detection and the
 // event-budget watchdog.
@@ -196,10 +196,27 @@ TEST(Cluster, CachedTenHostTrialJsonMatchesPinnedDigest) {
   ExpectTrialJsonDigest(cached, 0xf3b184b603fd7fc7ull);
 }
 
-// bench/cluster_sweep's big trial at its default seed. The ten- and
-// twelve-host pins keep at most about a thousand events pending; this one
-// averages tens of thousands per pop, the depth the event queue is built
-// for, over about a million events.
+// One-second quanta, report, sample and steady periods: slices and every
+// kind of tick keep landing on the same whole-second instants, and nearly
+// half the demands fit in one quantum, so many completions land there too.
+// The result depends on how each of those ties is broken.
+TEST(Cluster, TieDenseTrialJsonMatchesPinnedDigest) {
+  ClusterConfig config;
+  config.host_count = 8;
+  config.duration = Sec(60.0);
+  config.initial_processes_per_host = 8;
+  config.arrivals_per_host_per_sec = 0.5;
+  config.mean_service_sec = 1.5;
+  config.quantum = Sec(1.0);
+  config.report_period = Sec(1.0);
+  config.policy.sample_period = Sec(1.0);
+  config.steady_window = Sec(1.0);
+  ExpectTrialJsonDigest(config, 0xb1fe2a0104e83869ull);
+}
+
+// bench/cluster_sweep's big trial at its default seed: about a million
+// events, with about 1,500 pending per pop (one front per host and series,
+// plus messages in flight and the few slices queued out of order).
 TEST(Cluster, FleetScaleTrialJsonMatchesPinnedDigest) {
   ClusterConfig config;
   config.host_count = 480;

@@ -1,6 +1,6 @@
 // FNV-1a digests for pinning whole reports in one constant: the golden
 // 77-trial grid (tests/golden_sweep_test.cc), the failure, chain, pre-copy
-// and fuzz reports, and five fleet trials (tests/cluster_test.cc).
+// and fuzz reports, and six fleet trials (tests/cluster_test.cc).
 #ifndef TESTS_DIGEST_H_
 #define TESTS_DIGEST_H_
 

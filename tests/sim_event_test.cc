@@ -1,12 +1,14 @@
 // Simulator event-queue contract: same-instant FIFO ordering, (time,
-// scheduling order) at fleet depth, the no-scheduling-into-the-past
-// precondition, ownership of pending callables, and the InlineEvent callable
-// (inline small-buffer path, heap fallback, move-only captures).
+// scheduling order) at fleet depth, reserved sequence numbers scheduled
+// late, the no-scheduling-into-the-past and reserved-number preconditions,
+// ownership of pending callables, and the InlineEvent callable (inline
+// small-buffer path, heap fallback, move-only captures).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -61,6 +63,16 @@ TEST(SimulatorOrdering, FifoSurvivesQueueGrowthAcrossManyEvents) {
   }
 }
 
+// Half the draws fall on four instants (many ties), half anywhere in ten
+// seconds.
+SimDuration DrawDelay(Rng& rng) {
+  static constexpr std::array<std::int64_t, 4> kTied{0, 1, 1000, 250'000};
+  if (rng.NextBool(0.5)) {
+    return Us(kTied[rng.NextBelow(kTied.size())]);
+  }
+  return Us(static_cast<std::int64_t>(rng.NextBelow(10'000'000)));
+}
+
 // Differential check at fleet depth: a seeded mix of tied and spread-out
 // times, events that schedule children at delay 0 and later, drained in
 // slices by RunUntil and then by Run. Whatever the queue's layout, events
@@ -77,15 +89,6 @@ TEST(SimulatorOrdering, DeepQueueMatchesTimeThenSeqOrder) {
     std::vector<Scheduled> scheduled;
     std::vector<std::uint64_t> executed;
 
-    // Half the draws fall on four instants (many ties), half anywhere in
-    // ten seconds.
-    SimDuration DrawDelay() {
-      static constexpr std::array<std::int64_t, 4> kTied{0, 1, 1000, 250'000};
-      if (rng.NextBool(0.5)) {
-        return Us(kTied[rng.NextBelow(kTied.size())]);
-      }
-      return Us(static_cast<std::int64_t>(rng.NextBelow(10'000'000)));
-    }
     void Schedule(SimTime when, int depth) {
       const std::uint64_t id = scheduled.size();
       scheduled.push_back(Scheduled{when, id});
@@ -101,7 +104,7 @@ TEST(SimulatorOrdering, DeepQueueMatchesTimeThenSeqOrder) {
           Schedule(sim.Now(), depth + 1);
           break;
         case 1:
-          Schedule(sim.Now() + DrawDelay(), depth + 1);
+          Schedule(sim.Now() + DrawDelay(rng), depth + 1);
           break;
         default:
           break;
@@ -138,7 +141,7 @@ TEST(SimulatorOrdering, DeepQueueMatchesTimeThenSeqOrder) {
   Harness h;
   constexpr int kRoots = 100'000;
   for (int i = 0; i < kRoots; ++i) {
-    h.Schedule(h.DrawDelay(), 0);
+    h.Schedule(DrawDelay(h.rng), 0);
   }
   for (SimTime deadline : {Us(0), Ms(1), Ms(250), Sec(2.5), Sec(6.0)}) {
     EXPECT_FALSE(h.sim.RunUntil(deadline));
@@ -149,13 +152,148 @@ TEST(SimulatorOrdering, DeepQueueMatchesTimeThenSeqOrder) {
     }
     // Fresh roots between slices, some at the parked clock itself.
     for (int i = 0; i < 5000; ++i) {
-      h.Schedule(h.sim.Now() + h.DrawDelay(), 0);
+      h.Schedule(h.sim.Now() + DrawDelay(h.rng), 0);
     }
   }
   h.sim.Run();
   EXPECT_TRUE(h.sim.empty());
   EXPECT_GT(h.scheduled.size(), static_cast<std::size_t>(kRoots) * 3 / 2);
   h.ExpectDrainedTo(SimTime::max());
+}
+
+// Reserved numbers: a seeded mix of events scheduled directly and series
+// whose numbers are reserved in one block when the series starts but whose
+// events are scheduled one at a time, each as its predecessor fires (the
+// fleet's arrivals, ticks and slices). Both kinds crowd the same instants.
+// Events must run in (time, numbering order), where a reserved event is
+// numbered at its reservation: the order a plain sort gives, as if every
+// series had been scheduled whole when it started.
+TEST(SimulatorOrdering, ReservedNumbersKeepTheirPlaceWhenScheduledLate) {
+  struct Numbered {
+    SimTime when{0};
+    std::uint64_t id = 0;  // numbering order
+    bool reserved = false;
+  };
+  struct Series {
+    std::vector<SimTime> times;
+    std::uint64_t first = 0;
+    std::size_t next = 0;  // first event not yet scheduled
+  };
+  struct Harness {
+    Simulator sim;
+    Rng rng{20261019};
+    std::uint64_t numbered = 0;  // mirrors the simulator's next number
+    std::vector<Numbered> reference;
+    std::vector<std::uint64_t> executed;
+    std::deque<Series> series;  // stable addresses for pending captures
+
+    void Direct(SimTime when, int depth) {
+      const std::uint64_t id = numbered++;
+      reference.push_back(Numbered{when, id, false});
+      sim.ScheduleAt(when, [this, id, depth] { Fire(id, depth); });
+    }
+    void StartSeries(SimTime start) {
+      Series& s = series.emplace_back();
+      SimTime when = start;
+      for (std::uint64_t i = 0, count = 1 + rng.NextBelow(8); i < count; ++i) {
+        s.times.push_back(when);
+        when += rng.NextBool(0.5) ? SimDuration{0} : DrawDelay(rng);
+      }
+      s.first = sim.ReserveSeqs(s.times.size());
+      ASSERT_EQ(s.first, numbered) << "reservations share the direct numbering";
+      for (std::size_t i = 0; i < s.times.size(); ++i) {
+        reference.push_back(Numbered{s.times[i], s.first + i, true});
+      }
+      numbered += s.times.size();
+      ScheduleNext(s);
+    }
+    void ScheduleNext(Series& s) {
+      if (s.next == s.times.size()) {
+        return;
+      }
+      const std::uint64_t id = s.first + s.next;
+      sim.ScheduleAt(s.times[s.next++], id, [this, &s, id] {
+        ScheduleNext(s);
+        Fire(id, 1);
+      });
+    }
+    void Fire(std::uint64_t id, int depth) {
+      executed.push_back(id);
+      if (depth >= 2) {
+        return;
+      }
+      switch (rng.NextBelow(5)) {
+        case 0:
+          Direct(sim.Now(), depth + 1);
+          break;
+        case 1:
+          Direct(sim.Now() + DrawDelay(rng), depth + 1);
+          break;
+        case 2:
+          if (depth == 0) {
+            StartSeries(sim.Now() + DrawDelay(rng));
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    void Root() {
+      if (rng.NextBool(0.5)) {
+        Direct(sim.Now() + DrawDelay(rng), 0);
+      } else {
+        StartSeries(sim.Now() + DrawDelay(rng));
+      }
+    }
+    std::vector<Numbered> Sorted() const {
+      std::vector<Numbered> sorted = reference;
+      std::sort(sorted.begin(), sorted.end(), [](const Numbered& a, const Numbered& b) {
+        return a.when != b.when ? a.when < b.when : a.id < b.id;
+      });
+      return sorted;
+    }
+    // Everything due by `deadline` ran, in (time, numbering) order.
+    void ExpectDrainedTo(SimTime deadline) {
+      const std::vector<Numbered> sorted = Sorted();
+      const auto due = static_cast<std::size_t>(
+          std::partition_point(sorted.begin(), sorted.end(),
+                               [deadline](const Numbered& n) { return n.when <= deadline; }) -
+          sorted.begin());
+      ASSERT_EQ(executed.size(), due) << "deadline " << deadline.count() << "us";
+      for (std::size_t i = 0; i < due; ++i) {
+        ASSERT_EQ(executed[i], sorted[i].id) << "at position " << i;
+      }
+    }
+  };
+
+  Harness h;
+  for (int i = 0; i < 20'000; ++i) {
+    h.Root();
+  }
+  for (SimTime deadline : {Us(0), Ms(1), Ms(250), Sec(2.5), Sec(6.0)}) {
+    EXPECT_FALSE(h.sim.RunUntil(deadline));
+    h.ExpectDrainedTo(deadline);
+    if (HasFatalFailure()) {
+      return;
+    }
+    for (int i = 0; i < 1000; ++i) {
+      h.Root();
+    }
+  }
+  h.sim.Run();
+  EXPECT_TRUE(h.sim.empty());
+  h.ExpectDrainedTo(SimTime::max());
+  // Same-instant neighbours of both kinds, in both numbering orders.
+  const std::vector<Numbered> sorted = h.Sorted();
+  std::size_t reserved_first = 0;
+  std::size_t direct_first = 0;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i - 1].when == sorted[i].when && sorted[i - 1].reserved != sorted[i].reserved) {
+      ++(sorted[i - 1].reserved ? reserved_first : direct_first);
+    }
+  }
+  EXPECT_GT(reserved_first, 100u);
+  EXPECT_GT(direct_first, 100u);
 }
 
 // A move-only capture that counts its own destruction in `ledger[id]`;
@@ -265,6 +403,14 @@ TEST(SimulatorOrderingDeathTest, SchedulingIntoThePastAborts) {
   sim.Run();
   ASSERT_EQ(sim.Now(), Us(10));
   EXPECT_DEATH(sim.ScheduleAt(Us(5), [] {}), "scheduling into the past");
+}
+
+TEST(SimulatorOrderingDeathTest, SchedulingUnderAnUnreservedNumberAborts) {
+  Simulator sim;
+  const std::uint64_t first = sim.ReserveSeqs(2);
+  sim.ScheduleAt(Us(1), [] {});  // takes the number after the reserved pair
+  sim.ScheduleAt(Us(1), first + 1, [] {});
+  EXPECT_DEATH(sim.ScheduleAt(Us(1), first + 3, [] {}), "unreserved sequence number");
 }
 
 TEST(InlineEvent, RunsSmallInlineCallable) {
