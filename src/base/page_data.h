@@ -53,9 +53,13 @@ struct PageHash {
 };
 
 // Hashes the page contents (zero pages hash as kPageSize zero bytes, so
-// an empty PageData and a materialised all-zero page agree). The values
-// are pinned (tests/page_service_test.cc): PageHash keys order the content
-// cache and the page directory.
+// an empty PageData and a materialised all-zero page agree). Results only
+// compare hashes for equality, yet the values are pinned
+// (tests/page_service_test.cc) so that changing how the digest loads or
+// mixes its words is a deliberate act: the content cache and the page
+// directory bucket a key by its low word alone, which spreads only while
+// every word is fully mixed, and the collision sampling beside the pin
+// vouches for this digest only.
 PageHash ComputePageHash(const PageData& page);
 
 // The interned hash of the all-zero page: ComputePageHash({}) computed

@@ -5,25 +5,31 @@
 // the paper leans on to explain why resident-set shipment drags along stale
 // file pages (section 4.2.3) — so residency here is exactly what the
 // resident-set migration strategy samples at migration time.
+//
+// Layout: one slot-indexed frame table. Every resident frame sits on two
+// intrusive doubly-linked lists, the host-wide LRU order and its space's
+// chain, and an open-addressing index (linear probing, backward-shift
+// deletion) maps (space, page) to its slot. Freed slots go on a free list.
+// The table and the index grow by doubling with the pages actually
+// resident, never from frame_count, so a steady-state insert allocates
+// nothing, ResidentCount reads the space's count, and PagesOf and
+// RemoveSpace visit only the space's own frames.
 #ifndef SRC_HOST_PHYSICAL_MEMORY_H_
 #define SRC_HOST_PHYSICAL_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/check.h"
 #include "src/base/types.h"
 
 namespace accent {
 
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::size_t frame_count) : frame_count_(frame_count) {
-    ACCENT_EXPECTS(frame_count > 0);
-  }
+  explicit PhysicalMemory(std::size_t frame_count);
 
   struct Eviction {
     SpaceId space;
@@ -38,7 +44,7 @@ class PhysicalMemory {
   std::optional<Eviction> Insert(SpaceId space, PageIndex page, bool dirty);
 
   bool Contains(SpaceId space, PageIndex page) const {
-    return frames_.count(Key{space, page}) != 0;
+    return index_[FindBucket(space, page)] != kNoSlot;
   }
 
   // Moves the page to most-recently-used. Precondition: resident.
@@ -52,36 +58,57 @@ class PhysicalMemory {
   // Drops one page (no writeback accounting; caller decides).
   void Remove(SpaceId space, PageIndex page);
 
-  // Drops every page of `space` (process excision or death). Returns the
-  // pages dropped, in ascending page order.
-  std::vector<PageIndex> RemoveSpace(SpaceId space);
+  // Drops every page of `space` (process excision or death). Returns how
+  // many pages it dropped.
+  std::size_t RemoveSpace(SpaceId space);
 
   // Resident pages of `space` in ascending page order (the resident set).
   std::vector<PageIndex> PagesOf(SpaceId space) const;
 
   std::size_t ResidentCount(SpaceId space) const;
-  std::size_t used_frames() const { return frames_.size(); }
+  std::size_t used_frames() const { return used_; }
   std::size_t frame_count() const { return frame_count_; }
 
  private:
-  struct Key {
-    SpaceId space;
-    PageIndex page;
-    bool operator==(const Key& o) const { return space == o.space && page == o.page; }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>()(k.space.value * 0x9e3779b97f4a7c15ull ^ k.page);
-    }
-  };
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+
   struct Frame {
-    std::list<Key>::iterator lru_pos;
+    SpaceId space;
+    PageIndex page = 0;
+    Slot newer = kNoSlot;  // LRU neighbours; a free slot chains on `older`
+    Slot older = kNoSlot;
+    Slot chain_prev = kNoSlot;  // neighbours on the space's chain
+    Slot chain_next = kNoSlot;
     bool dirty = false;
   };
+  struct Chain {
+    Slot head = kNoSlot;
+    std::size_t count = 0;
+  };
+
+  // The bucket that holds (space, page), or the empty bucket that ends its
+  // probe sequence.
+  std::size_t FindBucket(SpaceId space, PageIndex page) const;
+  std::size_t HomeBucket(SpaceId space, PageIndex page) const;
+  // Empties `bucket`, shifting later entries of its probe run back.
+  void EraseBucket(std::size_t bucket);
+  void GrowIndex();
+  void LinkMostRecent(Slot slot);
+  void UnlinkLru(Slot slot);
+  // Unlinks a frame from the LRU order and its chain, erases its index
+  // bucket and frees its slot.
+  void Release(Slot slot, std::size_t bucket);
 
   std::size_t frame_count_;
-  std::list<Key> lru_;  // front = most recent, back = victim
-  std::unordered_map<Key, Frame, KeyHash> frames_;
+  std::vector<Frame> frames_;
+  std::vector<Slot> index_;  // power-of-two buckets, kNoSlot = empty
+  int index_shift_;          // 64 - log2(index_.size())
+  std::unordered_map<SpaceId, Chain> chains_;  // spaces with resident pages
+  Slot most_recent_ = kNoSlot;
+  Slot least_recent_ = kNoSlot;
+  Slot free_ = kNoSlot;
+  std::size_t used_ = 0;
 };
 
 }  // namespace accent

@@ -1,5 +1,7 @@
 #include "src/net/page_service.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 
 namespace accent {
@@ -21,13 +23,13 @@ bool ContentCache::InsertVerified(const PageHash& hash, const PageRef& page) {
     ++stats_.hash_mismatches;
     return false;
   }
-  auto it = entries_.find(hash);
-  if (it != entries_.end()) {
+  const auto [it, inserted] = entries_.try_emplace(hash);
+  if (!inserted) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return true;  // already resident: refresh recency only
   }
   lru_.push_front(hash);
-  entries_[hash] = Entry{page, lru_.begin()};
+  it->second = Entry{page, lru_.begin()};
   ++stats_.insertions;
   EvictToCapacity();
   return entries_.count(hash) != 0;
@@ -57,15 +59,36 @@ void ContentCache::EvictToCapacity() {
   }
 }
 
+namespace {
+
+// The first holding at or after `host` in a HostId-ordered list.
+template <typename Holdings>
+auto HoldingAtOrAfter(Holdings& holdings, HostId host) {
+  return std::lower_bound(holdings.begin(), holdings.end(), host,
+                          [](const auto& holding, HostId id) { return holding.host < id; });
+}
+
+}  // namespace
+
 void PageDirectory::RecordHolder(const PageHash& hash, HostId host, SimTime now) {
-  holders_[hash][host] = Holding{now + propagation_};
+  std::vector<Holding>& holdings = holders_[hash];
+  const auto it = HoldingAtOrAfter(holdings, host);
+  if (it != holdings.end() && it->host == host) {
+    it->visible_at = now + propagation_;
+  } else {
+    holdings.insert(it, Holding{host, now + propagation_});
+  }
   ++holders_recorded_;
 }
 
 void PageDirectory::DropHost(HostId host) {
   for (auto it = holders_.begin(); it != holders_.end();) {
-    it->second.erase(host);
-    it = it->second.empty() ? holders_.erase(it) : std::next(it);
+    std::vector<Holding>& holdings = it->second;
+    const auto held = HoldingAtOrAfter(holdings, host);
+    if (held != holdings.end() && held->host == host) {
+      holdings.erase(held);
+    }
+    it = holdings.empty() ? holders_.erase(it) : std::next(it);
   }
   ++hosts_dropped_;
 }
@@ -81,14 +104,14 @@ std::optional<HostId> PageDirectory::NearestHolder(const PageHash& hash, SimTime
   double best_rank = 0.0;
   // Holders iterate in HostId order, so at equal rank the lower id wins
   // and the choice is canonical.
-  for (const auto& [host, holding] : it->second) {
-    if (host == exclude_a || host == exclude_b || holding.visible_at > now) {
+  for (const Holding& holding : it->second) {
+    if (holding.host == exclude_a || holding.host == exclude_b || holding.visible_at > now) {
       continue;
     }
-    const auto rank_it = ranks_.find(host);
+    const auto rank_it = ranks_.find(holding.host);
     const double rank = rank_it != ranks_.end() ? rank_it->second : 0.0;
     if (!best.has_value() || rank < best_rank) {
-      best = host;
+      best = holding.host;
       best_rank = rank;
     }
   }

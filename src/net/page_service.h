@@ -13,6 +13,9 @@
 // and every insertion re-verifies that the bytes actually hash to the
 // claimed key — the weak PageIntegrityChecksum can never reach a cache (the
 // deliberate-collision test in tests/page_service_test.cc proves both).
+// Both tables are hash tables that bucket a key by its low word, which the
+// digest has already mixed; lookups compare all 128 bits, and nothing in
+// either table is ordered by hash value.
 //
 // Directory protocol: holders announce asynchronously; an announcement
 // becomes visible to queries only after `propagation` of simulated time
@@ -25,16 +28,26 @@
 #ifndef SRC_NET_PAGE_SERVICE_H_
 #define SRC_NET_PAGE_SERVICE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/page_ref.h"
 #include "src/base/types.h"
 
 namespace accent {
+
+// Buckets a PageHash by its low word: the digest's words are already
+// uniformly mixed, so a second mix would buy nothing.
+struct PageHashLowWord {
+  std::size_t operator()(const PageHash& hash) const noexcept {
+    return static_cast<std::size_t>(hash.lo);
+  }
+};
 
 struct ContentCacheStats {
   std::uint64_t hits = 0;            // lookups served from the cache
@@ -79,7 +92,7 @@ class ContentCache {
 
   std::int64_t capacity_pages_;
   std::list<PageHash> lru_;  // front = most recently used
-  std::map<PageHash, Entry> entries_;
+  std::unordered_map<PageHash, Entry, PageHashLowWord> entries_;
   ContentCacheStats stats_;
 };
 
@@ -120,11 +133,13 @@ class PageDirectory {
 
  private:
   struct Holding {
+    HostId host;
     SimTime visible_at{0};
   };
 
   SimDuration propagation_;
-  std::map<PageHash, std::map<HostId, Holding>> holders_;
+  // Each hash's holders, one per host, in ascending HostId order.
+  std::unordered_map<PageHash, std::vector<Holding>, PageHashLowWord> holders_;
   std::map<HostId, double> ranks_;
   std::map<HostId, PortId> service_ports_;
   std::uint64_t holders_recorded_ = 0;

@@ -216,7 +216,11 @@ TEST(Cluster, TieDenseTrialJsonMatchesPinnedDigest) {
 
 // bench/cluster_sweep's big trial at its default seed: about a million
 // events, with about 1,500 pending per pop (one front per host and series,
-// plus messages in flight and the few slices queued out of order).
+// plus messages in flight and the few slices queued out of order). This pin
+// guards the big trial's numbers, not same-instant order: its digest held
+// when the kernel ignored reserved sequence numbers and when the report
+// ticks took fresh ones. TieDenseTrialJsonMatchesPinnedDigest is the tie
+// guard.
 TEST(Cluster, FleetScaleTrialJsonMatchesPinnedDigest) {
   ClusterConfig config;
   config.host_count = 480;

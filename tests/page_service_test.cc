@@ -35,9 +35,9 @@ TEST(PageHashProperty, EqualPayloadsHashEqually) {
   EXPECT_EQ(ComputePageHash(PageData(kPageSize, 0)), ZeroPageHash());
 }
 
-// PageHash keys order the content cache and the page directory, so the
-// digest's values are part of every dedup result and must not move with
-// how the digest loads its words.
+// The content cache and the page directory bucket PageHash keys by the low
+// word alone, and the collision sampling below vouches for this digest
+// only, so the values must not move with how the digest loads its words.
 TEST(PageHashProperty, ValuesArePinned) {
   const PageHash zero = ComputePageHash(PageData{});
   EXPECT_EQ(zero.lo, 0xe3f6b597ed52742aull);
@@ -215,6 +215,29 @@ TEST(PageDirectoryTest, RanksHoldersByLinkCostAndExcludesParties) {
   ASSERT_TRUE(holder.has_value());
   EXPECT_EQ(*holder, HostId(2));
   EXPECT_FALSE(directory.NearestHolder(hash, SimTime(0), HostId(3), HostId(2)).has_value());
+
+  // Equal rank: holders announced out of id order still tie on the lower
+  // id, so the choice never depends on announcement order.
+  PageDirectory tied(Ms(2));
+  const PageHash other = ComputePageHash(MakePatternPage(3));
+  for (std::uint64_t id : {5u, 4u, 3u}) {
+    tied.SetHostRank(HostId(id), 1.0);
+    tied.RecordHolder(other, HostId(id), SimTime(0));
+  }
+  const SimTime visible = SimTime(0) + Ms(2);
+  EXPECT_EQ(tied.NearestHolder(other, visible, HostId(9), HostId(1)), HostId(3));
+  EXPECT_EQ(tied.NearestHolder(other, visible, HostId(3), HostId(1)), HostId(4));
+  // A second announcement refreshes host 4's visibility instead of adding a
+  // second holding: until it propagates, 4 is hidden.
+  tied.RecordHolder(other, HostId(4), SimTime(0) + Ms(10));
+  EXPECT_EQ(tied.holders_recorded(), 4u);
+  EXPECT_FALSE(tied.NearestHolder(other, SimTime(0) + Ms(11), HostId(3), HostId(5)).has_value());
+  EXPECT_EQ(tied.NearestHolder(other, SimTime(0) + Ms(12), HostId(3), HostId(5)), HostId(4));
+  tied.DropHost(HostId(4));
+  const SimTime later = SimTime(0) + Ms(20);
+  EXPECT_EQ(tied.NearestHolder(other, later, HostId(9), HostId(1)), HostId(3));
+  EXPECT_EQ(tied.NearestHolder(other, later, HostId(3), HostId(1)), HostId(5));
+  EXPECT_FALSE(tied.NearestHolder(other, later, HostId(3), HostId(5)).has_value());
 }
 
 TEST(PageDirectoryTest, DropHostForgetsEveryHolding) {

@@ -2,7 +2,13 @@
 // physical memory).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
+#include <optional>
+#include <random>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/host/cpu.h"
@@ -296,10 +302,14 @@ TEST(PhysicalMemory, RemoveSpaceDropsEverything) {
   memory.Insert(a, 1, false);
   memory.Insert(a, 2, false);
   memory.Insert(b, 3, false);
-  const auto removed = memory.RemoveSpace(a);
-  EXPECT_EQ(removed, (std::vector<PageIndex>{1, 2}));
+  EXPECT_EQ(memory.RemoveSpace(a), 2u);
+  EXPECT_FALSE(memory.Contains(a, 1));
+  EXPECT_FALSE(memory.Contains(a, 2));
+  EXPECT_EQ(memory.ResidentCount(a), 0u);
+  EXPECT_TRUE(memory.PagesOf(a).empty());
   EXPECT_EQ(memory.used_frames(), 1u);
   EXPECT_TRUE(memory.Contains(b, 3));
+  EXPECT_EQ(memory.PagesOf(b), (std::vector<PageIndex>{3}));
 }
 
 TEST(PhysicalMemory, PagesOfSortedAscending) {
@@ -318,6 +328,170 @@ TEST(PhysicalMemory, RemoveSingleIsIdempotent) {
   memory.Remove(space, 1);
   memory.Remove(space, 1);
   EXPECT_EQ(memory.used_frames(), 0u);
+}
+
+// The list-and-hash-map frame pool the slot table replaced, kept as the
+// model: same LRU order, same victims, same dirty bits.
+class ReferencePool {
+ public:
+  explicit ReferencePool(std::size_t frame_count) : frame_count_(frame_count) {}
+
+  std::optional<PhysicalMemory::Eviction> Insert(SpaceId space, PageIndex page, bool dirty) {
+    const Key key{space.value, page};
+    auto it = frames_.find(key);
+    if (it != frames_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      it->second.dirty = it->second.dirty || dirty;
+      return std::nullopt;
+    }
+    std::optional<PhysicalMemory::Eviction> eviction;
+    if (frames_.size() >= frame_count_) {
+      const Key victim = lru_.back();
+      eviction = PhysicalMemory::Eviction{SpaceId(victim.first), victim.second,
+                                          frames_.at(victim).dirty};
+      lru_.pop_back();
+      frames_.erase(victim);
+    }
+    lru_.push_front(key);
+    frames_.emplace(key, Frame{lru_.begin(), dirty});
+    return eviction;
+  }
+  bool Contains(SpaceId space, PageIndex page) const {
+    return frames_.count(Key{space.value, page}) != 0;
+  }
+  void Touch(SpaceId space, PageIndex page) {
+    lru_.splice(lru_.begin(), lru_, frames_.at(Key{space.value, page}).lru_pos);
+  }
+  void MarkDirty(SpaceId space, PageIndex page) {
+    frames_.at(Key{space.value, page}).dirty = true;
+  }
+  bool IsDirty(SpaceId space, PageIndex page) const {
+    auto it = frames_.find(Key{space.value, page});
+    return it != frames_.end() && it->second.dirty;
+  }
+  void Remove(SpaceId space, PageIndex page) {
+    auto it = frames_.find(Key{space.value, page});
+    if (it != frames_.end()) {
+      lru_.erase(it->second.lru_pos);
+      frames_.erase(it);
+    }
+  }
+  std::size_t RemoveSpace(SpaceId space) {
+    const std::vector<PageIndex> pages = PagesOf(space);
+    for (PageIndex page : pages) {
+      Remove(space, page);
+    }
+    return pages.size();
+  }
+  std::vector<PageIndex> PagesOf(SpaceId space) const {
+    std::vector<PageIndex> pages;
+    for (const auto& [key, frame] : frames_) {
+      if (key.first == space.value) {
+        pages.push_back(key.second);
+      }
+    }
+    std::sort(pages.begin(), pages.end());
+    return pages;
+  }
+  std::size_t used_frames() const { return frames_.size(); }
+
+ private:
+  using Key = std::pair<std::uint64_t, PageIndex>;
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<std::uint64_t>()(k.first * 0x9e3779b97f4a7c15ull ^ k.second);
+    }
+  };
+  struct Frame {
+    std::list<Key>::iterator lru_pos;
+    bool dirty = false;
+  };
+  std::size_t frame_count_;
+  std::list<Key> lru_;  // front = most recent, back = victim
+  std::unordered_map<Key, Frame, KeyHash> frames_;
+};
+
+// Seeded random Insert (clean and dirty), Touch, MarkDirty, Remove and
+// RemoveSpace over three spaces, compared with the reference after every
+// step: the eviction, the counts, each space's pages, and Contains and
+// IsDirty of the step's page and every resident one. Frame counts 1-8 keep
+// the pool evicting; 200 frames grows the index from 16 to 512 buckets, so
+// probe runs get long enough for backward-shift deletion to move entries.
+// Stale index entries show in a sweep of every (space, page) pair, run
+// after each step of the small pools, after every RemoveSpace, and every
+// 16th step of the large one.
+TEST(PhysicalMemory, MatchesListAndMapReferenceUnderRandomOps) {
+  const SpaceId spaces[] = {SpaceId(3), SpaceId(17), SpaceId(40)};
+  for (std::size_t frames : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 200u}) {
+    const PageIndex page_range = 2 * frames + 3;
+    const int steps = frames > 8 ? 4000 : 1500;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::mt19937_64 rng(seed * 1000 + frames);
+      PhysicalMemory memory(frames);
+      ReferencePool reference(frames);
+      std::size_t peak = 0;
+      // Whether Contains or IsDirty of (s, p) disagrees with the reference.
+      auto mismatch = [&](SpaceId s, PageIndex p) {
+        return memory.Contains(s, p) != reference.Contains(s, p) ||
+               memory.IsDirty(s, p) != reference.IsDirty(s, p);
+      };
+      for (int step = 0; step < steps; ++step) {
+        const SpaceId space = spaces[rng() % 3];
+        const PageIndex page = rng() % page_range;
+        const std::uint64_t op = rng() % 200;
+        bool sweep = frames <= 8 || step % 16 == 0;
+        if (op < 100) {
+          const bool dirty = rng() % 2 == 0;
+          const auto got = memory.Insert(space, page, dirty);
+          const auto want = reference.Insert(space, page, dirty);
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "frames " << frames << " seed " << seed << " step " << step;
+          if (want.has_value()) {
+            ASSERT_EQ(got->space, want->space) << "step " << step;
+            ASSERT_EQ(got->page, want->page) << "step " << step;
+            ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+            ASSERT_FALSE(mismatch(want->space, want->page)) << "victim, step " << step;
+          }
+        } else if (op < 135) {
+          if (reference.Contains(space, page)) {
+            memory.Touch(space, page);
+            reference.Touch(space, page);
+          }
+        } else if (op < 160) {
+          if (reference.Contains(space, page)) {
+            memory.MarkDirty(space, page);
+            reference.MarkDirty(space, page);
+          }
+        } else if (op < 198) {
+          memory.Remove(space, page);
+          reference.Remove(space, page);
+        } else {
+          ASSERT_EQ(memory.RemoveSpace(space), reference.RemoveSpace(space))
+              << "frames " << frames << " seed " << seed << " step " << step;
+          sweep = true;
+        }
+
+        ASSERT_FALSE(mismatch(space, page))
+            << "frames " << frames << " seed " << seed << " step " << step;
+        ASSERT_EQ(memory.used_frames(), reference.used_frames())
+            << "frames " << frames << " seed " << seed << " step " << step;
+        peak = std::max(peak, memory.used_frames());
+        for (SpaceId s : spaces) {
+          const std::vector<PageIndex> pages = reference.PagesOf(s);
+          ASSERT_EQ(memory.ResidentCount(s), pages.size()) << "step " << step;
+          ASSERT_EQ(memory.PagesOf(s), pages) << "step " << step;
+          for (PageIndex p : pages) {
+            ASSERT_FALSE(mismatch(s, p)) << "step " << step << " page " << p;
+          }
+          for (PageIndex p = 0; sweep && p < page_range; ++p) {
+            ASSERT_FALSE(mismatch(s, p))
+                << "frames " << frames << " seed " << seed << " step " << step << " page " << p;
+          }
+        }
+      }
+      EXPECT_EQ(peak, frames) << "the run never filled the pool; seed " << seed;
+    }
+  }
 }
 
 }  // namespace
