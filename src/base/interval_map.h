@@ -9,7 +9,9 @@
 // The intervals live in one sorted vector. A query is one binary search; an
 // Assign or Erase is one binary search plus one splice that replaces the
 // intervals it overlaps or touches with at most three (a left remnant, the
-// new interval, a right remnant).
+// new interval, a right remnant). An Assign at or past the last interval's
+// end only extends or appends, so building a map in address order costs
+// O(1) per interval.
 //
 // Invariants (relied upon everywhere):
 //   - intervals are non-empty, pairwise disjoint, sorted by begin;
@@ -49,6 +51,15 @@ class IntervalMap {
   // Sets [begin, end) to `value`, overwriting any previous mappings there.
   void Assign(Addr begin, Addr end, V value) {
     ACCENT_EXPECTS(begin < end);
+    if (items_.empty() || items_.back().end <= begin) {
+      // At or past the end: extend the last interval or append one.
+      if (!items_.empty() && items_.back().end == begin && items_.back().value == value) {
+        items_.back().end = end;
+      } else {
+        items_.push_back(Interval{begin, end, std::move(value)});
+      }
+      return;
+    }
     std::size_t lo = FirstEndingAfter(begin);
     if (lo < items_.size() && items_[lo].begin <= begin && end <= items_[lo].end &&
         items_[lo].value == value) {

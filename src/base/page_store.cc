@@ -25,6 +25,16 @@ PageRef* PageStore::FindMutable(PageIndex page) {
 }
 
 void PageStore::Store(PageIndex page, PageRef ref) {
+  if (runs_.empty() || runs_.back().end() <= page) {
+    // At or past the end: extend the last run or open one.
+    ++size_;
+    if (!runs_.empty() && runs_.back().end() == page) {
+      runs_.back().pages.push_back(std::move(ref));
+    } else {
+      runs_.push_back(Run{page, {std::move(ref)}});
+    }
+    return;
+  }
   const std::size_t i = RunIndexFor(page);
   if (i < runs_.size() && runs_[i].first <= page) {
     runs_[i].pages[page - runs_[i].first] = std::move(ref);  // replace in place

@@ -25,7 +25,9 @@ namespace accent {
 
 class PageStore {
  public:
-  // Inserts or replaces the entry for `page`.
+  // Inserts or replaces the entry for `page`. A page at or past the last
+  // run's end skips the search: storing pages in ascending order costs
+  // O(1) each.
   void Store(PageIndex page, PageRef ref);
 
   // Removes the entry for `page` (no-op if absent), splitting its run.

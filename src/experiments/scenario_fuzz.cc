@@ -124,7 +124,7 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   std::ostringstream failure;
 
   // The reference, the baseline and the faulty run stage the same process,
-  // so they share one image of its pages.
+  // so they share one plan of it: its layout, pages, trace and resident set.
   const WorkloadImage image =
       BuildWorkloadImage(WorkloadByName(scenario.workload), scenario.seed);
 

@@ -133,11 +133,14 @@ std::optional<PhysicalMemory::Eviction> PhysicalMemory::Insert(SpaceId space, Pa
   return eviction;
 }
 
-void PhysicalMemory::Touch(SpaceId space, PageIndex page) {
+bool PhysicalMemory::Touch(SpaceId space, PageIndex page) {
   const Slot slot = index_[FindBucket(space, page)];
-  ACCENT_EXPECTS(slot != kNoSlot) << " touch of non-resident page " << page;
+  if (slot == kNoSlot) {
+    return false;
+  }
   UnlinkLru(slot);
   LinkMostRecent(slot);
+  return true;
 }
 
 void PhysicalMemory::MarkDirty(SpaceId space, PageIndex page) {

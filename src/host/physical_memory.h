@@ -47,8 +47,9 @@ class PhysicalMemory {
     return index_[FindBucket(space, page)] != kNoSlot;
   }
 
-  // Moves the page to most-recently-used. Precondition: resident.
-  void Touch(SpaceId space, PageIndex page);
+  // Moves the page to most-recently-used if it is resident; returns whether
+  // it was (one probe serves both the residency test and the refresh).
+  bool Touch(SpaceId space, PageIndex page);
 
   // Marks a resident page dirty. Precondition: resident.
   void MarkDirty(SpaceId space, PageIndex page);

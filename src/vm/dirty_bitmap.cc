@@ -29,7 +29,11 @@ std::size_t DirtyBitmap::RunIndexFor(PageIndex word) const {
 bool DirtyBitmap::Mark(PageIndex page) {
   const PageIndex word = WordOf(page);
   const std::uint64_t bit = BitOf(page);
-  std::size_t index = RunIndexFor(word);
+  // A word in or after the last run needs no search (ascending sweeps).
+  std::size_t index = runs_.size();
+  if (!runs_.empty() && word < runs_.back().end_word()) {
+    index = word >= runs_.back().first_word ? runs_.size() - 1 : RunIndexFor(word);
+  }
   if (index < runs_.size() && runs_[index].first_word <= word) {
     std::uint64_t& slot = runs_[index].words[word - runs_[index].first_word];
     if (slot & bit) {

@@ -23,7 +23,9 @@ namespace accent {
 
 class DirtyBitmap {
  public:
-  // Marks `page` dirty. Returns true if the page was clean before.
+  // Marks `page` dirty. Returns true if the page was clean before. A page
+  // whose word lies in or after the last run skips the search, so an
+  // ascending sweep marks each page in O(1).
   bool Mark(PageIndex page);
 
   bool Test(PageIndex page) const;

@@ -65,7 +65,6 @@ SimDuration Pager::ResolveWriteCopy(AddressSpace* space, PageIndex page,
   ++stats_.cow_faults;
   outcome->fault = outcome->fault == FaultKind::kNone ? FaultKind::kCopyOnWrite : outcome->fault;
   space->InstallPage(page, space->ReadPage(page));
-  memory_.MarkDirty(space->id(), page);
   return costs_.cow_fault;
 }
 
@@ -108,8 +107,7 @@ void Pager::Access(AddressSpace* space, Addr addr, bool write, AccessDone done) 
   space->NoteTouched(page);
 
   // Fast path: resident.
-  if (memory_.Contains(space->id(), page)) {
-    memory_.Touch(space->id(), page);
+  if (memory_.Touch(space->id(), page)) {
     AccessOutcome outcome;
     outcome.page = page;
     const auto key = std::make_pair(space->id().value, page);
@@ -145,9 +143,6 @@ void Pager::Access(AddressSpace* space, Addr addr, bool write, AccessDone done) 
       outcome.page = page;
       space->InstallPage(page, PageRef{});  // interned zero page: no allocation
       MakeResident(space, page, /*dirty=*/true);
-      if (write) {
-        memory_.MarkDirty(space->id(), page);
-      }
       cpu->Submit(CpuWork::kPager, costs_.pager_fillzero_fault,
                   [outcome, done = std::move(done)]() { done(outcome); });
       return;
@@ -169,7 +164,6 @@ void Pager::Access(AddressSpace* space, Addr addr, bool write, AccessDone done) 
           if (write) {
             copy_cost = ResolveWriteCopy(space, page, &outcome);
             outcome.fault = FaultKind::kDisk;
-            memory_.MarkDirty(space->id(), page);
           }
           cpu->Submit(CpuWork::kPager, copy_cost,
                       [outcome, done = std::move(done)]() { done(outcome); });

@@ -157,7 +157,7 @@ class Pager : public Receiver {
   void MakeResident(AddressSpace* space, PageIndex page, bool dirty);
 
   // Ensures a private copy exists for writes; may charge a COW fault.
-  // Returns the extra CPU charged.
+  // Returns the extra CPU charged. The caller holds the frame dirty.
   SimDuration ResolveWriteCopy(AddressSpace* space, PageIndex page, AccessOutcome* outcome);
 
   void StartImaginaryFault(AddressSpace* space, PageIndex page, bool write, AccessDone done);

@@ -33,31 +33,32 @@ std::vector<PageIndex> PlanTouches(const WorkloadSpec& spec,
       // order: adjacency without temporal locality. Cluster size averages
       // ~1.7 pages, which yields the paper's ~40% single-page prefetch hit
       // rate for the Lisp family.
-      std::set<std::size_t> used;
-      std::vector<std::vector<PageIndex>> clusters;
+      std::vector<bool> used(real_pages.size(), false);
+      struct Cluster {
+        std::size_t start = 0;  // list position of its first page
+        std::size_t length = 0;
+      };
+      std::vector<Cluster> clusters;
       std::uint64_t picked = 0;
       while (picked < want) {
         const std::size_t start = rng->NextBelow(real_pages.size());
-        if (used.count(start) != 0) {
+        if (used[start]) {
           continue;
         }
         const std::uint64_t len = std::min<std::uint64_t>(1 + rng->NextBelow(3), want - picked);
-        std::vector<PageIndex> cluster;
-        for (std::uint64_t i = 0; i < len && start + i < real_pages.size(); ++i) {
-          if (used.count(start + i) != 0) {
-            break;
-          }
-          used.insert(start + i);
-          cluster.push_back(real_pages[start + i]);
-          ++picked;
+        Cluster cluster{start, 0};
+        while (cluster.length < len && start + cluster.length < real_pages.size() &&
+               !used[start + cluster.length]) {
+          used[start + cluster.length] = true;
+          ++cluster.length;
         }
-        if (!cluster.empty()) {
-          clusters.push_back(std::move(cluster));
-        }
+        picked += cluster.length;
+        clusters.push_back(cluster);
       }
       rng->Shuffle(clusters);
-      for (const auto& cluster : clusters) {
-        order.insert(order.end(), cluster.begin(), cluster.end());
+      for (const Cluster& cluster : clusters) {
+        order.insert(order.end(), real_pages.begin() + cluster.start,
+                     real_pages.begin() + cluster.start + cluster.length);
       }
       return order;
     }
@@ -76,13 +77,16 @@ std::vector<PageIndex> PlanTouches(const WorkloadSpec& spec,
       // Choose which candidates are skipped.
       std::vector<std::size_t> idx(candidates);
       for (std::size_t i = 0; i < candidates; ++i) {
-        idx[i] = first + i;
+        idx[i] = i;
       }
       rng->Shuffle(idx);
-      std::set<std::size_t> chosen(idx.begin(), idx.begin() + want);
-      for (std::size_t i = first; i < real_pages.size(); ++i) {
-        if (chosen.count(i) != 0) {
-          order.push_back(real_pages[i]);
+      std::vector<bool> chosen(candidates, false);
+      for (std::size_t i = 0; i < want; ++i) {
+        chosen[idx[i]] = true;
+      }
+      for (std::size_t i = 0; i < candidates; ++i) {
+        if (chosen[i]) {
+          order.push_back(real_pages[first + i]);
         }
       }
       return order;

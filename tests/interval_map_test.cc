@@ -206,13 +206,81 @@ std::vector<Span> Spans(const std::vector<Map::Interval>& intervals) {
   return spans;
 }
 
+// The property tests' address space.
+constexpr Addr kSpace = 256;
+
+// The map equals the model after `step`: every address, the intervals,
+// FindInterval, random windows through ForEachIn and Covers, and the
+// structural invariants.
+void ExpectMatchesModel(const Map& map, const ReferenceModel& model, Rng& rng, int step) {
+  // Full equivalence over the space.
+  for (Addr a = 0; a < kSpace; ++a) {
+    const int* got = map.Find(a);
+    const std::optional<int> want = model.Find(a);
+    ASSERT_EQ(got != nullptr, want.has_value()) << "addr " << a << " step " << step;
+    if (got != nullptr) {
+      ASSERT_EQ(*got, *want) << "addr " << a << " step " << step;
+    }
+  }
+  ASSERT_EQ(map.TotalBytes(), model.TotalBytes());
+
+  // The intervals are the model's maximal one-value stretches, and
+  // FindInterval returns the one around an address.
+  const std::vector<Map::Interval> whole = model.Pieces(0, kSpace);
+  ASSERT_EQ(Spans(Collect(map)), Spans(whole)) << "step " << step;
+  for (Addr a = 0; a < kSpace; ++a) {
+    const std::optional<Map::Interval> got = map.FindInterval(a);
+    const auto want = std::find_if(whole.begin(), whole.end(), [&](const Map::Interval& iv) {
+      return iv.begin <= a && a < iv.end;
+    });
+    ASSERT_EQ(got.has_value(), want != whole.end()) << "addr " << a << " step " << step;
+    if (got.has_value()) {
+      ASSERT_EQ(Spans({*got}), Spans({*want})) << "addr " << a << " step " << step;
+    }
+  }
+
+  // Random windows: ForEachIn's clipped pieces and Covers.
+  for (int window = 0; window < 8; ++window) {
+    const Addr wb = rng.NextBelow(kSpace);
+    const Addr we = wb + rng.NextBelow(kSpace - wb + 1);
+    std::vector<Map::Interval> seen;
+    map.ForEachIn(wb, we, [&](const Map::Interval& iv) { seen.push_back(iv); });
+    ASSERT_EQ(Spans(seen), Spans(model.Pieces(wb, we)))
+        << "window [" << wb << "," << we << ") step " << step;
+    bool covered = true;
+    for (Addr a = wb; a < we; ++a) {
+      covered = covered && model.Find(a).has_value();
+    }
+    ASSERT_EQ(map.Covers(wb, we), covered)
+        << "window [" << wb << "," << we << ") step " << step;
+  }
+
+  // Structural invariants: sorted, disjoint, non-empty, coalesced.
+  Addr prev_end = 0;
+  int prev_value = -1;
+  bool first = true;
+  bool adjacent_equal = false;
+  map.ForEach([&](const Map::Interval& iv) {
+    ASSERT_LT(iv.begin, iv.end);
+    if (!first) {
+      ASSERT_GE(iv.begin, prev_end);
+      if (iv.begin == prev_end && iv.value == prev_value) {
+        adjacent_equal = true;
+      }
+    }
+    prev_end = iv.end;
+    prev_value = iv.value;
+    first = false;
+  });
+  ASSERT_FALSE(adjacent_equal) << "uncoalesced adjacent intervals at step " << step;
+}
+
 class IntervalMapProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IntervalMapProperty, MatchesByteLevelModelUnderRandomOps) {
   Rng rng(GetParam());
   Map map;
   ReferenceModel model;
-  constexpr Addr kSpace = 256;
 
   for (int step = 0; step < 400; ++step) {
     Addr b = rng.NextBelow(kSpace - 1);
@@ -235,66 +303,49 @@ TEST_P(IntervalMapProperty, MatchesByteLevelModelUnderRandomOps) {
       model.Erase(b, e);
     }
 
-    // Full equivalence over the space.
-    for (Addr a = 0; a < kSpace; ++a) {
-      const int* got = map.Find(a);
-      const std::optional<int> want = model.Find(a);
-      ASSERT_EQ(got != nullptr, want.has_value()) << "addr " << a << " step " << step;
-      if (got != nullptr) {
-        ASSERT_EQ(*got, *want) << "addr " << a << " step " << step;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(map, model, rng, step));
+  }
+}
+
+// Ascending-heavy ops, the way staging and insertion build maps: most
+// assigns start at or past the last interval's end, touching it or past a
+// gap, with its value or another; the rest assign or erase anywhere. The
+// map starts over when an append would leave the space.
+TEST_P(IntervalMapProperty, MatchesByteLevelModelUnderAscendingOps) {
+  Rng rng(GetParam());
+  Map map;
+  ReferenceModel model;
+
+  for (int step = 0; step < 400; ++step) {
+    const std::vector<Map::Interval> all = Collect(map);
+    if (rng.NextBool(0.75)) {
+      const Addr b = (all.empty() ? 0 : all.back().end) +
+                     (rng.NextBool(0.5) ? 0 : 1 + rng.NextBelow(3));
+      const int tail_value = all.empty() ? 0 : all.back().value;
+      const int v = rng.NextBool(0.5)
+                        ? tail_value
+                        : (tail_value + 1 + static_cast<int>(rng.NextBelow(2))) % 3;
+      if (b >= kSpace) {
+        map.Clear();
+        model = ReferenceModel{};
+      } else {
+        const Addr e = std::min(kSpace, b + 1 + rng.NextBelow(8));
+        map.Assign(b, e, v);
+        model.Assign(b, e, v);
+      }
+    } else {
+      const Addr b = rng.NextBelow(kSpace - 1);
+      const Addr e = b + 1 + rng.NextBelow(kSpace - b - 1);
+      const int v = static_cast<int>(rng.NextBelow(3));
+      if (rng.NextBool(0.6)) {
+        map.Assign(b, e, v);
+        model.Assign(b, e, v);
+      } else {
+        map.Erase(b, e);
+        model.Erase(b, e);
       }
     }
-    ASSERT_EQ(map.TotalBytes(), model.TotalBytes());
-
-    // The intervals are the model's maximal one-value stretches, and
-    // FindInterval returns the one around an address.
-    const std::vector<Map::Interval> whole = model.Pieces(0, kSpace);
-    ASSERT_EQ(Spans(Collect(map)), Spans(whole)) << "step " << step;
-    for (Addr a = 0; a < kSpace; ++a) {
-      const std::optional<Map::Interval> got = map.FindInterval(a);
-      const auto want = std::find_if(whole.begin(), whole.end(), [&](const Map::Interval& iv) {
-        return iv.begin <= a && a < iv.end;
-      });
-      ASSERT_EQ(got.has_value(), want != whole.end()) << "addr " << a << " step " << step;
-      if (got.has_value()) {
-        ASSERT_EQ(Spans({*got}), Spans({*want})) << "addr " << a << " step " << step;
-      }
-    }
-
-    // Random windows: ForEachIn's clipped pieces and Covers.
-    for (int window = 0; window < 8; ++window) {
-      const Addr wb = rng.NextBelow(kSpace);
-      const Addr we = wb + rng.NextBelow(kSpace - wb + 1);
-      std::vector<Map::Interval> seen;
-      map.ForEachIn(wb, we, [&](const Map::Interval& iv) { seen.push_back(iv); });
-      ASSERT_EQ(Spans(seen), Spans(model.Pieces(wb, we)))
-          << "window [" << wb << "," << we << ") step " << step;
-      bool covered = true;
-      for (Addr a = wb; a < we; ++a) {
-        covered = covered && model.Find(a).has_value();
-      }
-      ASSERT_EQ(map.Covers(wb, we), covered)
-          << "window [" << wb << "," << we << ") step " << step;
-    }
-
-    // Structural invariants: sorted, disjoint, non-empty, coalesced.
-    Addr prev_end = 0;
-    int prev_value = -1;
-    bool first = true;
-    bool adjacent_equal = false;
-    map.ForEach([&](const Map::Interval& iv) {
-      ASSERT_LT(iv.begin, iv.end);
-      if (!first) {
-        ASSERT_GE(iv.begin, prev_end);
-        if (iv.begin == prev_end && iv.value == prev_value) {
-          adjacent_equal = true;
-        }
-      }
-      prev_end = iv.end;
-      prev_value = iv.value;
-      first = false;
-    });
-    ASSERT_FALSE(adjacent_equal) << "uncoalesced adjacent intervals at step " << step;
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(map, model, rng, step));
   }
 }
 

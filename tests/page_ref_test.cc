@@ -1,5 +1,7 @@
 // PageRef + PageStore unit tests: the zero-copy data plane's foundations,
 // plus its copy-traffic gate on a full pure-copy trial.
+#include <iterator>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -8,6 +10,7 @@
 #include "src/base/page_data.h"
 #include "src/base/page_ref.h"
 #include "src/base/page_store.h"
+#include "src/base/rng.h"
 #include "src/experiments/trial.h"
 
 namespace accent {
@@ -303,6 +306,75 @@ TEST(PageStoreTest, SharedPayloadAcrossStores) {
   b.Store(9, page);
   EXPECT_EQ(page.use_count(), 3);
   EXPECT_EQ(ReadPageCounters().payload_allocs, 1u);
+}
+
+// Seeded ops against a std::map model: mostly ascending stores (at the
+// last run's end or past a gap), with replacements, stores anywhere, erases
+// and range erases. The store starts over when an append would leave the
+// tracked pages. Runs must be exactly the maximal stretches of present
+// pages.
+TEST(PageStoreTest, MatchesMapModelUnderAscendingStores) {
+  constexpr PageIndex kPages = 160;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 5ull, 8ull}) {
+    Rng rng(seed);
+    PageStore store;
+    std::map<PageIndex, PageRef> model;
+    for (int step = 0; step < 400; ++step) {
+      const PageIndex tail = model.empty() ? 0 : model.rbegin()->first + 1;
+      const std::uint64_t op = rng.NextBelow(10);
+      const PageRef ref = PageRef::Pattern(rng.Next());
+      if (op < 5) {
+        const PageIndex page = tail + (rng.NextBool(0.5) ? 0 : 1 + rng.NextBelow(3));
+        if (page >= kPages) {
+          store.clear();
+          model.clear();
+        } else {
+          store.Store(page, ref);
+          model[page] = ref;
+        }
+      } else if (op < 7) {
+        // A replacement half the time, else a store anywhere.
+        const PageIndex page = !model.empty() && rng.NextBool(0.5)
+                                   ? std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                                                  rng.NextBelow(model.size())))
+                                         ->first
+                                   : rng.NextBelow(kPages);
+        store.Store(page, ref);
+        model[page] = ref;
+      } else if (op < 9) {
+        const PageIndex page = rng.NextBelow(kPages);
+        store.Erase(page);
+        model.erase(page);
+      } else {
+        const PageIndex first = rng.NextBelow(kPages);
+        const PageIndex end = first + rng.NextBelow(24);
+        store.EraseRange(first, end);
+        model.erase(model.lower_bound(first), model.lower_bound(end));
+      }
+
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step << " op " << op);
+      ASSERT_EQ(store.size(), model.size());
+      ASSERT_EQ(store.empty(), model.empty());
+      std::size_t stretches = 0;
+      for (PageIndex page = 0; page < kPages + 4; ++page) {
+        const auto want = model.find(page);
+        const PageRef* got = store.Find(page);
+        ASSERT_EQ(got != nullptr, want != model.end()) << "page " << page;
+        if (got != nullptr) {
+          ASSERT_TRUE(*got == want->second) << "page " << page;
+          stretches += page == 0 || model.count(page - 1) == 0 ? 1 : 0;
+        }
+      }
+      ASSERT_EQ(store.run_count(), stretches);
+      std::vector<PageIndex> seen;
+      store.ForEach([&](PageIndex page, const PageRef&) { seen.push_back(page); });
+      std::vector<PageIndex> want_pages;
+      for (const auto& entry : model) {
+        want_pages.push_back(entry.first);
+      }
+      ASSERT_EQ(seen, want_pages);
+    }
+  }
 }
 
 }  // namespace

@@ -453,8 +453,9 @@ TEST(PhysicalMemory, MatchesListAndMapReferenceUnderRandomOps) {
             ASSERT_FALSE(mismatch(want->space, want->page)) << "victim, step " << step;
           }
         } else if (op < 135) {
-          if (reference.Contains(space, page)) {
-            memory.Touch(space, page);
+          const bool resident = reference.Contains(space, page);
+          ASSERT_EQ(memory.Touch(space, page), resident) << "step " << step;
+          if (resident) {
             reference.Touch(space, page);
           }
         } else if (op < 160) {
