@@ -51,7 +51,8 @@ DedupResult RunDedupExperiment(const DedupConfig& config) {
   const WorkloadImage image = BuildWorkloadImage(WorkloadByName(spec.workload), spec.seed);
 
   // Page contents never depend on migration, the cache plane or
-  // calibration, so the unmigrated run pins what every incarnation must
+  // calibration, so the contents the unmigrated process ends with, folded
+  // from the image without staging it, pin what every incarnation must
   // observe.
   const std::uint64_t reference = ReferenceChecksum(spec.workload, spec.seed, &image);
 

@@ -85,7 +85,7 @@ LifecycleResult RunLifecycle(const LifecycleConfig& config) {
     const AddressSpace& live = *proc->space();
     result.resident_bytes = bed.host(0)->memory->ResidentCount(live.id()) * kPageSize;
     result.real_bytes_at_migration = live.RealBytes();
-    result.pre_touched_pages = live.touched_pages().size();
+    result.pre_touched_pages = live.touched_page_count();
 
     bed.manager(0)->Migrate(proc.get(), bed.manager(1)->port(), config.strategy,
                             [&](const MigrationRecord& record) {
@@ -102,7 +102,7 @@ LifecycleResult RunLifecycle(const LifecycleConfig& config) {
   ACCENT_CHECK(remote->done());
   result.finished = remote->finish_time();
   result.remote_exec = result.finished - result.migration.resumed;
-  result.remote_touched_pages = remote->space()->touched_pages().size();
+  result.remote_touched_pages = remote->space()->touched_page_count();
   result.dest_pager = bed.pager(1)->stats();
   result.bytes_total = bed.traffic().TotalBytes();
 

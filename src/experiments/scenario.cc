@@ -1,5 +1,7 @@
 #include "src/experiments/scenario.h"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -614,6 +616,31 @@ Json TrialResultToJson(const TrialResult& result) {
   return json;
 }
 
+namespace {
+
+// FNV-1a offset basis: both integrity folds start from it.
+constexpr std::uint64_t kFoldBasis = 1469598103934665603ull;
+
+// One FNV-1a step of an integrity fold: `v`'s eight bytes, low byte first.
+// ObservableChecksum and ReferenceChecksum both mix through it, so a run's
+// fold and the reference's cannot drift apart.
+inline void FoldMix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+  }
+}
+
+// True when `page` lies in one of the image's Real or RealZero regions,
+// which are listed in address order.
+bool ImageMaps(const WorkloadImage& image, PageIndex page) {
+  auto after = std::upper_bound(
+      image.regions.begin(), image.regions.end(), page,
+      [](PageIndex p, const WorkloadRegion& region) { return p < region.first; });
+  return after != image.regions.begin() && page < std::prev(after)->first + std::prev(after)->pages;
+}
+
+}  // namespace
+
 // A chain's final incarnation does not hold every planned page privately:
 // pages touched only at an intermediate hop stay owed to the backing chain,
 // so they are resolved through their backer object via the
@@ -621,45 +648,85 @@ Json TrialResultToJson(const TrialResult& result) {
 // actually moved the bytes, not just the references.
 std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
                                  const std::set<PageIndex>& touches) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFoldBasis;
   for (PageIndex page : touches) {
-    mix(page);
+    FoldMix(h, page);
     if (space.HasPrivatePage(page)) {
-      mix(PageIntegrityChecksum(space.ReadPage(page)));
+      FoldMix(h, PageIntegrityChecksum(space.ReadPage(page)));
     } else if (space.ClassOf(PageBase(page)) == MemClass::kImag) {
       const AddressSpace::ImagTarget target = space.ImagTargetOf(PageBase(page));
       Segment* backer = segments.Find(target.iou.segment);
-      mix(backer != nullptr ? PageIntegrityChecksum(backer->ReadPage(PageOf(target.backer_offset)))
-                            : 0);
+      FoldMix(h, backer != nullptr
+                     ? PageIntegrityChecksum(backer->ReadPage(PageOf(target.backer_offset)))
+                     : 0);
     } else {
-      mix(PageIntegrityChecksum(space.ReadPage(page)));
+      FoldMix(h, PageIntegrityChecksum(space.ReadPage(page)));
     }
   }
   return h;
 }
 
-// BuildWorkload is bit-deterministic per (spec, seed), so any later run
-// must reproduce these page contents.
+// A trace write stores an absolute byte, and nothing else a run does
+// changes a RealMem page's contents, so the image and its trace alone give
+// the contents an unmigrated run ends with. The fold writes through its own
+// copies of the image's pages, so each write clones the shared payload and
+// the image stays as planned.
 std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed,
                                 const WorkloadImage* image) {
-  Testbed bed;
-  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed, image);
-  bool finished = false;
-  std::uint64_t checksum = 0;
-  // Folded at kTerminate, the hook RunMech observes too.
-  instance.process->set_on_terminate([&](Process* p) {
-    finished = true;
-    checksum = ObservableChecksum(*p->space(), bed.segments(), instance.planned_touches);
-  });
-  instance.process->Start();
-  ACCENT_CHECK(bed.RunGuarded() && finished)
-      << " reference run of " << workload << " did not finish";
-  return checksum;
+  if (image == nullptr) {
+    const WorkloadImage planned = BuildWorkloadImage(WorkloadByName(workload), seed);
+    return ReferenceChecksum(workload, seed, &planned);
+  }
+  ACCENT_CHECK(image->workload == workload && image->seed == seed)
+      << " reference of " << workload << " seed " << seed << " from the image of "
+      << image->workload << " seed " << image->seed;
+  ACCENT_CHECK_EQ(image->pages.size(), WorkloadByName(workload).real_pages());
+
+  // Each planned page, ascending, from its image contents.
+  const std::vector<PageIndex> pages(image->planned_touches.begin(),
+                                     image->planned_touches.end());
+  std::vector<PageRef> contents;
+  contents.reserve(pages.size());
+  auto real = image->real_page_list.begin();
+  for (PageIndex page : pages) {
+    real = std::lower_bound(real, image->real_page_list.end(), page);
+    ACCENT_CHECK(real != image->real_page_list.end() && *real == page)
+        << " planned touch " << page << " of " << workload << " is not a RealMem page";
+    contents.push_back(image->pages[real - image->real_page_list.begin()]);
+  }
+
+  // The trace up to its kTerminate, as the unmigrated run executes it: a
+  // touch outside the image's regions would fault that run, so it has no
+  // reference either.
+  bool terminated = false;
+  for (const TraceOp& op : *image->trace) {
+    if (op.kind == TraceOp::Kind::kTerminate) {
+      terminated = true;
+      break;
+    }
+    if (op.kind != TraceOp::Kind::kTouch) {
+      continue;
+    }
+    const PageIndex page = PageOf(op.addr);
+    ACCENT_CHECK(ImageMaps(*image, page))
+        << " the trace of " << workload << " seed " << seed << " touches unmapped page " << page;
+    if (!op.write) {
+      continue;
+    }
+    auto planned = std::lower_bound(pages.begin(), pages.end(), page);
+    if (planned != pages.end() && *planned == page) {
+      contents[planned - pages.begin()].WriteByte(op.addr % kPageSize, op.value);
+    }
+  }
+  ACCENT_CHECK(terminated) << " the trace of " << workload << " seed " << seed
+                           << " never terminates";
+
+  std::uint64_t h = kFoldBasis;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    FoldMix(h, pages[i]);
+    FoldMix(h, PageIntegrityChecksum(contents[i]));
+  }
+  return h;
 }
 
 }  // namespace accent

@@ -13,8 +13,9 @@
 // grid and its staged ablations (sweep.h), the failure and checkpoint
 // matrices (failure_sweep.h), the chain grid (chain.h) and the pre-copy grid
 // (precopy.h) are grids of specs. Every one of them judges what finished
-// against ReferenceChecksum, the same process run to completion without
-// migrating, and writes each run through MechRowToJson.
+// against ReferenceChecksum, the contents the same process ends with when
+// run to completion without migrating, folded from its image and trace,
+// and writes each run through MechRowToJson.
 #ifndef SRC_EXPERIMENTS_SCENARIO_H_
 #define SRC_EXPERIMENTS_SCENARIO_H_
 
@@ -299,12 +300,16 @@ Json TrialResultToJson(const TrialResult& result);
 std::uint64_t ObservableChecksum(const AddressSpace& space, const SegmentTable& segments,
                                  const std::set<PageIndex>& touches);
 
-// The integrity reference for `workload`: the staged process started on
-// host 0 of a default lossless testbed and run to completion there, never
-// migrated, folded with ObservableChecksum at its kTerminate. Migration
-// must leave page contents exactly as this run leaves them, whatever the
-// strategy, topology, calibration or faults. Staged from `image` when
-// given, as RunMech is.
+// The integrity reference for `workload`: what ObservableChecksum folds at
+// the kTerminate of the process run to completion unmigrated, computed
+// without a simulation. Each planned page, ascending, is its image page
+// with the trace's writes to it applied in trace order. Migration must
+// leave page contents exactly as this fold gives them, whatever the
+// strategy, topology, calibration or faults. Reads `image` when given,
+// which must have been planned for (workload, seed), and plans one
+// otherwise. CHECK-fails, as the unmigrated run would fault or run off its
+// trace, when a touch lies outside the image's Real and RealZero regions,
+// a planned touch is not a RealMem page, or the trace never terminates.
 std::uint64_t ReferenceChecksum(const std::string& workload, std::uint64_t seed,
                                 const WorkloadImage* image = nullptr);
 

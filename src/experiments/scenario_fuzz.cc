@@ -123,13 +123,15 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   result.scenario = scenario;
   std::ostringstream failure;
 
-  // The reference, the baseline and the faulty run stage the same process,
-  // so they share one plan of it: its layout, pages, trace and resident set.
+  // The baseline and the faulty run stage the same process, and the
+  // reference reads it, so they share one plan of it: its layout, pages,
+  // trace and resident set.
   const WorkloadImage image =
       BuildWorkloadImage(WorkloadByName(scenario.workload), scenario.seed);
 
   // Content reference: page contents never depend on migration, topology,
-  // calibration or faults, so the process run unmigrated at home pins them.
+  // calibration or faults, so the contents the unmigrated process ends
+  // with, folded from the image without staging it, pin them.
   const std::uint64_t reference = ReferenceChecksum(scenario.workload, scenario.seed, &image);
 
   // Lossless baseline on the scenario's own topology + calibrations:
@@ -184,7 +186,7 @@ FuzzScenarioResult RunScenario(const FuzzScenario& scenario) {
   // counts mismatches, and a single count fails the scenario. (Stale serves
   // — a hit resurrecting a retired backer stub's page — additionally trip
   // the integrity/backer oracles above, because the destination would read
-  // bytes the reference run never produced.) With the cache off, the walk
+  // bytes the unmigrated process never holds.) With the cache off, the walk
   // must never engage.
   std::uint64_t dedup_mismatches = run.dedup_mismatches;
   std::uint64_t cache_activity = run.cache_activity;

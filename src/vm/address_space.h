@@ -20,7 +20,6 @@
 #define SRC_VM_ADDRESS_SPACE_H_
 
 #include <map>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -108,8 +107,9 @@ class AddressSpace {
   ByteCount TotalValidatedBytes() const { return amap_.TotalMappedBytes(); }
   std::size_t map_entries() const { return amap_.entry_count(); }
 
-  void NoteTouched(PageIndex page) { touched_.insert(page); }
-  const std::set<PageIndex>& touched_pages() const { return touched_; }
+  // Distinct pages the pager has been asked to access.
+  void NoteTouched(PageIndex page) { touched_.Mark(page); }
+  std::size_t touched_page_count() const { return touched_.count(); }
 
   // --- write tracking (pre-copy migration support) -----------------------------
   // Pages written since the last MarkAllClean(), in ascending order. The
@@ -190,7 +190,7 @@ class AddressSpace {
   // Zero pages are *present* entries here (a materialised zero-fill page is
   // distinct from an untouched one), unlike the sparse Segment store.
   PageStore private_pages_;
-  std::set<PageIndex> touched_;
+  DirtyBitmap touched_;
   DirtyBitmap dirty_since_mark_;
   std::map<PageIndex, PageHash> hash_hints_;
   bool write_tracking_ = false;

@@ -9,7 +9,8 @@
 // dense word vector per cluster, binary search over runs, O(1) amortised
 // marking within a run. Clean regions cost nothing, which is what lets the
 // per-round bitmaps layer over PageStore runs without perturbing the shared
-// PageRef payloads underneath.
+// PageRef payloads underneath. AddressSpace also keeps one to count the
+// distinct pages its pager has touched.
 #ifndef SRC_VM_DIRTY_BITMAP_H_
 #define SRC_VM_DIRTY_BITMAP_H_
 

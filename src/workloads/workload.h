@@ -103,13 +103,15 @@ struct WorkloadRegion {
 // real_page_list). Each page is a PageRef::Pattern that generates its bytes
 // on its first read, so planning and staging generate none, and a run
 // generates only the pages it reads: the planned touches a process writes
-// or ObservableChecksum folds. Every staging stores these same payloads, so
-// a page one run materialised stays materialised for the next. The image
-// holds its own reference to every payload, so a run that writes a page
-// clones it first (copy-on-write) and the image stays as planned; every
-// staging's process runs the one shared trace. An image stays on the
-// thread that built it: payloads are shared across the runs of one thread,
-// never across threads.
+// or ObservableChecksum folds. The integrity reference reads them too: it
+// folds the planned touches with the trace's writes without staging the
+// image (ReferenceChecksum, src/experiments/scenario.h). Every staging and
+// that fold share these same payloads, so a page one reader materialised
+// stays materialised for the next. The image holds its own reference to
+// every payload, so a run or the fold that writes a page clones it first
+// (copy-on-write) and the image stays as planned; every staging's process
+// runs the one shared trace. An image stays on the thread that built it:
+// payloads are shared across the runs of one thread, never across threads.
 struct WorkloadImage {
   std::string workload;
   std::uint64_t seed = 0;

@@ -165,7 +165,7 @@ TEST_F(AddressSpaceTest, TouchedTracking) {
   space_.NoteTouched(1);
   space_.NoteTouched(1);
   space_.NoteTouched(3);
-  EXPECT_EQ(space_.touched_pages().size(), 2u);
+  EXPECT_EQ(space_.touched_page_count(), 2u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // interactively with tools/migrate_sim --replay-seed=N.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -113,6 +114,59 @@ TEST(Scenario, ReferenceChecksumsArePinned) {
   for (const auto& [workload, checksum] : pinned) {
     EXPECT_EQ(PinnedContentsFold(workload, 42), checksum) << workload;
   }
+}
+
+// The integrity reference by simulation: the process staged from `image`
+// on host 0 of a default lossless testbed, run to completion there, never
+// migrated, and folded with ObservableChecksum at its kTerminate.
+std::uint64_t UnmigratedRunChecksum(const std::string& workload, std::uint64_t seed,
+                                    const WorkloadImage& image) {
+  Testbed bed;
+  WorkloadInstance instance = BuildWorkload(WorkloadByName(workload), bed.host(0), seed, &image);
+  bool finished = false;
+  std::uint64_t checksum = 0;
+  instance.process->set_on_terminate([&](Process* p) {
+    finished = true;
+    checksum = ObservableChecksum(*p->space(), bed.segments(), instance.planned_touches);
+  });
+  instance.process->Start();
+  ACCENT_CHECK(bed.RunGuarded() && finished)
+      << " unmigrated run of " << workload << " did not finish";
+  return checksum;
+}
+
+// ReferenceChecksum folds the image and its trace without simulating, so
+// it must give what the simulated unmigrated run gives: every program at
+// seeds 42 and 1987, and the (workload, seed) of every corpus scenario.
+TEST(Scenario, ReferenceFoldMatchesTheUnmigratedRun) {
+  std::set<std::pair<std::string, std::uint64_t>> keys;
+  for (const std::uint64_t seed : {42ull, 1987ull}) {
+    for (const WorkloadSpec& spec : RepresentativeWorkloads()) {
+      keys.emplace(spec.name, seed);
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const FuzzScenario scenario = MakeScenario(seed);
+    keys.emplace(scenario.workload, scenario.seed);
+  }
+  for (const auto& [workload, seed] : keys) {
+    SCOPED_TRACE(testing::Message() << workload << " seed " << seed);
+    const WorkloadImage image = BuildWorkloadImage(WorkloadByName(workload), seed);
+    EXPECT_EQ(ReferenceChecksum(workload, seed, &image),
+              UnmigratedRunChecksum(workload, seed, image));
+  }
+}
+
+// A touch the unmigrated run faults on, here one in the BadMem guard below
+// the layout, leaves no contents to fold: the fold fails as the run does.
+TEST(ScenarioDeathTest, ReferenceFoldRejectsATouchOutsideTheImage) {
+  const WorkloadImage image = BuildWorkloadImage(WorkloadByName("Minprog"), 42);
+  WorkloadImage guarded = image;
+  Trace ops = *image.trace;
+  ops.insert(ops.begin(), TraceOp::Read(PageBase(image.regions.front().first - 1)));
+  guarded.trace = std::make_shared<const Trace>(std::move(ops));
+  EXPECT_DEATH(UnmigratedRunChecksum("Minprog", 42, guarded), "did not finish");
+  EXPECT_DEATH(ReferenceChecksum("Minprog", 42, &guarded), "touches unmapped page");
 }
 
 // Staging generates no pattern page, and a run generates only the pages
